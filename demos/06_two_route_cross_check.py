@@ -6,10 +6,11 @@ For a pair of modules the d-th order variety answers a homological
 question: restricted to which d dimensional subspaces does Ext(M, N)
 refuse to die out?  The package answers it three ways.  The geometric
 oracle scans a subspace for rational points of the order-one variety;
-the homological oracle restricts both modules and computes actual Ext
-windows; the ideal route evaluates the eliminated Pluecker ideal at
-the subspace's coordinates.  The test suite checks their agreement at
-scale; here it is on one pair, printed in full.
+the homological oracle restricts both modules and decides eventual
+vanishing of Ext exactly, by testing Hom_k(M, N) for projectivity; the
+ideal route evaluates the eliminated Pluecker ideal at the subspace's
+coordinates.  The test suite checks their agreement at scale; here it is
+on one pair, printed in full.
 """
 
 from grassvar import (

@@ -348,7 +348,6 @@ def oracle_membership(
     d: int,
     W: Subspace,
     pair_ideal: VarietyIdeal1 | None = None,
-    window_bound: int | None = None,
     budget: int | None = None,
 ) -> tuple[bool, bool]:
     """Test membership of W in the d-th support variety of (M, N) two ways.
@@ -356,11 +355,12 @@ def oracle_membership(
     Returns (geometric, homological).  The geometric answer scans the nonzero
     rational points of W for one lying on the order-one variety of the pair;
     the homological answer restricts both modules to the subalgebra on a basis
-    of W and asks whether Ext fails to vanish eventually.  A geometric hit is
-    always definitive; a miss can be a field-size artifact when the order-one
-    variety has no rational points on W, so equality of the two flags is
-    guaranteed only when that variety is a union of subspaces defined over
-    the base field.
+    of W and asks whether Ext fails to vanish eventually, decided exactly by
+    ext_eventually_zero as projectivity of the restricted Hom_k(M, N).  The
+    homological answer is exact; a geometric hit is always definitive, but a
+    miss can be a field-size artifact when the order-one variety has no
+    rational points on W, so equality of the two flags is guaranteed only
+    when that variety is a union of subspaces defined over the base field.
     """
     if W.c != M.c or W.d != d:
         raise ValueError("subspace does not match the modules or dimension")
@@ -380,5 +380,5 @@ def oracle_membership(
             break
     MW = restrict_to_subspace(M, rows)
     NW = restrict_to_subspace(N, rows)
-    homological = not ext_eventually_zero(MW, NW, window_bound)
+    homological = not ext_eventually_zero(MW, NW)
     return geometric, homological

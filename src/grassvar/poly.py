@@ -726,7 +726,7 @@ def ideal_dimension(I: Ideal, budget: int | None = None) -> int:
     n = I.ring.nvars
     if not G.gens:
         return n
-    supports = [g.support() for g in G.gens]
+    supports = [frozenset(i for i, e in enumerate(g.lm()) if e) for g in G.gens]
     for size in range(n, -1, -1):
         for S in itertools.combinations(range(n), size):
             sset = frozenset(S)

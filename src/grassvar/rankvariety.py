@@ -11,6 +11,7 @@ the zero module has empty variety (the unit ideal).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, product
 
@@ -20,6 +21,7 @@ from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 
 MAX_MINOR_MATRIX = 12
 MAX_MINOR_SIZE = 6
+RANK_MEMO_SIZE = 256
 
 
 def coordinate_ring(field, c: int) -> PolyRing:
@@ -131,8 +133,29 @@ def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
     return gens
 
 
+# Least recently used rank-variety ideals, keyed by the (frozen) module.
+_rank_memo: OrderedDict[KEModule, VarietyIdeal1] = OrderedDict()
+
+
 def rank_variety_ideal(M: KEModule, budget: int | None = None) -> VarietyIdeal1:
-    """The ideal of the rank variety of M in F_p[a1..ac]."""
+    """The ideal of the rank variety of M in F_p[a1..ac].
+
+    Results are memoised on the module in a bounded least-recently-used
+    table.  A hit does no Groebner work, so it spends none of `budget`; a
+    call that raises stores nothing.
+    """
+    hit = _rank_memo.get(M)
+    if hit is not None:
+        _rank_memo.move_to_end(M)
+        return hit
+    V = _rank_variety_ideal(M, budget)
+    _rank_memo[M] = V
+    if len(_rank_memo) > RANK_MEMO_SIZE:
+        _rank_memo.popitem(last=False)
+    return V
+
+
+def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
     problems = validate(M)
     if problems:
         raise ValueError("not a kE-module: " + "; ".join(problems))

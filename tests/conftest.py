@@ -10,8 +10,8 @@ from grassvar import (
 )
 
 # Contexts keep every computation inside the library's resource caps: the
-# (3,3) combination would need minors of a 27x27 matrix and Ext windows of
-# length 58, both far past the documented limits.
+# (3,3) combination would need minors of a 27x27 matrix, far past the
+# documented limits.
 CONTEXTS = [(2, 2), (3, 2), (2, 3)]
 
 

@@ -183,9 +183,12 @@ def test_criterion_4_emptiness_matches_ext(catalog):
                 for name, M in cat.items()
             }
             for (an, M), (bn, N) in itertools.product(cat.items(), repeat=2):
-                vanishes = ext_eventually_zero(
-                    M, N, window, resolution=resolutions[an]
-                )
+                # an independent check of the exact test: the top half of
+                # an explicit Ext window, from the minimal resolution of M
+                table = ext_dims(M, N, window, resolution=resolutions[an])
+                window_vanishes = not any(table.dims[(window + 1) // 2 :])
+                vanishes = ext_eventually_zero(M, N)
+                assert window_vanishes == vanishes, (p, c, an, bn)
                 for d in range(1, c + 1):
                     V = higher_variety_ideal(M, N, d)
                     assert V.is_empty() == vanishes, (p, c, an, bn, d)
@@ -211,7 +214,7 @@ def test_criterion_5_three_way_agreement(catalog):
                     # variety; that decides membership over the closure too,
                     # because every catalog pair variety is a finite union of
                     # subspaces defined over F2.  homological restricts both
-                    # modules to W and watches the Ext window.
+                    # modules to W and tests Hom_k(M, N) for projectivity.
                     geometric, homological = oracle_membership(
                         M, N, d, W, pair_ideal=V1
                     )

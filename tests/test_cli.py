@@ -154,6 +154,23 @@ def test_project_gamma(capsys):
     assert out2 == out
 
 
+def test_project_gamma_dimension_of_non_monomial_bases(capsys):
+    # the Pluecker quadric cut by a linear form: a 3-dimensional cone
+    status, out, _ = _run(
+        capsys, "project-gamma", "-p", "2", "-c", "4", "-d", "2",
+        "-z", "a1+a3; a2+a4",
+    )
+    assert status == 0
+    assert out.splitlines()[-1] == "dim = 3"
+    # a conic in a plane of P^3: a projective curve
+    status, out, _ = _run(
+        capsys, "project-gamma", "-p", "2", "-c", "4", "-d", "1",
+        "-z", "a1*a2+a3*a4; a1+a2+a3",
+    )
+    assert status == 0
+    assert out.splitlines()[-1] == "dim = 1"
+
+
 def test_project_gamma_unit_input(capsys):
     status, out, _ = _run(
         capsys, "project-gamma", "-p", "2", "-c", "3", "-d", "1", "-z", "1"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import SyzygyLimitError
-from grassvar.fp import PrimeField
+from grassvar.fp import MatrixFp, PrimeField
 from grassvar.homology import (
     ExtTable,
     betti_numbers,
@@ -12,6 +12,7 @@ from grassvar.homology import (
     syzygy_step,
 )
 from grassvar.modules import (
+    KEModule,
     dual,
     quotient_by_linear_forms,
     regular_module,
@@ -186,6 +187,8 @@ def test_ext_zero_module_edges():
     assert list(ext_dims(Z, M, 3)) == [0, 0, 0, 0]
     assert list(ext_dims(M, Z, 3)) == [0, 0, 0, 0]
     assert ext_eventually_zero(Z, M)
+    assert ext_eventually_zero(M, Z)
+    assert ext_eventually_zero(Z, Z)
     assert betti_numbers(Z, 3) == [0, 0, 0, 0]
 
 
@@ -208,6 +211,10 @@ def test_ext_mismatched_modules_rejected():
     with pytest.raises(ValueError):
         ext_dims(_mod(F2, 2, [(1, 0)]), _mod(F2, 3, [(1, 0, 0)]), 3)
     with pytest.raises(ValueError):
+        ext_eventually_zero(_mod(F2, 2, [(1, 0)]), _mod(F3, 2, [(1, 0)]))
+    with pytest.raises(ValueError):
+        ext_eventually_zero(_mod(F2, 2, [(1, 0)]), _mod(F2, 3, [(1, 0, 0)]))
+    with pytest.raises(ValueError):
         ext_dims(_mod(F2, 2, [(1, 0)]), _mod(F2, 2, [(1, 0)]), -1)
 
 
@@ -223,9 +230,21 @@ def test_ext_eventually_zero_decisions():
     assert ext_eventually_zero(kE, k)
 
 
-def test_ext_eventually_zero_window_floor():
-    Rx = _mod(F2, 2, [(1, 0)])
-    with pytest.raises(ValueError):
-        ext_eventually_zero(Rx, Rx, window_bound=5)
-    # the default window is 2 * p^c + 4; asking for more is allowed
-    assert not ext_eventually_zero(Rx, Rx, window_bound=20)
+def test_ext_eventually_zero_rejects_non_modules():
+    # a 3x3 Jordan block has X^2 != 0 over F_2
+    X = MatrixFp(F2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    bad = KEModule(F2, 2, 3, (X, MatrixFp.zeros(F2, 3, 3)))
+    assert validate(bad)
+    good = _mod(F2, 2, [(1, 0)])
+    with pytest.raises(ValueError, match="source"):
+        ext_eventually_zero(bad, good)
+    with pytest.raises(ValueError, match="target"):
+        ext_eventually_zero(good, bad)
+
+
+def test_ext_eventually_zero_caps_the_hom_space():
+    # trivial action on k^300: c * dim Hom = 2 * 300 * 300 is over the cap
+    n = 300
+    big = KEModule(F2, 2, n, (MatrixFp.zeros(F2, n, n),) * 2)
+    with pytest.raises(SyzygyLimitError):
+        ext_eventually_zero(big, big)

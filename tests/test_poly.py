@@ -349,6 +349,14 @@ def test_ideal_dimension():
     assert ideal_dimension(ideal(r, [x, y, z])) == 0
 
 
+def test_ideal_dimension_reads_leading_monomials():
+    # the leading monomials x^2 and y^2 leave only z free, although every
+    # variable occurs in the basis
+    r = ring(F2, ("x", "y", "z"))
+    x, y, z = r.gens()
+    assert ideal_dimension(ideal(r, [x**2 + y, y**2 + z])) == 1
+
+
 def test_ideal_str():
     r = ring(F2, ("x", "y"))
     x, y = r.gens()

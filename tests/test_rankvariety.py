@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from grassvar.errors import MinorLimitError
+from grassvar import rankvariety
+from grassvar.errors import GroebnerBudgetError, MinorLimitError
 from grassvar.fp import PrimeField
 from grassvar.modules import (
     direct_sum,
@@ -71,6 +72,36 @@ def test_rational_points_match_freeness_test(catalog):
                 if not is_free_over_line(M, a):
                     expected.append(a)
             assert rational_points(V) == sorted(expected), (p, c, name)
+
+
+def test_rank_variety_memo_is_shared_by_equal_modules():
+    M = quotient_by_linear_forms(F3, 2, [(1, 2)])
+    twin = quotient_by_linear_forms(F3, 2, [(1, 2)])
+    assert M == twin and M is not twin
+    assert rank_variety_ideal(twin) is rank_variety_ideal(M)
+
+
+def test_rank_variety_memo_keeps_no_failures():
+    rankvariety._rank_memo.clear()
+    M = quotient_by_linear_forms(F2, 3, [(1, 1, 0)])
+    with pytest.raises(GroebnerBudgetError):
+        rank_variety_ideal(M, budget=1)
+    assert M not in rankvariety._rank_memo
+    V = rank_variety_ideal(M)
+    assert str(V.gb) == "ideal(a1^2 + a2^2, a1*a3 + a2*a3, a3^2)"
+    # a hit does no Groebner work, so it fits in any budget
+    assert rank_variety_ideal(M, budget=1) is V
+
+
+def test_rank_variety_memo_is_bounded(monkeypatch):
+    monkeypatch.setattr(rankvariety, "RANK_MEMO_SIZE", 2)
+    rankvariety._rank_memo.clear()
+    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
+    rank_variety_ideal(a)
+    rank_variety_ideal(b)
+    rank_variety_ideal(a)  # a is now the most recently used
+    rank_variety_ideal(c)
+    assert list(rankvariety._rank_memo) == [a, c]
 
 
 def test_point_membership_respects_scaling(catalog):
