@@ -16,6 +16,7 @@ from grassvar import (
     quotient_by_linear_forms,
     regular_module,
     resolve,
+    syzygy_step,
 )
 
 F2 = PrimeField(2)
@@ -33,9 +34,16 @@ print("betti(kE):", betti_numbers(kE, 6))
 # kE/(x1) is periodic: complexity 1
 print("betti(kE/(x1)):", betti_numbers(Rx, 6))
 
-# the full resolution object exposes the syzygies and the differentials
+# each syzygy step covers a module by a free one and keeps the kernel
+dims = [k.n]
+omega = k
+for _ in range(3):
+    omega = syzygy_step(omega)[1]
+    dims.append(omega.n)
+print("syzygy dims:", dims)
+
+# the full resolution object keeps the Betti numbers and the differentials
 res = resolve(k, 3, keep_differentials=True)
-print("syzygy dims:", [S.n for S in res.syzygies])
 print("first differential:")
 print(res.differentials[0])
 

@@ -53,7 +53,3 @@ print("projective dimension:", variety_dim_projective(V))
 members = subspaces_on_variety(V)
 print("members over F2:", len(members))
 print("W on the variety:", point_on_variety(V, pluecker_embed(W)))
-
-# the two elimination routes agree generator for generator
-direct = project_incidence(Z, 2, method="direct")
-print("split == direct:", str(V.gb) == str(direct.gb))

@@ -374,11 +374,11 @@ def _cmd_ext(args) -> int:
 def _cmd_oracle(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
-    if args.subspace is not None:
-        targets = [_subspace_arg(M.field, args.subspace, M.c, args.dim)]
-    else:
-        targets = enumerate_subspaces(M.field, M.c, args.dim)
     try:
+        if args.subspace is not None:
+            targets = [_subspace_arg(M.field, args.subspace, M.c, args.dim)]
+        else:
+            targets = enumerate_subspaces(M.field, M.c, args.dim)
         pair = pair_variety_ideal(M, N, args.budget)
         variety = higher_variety_ideal(M, N, args.dim, args.budget)
         rows = []
@@ -421,7 +421,10 @@ def _cmd_embed(args) -> int:
     field = _field_arg(args)
     W = _subspace_arg(field, args.rows, args.c, args.dim)
     pt = pluecker_embed(W)
-    names = pluecker_ring(field, args.c, args.dim).names
+    try:
+        names = pluecker_ring(field, args.c, args.dim).names
+    except ValueError as exc:
+        raise CliInputError(str(exc)) from None
     payload = {"names": list(names), "coords": list(pt.coords)}
     _emit(args, payload, str(pt))
     return 0

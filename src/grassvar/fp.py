@@ -11,7 +11,7 @@ on which path ran.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,12 +36,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_p")
         return pow(a, self.p - 2, self.p)
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
-    def elements(self) -> range:
-        return range(self.p)
 
 
 def _as_array(entries, p: int) -> np.ndarray:
@@ -162,11 +156,6 @@ def _kernel_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return k, free
 
 
-def _kernel(a: np.ndarray, p: int) -> np.ndarray:
-    """Columns form the canonical basis of the right null space of a."""
-    return _kernel_free(a, p)[0]
-
-
 class MatrixFp:
     """Immutable dense matrix over F_p."""
 
@@ -218,9 +207,6 @@ class MatrixFp:
     @property
     def p(self) -> int:
         return self.field.p
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
 
     def tolist(self) -> list[list[int]]:
         return self._a.tolist()
@@ -274,14 +260,8 @@ class MatrixFp:
     def rank(self) -> int:
         return len(_rref(self._a, self.p)[1])
 
-    def rref(self) -> "MatrixFp":
-        return MatrixFp(self.field, _rref(self._a, self.p)[0])
-
-    def pivot_columns(self) -> list[int]:
-        return _rref(self._a, self.p)[1]
-
     def kernel_columns(self) -> list[tuple[int, ...]]:
-        k = _kernel(self._a, self.p)
+        k = _kernel_free(self._a, self.p)[0]
         return [tuple(int(v) for v in k[:, j]) for j in range(k.shape[1])]
 
     def pow(self, e: int) -> "MatrixFp":
@@ -323,20 +303,3 @@ class MatrixFp:
                 a[j + 1 + rows] = (a[j + 1 + rows] - np.outer(factors, a[j])) % p
         return det
 
-
-# Operation-style entry points.
-
-def mat_rank(a: MatrixFp) -> int:
-    return a.rank()
-
-
-def mat_kernel_basis(a: MatrixFp) -> list[tuple[int, ...]]:
-    return a.kernel_columns()
-
-
-def mat_pow(a: MatrixFp, e: int) -> MatrixFp:
-    return a.pow(e)
-
-
-def rref_canonical(a: MatrixFp) -> MatrixFp:
-    return a.rref()

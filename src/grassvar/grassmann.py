@@ -12,8 +12,7 @@ under the second projection.  Its ideal is computed exactly: saturate the
 incidence ideal to discard the locus u = 0, then eliminate the u-coordinates.
 Saturation with respect to (x1, .., xc) splits as the intersection of the
 saturations at each xi, and elimination commutes with that intersection, so
-the default route works one variable at a time on smaller bases; the direct
-route is kept for cross-checking.
+the projection works one variable at a time on smaller bases.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .poly import (
     ideal_dimension,
     ideal_intersect,
     saturate,
-    saturate_wrt_ideal,
 )
 from .rankvariety import VarietyIdeal1, pair_variety_ideal, point_in_rank_variety
 
@@ -261,13 +259,13 @@ def project_incidence(
     Z: VarietyIdeal1,
     d: int,
     budget: int | None = None,
-    method: str = "split",
 ) -> VarietyIdealD:
     """Ideal of the d-planes meeting the punctured cone of Z.
 
-    method "split" saturates and eliminates one x-variable at a time and
-    intersects the results; method "direct" saturates with respect to the
-    whole irrelevant ideal first.  Both return the same reduced basis.
+    For each coordinate xi the incidence ideal is saturated at xi and the
+    point variables are eliminated; the variety is the intersection of
+    those projections, which equals the projection of the saturation with
+    respect to the whole irrelevant ideal (x1, .., xc).
     """
     c = Z.c
     if not 1 <= d <= c:
@@ -277,14 +275,6 @@ def project_incidence(
     ring = inc.ring
     x_names = [f"x{i + 1}" for i in range(c)]
     small = pluecker_ring(field, c, d)
-
-    if method == "direct":
-        irrelevant = ideal(ring, [ring.var(n) for n in x_names])
-        sat = saturate_wrt_ideal(inc, irrelevant, budget)
-        projected = eliminate(sat, x_names, budget)
-        return VarietyIdealD(small, c, d, projected)
-    if method != "split":
-        raise ValueError(f"unknown method {method!r}")
 
     factors = []
     for name in x_names:
@@ -309,11 +299,10 @@ def higher_variety_ideal(
     N: KEModule,
     d: int,
     budget: int | None = None,
-    method: str = "split",
 ) -> VarietyIdealD:
     """Ideal of the d-th support variety of the pair (M, N) in G_d(k^c)."""
     Z = pair_variety_ideal(M, N, budget)
-    return project_incidence(Z, d, budget, method)
+    return project_incidence(Z, d, budget)
 
 
 def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:

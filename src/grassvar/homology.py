@@ -44,8 +44,9 @@ def _monomial_actions(actions: list[np.ndarray], p: int, c: int) -> np.ndarray:
     return rho
 
 
-def _generator_indices(arrays: list[np.ndarray], n: int, p: int) -> list[int]:
+def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
     """Coordinate indices whose basis vectors span a complement of rad M."""
+    n = arrays[0].shape[0]
     if n == 0:
         return []
     radical_rows = np.concatenate([a.T for a in arrays], axis=0)
@@ -59,8 +60,7 @@ class ResolutionData:
     """A minimal free resolution of `module`, truncated at homological degree
     len(betti) - 1.
 
-    betti[i] is the rank of the i-th free module.  syzygies[i] is the i-th
-    syzygy module (syzygies[0] is the module itself).  gen_columns[i - 1]
+    betti[i] is the rank of the i-th free module.  gen_columns[i - 1]
     records the differential d_i on generators: column s holds the image of
     generator s of F_i in the monomial coordinates of F_{i-1}, an array of
     shape (betti[i-1] * p**c, betti[i]).  differentials, when kept, holds the
@@ -69,13 +69,52 @@ class ResolutionData:
 
     module: KEModule
     betti: tuple[int, ...]
-    syzygies: tuple[KEModule, ...]
     gen_columns: tuple[np.ndarray, ...]
     differentials: tuple[np.ndarray, ...] | None = None
 
     @property
     def depth(self) -> int:
         return len(self.betti) - 1
+
+
+def _syzygy(
+    actions: list[np.ndarray],
+    gens: list[int],
+    reg: list[np.ndarray],
+    p: int,
+    cover_cap: int,
+    degree: int,
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """Cover a module by the free module on `gens` and take the kernel.
+
+    `actions` are the module's action arrays and `reg` those of kE on its
+    monomial basis.  Returns the cover (module coordinates by monomial
+    coordinates of the free module), the kernel's basis as columns in the
+    monomial coordinates, and the action arrays of the kernel on that basis.
+    """
+    m_alg = p ** len(reg)
+    b = len(gens)
+    ncols = b * m_alg
+    if ncols > cover_cap:
+        raise SyzygyLimitError(
+            f"free cover needs {ncols} columns at degree {degree}, "
+            f"over the cap of {cover_cap}"
+        )
+    cover = np.zeros((actions[0].shape[0], ncols), dtype=np.int64)
+    for t, g in enumerate(gens):
+        cover[g, t * m_alg] = 1
+    for e in range(1, m_alg):
+        j = _lowest_digit(e, p)
+        cover[:, e::m_alg] = _matmul(actions[j], cover[:, e - p**j :: m_alg], p)
+
+    kernel, free = _kernel_free(cover, p)
+    next_actions = []
+    for a in reg:
+        # kernel[free, :] is the identity, so the induced action on the
+        # syzygy is just the free-row block of (x_j . kernel).
+        moved = _matmul_stacked(a, kernel, b, m_alg, p)
+        next_actions.append(moved[free, :])
+    return cover, kernel, next_actions
 
 
 def resolve(
@@ -88,67 +127,40 @@ def resolve(
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
     count at degree bound, so betti has bound + 1 entries and gen_columns has
-    bound entries (the differentials d_1 .. d_bound on generators).
+    bound entries (the differentials d_1 .. d_bound on generators).  Only the
+    current syzygy is held while the resolution is built.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
     problems = validate(M)
     if problems:
         raise ValueError("not a kE-module: " + "; ".join(problems))
-    p, c = M.p, M.c
-    reg = [a.array for a in regular_module(M.field, c).actions]
-    m_alg = p**c
+    p = M.p
+    reg = [a.array for a in regular_module(M.field, M.c).actions]
 
     betti: list[int] = []
-    syzygies: list[KEModule] = [M]
     gen_columns: list[np.ndarray] = []
     differentials: list[np.ndarray] = []
 
     cur = [a.array for a in M.actions]
-    cur_n = M.n
     prev_kernel: np.ndarray | None = None
 
     for i in range(bound + 1):
-        gens = _generator_indices(cur, cur_n, p)
-        b = len(gens)
-        betti.append(b)
+        gens = _generator_indices(cur, p)
+        betti.append(len(gens))
         if prev_kernel is not None:
             gen_columns.append(prev_kernel[:, gens])
         if i == bound:
             break
 
-        ncols = b * m_alg
-        if ncols > cover_cap:
-            raise SyzygyLimitError(
-                f"free cover needs {ncols} columns at degree {i}, "
-                f"over the cap of {cover_cap}"
-            )
-        cover = np.zeros((cur_n, ncols), dtype=np.int64)
-        for t, g in enumerate(gens):
-            cover[g, t * m_alg] = 1
-        for e in range(1, m_alg):
-            j = _lowest_digit(e, p)
-            cover[:, e::m_alg] = _matmul(cur[j], cover[:, e - p**j :: m_alg], p)
+        cover, kernel, cur = _syzygy(cur, gens, reg, p, cover_cap, i)
         if keep_differentials and prev_kernel is not None:
             differentials.append(_matmul(prev_kernel, cover, p))
-
-        kernel, free = _kernel_free(cover, p)
-        next_n = kernel.shape[1]
-        next_actions = []
-        for j in range(c):
-            # kernel[free, :] is the identity, so the induced action on the
-            # syzygy is just the free-row block of (x_j . kernel).
-            moved = _matmul_stacked(reg[j], kernel, b, m_alg, p)
-            next_actions.append(MatrixFp(M.field, moved[free, :]))
-        syzygies.append(KEModule(M.field, c, next_n, tuple(next_actions)))
         prev_kernel = kernel
-        cur = [a.array for a in next_actions]
-        cur_n = next_n
 
     return ResolutionData(
         module=M,
         betti=tuple(betti),
-        syzygies=tuple(syzygies),
         gen_columns=tuple(gen_columns),
         differentials=tuple(differentials) if keep_differentials else None,
     )
@@ -169,8 +181,15 @@ def _matmul_stacked(
 
 def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     """One step of the minimal resolution: (number of generators, syzygy module)."""
-    res = resolve(M, 1)
-    return res.betti[0], res.syzygies[1]
+    problems = validate(M)
+    if problems:
+        raise ValueError("not a kE-module: " + "; ".join(problems))
+    cur = [a.array for a in M.actions]
+    gens = _generator_indices(cur, M.p)
+    reg = [a.array for a in regular_module(M.field, M.c).actions]
+    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, DEFAULT_COVER_CAP, 0)
+    actions = tuple(MatrixFp(M.field, a) for a in arrays)
+    return len(gens), KEModule(M.field, M.c, kernel.shape[1], actions)
 
 
 def betti_numbers(M: KEModule, bound: int) -> list[int]:

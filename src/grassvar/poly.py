@@ -665,29 +665,6 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
     return eliminate(Ideal(big_I.ring, tuple(gens)), {tname}, budget)
 
 
-def saturate_wrt_ideal(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
-    """I : J^infinity = intersection of I : g^infinity over the generators g of J."""
-    if I.ring != J.ring:
-        raise ValueError("saturation needs a common ring")
-    ring = I.ring
-    result: Ideal | None = None
-    for g in J.gens:
-        if g.is_zero():
-            continue
-        s = saturate(I, g, budget)
-        if s.is_unit_ideal():
-            continue
-        if s.is_zero_ideal():
-            return Ideal(ring, ())
-        result = s if result is None else ideal_intersect(result, s, budget)
-        if result.is_zero_ideal():
-            return result
-    if result is None:
-        # every factor was the unit ideal (or J had no nonzero generators)
-        return Ideal(ring, (ring.one,))
-    return result
-
-
 def radical_member(f: Polynomial, I: Ideal, budget: int | None = None) -> bool:
     """Rabinowitsch test: f lies in the radical of I."""
     ring = I.ring

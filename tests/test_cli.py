@@ -250,6 +250,23 @@ def test_embed(capsys):
     assert out == "(1 : 0 : 1 : 0 : 1 : 0)\n"
 
 
+def test_embed_rejects_more_than_nine_coordinates(capsys):
+    status, out, err = _run(
+        capsys, "embed", "-c", "12", "-d", "1", "1,0,0,0,0,0,0,0,0,0,0,0"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: coordinate names use single digits; c must be at most 9\n"
+
+
+def test_oracle_rejects_subspace_dimension_out_of_range(capsys, module_files):
+    for d in ("5", "0"):
+        status, out, err = _run(
+            capsys, "oracle", "-d", d, module_files["rx2"], module_files["rx2"]
+        )
+        assert (status, out) == (1, "")
+        assert err == f"error: need 1 <= d <= c, got d={d}, c=2\n"
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     status, out, err = _run(capsys, "rank-ideal", str(tmp_path / "nope.json"))
     assert status == 1

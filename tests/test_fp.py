@@ -11,10 +11,6 @@ from grassvar.fp import (
     _rref,
     _rref_gf2,
     _rref_modp,
-    mat_kernel_basis,
-    mat_pow,
-    mat_rank,
-    rref_canonical,
 )
 
 
@@ -184,19 +180,6 @@ def test_eq_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != MatrixFp(F, [[1, 1], [0, 1]])
     assert a != MatrixFp(PrimeField(3), [[1, 0], [0, 1]])
-
-
-def test_op_wrappers():
-    F = PrimeField(3)
-    a = MatrixFp(F, [[1, 2], [2, 4]])
-    assert mat_rank(a) == 1
-    assert mat_pow(a, 2) == a @ a
-    cols = mat_kernel_basis(a)
-    for v in cols:
-        k = MatrixFp(F, np.array([v], dtype=np.int64).T)
-        assert (a @ k).is_zero()
-    r = rref_canonical(a)
-    assert r.tolist() == [[1, 2], [0, 0]]
 
 
 def test_field_mismatch_rejected():

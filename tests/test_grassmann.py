@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from grassvar.errors import SubspaceLimitError
-from grassvar.fp import PrimeField
+from grassvar.fp import MatrixFp, PrimeField
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
@@ -144,10 +144,8 @@ def test_incidence_ideal_vanishes_on_true_pairs():
             r == (1, 0, 0) for r in W.rows()
         )
         # u lies in W exactly when reducing u against the basis leaves zero
-        from grassvar.fp import MatrixFp, mat_rank
-
         stacked = MatrixFp(F2, list(W.rows()) + [list(u)])
-        in_W = mat_rank(stacked) == 2
+        in_W = stacked.rank() == 2
         if in_W:
             assert all(v == 0 for v in values)
         else:
@@ -186,26 +184,51 @@ def test_project_incidence_union_case():
     assert len(subspaces_on_variety(V)) == 5
 
 
-def test_split_and_direct_routes_agree():
-    cases = []
-    ring2 = coordinate_ring(F2, 3)
-    cases.append(_lines(ring2, [ring2.var(1), ring2.var(2)]))
-    cases.append(_lines(ring2, [ring2.var(0) * ring2.var(1), ring2.var(2)]))
-    ring3 = coordinate_ring(F3, 3)
-    cases.append(_lines(ring3, [ring3.var(0) + ring3.var(1)]))
-    cases.append(_lines(ring3, []))
-    for Z in cases:
-        for d in (1, 2):
-            a = project_incidence(Z, d, method="split")
-            b = project_incidence(Z, d, method="direct")
-            assert str(a.gb) == str(b.gb), (str(Z.gb), d)
+# (p, generators of Z, d, reduced basis of the projection, rational W on it)
+PROJECTION_CASES = [
+    (2, "a2,a3", 1, "ideal(p_2, p_3)", 1),
+    (2, "a2,a3", 2, "ideal(p_23)", 3),
+    (2, "a1*a2,a3", 1, "ideal(p_1*p_2, p_3)", 2),
+    (2, "a1*a2,a3", 2, "ideal(p_13*p_23)", 5),
+    (3, "a1+a2", 1, "ideal(p_1 + p_2)", 4),
+    (3, "a1+a2", 2, "ideal(0)", 13),
+    (3, "", 1, "ideal(0)", 13),
+    (3, "", 2, "ideal(0)", 13),
+]
 
 
-def test_project_incidence_rejects_unknown_method():
+@pytest.mark.parametrize(
+    "p, gens, d, basis, count",
+    PROJECTION_CASES,
+    ids=[f"F{p}-({gens})-d{d}" for p, gens, d, _, _ in PROJECTION_CASES],
+)
+def test_projection_matches_brute_force(p, gens, d, basis, count):
+    field = PrimeField(p)
+    ring = coordinate_ring(field, 3)
+    a1, a2, a3 = ring.gens()
+    named = {"a2,a3": [a2, a3], "a1*a2,a3": [a1 * a2, a3], "a1+a2": [a1 + a2], "": []}
+    Z = _lines(ring, named[gens])
+    V = project_incidence(Z, d)
+    assert str(V.gb) == basis
+    # brute force: the rational W that contain a nonzero rational point of Z
+    points = [
+        u
+        for u in itertools.product(range(p), repeat=3)
+        if any(u) and all(g.evaluate(list(u)) == 0 for g in Z.gb.gens)
+    ]
+    expected = {
+        W
+        for W in enumerate_subspaces(field, 3, d)
+        if any(MatrixFp(field, W.rows() + [u]).rank() == d for u in points)
+    }
+    found = subspaces_on_variety(V)
+    assert set(found) == expected
+    assert len(found) == count
+
+
+def test_project_incidence_rejects_bad_dimension():
     ring = coordinate_ring(F2, 3)
     Z = _lines(ring, [ring.var(1)])
-    with pytest.raises(ValueError):
-        project_incidence(Z, 1, method="fast")
     with pytest.raises(ValueError):
         project_incidence(Z, 0)
     with pytest.raises(ValueError):

@@ -18,7 +18,6 @@ from grassvar.poly import (
     radical_equal,
     radical_member,
     saturate,
-    saturate_wrt_ideal,
 )
 
 F2 = PrimeField(2)
@@ -313,16 +312,6 @@ def test_intersection():
         "x^2*y"
     ]
     assert ideal_intersect(ideal(r, []), ideal(r, [x])).is_zero_ideal()
-
-
-def test_saturate_wrt_ideal_matches_iterated_saturation():
-    r = ring(F2, ("x", "y", "z"))
-    x, y, z = r.gens()
-    I = ideal(r, [x * y * z, x**2 * y])
-    J = ideal(r, [x, y])
-    combined = saturate_wrt_ideal(I, J)
-    stepwise = ideal_intersect(saturate(I, x), saturate(I, y))
-    assert combined.gens == buchberger_reduced(stepwise).gens
 
 
 def test_radical_membership():
