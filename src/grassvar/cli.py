@@ -331,6 +331,7 @@ def _cmd_higher_ideal(args) -> int:
 
 
 def _cmd_project_gamma(args) -> int:
+    _check_dims(args)
     field = _field_arg(args)
     ring = coordinate_ring(field, args.c)
     gens = [
@@ -418,6 +419,7 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    _check_dims(args)
     field = _field_arg(args)
     W = _subspace_arg(field, args.rows, args.c, args.dim)
     pt = pluecker_embed(W)
@@ -428,6 +430,14 @@ def _cmd_embed(args) -> int:
     payload = {"names": list(names), "coords": list(pt.coords)}
     _emit(args, payload, str(pt))
     return 0
+
+
+def _check_dims(args) -> None:
+    """Reject bad -c and -d values before anything is built from them."""
+    if args.c < 1:
+        raise CliInputError(f"need c >= 1, got c={args.c}")
+    if not 1 <= args.dim <= args.c:
+        raise CliInputError(f"need 1 <= d <= c, got d={args.dim}, c={args.c}")
 
 
 def _field_arg(args) -> PrimeField:

@@ -17,6 +17,7 @@ the projection works one variable at a time on smaller bases.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -38,9 +39,15 @@ from .poly import (
     ideal_intersect,
     saturate,
 )
-from .rankvariety import VarietyIdeal1, pair_variety_ideal, point_in_rank_variety
+from .rankvariety import (
+    VarietyIdeal1,
+    _lru,
+    pair_variety_ideal,
+    point_in_rank_variety,
+)
 
 DEFAULT_SUBSPACE_CAP = 10_000
+PROJECT_MEMO_SIZE = 256
 
 
 def _subsets(c: int, d: int) -> list[tuple[int, ...]]:
@@ -255,6 +262,10 @@ class VarietyIdealD:
         return self.gb.is_zero_ideal()
 
 
+# Least recently used projections, keyed by (reduced basis of Z, d).
+_project_memo: OrderedDict[tuple[Ideal, int], VarietyIdealD] = OrderedDict()
+
+
 def project_incidence(
     Z: VarietyIdeal1,
     d: int,
@@ -266,10 +277,25 @@ def project_incidence(
     point variables are eliminated; the variety is the intersection of
     those projections, which equals the projection of the saturation with
     respect to the whole irrelevant ideal (x1, .., xc).
+
+    The answer depends only on the reduced basis of Z and on d, so results
+    are memoised on (Z.gb, d) in a bounded least-recently-used table.  A hit
+    does no Groebner work, so it spends none of `budget`; a call that raises
+    stores nothing.
     """
     c = Z.c
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
+    return _lru(
+        _project_memo,
+        (Z.gb, d),
+        PROJECT_MEMO_SIZE,
+        lambda: _project_incidence(Z, d, budget),
+    )
+
+
+def _project_incidence(Z: VarietyIdeal1, d: int, budget: int | None) -> VarietyIdealD:
+    c = Z.c
     field = Z.ring.field
     inc = incidence_ideal(Z, d)
     ring = inc.ring

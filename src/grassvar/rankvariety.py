@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, product
+from typing import Callable
 
 from .errors import MinorLimitError
 from .modules import KEModule, validate
@@ -22,6 +23,7 @@ from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 MAX_MINOR_MATRIX = 12
 MAX_MINOR_SIZE = 6
 RANK_MEMO_SIZE = 256
+PAIR_MEMO_SIZE = 256
 
 
 def coordinate_ring(field, c: int) -> PolyRing:
@@ -133,6 +135,21 @@ def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
     return gens
 
 
+def _lru(memo: OrderedDict, key, size: int, compute: Callable):
+    """The value of `key` in a least-recently-used table of at most `size`
+    entries, from compute() on a miss.  A call of compute() that raises
+    stores nothing."""
+    hit = memo.get(key)
+    if hit is not None:
+        memo.move_to_end(key)
+        return hit
+    value = compute()
+    memo[key] = value
+    if len(memo) > size:
+        memo.popitem(last=False)
+    return value
+
+
 # Least recently used rank-variety ideals, keyed by the (frozen) module.
 _rank_memo: OrderedDict[KEModule, VarietyIdeal1] = OrderedDict()
 
@@ -144,15 +161,7 @@ def rank_variety_ideal(M: KEModule, budget: int | None = None) -> VarietyIdeal1:
     table.  A hit does no Groebner work, so it spends none of `budget`; a
     call that raises stores nothing.
     """
-    hit = _rank_memo.get(M)
-    if hit is not None:
-        _rank_memo.move_to_end(M)
-        return hit
-    V = _rank_variety_ideal(M, budget)
-    _rank_memo[M] = V
-    if len(_rank_memo) > RANK_MEMO_SIZE:
-        _rank_memo.popitem(last=False)
-    return V
+    return _lru(_rank_memo, M, RANK_MEMO_SIZE, lambda: _rank_variety_ideal(M, budget))
 
 
 def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
@@ -180,12 +189,28 @@ def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
     return VarietyIdeal1(ring, raw, buchberger_reduced(raw, budget))
 
 
+# Least recently used pair-variety ideals, keyed by the ordered pair of modules.
+_pair_memo: OrderedDict[tuple[KEModule, KEModule], VarietyIdeal1] = OrderedDict()
+
+
 def pair_variety_ideal(
     M: KEModule, N: KEModule, budget: int | None = None
 ) -> VarietyIdeal1:
-    """Ideal of the intersection of the rank varieties of M and N."""
+    """Ideal of the intersection of the rank varieties of M and N.
+
+    Results are memoised on the ordered pair (M, N) in a bounded
+    least-recently-used table, like rank_variety_ideal: a hit does no
+    Groebner work, so it spends none of `budget`; a call that raises stores
+    nothing.
+    """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
+    return _lru(
+        _pair_memo, (M, N), PAIR_MEMO_SIZE, lambda: _pair_variety_ideal(M, N, budget)
+    )
+
+
+def _pair_variety_ideal(M: KEModule, N: KEModule, budget: int | None) -> VarietyIdeal1:
     vm = rank_variety_ideal(M, budget)
     vn = rank_variety_ideal(N, budget)
     ring = vm.ring

@@ -302,13 +302,28 @@ def test_bad_polynomial_reports_position(capsys):
     assert "expected one of a1, a2, a3" in err
 
 
-def test_budget_exhaustion_is_resource_error(capsys):
+def test_budget_exhaustion_is_resource_error(capsys, cold_memos):
+    # the memos are emptied first: a stored projection would spend no budget
     status, _, err = _run(
         capsys, "project-gamma", "-p", "2", "-c", "4", "-d", "2",
         "-z", "a2", "--budget", "5",
     )
     assert status == 2
     assert err.startswith("resource limit:")
+
+
+def test_project_gamma_rejects_nonpositive_c(capsys):
+    status, out, err = _run(
+        capsys, "project-gamma", "-p", "2", "-c", "0", "-d", "1", "-z", "a1"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: need c >= 1, got c=0\n"
+
+
+def test_embed_rejects_nonpositive_d(capsys):
+    status, out, err = _run(capsys, "embed", "-c", "3", "-d", "0", "1,0,0")
+    assert (status, out) == (1, "")
+    assert err == "error: need 1 <= d <= c, got d=0, c=3\n"
 
 
 def test_negative_bound_rejected(capsys, module_files):

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from grassvar.errors import SubspaceLimitError
+from grassvar import grassmann
+from grassvar.errors import GroebnerBudgetError, SubspaceLimitError
 from grassvar.fp import MatrixFp, PrimeField
 from grassvar.grassmann import (
     PlueckerPoint,
@@ -233,6 +234,51 @@ def test_project_incidence_rejects_bad_dimension():
         project_incidence(Z, 0)
     with pytest.raises(ValueError):
         project_incidence(Z, 4)
+
+
+def test_projection_memo_is_shared_by_equal_bases(cold_memos):
+    ring = coordinate_ring(F2, 3)
+    a1, a2, a3 = ring.gens()
+    Z = _lines(ring, [a2, a3])
+    twin = VarietyIdeal1(ring, ideal(ring, [a2, a3, a2 + a3]), Z.gb)
+    assert twin.raw != Z.raw and twin.gb == Z.gb
+    assert project_incidence(twin, 2) is project_incidence(Z, 2)
+
+
+def test_projection_memo_keeps_bases_byte_identical(cold_memos):
+    cones = []
+    for field in (F2, F3):
+        ring = coordinate_ring(field, 3)
+        a1, a2, a3 = ring.gens()
+        cones += [_lines(ring, [a1 * a2, a3]), _lines(ring, [a1 + a2]), _lines(ring, [])]
+    inputs = [(Z, d) for Z in cones for d in (1, 2, 3)]
+    warm = [project_incidence(Z, d) for Z, d in inputs]
+    assert all(project_incidence(Z, d) is V for (Z, d), V in zip(inputs, warm))
+    # the unmemoised route, so a memo that mixes up keys cannot agree with it
+    cold = [grassmann._project_incidence(Z, d, None) for Z, d in inputs]
+    assert [str(V.gb) for V in warm] == [str(V.gb) for V in cold]
+
+
+def test_projection_memo_keeps_no_failures(cold_memos):
+    ring = coordinate_ring(F2, 4)
+    Z = _lines(ring, [ring.var(1)])
+    with pytest.raises(GroebnerBudgetError):
+        project_incidence(Z, 2, budget=1)
+    assert not grassmann._project_memo
+    V = project_incidence(Z, 2)
+    # a hit does no Groebner work, so it fits in any budget
+    assert project_incidence(Z, 2, budget=1) is V
+
+
+def test_projection_memo_is_bounded(monkeypatch, cold_memos):
+    monkeypatch.setattr(grassmann, "PROJECT_MEMO_SIZE", 2)
+    ring = coordinate_ring(F2, 3)
+    a, b, c = (_lines(ring, [g]) for g in ring.gens())
+    project_incidence(a, 1)
+    project_incidence(b, 1)
+    project_incidence(a, 1)  # a is now the most recently used
+    project_incidence(c, 1)
+    assert list(grassmann._project_memo) == [(a.gb, 1), (c.gb, 1)]
 
 
 def test_grassmannian_dimension_from_full_ideal():

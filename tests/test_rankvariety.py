@@ -104,6 +104,41 @@ def test_rank_variety_memo_is_bounded(monkeypatch):
     assert list(rankvariety._rank_memo) == [a, c]
 
 
+def test_pair_memo_is_shared_by_equal_pairs_in_order(cold_memos):
+    M = quotient_by_linear_forms(F2, 2, [(1, 0)])
+    twin = quotient_by_linear_forms(F2, 2, [(1, 0)])
+    N = quotient_by_linear_forms(F2, 2, [(0, 1)])
+    assert pair_variety_ideal(twin, N) is pair_variety_ideal(M, N)
+    vm, vn = rank_variety_ideal(M), rank_variety_ideal(N)
+    assert vm.raw.gens != vn.raw.gens
+    assert pair_variety_ideal(M, N).raw.gens == vm.raw.gens + vn.raw.gens
+    assert pair_variety_ideal(N, M).raw.gens == vn.raw.gens + vm.raw.gens
+
+
+def test_pair_memo_keeps_no_failures(cold_memos):
+    M = quotient_by_linear_forms(F3, 2, [(0, 1)])
+    N = quotient_by_linear_forms(F3, 2, [(1, 1)])
+    rank_variety_ideal(M)
+    rank_variety_ideal(N)
+    # the rank varieties are stored, so only the pair's own basis runs out
+    with pytest.raises(GroebnerBudgetError):
+        pair_variety_ideal(M, N, budget=1)
+    assert (M, N) not in rankvariety._pair_memo
+    V = pair_variety_ideal(M, N)
+    assert str(V.gb) == "ideal(a2^3, a1^2, a1*a2 + a2^2)"
+    assert pair_variety_ideal(M, N, budget=1) is V
+
+
+def test_pair_memo_is_bounded(monkeypatch, cold_memos):
+    monkeypatch.setattr(rankvariety, "PAIR_MEMO_SIZE", 2)
+    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
+    pair_variety_ideal(a, a)
+    pair_variety_ideal(b, b)
+    pair_variety_ideal(a, a)  # (a, a) is now the most recently used
+    pair_variety_ideal(c, c)
+    assert list(rankvariety._pair_memo) == [(a, a), (c, c)]
+
+
 def test_point_membership_respects_scaling(catalog):
     M = catalog[(3, 2)]["R/(x1+x2)"]
     V = rank_variety_ideal(M)
