@@ -8,11 +8,20 @@ is the image of the incidence correspondence
 
     { (u, W) : u in Z, u in W, u != 0 }
 
-under the second projection.  Its ideal is computed exactly: saturate the
-incidence ideal to discard the locus u = 0, then eliminate the u-coordinates.
-Saturation with respect to (x1, .., xc) splits as the intersection of the
-saturations at each xi, and elimination commutes with that intersection, so
-the projection works one variable at a time on smaller bases.
+under the second projection.  Its ideal is computed exactly, one affine
+chart at a time.  The locus u != 0 is covered by the charts xi != 0, so the
+projection is the intersection over i of the projections of the
+saturations (I : xi^oo) of the incidence ideal I.  When Z is a cone, I is
+homogeneous in the u-coordinates, and then
+
+    (I : xi^oo) n k[p] = (I + (xi - 1)) n k[p]:
+
+if f in k[p] equals g + h (xi - 1) with g in I, put xi = 1 in each
+u-homogeneous part of g (each lies in I) and homogenise again; that shows
+xi^N f in I for large N.  So each chart is one elimination of the
+u-coordinates from I + (xi - 1), with no auxiliary variable.  On a Z that
+is not a cone the identity fails, which is why project_incidence accepts
+only homogeneous Z.
 """
 
 from __future__ import annotations
@@ -32,12 +41,10 @@ from .poly import (
     Ideal,
     Polynomial,
     PolyRing,
-    buchberger_reduced,
     eliminate,
     ideal,
     ideal_dimension,
     ideal_intersect,
-    saturate,
 )
 from .rankvariety import (
     VarietyIdeal1,
@@ -179,12 +186,6 @@ def pluecker_embed(W: Subspace) -> PlueckerPoint:
     return PlueckerPoint(W.field, W.c, W.d, tuple(coords))
 
 
-def beta_frobenius(pt: PlueckerPoint) -> PlueckerPoint:
-    """Coordinatewise p-th power; fixes exactly the F_p-rational points."""
-    p = pt.field.p
-    return PlueckerPoint(pt.field, pt.c, pt.d, tuple(pow(x, p, p) for x in pt.coords))
-
-
 def pluecker_relations(ring: PolyRing, c: int, d: int) -> list[Polynomial]:
     """The quadratic shuffle relations cutting out G_d(k^c) in P^(C(c,d)-1).
 
@@ -273,10 +274,14 @@ def project_incidence(
 ) -> VarietyIdealD:
     """Ideal of the d-planes meeting the punctured cone of Z.
 
-    For each coordinate xi the incidence ideal is saturated at xi and the
-    point variables are eliminated; the variety is the intersection of
-    those projections, which equals the projection of the saturation with
-    respect to the whole irrelevant ideal (x1, .., xc).
+    For each coordinate xi the point variables are eliminated from the
+    incidence ideal in the affine chart xi = 1; the variety is the
+    intersection of those projections.  When Z is a cone the incidence
+    ideal is homogeneous in the point variables; then each chart's
+    projection equals the projection of its saturation at xi, and their
+    intersection equals the projection of the saturation with respect to
+    the whole irrelevant ideal (x1, .., xc).  So a Z whose reduced basis
+    has an inhomogeneous element raises ValueError.
 
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a bounded least-recently-used table.  A hit
@@ -286,6 +291,9 @@ def project_incidence(
     c = Z.c
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
+    bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
+    if bad is not None:
+        raise ValueError(f"Z must define a cone, but its basis element {bad} is not homogeneous")
     return _lru(
         _project_memo,
         (Z.gb, d),
@@ -304,16 +312,12 @@ def _project_incidence(Z: VarietyIdeal1, d: int, budget: int | None) -> VarietyI
 
     factors = []
     for name in x_names:
-        sat = saturate(inc, ring.var(name), budget)
-        if sat.is_unit_ideal():
-            continue
-        part = eliminate(sat, x_names, budget)
-        if part.is_unit_ideal():
-            continue
-        factors.append(part)
+        chart = ideal(ring, inc.gens + (ring.var(name) - 1,))
+        part = eliminate(chart, x_names, budget)
+        if not part.is_unit_ideal():
+            factors.append(part)
     if not factors:
-        unit = ideal(small, [small.one])
-        return VarietyIdealD(small, c, d, buchberger_reduced(unit, budget))
+        return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
     result = factors[0]
     for part in factors[1:]:
         result = ideal_intersect(result, part, budget)

@@ -74,10 +74,6 @@ class KEModule:
     def p(self) -> int:
         return self.field.p
 
-    @property
-    def algebra_dim(self) -> int:
-        return self.field.p ** self.c
-
 
 def validate(M: KEModule) -> list[str]:
     """Violation report; empty means M is a genuine kE-module."""

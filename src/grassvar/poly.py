@@ -3,8 +3,8 @@
 Monomials are exponent tuples, polynomials are sorted term tuples over a ring
 descriptor, and all Groebner computation is Buchberger's algorithm with the
 coprime and chain criteria under normal (smallest-lcm) pair selection.
-Elimination runs under a block order; saturation, ideal intersection and
-radical membership are built on elimination with a fresh auxiliary variable.
+Elimination runs under a block order; ideal intersection and radical
+membership are built on elimination with a fresh auxiliary variable.
 
 Every routine is deterministic: reduced Groebner bases are unique for a given
 ideal and order, term orders break ties by fixed index order, and nothing
@@ -631,22 +631,6 @@ def _extend_with_aux(I: Ideal, base: str = "t") -> tuple[Ideal, Polynomial, str]
     ident = list(range(ring.nvars))
     gens = tuple(g.map_to(big, ident) for g in I.gens)
     return Ideal(big, gens), big.var(t), t
-
-
-def saturate(I: Ideal, f: Polynomial, budget: int | None = None) -> Ideal:
-    """I : f^infinity, via a fresh Rabinowitsch variable and elimination."""
-    ring = I.ring
-    if f.ring != ring:
-        raise ValueError("saturation element lives in a different ring")
-    if f.is_zero():
-        return Ideal(ring, (ring.one,))
-    if f.is_constant():
-        return buchberger_reduced(I, budget)
-    big_I, t, tname = _extend_with_aux(I)
-    ident = list(range(ring.nvars))
-    f_big = f.map_to(big_I.ring, ident)
-    gens = big_I.gens + (t * f_big - 1,)
-    return eliminate(Ideal(big_I.ring, gens), {tname}, budget)
 
 
 def ideal_intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:

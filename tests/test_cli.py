@@ -179,6 +179,15 @@ def test_project_gamma_unit_input(capsys):
     assert out == "ideal(1)  [empty variety]\ndim = -1\n"
 
 
+def test_project_gamma_rejects_non_cones(capsys):
+    status, out, err = _run(
+        capsys, "project-gamma", "-p", "2", "-c", "3", "-d", "2",
+        "-z", "a1*a2+a3; a1+a2+1",
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: Z must define a cone, but its basis element a2^2 + a2 + a3 is not homogeneous\n"
+
+
 def test_betti_and_ext(capsys, module_files):
     status, out, _ = _run(capsys, "betti", "-n", "4", module_files["k2"])
     assert status == 0

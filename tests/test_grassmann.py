@@ -8,7 +8,6 @@ from grassvar.fp import MatrixFp, PrimeField
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
-    beta_frobenius,
     enumerate_subspaces,
     gaussian_binomial,
     higher_variety_ideal,
@@ -97,12 +96,6 @@ def test_pluecker_point_normalization():
         PlueckerPoint(F3, 3, 1, (0, 0, 0))
     with pytest.raises(ValueError):
         PlueckerPoint(F3, 3, 1, (1, 0))
-
-
-def test_beta_frobenius_fixes_rational_points():
-    for W in enumerate_subspaces(F3, 3, 2):
-        pt = pluecker_embed(W)
-        assert beta_frobenius(pt) == pt
 
 
 def test_pluecker_relations_shapes():
@@ -234,6 +227,20 @@ def test_project_incidence_rejects_bad_dimension():
         project_incidence(Z, 0)
     with pytest.raises(ValueError):
         project_incidence(Z, 4)
+
+
+def test_project_incidence_rejects_non_cones(cold_memos):
+    # the chart identity behind the projection holds only for cones
+    ring = coordinate_ring(F2, 3)
+    a1, a2, a3 = ring.gens()
+    Z = _lines(ring, [a1 * a2 + a3, a1 + a2 + 1])
+    for d in (1, 2, 3):
+        with pytest.raises(ValueError, match="must define a cone"):
+            project_incidence(Z, d)
+    assert not grassmann._project_memo
+    # constants are homogeneous: the zero and unit ideals stay accepted
+    assert project_incidence(_lines(ring, []), 2).is_full()
+    assert project_incidence(_lines(ring, [ring.one]), 2).is_empty()
 
 
 def test_projection_memo_is_shared_by_equal_bases(cold_memos):

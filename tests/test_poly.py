@@ -17,7 +17,6 @@ from grassvar.poly import (
     radical_contains,
     radical_equal,
     radical_member,
-    saturate,
 )
 
 F2 = PrimeField(2)
@@ -234,7 +233,7 @@ def test_budget_raises():
         buchberger_reduced(I, budget=1)
 
 
-# --- elimination, saturation, intersection ----------------------------------------
+# --- elimination and intersection ----------------------------------------
 
 
 def test_eliminate_twisted_cubic():
@@ -272,36 +271,6 @@ def test_eliminate_output_is_contained_in_source():
             lifted = g.map_to(r, [0, 1])
             assert normal_form(lifted, G).is_zero()
             assert 2 not in lifted.support()
-
-
-def test_saturate_strips_stable_factor():
-    r = ring(F5, ("x", "y"))
-    x, y = r.gens()
-    assert [str(g) for g in saturate(ideal(r, [x**2 * y]), x).gens] == ["y"]
-    # x^k * y = x^(k-2) * (x^2 y) for k >= 2, so y is already in the quotient
-    assert [str(g) for g in saturate(ideal(r, [x**2 * y, x * y**2]), x).gens] == ["y"]
-    # a power of x inside the ideal pushes 1 into the saturation
-    assert saturate(ideal(r, [x * y, x**2]), x).is_unit_ideal()
-
-
-def test_saturate_edge_cases():
-    r = ring(F5, ("x", "y"))
-    x, y = r.gens()
-    assert saturate(ideal(r, [x]), r.zero).is_unit_ideal()
-    assert [str(g) for g in saturate(ideal(r, [x]), r.const(3)).gens] == ["x"]
-
-
-def test_saturation_contains_ideal():
-    rng = random.Random(12)
-    r = ring(F2, ("x", "y", "z"))
-    gens_pool = r.gens()
-    for _ in range(10):
-        f1 = gens_pool[rng.randrange(3)] * gens_pool[rng.randrange(3)]
-        f2 = gens_pool[rng.randrange(3)] + gens_pool[rng.randrange(3)]
-        I = ideal(r, [f1, f2])
-        S = saturate(I, gens_pool[0])
-        for g in I.gens:
-            assert normal_form(g, S).is_zero()
 
 
 def test_intersection():
