@@ -3,9 +3,11 @@
 Matrices are immutable wrappers around integer numpy arrays with all entries
 reduced mod p.  Every operation is exact: products route through float64 BLAS
 only when the intermediate values provably fit in the 53-bit mantissa, and
-row reduction over F_2 uses a bit-packed elimination path.  Both reduction
-paths produce the (unique) reduced row echelon form, so results never depend
-on which path ran.
+row reduction over F_2 uses a bit-packed elimination path, whose rows are
+packed into 64-bit words by np.packbits.  Both reduction paths produce the
+(unique) reduced row echelon form, so results never depend on which path
+ran.  The kernel basis is read off that form by two scatters: one writes its
+identity block on the free columns, one its pivot rows.
 """
 
 from __future__ import annotations
@@ -89,20 +91,18 @@ def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
 # --- bit-packed F_2 row reduction ------------------------------------------
 
 def _gf2_pack(a: np.ndarray) -> np.ndarray:
+    """The low bits of the rows of a as little-endian 64-bit words: bit j of
+    a row is bit j & 63 of word j >> 6, zero-padded past the last column."""
     m, n = a.shape
     words = max(1, (n + 63) // 64)
-    packed = np.zeros((m, words), dtype=np.uint64)
-    bits = (a & 1).astype(np.uint64)
-    for j in range(n):
-        packed[:, j >> 6] |= bits[:, j] << np.uint64(j & 63)
-    return packed
+    buf = np.zeros((m, 8 * words), dtype=np.uint8)
+    bits = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little")
+    buf[:, : bits.shape[1]] = bits
+    return buf.view("<u8")
 
 def _gf2_unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    m = packed.shape[0]
-    out = np.zeros((m, n), dtype=np.int64)
-    for j in range(n):
-        out[:, j] = (packed[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-    return out
+    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
+    return bits.astype(np.int64)
 
 def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
     m, n = a.shape
@@ -134,7 +134,7 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if a.shape[0] == 0 or a.shape[1] == 0:
         return a.copy(), []
     if p == 2:
-        return _rref_gf2(a % 2)
+        return _rref_gf2(a)
     return _rref_modp(a, p)
 
 
@@ -149,10 +149,9 @@ def _kernel_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
     k = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        k[j, idx] = 1
-        for ri, pj in enumerate(pivots):
-            k[pj, idx] = (-red[ri, j]) % p
+    # column t of k belongs to the free column free[t] of a
+    k[free, np.arange(len(free))] = 1
+    k[pivots] = (-red[: len(pivots)][:, free]) % p
     return k, free
 
 

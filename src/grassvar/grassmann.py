@@ -36,7 +36,7 @@ import numpy as np
 from .errors import SubspaceLimitError
 from .fp import MatrixFp, PrimeField, _rref
 from .homology import ext_eventually_zero
-from .modules import KEModule, restrict_to_subspace
+from .modules import KEModule, _lru, restrict_to_subspace
 from .poly import (
     Ideal,
     Polynomial,
@@ -48,7 +48,6 @@ from .poly import (
 )
 from .rankvariety import (
     VarietyIdeal1,
-    _lru,
     pair_variety_ideal,
     point_in_rank_variety,
 )

@@ -21,7 +21,11 @@ from .errors import SyzygyLimitError
 from .fp import MatrixFp, _kernel_free, _matmul, _rref
 from .modules import KEModule, regular_module, validate
 
-DEFAULT_COVER_CAP = 100_000
+# Free covers, their kernels and the Hom radical matrix of
+# ext_eventually_zero are dense int64 matrices; each is refused past this
+# many cells (80 MB).  A syzygy step holds about eleven matrices of its
+# cover's size at once, so a step at the cap peaks near 1 GB.
+DEFAULT_CELL_CAP = 10_000_000
 
 
 def _lowest_digit(e: int, p: int) -> int:
@@ -91,16 +95,24 @@ def _syzygy(
     monomial basis.  Returns the cover (module coordinates by monomial
     coordinates of the free module), the kernel's basis as columns in the
     monomial coordinates, and the action arrays of the kernel on that basis.
+
+    The cover is surjective, so it is n x (b * p^c) for a module of
+    dimension n and its kernel is (b * p^c) x (b * p^c - n); both are dense,
+    and SyzygyLimitError is raised before either is built if one of them
+    has more than `cover_cap` cells.
     """
     m_alg = p ** len(reg)
     b = len(gens)
+    n = actions[0].shape[0]
     ncols = b * m_alg
-    if ncols > cover_cap:
+    cells = ncols * max(n, ncols - n)
+    if cells > cover_cap:
         raise SyzygyLimitError(
-            f"free cover needs {ncols} columns at degree {degree}, "
-            f"over the cap of {cover_cap}"
+            f"free cover of a dimension-{n} module by {ncols} columns at degree "
+            f"{degree} needs a dense matrix of {cells} cells, over the cap of "
+            f"{cover_cap}"
         )
-    cover = np.zeros((actions[0].shape[0], ncols), dtype=np.int64)
+    cover = np.zeros((n, ncols), dtype=np.int64)
     for t, g in enumerate(gens):
         cover[g, t * m_alg] = 1
     for e in range(1, m_alg):
@@ -121,14 +133,16 @@ def resolve(
     M: KEModule,
     bound: int,
     keep_differentials: bool = False,
-    cover_cap: int = DEFAULT_COVER_CAP,
+    cover_cap: int = DEFAULT_CELL_CAP,
 ) -> ResolutionData:
     """Minimal free resolution of M with Betti numbers through degree `bound`.
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
     count at degree bound, so betti has bound + 1 entries and gen_columns has
     bound entries (the differentials d_1 .. d_bound on generators).  Only the
-    current syzygy is held while the resolution is built.
+    current syzygy is held while the resolution is built.  SyzygyLimitError
+    is raised at the first degree whose free cover or its kernel would have
+    more than `cover_cap` cells.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
@@ -187,7 +201,7 @@ def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     cur = [a.array for a in M.actions]
     gens = _generator_indices(cur, M.p)
     reg = [a.array for a in regular_module(M.field, M.c).actions]
-    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, DEFAULT_COVER_CAP, 0)
+    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, DEFAULT_CELL_CAP, 0)
     actions = tuple(MatrixFp(M.field, a) for a in arrays)
     return len(gens), KEModule(M.field, M.c, kernel.shape[1], actions)
 
@@ -288,7 +302,10 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     large i exactly when H is projective, that is free: dim H equals p^c
     times dim H / rad H.  On column-major vec(f), x_i acts on H by
     (G_M^-T kron G_N) - I with G = 1 + X, and rad H is the span of the
-    images of those c matrices, so the test is one rank computation.
+    images of those c matrices, so the test is one rank computation.  The
+    radical matrix is dense with c * h^2 cells for h = dim M * dim N, and
+    SyzygyLimitError is raised before it is built if that exceeds
+    DEFAULT_CELL_CAP.
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
@@ -300,10 +317,10 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     h = M.n * N.n
     if h == 0:
         return True
-    if c * h > DEFAULT_COVER_CAP:
+    if c * h * h > DEFAULT_CELL_CAP:
         raise SyzygyLimitError(
-            f"Hom space needs a {c * h}x{h} radical matrix, over the cap of "
-            f"{DEFAULT_COVER_CAP} rows"
+            f"Hom space needs a {c * h}x{h} radical matrix of {c * h * h} cells, "
+            f"over the cap of {DEFAULT_CELL_CAP}"
         )
     eye = np.eye(h, dtype=np.int64)
     blocks = []

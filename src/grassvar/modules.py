@@ -10,8 +10,9 @@ sum(e_i * p^(i-1)), so for p=2, c=2 the basis reads (1, x1, x2, x1*x2).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .errors import ResourceLimitError
 from .fp import MatrixFp, PrimeField, _matmul, _rref
 
 DEFAULT_DIM_CAP = 256
+VALIDATE_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,35 @@ class KEModule:
         return self.field.p
 
 
+def _lru(memo: OrderedDict, key, size: int, compute: Callable):
+    """The value of `key` in a least-recently-used table of at most `size`
+    entries, from compute() on a miss.  A call of compute() that raises
+    stores nothing."""
+    hit = memo.get(key)
+    if hit is not None:
+        memo.move_to_end(key)
+        return hit
+    value = compute()
+    memo[key] = value
+    if len(memo) > size:
+        memo.popitem(last=False)
+    return value
+
+
+# Least recently used violation reports, keyed by the (frozen) module.
+_validate_memo: OrderedDict[KEModule, tuple[str, ...]] = OrderedDict()
+
+
 def validate(M: KEModule) -> list[str]:
-    """Violation report; empty means M is a genuine kE-module."""
+    """Violation report; empty means M is a genuine kE-module.
+
+    Reports are memoised on the module in a bounded least-recently-used
+    table; each call returns a fresh list.
+    """
+    return list(_lru(_validate_memo, M, VALIDATE_MEMO_SIZE, lambda: _violations(M)))
+
+
+def _violations(M: KEModule) -> tuple[str, ...]:
     problems: list[str] = []
     p = M.p
     for i, a in enumerate(M.actions):
@@ -86,7 +115,7 @@ def validate(M: KEModule) -> list[str]:
         for j in range(i + 1, M.c):
             if M.actions[i] @ M.actions[j] != M.actions[j] @ M.actions[i]:
                 problems.append(f"X{i + 1} and X{j + 1} do not commute")
-    return problems
+    return tuple(problems)
 
 
 def zero_module(field: PrimeField, c: int) -> KEModule:

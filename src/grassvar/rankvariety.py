@@ -14,10 +14,9 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Callable
 
 from .errors import MinorLimitError
-from .modules import KEModule, validate
+from .modules import KEModule, _lru, validate
 from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 
 MAX_MINOR_MATRIX = 12
@@ -133,21 +132,6 @@ def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
             if not g.is_zero():
                 gens.append(g)
     return gens
-
-
-def _lru(memo: OrderedDict, key, size: int, compute: Callable):
-    """The value of `key` in a least-recently-used table of at most `size`
-    entries, from compute() on a miss.  A call of compute() that raises
-    stores nothing."""
-    hit = memo.get(key)
-    if hit is not None:
-        memo.move_to_end(key)
-        return hit
-    value = compute()
-    memo[key] = value
-    if len(memo) > size:
-        memo.popitem(last=False)
-    return value
 
 
 # Least recently used rank-variety ideals, keyed by the (frozen) module.

@@ -6,6 +6,8 @@ import pytest
 from grassvar.fp import (
     MatrixFp,
     PrimeField,
+    _gf2_pack,
+    _gf2_unpack,
     _kernel_free,
     _matmul,
     _rref,
@@ -89,6 +91,68 @@ def test_kernel_annihilates_and_has_identity_block():
             assert k.shape[1] == len(free)
             assert np.array_equal(k[free, :], np.eye(len(free), dtype=np.int64))
             assert len(free) + len(_rref(a, p)[1]) == a.shape[1]
+
+
+# Widths on both sides of the 64-bit word boundaries of the packed F_2 rows.
+WORD_WIDTHS = (63, 64, 65, 127, 128, 129, 200)
+WIDE_ROWS = (0, 1, 40, 64, 150)
+
+
+def _wide_matrices(p):
+    """Seeded matrices over F_p of every (rows, width) pair: a full-rank-ish
+    dense one, a sparse one and one of rank at most 30, so that pivot and
+    free columns interleave across word boundaries."""
+    rng = np.random.default_rng(17 + p)
+    for n in WORD_WIDTHS:
+        for m in WIDE_ROWS:
+            yield rng.integers(0, p, (m, n))
+            yield rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.05)
+            r = min(30, m)
+            yield (rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))) % p
+
+
+def _reference_kernel(a, p):
+    """The canonical kernel written entry by entry from the reduced form."""
+    n = a.shape[1]
+    red, pivots = _rref(a, p)
+    free = [j for j in range(n) if j not in set(pivots)]
+    k = np.zeros((n, len(free)), dtype=np.int64)
+    for idx, j in enumerate(free):
+        k[j, idx] = 1
+        for ri, pj in enumerate(pivots):
+            k[pj, idx] = (-red[ri, j]) % p
+    return k, free
+
+
+def test_gf2_pack_layout_and_round_trip_across_words():
+    # entries up to 2, so the pack must keep only the low bit of each
+    for a in _wide_matrices(3):
+        m, n = a.shape
+        packed = _gf2_pack(a)
+        assert packed.shape == (m, (n + 63) // 64)
+        # bit j of a row is bit j & 63 of word j >> 6
+        for j in (0, 1, 62, 63, 64, 65, n - 1):
+            if j < n:
+                bit = (packed[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
+                assert np.array_equal(bit.astype(np.int64), a[:, j] % 2)
+        assert np.array_equal(_gf2_unpack(packed, n), a % 2)
+
+
+def test_gf2_path_matches_generic_path_across_words():
+    for a in _wide_matrices(2):
+        r1, p1 = _rref_gf2(a)
+        r2, p2 = _rref_modp(a, 2)
+        assert np.array_equal(r1, r2)
+        assert list(p1) == list(p2)
+
+
+def test_kernel_matches_entrywise_reference_across_words():
+    for p in (2, 3, 5):
+        for a in _wide_matrices(p):
+            k, free = _kernel_free(a, p)
+            want, want_free = _reference_kernel(a, p)
+            assert free == want_free
+            assert k.dtype == want.dtype and np.array_equal(k, want)
 
 
 def test_matrix_constructor_and_entry_reduction():

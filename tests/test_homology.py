@@ -124,6 +124,16 @@ def test_resolve_cover_cap():
         resolve(k, 10, cover_cap=50)
 
 
+def test_resolve_caps_cells_not_columns():
+    # trivial action on k^40 over c = 1: the cover has only 80 columns, but
+    # it and its kernel are 40 x 80 and 80 x 40, 3200 cells each
+    n = 40
+    M = KEModule(F2, 1, n, (MatrixFp.zeros(F2, n, n),))
+    with pytest.raises(SyzygyLimitError):
+        resolve(M, 1, cover_cap=1000)
+    assert resolve(M, 1, cover_cap=3200).betti == (n, n)
+
+
 def test_ext_of_residue_field_equals_betti():
     # dim Ext^i(M, k) counts minimal generators in homological degree i
     for field, c, forms in [
@@ -246,3 +256,12 @@ def test_ext_eventually_zero_caps_the_hom_space():
     big = KEModule(F2, 2, n, (MatrixFp.zeros(F2, n, n),) * 2)
     with pytest.raises(SyzygyLimitError):
         ext_eventually_zero(big, big)
+
+
+def test_ext_eventually_zero_caps_the_hom_space_cells():
+    # trivial actions on k^55 over c = 3: the radical matrix has only
+    # 3 * 55^2 = 9075 rows, but 3 * 55^4 cells
+    n = 55
+    M = KEModule(F2, 3, n, (MatrixFp.zeros(F2, n, n),) * 3)
+    with pytest.raises(SyzygyLimitError):
+        ext_eventually_zero(M, M)

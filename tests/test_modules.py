@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassvar import modules
 from grassvar.errors import ResourceLimitError
 from grassvar.fp import MatrixFp, PrimeField
 from grassvar.modules import (
@@ -111,6 +112,34 @@ def test_validate_reports_problems():
     b = MatrixFp(F2, [[0, 1], [0, 0]])
     noncomm = KEModule(F2, 2, 2, (a, b))
     assert any("commute" in msg for msg in validate(noncomm))
+
+
+def test_validate_memo_is_shared_by_equal_modules(cold_memos):
+    M = quotient_by_linear_forms(F3, 2, [(1, 2)])
+    twin = quotient_by_linear_forms(F3, 2, [(1, 2)])
+    assert M == twin and M is not twin
+    assert validate(M) == [] and validate(twin) == []
+    assert list(modules._validate_memo) == [M]
+
+
+def test_validate_memo_is_bounded(monkeypatch, cold_memos):
+    monkeypatch.setattr(modules, "VALIDATE_MEMO_SIZE", 2)
+    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
+    validate(a)
+    validate(b)
+    validate(a)
+    validate(c)
+    assert list(modules._validate_memo) == [a, c]
+
+
+def test_validate_memo_still_reports_non_modules(cold_memos):
+    bad = KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
+    first = validate(bad)
+    assert first == ["X1^2 != 0"]
+    # a caller may change its list without changing what the memo reports
+    first.clear()
+    assert validate(bad) == ["X1^2 != 0"]
+    assert bad in modules._validate_memo
 
 
 def test_action_of_mixes_generators():
