@@ -2,12 +2,16 @@
 Modules over k[x1..xc]/(x1^p..xc^p)
 ===================================
 
-A module is a tuple of commuting matrices X1..Xc with Xi^p = 0.  The
-package builds the standard ones, restricts them to lines and subspaces,
-and reads off Jordan types, which decide freeness.
+A module is a tuple of commuting matrices X1..Xc with Xi^p = 0; building
+one checks both axioms, so matrices that break them are rejected at once.
+The package builds the standard modules, restricts them to lines and
+subspaces, and reads off Jordan types, which decide freeness.
 """
 
 from grassvar import (
+    KEModule,
+    MatrixFp,
+    ModuleAxiomError,
     PrimeField,
     action_of,
     direct_sum,
@@ -17,14 +21,21 @@ from grassvar import (
     quotient_by_linear_forms,
     regular_module,
     restrict_to_subspace,
-    validate,
 )
 
 F3 = PrimeField(3)
 
 # the regular module kE itself, here 9 dimensional
 kE = regular_module(F3, 2)
-print("dim kE =", kE.n, "problems:", validate(kE))
+print("dim kE =", kE.n)
+
+# two matrices that do not commute are not a module: construction says why
+a = MatrixFp(F3, [[0, 0], [1, 0]])
+b = MatrixFp(F3, [[0, 1], [0, 0]])
+try:
+    KEModule(F3, 2, 2, (a, b))
+except ModuleAxiomError as exc:
+    print("rejected:", exc)
 
 # killing one linear form gives a 3 dimensional quotient
 M = quotient_by_linear_forms(F3, 2, [(1, 0)])

@@ -26,7 +26,7 @@ import argparse
 import json
 import sys
 
-from .errors import ResourceLimitError
+from .errors import ModuleAxiomError, ResourceLimitError
 from .fp import PrimeField
 from .grassmann import (
     enumerate_subspaces,
@@ -41,7 +41,6 @@ from .grassmann import (
 )
 from .homology import betti_numbers, ext_dims
 from .modules import KEModule, module_from_dict
-from .modules import validate as validate_module
 from .poly import (
     Ideal,
     Polynomial,
@@ -206,16 +205,19 @@ def _ideal_payload(I: Ideal) -> dict:
     }
 
 
-def _load_module(path: str) -> KEModule:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise CliInputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_module(path: str) -> KEModule:
     try:
-        return module_from_dict(data)
+        return module_from_dict(_read_json(path))
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from None
 
@@ -259,12 +261,19 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_validate(args) -> int:
-    M = _load_module(args.module)
-    problems = validate_module(M)
+    data = _read_json(args.module)
+    try:
+        module_from_dict(data)
+        problems = []
+    except ModuleAxiomError as exc:  # only raised after every shape check
+        problems = exc.problems
+    except ValueError as exc:
+        raise CliInputError(f"{args.module}: {exc}") from None
+    p, c, n = data["p"], data["c"], data["dim"]
     if args.json:
         print(
             json.dumps(
-                {"ok": not problems, "p": M.p, "c": M.c, "dim": M.n, "problems": problems},
+                {"ok": not problems, "p": p, "c": c, "dim": n, "problems": problems},
                 indent=2,
                 sort_keys=True,
             )
@@ -274,7 +283,7 @@ def _cmd_validate(args) -> int:
             for line in problems:
                 print(f"problem: {line}")
         else:
-            print(f"ok: p={M.p} c={M.c} dim={M.n}")
+            print(f"ok: p={p} c={c} dim={n}")
     return 1 if problems else 0
 
 

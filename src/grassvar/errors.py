@@ -8,6 +8,14 @@ The CLI maps ResourceLimitError to exit code 2 and input errors to exit code 1.
 from __future__ import annotations
 
 
+class ModuleAxiomError(ValueError):
+    """Action matrices that are not a kE-module; `problems` lists each violation."""
+
+    def __init__(self, problems: list[str]) -> None:
+        super().__init__("not a kE-module: " + "; ".join(problems))
+        self.problems = problems
+
+
 class ResourceLimitError(RuntimeError):
     """A configured budget or size cap was exceeded."""
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from .errors import SyzygyLimitError
 from .fp import MatrixFp, _kernel_free, _matmul, _rref
-from .modules import KEModule, regular_module, validate
+from .modules import KEModule, regular_module
 
-# Free covers, their kernels and the Hom radical matrix of
-# ext_eventually_zero are dense int64 matrices; each is refused past this
+# Free covers, their kernels, Ext cochain matrices and the Hom radical matrix
+# of ext_eventually_zero are dense int64 matrices; each is refused past this
 # many cells (80 MB).  A syzygy step holds about eleven matrices of its
 # cover's size at once, so a step at the cap peaks near 1 GB.
 DEFAULT_CELL_CAP = 10_000_000
@@ -86,7 +86,6 @@ def _syzygy(
     gens: list[int],
     reg: list[np.ndarray],
     p: int,
-    cover_cap: int,
     degree: int,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Cover a module by the free module on `gens` and take the kernel.
@@ -99,18 +98,18 @@ def _syzygy(
     The cover is surjective, so it is n x (b * p^c) for a module of
     dimension n and its kernel is (b * p^c) x (b * p^c - n); both are dense,
     and SyzygyLimitError is raised before either is built if one of them
-    has more than `cover_cap` cells.
+    has more than DEFAULT_CELL_CAP cells.
     """
     m_alg = p ** len(reg)
     b = len(gens)
     n = actions[0].shape[0]
     ncols = b * m_alg
     cells = ncols * max(n, ncols - n)
-    if cells > cover_cap:
+    if cells > DEFAULT_CELL_CAP:
         raise SyzygyLimitError(
             f"free cover of a dimension-{n} module by {ncols} columns at degree "
             f"{degree} needs a dense matrix of {cells} cells, over the cap of "
-            f"{cover_cap}"
+            f"{DEFAULT_CELL_CAP}"
         )
     cover = np.zeros((n, ncols), dtype=np.int64)
     for t, g in enumerate(gens):
@@ -129,12 +128,7 @@ def _syzygy(
     return cover, kernel, next_actions
 
 
-def resolve(
-    M: KEModule,
-    bound: int,
-    keep_differentials: bool = False,
-    cover_cap: int = DEFAULT_CELL_CAP,
-) -> ResolutionData:
+def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> ResolutionData:
     """Minimal free resolution of M with Betti numbers through degree `bound`.
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
@@ -142,13 +136,10 @@ def resolve(
     bound entries (the differentials d_1 .. d_bound on generators).  Only the
     current syzygy is held while the resolution is built.  SyzygyLimitError
     is raised at the first degree whose free cover or its kernel would have
-    more than `cover_cap` cells.
+    more than DEFAULT_CELL_CAP cells.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
-    problems = validate(M)
-    if problems:
-        raise ValueError("not a kE-module: " + "; ".join(problems))
     p = M.p
     reg = [a.array for a in regular_module(M.field, M.c).actions]
 
@@ -167,7 +158,7 @@ def resolve(
         if i == bound:
             break
 
-        cover, kernel, cur = _syzygy(cur, gens, reg, p, cover_cap, i)
+        cover, kernel, cur = _syzygy(cur, gens, reg, p, i)
         if keep_differentials and prev_kernel is not None:
             differentials.append(_matmul(prev_kernel, cover, p))
         prev_kernel = kernel
@@ -195,13 +186,10 @@ def _matmul_stacked(
 
 def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     """One step of the minimal resolution: (number of generators, syzygy module)."""
-    problems = validate(M)
-    if problems:
-        raise ValueError("not a kE-module: " + "; ".join(problems))
     cur = [a.array for a in M.actions]
     gens = _generator_indices(cur, M.p)
     reg = [a.array for a in regular_module(M.field, M.c).actions]
-    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, DEFAULT_CELL_CAP, 0)
+    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, 0)
     actions = tuple(MatrixFp(M.field, a) for a in arrays)
     return len(gens), KEModule(M.field, M.c, kernel.shape[1], actions)
 
@@ -242,15 +230,13 @@ def ext_dims(
     """dim_k Ext^i(M, N) for i = 0..bound, via a minimal resolution of M.
 
     A precomputed resolution of M may be passed in; it must have been built
-    with resolve(M, bound + 1) or deeper.
+    with resolve(M, bound + 1) or deeper.  SyzygyLimitError is raised before
+    a cochain matrix of more than DEFAULT_CELL_CAP cells is built.
     """
     if bound < 0:
         raise ValueError("ext bound must be nonnegative")
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    problems = validate(N)
-    if problems:
-        raise ValueError("target is not a kE-module: " + "; ".join(problems))
     p, c = M.p, M.c
     m_alg = p**c
 
@@ -278,6 +264,12 @@ def ext_dims(
         if b_i == 0 or b_next == 0:
             ranks.append(0)
             continue
+        cells = b_next * n_t * b_i * n_t
+        if cells > DEFAULT_CELL_CAP:
+            raise SyzygyLimitError(
+                f"Ext^{i} cochain matrix is {b_next * n_t}x{b_i * n_t}, {cells} "
+                f"cells, over the cap of {DEFAULT_CELL_CAP}"
+            )
         gen_cols = resolution.gen_columns[i].reshape(b_i, m_alg, b_next)
         # Hom(F_i, N) -> Hom(F_{i+1}, N) sends (v_t) to the tuple whose s-th
         # entry is sum_t (sum_e alpha[t, e, s] rho[e]) v_t.
@@ -309,10 +301,6 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    for role, X in (("source", M), ("target", N)):
-        problems = validate(X)
-        if problems:
-            raise ValueError(f"{role} is not a kE-module: " + "; ".join(problems))
     p, c = M.p, M.c
     h = M.n * N.n
     if h == 0:

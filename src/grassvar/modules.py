@@ -12,15 +12,16 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ModuleAxiomError, ResourceLimitError
 from .fp import MatrixFp, PrimeField, _matmul, _rref
 
 DEFAULT_DIM_CAP = 256
-VALIDATE_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,11 @@ class LinearForm:
 
 @dataclass(frozen=True)
 class KEModule:
-    """c commuting nilpotent actions of bounded order p on an n-dimensional space."""
+    """c commuting nilpotent actions of bounded order p on an n-dimensional space.
+
+    Construction raises ModuleAxiomError, listing every violation, unless
+    X_i^p = 0 and X_i X_j = X_j X_i for all i and j.
+    """
 
     field: PrimeField
     c: int
@@ -71,6 +76,19 @@ class KEModule:
                 raise ValueError("action matrices must share the module's prime field")
             if a.rows != self.n or a.cols != self.n:
                 raise ValueError(f"action matrices must be {self.n}x{self.n}")
+        p, arrays = self.field.p, [a.array for a in self.actions]
+        problems = []
+        for i, a in enumerate(arrays):
+            power = a
+            for _ in range(p - 1):
+                power = _matmul(power, a, p)
+            if power.any():
+                problems.append(f"X{i + 1}^{p} != 0")
+        for (i, a), (j, b) in combinations(enumerate(arrays), 2):
+            if not np.array_equal(_matmul(a, b, p), _matmul(b, a, p)):
+                problems.append(f"X{i + 1} and X{j + 1} do not commute")
+        if problems:
+            raise ModuleAxiomError(problems)
 
     @property
     def p(self) -> int:
@@ -92,32 +110,6 @@ def _lru(memo: OrderedDict, key, size: int, compute: Callable):
     return value
 
 
-# Least recently used violation reports, keyed by the (frozen) module.
-_validate_memo: OrderedDict[KEModule, tuple[str, ...]] = OrderedDict()
-
-
-def validate(M: KEModule) -> list[str]:
-    """Violation report; empty means M is a genuine kE-module.
-
-    Reports are memoised on the module in a bounded least-recently-used
-    table; each call returns a fresh list.
-    """
-    return list(_lru(_validate_memo, M, VALIDATE_MEMO_SIZE, lambda: _violations(M)))
-
-
-def _violations(M: KEModule) -> tuple[str, ...]:
-    problems: list[str] = []
-    p = M.p
-    for i, a in enumerate(M.actions):
-        if not a.pow(p).is_zero():
-            problems.append(f"X{i + 1}^{p} != 0")
-    for i in range(M.c):
-        for j in range(i + 1, M.c):
-            if M.actions[i] @ M.actions[j] != M.actions[j] @ M.actions[i]:
-                problems.append(f"X{i + 1} and X{j + 1} do not commute")
-    return tuple(problems)
-
-
 def zero_module(field: PrimeField, c: int) -> KEModule:
     z = MatrixFp.zeros(field, 0, 0)
     return KEModule(field, c, 0, tuple(z for _ in range(c)))
@@ -131,13 +123,15 @@ def _exponent_of_index(idx: int, p: int, c: int) -> tuple:
     return tuple(out)
 
 
-def regular_module(field: PrimeField, c: int, max_dim: int = DEFAULT_DIM_CAP) -> KEModule:
-    """kE as a module over itself, on the monomial basis."""
+@lru_cache(maxsize=None)
+def regular_module(field: PrimeField, c: int) -> KEModule:
+    """kE as a module over itself, on the monomial basis; immutable, so built
+    once per (field, c), of which the dimension cap admits a few dozen."""
     p = field.p
     n = p**c
-    if n > max_dim:
+    if n > DEFAULT_DIM_CAP:
         raise ResourceLimitError(
-            f"regular module dimension {n} exceeds cap {max_dim}"
+            f"regular module dimension {n} exceeds cap {DEFAULT_DIM_CAP}"
         )
     acts = []
     for i in range(c):
@@ -169,18 +163,16 @@ def action_of(M: KEModule, u) -> MatrixFp:
     return MatrixFp(M.field, out)
 
 
-def quotient_by_linear_forms(
-    field: PrimeField, c: int, forms: Sequence, max_dim: int = DEFAULT_DIM_CAP
-) -> KEModule:
+def quotient_by_linear_forms(field: PrimeField, c: int, forms: Sequence) -> KEModule:
     """The cyclic module kE / (u_1, .., u_s) for independent linear forms u_j."""
     forms = [_coerce_form(field, c, f) for f in forms]
     if not forms:
-        return regular_module(field, c, max_dim)
+        return regular_module(field, c)
     p = field.p
     coeff_rows = np.array([f.coeffs for f in forms], dtype=np.int64)
     if len(_rref(coeff_rows, p)[1]) != len(forms):
         raise ValueError("linear forms are not independent")
-    R = regular_module(field, c, max_dim)
+    R = regular_module(field, c)
     n = R.n
     # images of the forms under multiplication into the regular module
     seed = np.zeros((len(forms), n), dtype=np.int64)

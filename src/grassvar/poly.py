@@ -575,7 +575,8 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
         reducers = _prepare_reducers(ring, G)
         push_pairs(len(G) - 1)
 
-    # minimalize, then tail-reduce
+    # minimalize, then tail-reduce in one pass: normal forms against a
+    # Groebner basis are unique, so no fixpoint is needed
     minimal: list[Polynomial] = []
     for i, g in enumerate(G):
         if any(h != i and _divides(lms[h], lms[i]) and
@@ -583,7 +584,11 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
                for h in range(len(G))):
             continue
         minimal.append(g)
-    reduced = _interreduce(ring, minimal)
+    reducers = _prepare_reducers(ring, minimal)
+    reduced = [
+        ring.from_dict({g.lm(): 1, **_nf_dict(dict(g.terms[1:]), reducers, ring)})
+        for g in minimal
+    ]
     reduced.sort(key=lambda g: ring.key(g.lm()), reverse=True)
     return Ideal(ring, tuple(reduced))
 

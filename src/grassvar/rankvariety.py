@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .errors import MinorLimitError
-from .modules import KEModule, _lru, validate
+from .modules import KEModule, _lru
 from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 
 MAX_MINOR_MATRIX = 12
@@ -149,9 +149,6 @@ def rank_variety_ideal(M: KEModule, budget: int | None = None) -> VarietyIdeal1:
 
 
 def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
-    problems = validate(M)
-    if problems:
-        raise ValueError("not a kE-module: " + "; ".join(problems))
     ring = coordinate_ring(M.field, M.c)
     p = M.p
     if M.n == 0:

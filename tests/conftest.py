@@ -8,7 +8,7 @@ from grassvar import (
     regular_module,
     syzygy_step,
 )
-from grassvar import grassmann, modules, rankvariety
+from grassvar import grassmann, rankvariety
 
 # Contexts keep every computation inside the library's resource caps: the
 # (3,3) combination would need minors of a 27x27 matrix, far past the
@@ -58,10 +58,9 @@ def f3():
 
 @pytest.fixture
 def cold_memos():
-    """Empty the validation, rank, pair and projection memos, so the test
-    sees cold computations whatever ran before it."""
+    """Empty the rank, pair and projection memos, so the test sees cold
+    computations whatever ran before it."""
     for memo in (
-        modules._validate_memo,
         rankvariety._rank_memo,
         rankvariety._pair_memo,
         grassmann._project_memo,

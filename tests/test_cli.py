@@ -349,6 +349,33 @@ def test_invalid_json_module(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank-ideal"],
+        ["pair-ideal", "other"],
+        ["higher-ideal", "-d", "1", "other"],
+        ["betti", "-n", "2"],
+        ["ext", "-n", "2", "other"],
+        ["oracle", "-d", "1", "other"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_module_commands_reject_non_modules(capsys, tmp_path, argv):
+    # X1 = [[1, 0], [1, 0]] is idempotent, so X1^2 != 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(
+        {"p": 2, "c": 2, "dim": 2, "actions": [[[1, 0], [1, 0]], [[0, 0], [0, 0]]]}
+    ))
+    args = [str(bad) if a == "other" else a for a in argv] + [str(bad)]
+    status, out, err = _run(capsys, *args)
+    assert status == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "not a kE-module" in lines[0]
+
+
 def test_rendered_generators_reparse_to_themselves(module_files):
     # every ideal the tools print can be read back in verbatim
     from grassvar.modules import module_from_dict

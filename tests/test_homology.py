@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from grassvar import homology
 from grassvar.errors import SyzygyLimitError
 from grassvar.fp import MatrixFp, PrimeField
 from grassvar.homology import (
@@ -16,7 +17,6 @@ from grassvar.modules import (
     dual,
     quotient_by_linear_forms,
     regular_module,
-    validate,
     zero_module,
 )
 
@@ -62,7 +62,6 @@ def test_syzygy_step_dimension_count():
         M = _mod(field, c, forms)
         b, omega = syzygy_step(M)
         assert omega.n == b * field.p**c - M.n
-        assert validate(omega) == []
 
 
 def test_resolution_differentials_compose_to_zero():
@@ -110,28 +109,28 @@ def test_resolution_metadata():
 def test_resolve_rejects_bad_input():
     with pytest.raises(ValueError):
         resolve(_mod(F2, 2, [(1, 0)]), -1)
-    from grassvar.fp import MatrixFp
-    from grassvar.modules import KEModule
-
-    bad = KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
-    with pytest.raises(ValueError):
-        resolve(bad, 2)
+    # a non-module never reaches resolve: its construction fails
+    with pytest.raises(ValueError, match="not a kE-module: X1\\^2 != 0"):
+        KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
 
 
-def test_resolve_cover_cap():
+def test_resolve_cover_cap(monkeypatch):
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 50)
     k = _mod(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(SyzygyLimitError):
-        resolve(k, 10, cover_cap=50)
+        resolve(k, 10)
 
 
-def test_resolve_caps_cells_not_columns():
+def test_resolve_caps_cells_not_columns(monkeypatch):
     # trivial action on k^40 over c = 1: the cover has only 80 columns, but
     # it and its kernel are 40 x 80 and 80 x 40, 3200 cells each
     n = 40
     M = KEModule(F2, 1, n, (MatrixFp.zeros(F2, n, n),))
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 1000)
     with pytest.raises(SyzygyLimitError):
-        resolve(M, 1, cover_cap=1000)
-    assert resolve(M, 1, cover_cap=3200).betti == (n, n)
+        resolve(M, 1)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 3200)
+    assert resolve(M, 1).betti == (n, n)
 
 
 def test_ext_of_residue_field_equals_betti():
@@ -239,15 +238,15 @@ def test_ext_eventually_zero_decisions():
 
 
 def test_ext_eventually_zero_rejects_non_modules():
+    # neither argument can be a non-module: its construction fails
     # a 3x3 Jordan block has X^2 != 0 over F_2
     X = MatrixFp(F2, [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    bad = KEModule(F2, 2, 3, (X, MatrixFp.zeros(F2, 3, 3)))
-    assert validate(bad)
-    good = _mod(F2, 2, [(1, 0)])
-    with pytest.raises(ValueError, match="source"):
-        ext_eventually_zero(bad, good)
-    with pytest.raises(ValueError, match="target"):
-        ext_eventually_zero(good, bad)
+    with pytest.raises(ValueError, match="not a kE-module: X1\\^2 != 0"):
+        KEModule(F2, 2, 3, (X, MatrixFp.zeros(F2, 3, 3)))
+    a = MatrixFp(F3, [[0, 0], [1, 0]])
+    b = MatrixFp(F3, [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not a kE-module: X1 and X2 do not commute"):
+        KEModule(F3, 2, 2, (a, b))
 
 
 def test_ext_eventually_zero_caps_the_hom_space():
@@ -265,3 +264,17 @@ def test_ext_eventually_zero_caps_the_hom_space_cells():
     M = KEModule(F2, 3, n, (MatrixFp.zeros(F2, n, n),) * 3)
     with pytest.raises(SyzygyLimitError):
         ext_eventually_zero(M, M)
+
+
+def test_ext_dims_caps_the_cochain_cells(monkeypatch):
+    # k over (2,2) has Betti numbers 1, 2, 3, 4, so into the trivial module
+    # k^30 the cochain matrices of degrees 0, 1, 2 have 2, 6 and 12 times
+    # 30^2 cells, while no cover or kernel of the resolution exceeds 84
+    k = _mod(F2, 2, [(1, 0), (0, 1)])
+    n = 30
+    N = KEModule(F2, 2, n, (MatrixFp.zeros(F2, n, n),) * 2)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 12 * n * n - 1)
+    with pytest.raises(SyzygyLimitError, match="Ext\\^2 cochain"):
+        ext_dims(k, N, 2)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 12 * n * n)
+    assert ext_dims(k, N, 2).dims == (n, 2 * n, 3 * n)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from grassvar import modules
-from grassvar.errors import ResourceLimitError
+from grassvar.errors import ModuleAxiomError, ResourceLimitError
 from grassvar.fp import MatrixFp, PrimeField
 from grassvar.modules import (
     KEModule,
@@ -17,7 +16,6 @@ from grassvar.modules import (
     quotient_by_linear_forms,
     regular_module,
     restrict_to_subspace,
-    validate,
     zero_module,
 )
 
@@ -51,7 +49,8 @@ def test_regular_module_p2_c2_matrices():
         [1, 0, 0, 0],
         [0, 1, 0, 0],
     ]
-    assert validate(kE) == []
+    # built once per (field, c): the module is immutable
+    assert regular_module(F2, 2) is kE
 
 
 def test_regular_module_shifts_basis_exponents():
@@ -63,7 +62,6 @@ def test_regular_module_shifts_basis_exponents():
             X = kE.actions[i].array
             col0 = np.nonzero(X[:, 0])[0]
             assert list(col0) == [p**i]
-        assert validate(kE) == []
 
 
 def test_regular_module_dim_cap():
@@ -76,7 +74,6 @@ def test_quotient_single_form_p2_c2():
     assert M.n == 2
     assert M.actions[0].tolist() == [[0, 0], [0, 0]]
     assert M.actions[1].tolist() == [[0, 0], [1, 0]]
-    assert validate(M) == []
 
 
 def test_quotient_dims():
@@ -87,7 +84,6 @@ def test_quotient_dims():
             forms.append(tuple(1 if i == j else 0 for i in range(c)))
             M = quotient_by_linear_forms(field, c, forms)
             assert M.n == p ** (c - len(forms))
-            assert validate(M) == []
     k = quotient_by_linear_forms(F3, 2, [(1, 0), (0, 1)])
     assert k.n == 1 and all(a.is_zero() for a in k.actions)
 
@@ -95,7 +91,6 @@ def test_quotient_dims():
 def test_quotient_of_skew_form_is_conjugate_size():
     M = quotient_by_linear_forms(F3, 2, [(1, 2)])
     assert M.n == 3
-    assert validate(M) == []
 
 
 def test_quotient_rejects_dependent_forms():
@@ -106,40 +101,25 @@ def test_quotient_rejects_dependent_forms():
 
 
 def test_validate_reports_problems():
-    bad_square = KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
-    assert any("X1" in msg for msg in validate(bad_square))
-    a = MatrixFp(F2, [[0, 0], [1, 0]])
-    b = MatrixFp(F2, [[0, 1], [0, 0]])
-    noncomm = KEModule(F2, 2, 2, (a, b))
-    assert any("commute" in msg for msg in validate(noncomm))
-
-
-def test_validate_memo_is_shared_by_equal_modules(cold_memos):
-    M = quotient_by_linear_forms(F3, 2, [(1, 2)])
-    twin = quotient_by_linear_forms(F3, 2, [(1, 2)])
-    assert M == twin and M is not twin
-    assert validate(M) == [] and validate(twin) == []
-    assert list(modules._validate_memo) == [M]
-
-
-def test_validate_memo_is_bounded(monkeypatch, cold_memos):
-    monkeypatch.setattr(modules, "VALIDATE_MEMO_SIZE", 2)
-    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
-    validate(a)
-    validate(b)
-    validate(a)
-    validate(c)
-    assert list(modules._validate_memo) == [a, c]
-
-
-def test_validate_memo_still_reports_non_modules(cold_memos):
-    bad = KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
-    first = validate(bad)
-    assert first == ["X1^2 != 0"]
-    # a caller may change its list without changing what the memo reports
-    first.clear()
-    assert validate(bad) == ["X1^2 != 0"]
-    assert bad in modules._validate_memo
+    # construction checks the axioms: X_i^p = 0 and pairwise commutation
+    with pytest.raises(ValueError, match=r"^not a kE-module: X1\^2 != 0$"):
+        KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
+    # a 4x4 Jordan block has X^3 != 0
+    jordan4 = MatrixFp(F3, np.eye(4, k=-1, dtype=np.int64))
+    with pytest.raises(ValueError, match=r"^not a kE-module: X2\^3 != 0$"):
+        KEModule(F3, 2, 4, (MatrixFp.zeros(F3, 4, 4), jordan4))
+    a = [[0, 0], [1, 0]]
+    b = [[0, 1], [0, 0]]
+    for field in (F2, F3):
+        with pytest.raises(
+            ValueError, match=r"^not a kE-module: X1 and X2 do not commute$"
+        ):
+            KEModule(field, 2, 2, (MatrixFp(field, a), MatrixFp(field, b)))
+    # every violation is listed: powers first, then pairs, in index order
+    with pytest.raises(ModuleAxiomError) as info:
+        KEModule(F2, 2, 2, (MatrixFp(F2, [[1, 0], [0, 0]]), MatrixFp(F2, b)))
+    assert info.value.problems == ["X1^2 != 0", "X1 and X2 do not commute"]
+    assert str(info.value) == "not a kE-module: X1^2 != 0; X1 and X2 do not commute"
 
 
 def test_action_of_mixes_generators():
@@ -155,7 +135,6 @@ def test_direct_sum_blocks():
     B = quotient_by_linear_forms(F2, 2, [(0, 1)])
     S = direct_sum(A, B)
     assert S.n == 4
-    assert validate(S) == []
     assert S.actions[1].tolist()[0:2] == [[0, 0, 0, 0], [1, 0, 0, 0]]
     with pytest.raises(ValueError):
         direct_sum(A, quotient_by_linear_forms(F3, 2, [(1, 0)]))
@@ -164,7 +143,6 @@ def test_direct_sum_blocks():
 def test_dual_is_involutive_and_valid():
     for M in (regular_module(F2, 2), quotient_by_linear_forms(F3, 2, [(1, 2)])):
         D = dual(M)
-        assert validate(D) == []
         assert dual(D) == M
 
 
@@ -205,7 +183,6 @@ def test_restrict_to_subspace():
     kE = regular_module(F2, 3)
     R = restrict_to_subspace(kE, [(1, 0, 0), (0, 1, 1)])
     assert R.c == 2 and R.n == 8
-    assert validate(R) == []
     assert R.actions[1] == action_of(kE, (0, 1, 1))
     with pytest.raises(ValueError):
         restrict_to_subspace(kE, [(1, 0, 0), (1, 0, 0)])
@@ -216,7 +193,6 @@ def test_restrict_to_subspace():
 def test_zero_module():
     Z = zero_module(F2, 2)
     assert Z.n == 0
-    assert validate(Z) == []
 
 
 def test_dict_round_trip():
