@@ -281,24 +281,25 @@ class MatrixFp:
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
+        # elimination on Python ints: the minors of pluecker_embed are 2 x 2
+        # and 3 x 3, where numpy row operations cost more than the arithmetic
         p = self.p
-        a = self._a.copy()
+        a = self._a.tolist()
         n = self.rows
         det = 1
         for j in range(n):
-            nz = np.nonzero(a[j:, j])[0]
-            if nz.size == 0:
+            piv = next((i for i in range(j, n) if a[i][j]), None)
+            if piv is None:
                 return 0
-            piv = j + int(nz[0])
             if piv != j:
-                a[[j, piv]] = a[[piv, j]]
-                det = (-det) % p
-            det = (det * int(a[j, j])) % p
-            inv = pow(int(a[j, j]), p - 2, p)
-            rest = a[j + 1 :, j]
-            rows = np.nonzero(rest)[0]
-            if rows.size:
-                factors = (rest[rows] * inv) % p
-                a[j + 1 + rows] = (a[j + 1 + rows] - np.outer(factors, a[j])) % p
+                a[j], a[piv] = a[piv], a[j]
+                det = -det
+            top = a[j]
+            det = det * top[j] % p
+            inv = pow(top[j], p - 2, p)
+            for i in range(j + 1, n):
+                factor = a[i][j] * inv % p
+                if factor:
+                    a[i] = [(x - factor * y) % p for x, y in zip(a[i], top)]
         return det
 

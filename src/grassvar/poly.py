@@ -2,7 +2,9 @@
 
 Monomials are exponent tuples, polynomials are sorted term tuples over a ring
 descriptor, and all Groebner computation is Buchberger's algorithm with the
-coprime and chain criteria under normal (smallest-lcm) pair selection.
+coprime and chain criteria.  Pairs are selected by sugar degree, ties by
+smallest lcm, when the input is homogeneous in all variables or in those a
+block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
 membership are built on elimination with a fresh auxiliary variable.
 
@@ -415,13 +417,22 @@ def _mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
+def _support_mask(e: Mono) -> int:
+    """Bit i is set when variable i occurs in e."""
+    mask = 0
+    for i, x in enumerate(e):
+        if x:
+            mask |= 1 << i
+    return mask
+
+
 def _prepare_reducers(ring: PolyRing, polys: Sequence[Polynomial]):
     red = []
     for g in polys:
         if g.is_zero():
             continue
         inv = ring.field.inv(g.lc())
-        red.append((g.lm(), inv, g.terms))
+        red.append((g.lm(), inv, g.terms, _support_mask(g.lm())))
     red.sort(key=lambda r: ring.key(r[0]))
     return red
 
@@ -435,9 +446,12 @@ def _nf_dict(work: dict[Mono, int], reducers, ring: PolyRing) -> dict[Mono, int]
     while work:
         m = max(work, key=key)
         c = work.pop(m)
+        # a reducer whose leading monomial has a variable outside m's
+        # support cannot divide m
+        outside = ~_support_mask(m)
         hit = None
-        for lm, inv, terms in reducers:
-            if _divides(lm, m):
+        for lm, inv, terms, lmask in reducers:
+            if not lmask & outside and _divides(lm, m):
                 hit = (lm, inv, terms)
                 break
         if hit is None:
@@ -486,7 +500,7 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
             continue
         r = r.monic()
         basis.append(r)
-        reducers.append((r.lm(), 1, r.terms))
+        reducers.append((r.lm(), 1, r.terms, _support_mask(r.lm())))
         reducers.sort(key=lambda t: ring.key(t[0]))
     # then sweep to a fixpoint
     changed = True
@@ -507,6 +521,11 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
 def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
     """The reduced Groebner basis of I under its ring order.
 
+    S-pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
+    and Traverso 1991) when the input is homogeneous in all variables or in
+    the variables the order keeps, and by smallest lcm otherwise.  The
+    reduced basis is unique, so the strategy changes only the work done.
+
     Raises GroebnerBudgetError after `budget` S-pair reductions
     (default DEFAULT_PAIR_BUDGET); partial output is never returned.
     """
@@ -518,15 +537,27 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
     if any(g.is_one() for g in G):
         return Ideal(ring, (ring.one,))
 
+    # Sugar is the degree a pair would have in the homogenised input.  On
+    # input that is homogeneous neither in all variables nor in the kept ones
+    # it can drive lex and block runs to degrees far above the answer's, so
+    # there every pair's sugar is 0.  Under grevlex, degree leads the order,
+    # so on homogeneous input sugar ranks pairs as their lcms already do.
     key = ring.key
     lms = [g.lm() for g in G]
+    kept = [i for i, n in enumerate(ring.names) if n not in ring.order.drop]
+    by_sugar = ring.order.kind != "grevlex" and (
+        all(g.is_homogeneous() for g in G)
+        or all(len({sum(e[i] for i in kept) for e, _ in g.terms}) == 1 for g in G))
+    # each element's sugar minus the degree of its leading monomial
+    ecart = [g.total_degree() - sum(lm) if by_sugar else 0 for g, lm in zip(G, lms)]
     heap: list = []
     active: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
             l = _mono_lcm(lms[i], lms[j])
-            heapq.heappush(heap, (key(l), i, j, l))
+            sugar = max(ecart[i], ecart[j]) + sum(l) if by_sugar else 0
+            heapq.heappush(heap, (sugar, key(l), i, j, l))
             active.add((i, j))
 
     for j in range(len(G)):
@@ -535,7 +566,7 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
     reducers = _prepare_reducers(ring, G)
     reductions = 0
     while heap:
-        _, i, j, l = heapq.heappop(heap)
+        sugar, _, i, j, l = heapq.heappop(heap)
         if (i, j) not in active:
             continue
         active.discard((i, j))
@@ -572,6 +603,7 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
             return Ideal(ring, (ring.one,))
         G.append(r)
         lms.append(r.lm())
+        ecart.append(max(sugar, r.total_degree()) - sum(r.lm()))
         reducers = _prepare_reducers(ring, G)
         push_pairs(len(G) - 1)
 

@@ -233,6 +233,64 @@ def test_budget_raises():
         buchberger_reduced(I, budget=1)
 
 
+CHART_NAMES = ("p_12", "p_13", "p_14", "p_23", "p_24", "p_34", "x1", "x2", "x3", "x4")
+
+
+def _slow_chart(gens):
+    """The chart x2 = 1 of the incidence ideal of a (3,4) cone of shape (2, 2)
+    at d = 2, written in any variables ordered as CHART_NAMES."""
+    p12, p13, p14, p23, p24, p34, x1, x2, x3, x4 = gens
+    return [
+        p14 * p23 + 2 * p13 * p24 + p12 * p34,
+        x1**2 + 2 * x2**2 + x3**2 + x2 * x4 + 2 * x3 * x4 + 2 * x4**2,
+        x1 * x2 + 2 * x2**2 + x3**2 + 2 * x1 * x4 + 2 * x3 * x4 + x4**2,
+        x1 * x3 + 2 * x3 * x4,
+        x2 * x3 + x3**2 + 2 * x3 * x4,
+        p23 * x1 + 2 * p13 * x2 + p12 * x3,
+        p24 * x1 + 2 * p14 * x2 + p12 * x4,
+        p34 * x1 + 2 * p14 * x3 + p13 * x4,
+        p34 * x2 + 2 * p24 * x3 + p23 * x4,
+        x2 + 2,
+    ]
+
+
+def test_sugar_strategy_on_inhomogeneous_elimination():
+    # smallest-lcm pair selection needs 579 S-pair reductions on this chart;
+    # selection by sugar degree needs 101
+    r = PolyRing(F3, CHART_NAMES, MonomialOrder.block(CHART_NAMES[6:]))
+    I = ideal(r, _slow_chart(r.gens()))
+    assert len(buchberger_reduced(I, budget=150).gens) == 23
+
+
+def test_inhomogeneous_lex_input_keeps_smallest_lcm_selection():
+    # by smallest lcm this basis takes 14 S-pair reductions; by sugar its
+    # elements climb past degree 100 and it takes minutes
+    r = ring(F2, order=MonomialOrder.lex())
+    x, y, z = r.gens()
+    I = ideal(r, [y**2 + x * z**2 + x * y * z + x**2 * y * z**2, y + x**2 + x**2 * y * z**2])
+    G = buchberger_reduced(I, budget=14)
+    assert str(G.gens[-1]) == "y^6*z^4 + y^4 + y^3*z^2 + y^2*z^6 + y*z^4"
+    assert len(G.gens) == 5
+
+
+def test_slow_chart_elimination_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    r = PolyRing(F3, CHART_NAMES, MonomialOrder.block(CHART_NAMES[6:]))
+    E = eliminate(ideal(r, _slow_chart(r.gens())), CHART_NAMES[6:])
+    assert E.ring.names == CHART_NAMES[:6]
+    assert E.ring.order.kind == "grevlex"
+
+    symbols = sympy.symbols(CHART_NAMES)
+    pvars, xvars = symbols[:6], symbols[6:]
+    lex = sympy.groebner(_slow_chart(symbols), *xvars, *pvars, order="lex", modulus=3)
+    kept = [g for g in lex.exprs if not g.free_symbols & set(xvars)]
+    theirs = sympy.groebner(kept, *pvars, order="grevlex", modulus=3)
+    # sympy reports coefficients mod p in the symmetric range
+    want = {frozenset((e, int(c) % 3) for e, c in g.terms()) for g in theirs.polys}
+    assert {frozenset(g.terms) for g in E.gens} == want
+    assert len(E.gens) == 2
+
+
 # --- elimination and intersection ----------------------------------------
 
 

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from grassvar.fp import PrimeField
-from grassvar.poly import PolyRing, buchberger_reduced, ideal
+from grassvar.poly import MonomialOrder, PolyRing, buchberger_reduced, ideal
 
 sympy = pytest.importorskip("sympy")
 
@@ -14,6 +14,14 @@ sympy = pytest.importorskip("sympy")
 def _random_terms(rng, p):
     """A few distinct monomials of degree at most 2 in each variable."""
     monos = {tuple(rng.randrange(3) for _ in range(3)) for _ in range(rng.randint(1, 4))}
+    return [(e, rng.randrange(1, p)) for e in sorted(monos)]
+
+
+def _random_form_terms(rng, p):
+    """A few distinct monomials of one total degree between 1 and 4."""
+    d = rng.randint(1, 4)
+    degree_d = [(a, b, d - a - b) for a in range(d + 1) for b in range(d + 1 - a)]
+    monos = set(rng.sample(degree_d, min(len(degree_d), rng.randint(1, 4))))
     return [(e, rng.randrange(1, p)) for e in sorted(monos)]
 
 
@@ -32,19 +40,18 @@ def _theirs(symbols, terms):
     return sum(c * x**a * y**b * z**e for (a, b, e), c in terms)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
-def test_reduced_basis_matches_sympy(p):
-    rng = random.Random(100 + p)
-    ring = PolyRing(PrimeField(p), ["x", "y", "z"])
+def _check_against_sympy(p, order, seed, terms=_random_terms):
+    rng = random.Random(seed)
+    ring = PolyRing(PrimeField(p), ["x", "y", "z"], MonomialOrder(order))
     symbols = sympy.symbols("x y z")
     for _ in range(20):
-        ideal_terms = [_random_terms(rng, p) for _ in range(rng.randint(2, 3))]
+        ideal_terms = [terms(rng, p) for _ in range(rng.randint(2, 3))]
         ours = buchberger_reduced(ideal(ring, [_ours(ring, t) for t in ideal_terms]))
         theirs = sympy.groebner(
             [_theirs(symbols, t) for t in ideal_terms],
             *symbols,
             modulus=p,
-            order="grevlex",
+            order=order,
         )
         # sympy reports coefficients mod p in the symmetric range
         want = _basis_terms(
@@ -52,3 +59,15 @@ def test_reduced_basis_matches_sympy(p):
         )
         assert len(ours.gens) == len(theirs.polys), ideal_terms
         assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduced_basis_matches_sympy(p):
+    _check_against_sympy(p, "grevlex", 100 + p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_reduced_lex_basis_matches_sympy(p):
+    # homogeneous input takes pairs by sugar, the rest by smallest lcm
+    _check_against_sympy(p, "lex", 200 + p)
+    _check_against_sympy(p, "lex", 300 + p, _random_form_terms)
