@@ -42,10 +42,12 @@ from .grassmann import (
 from .homology import betti_numbers, ext_dims
 from .modules import KEModule, module_from_dict
 from .poly import (
+    DEFAULT_PAIR_BUDGET,
     Ideal,
     Polynomial,
     PolyRing,
     buchberger_reduced,
+    groebner_budget,
     ideal,
     ideal_dimension,
 )
@@ -305,7 +307,7 @@ def _emit_cone_ideal(args, gb: Ideal) -> None:
 
 def _cmd_rank_ideal(args) -> int:
     M = _load_module(args.module)
-    V = rank_variety_ideal(M, args.budget)
+    V = rank_variety_ideal(M)
     _emit_cone_ideal(args, V.gb)
     return 0
 
@@ -314,7 +316,7 @@ def _cmd_pair_ideal(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
     try:
-        V = pair_variety_ideal(M, N, args.budget)
+        V = pair_variety_ideal(M, N)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     _emit_cone_ideal(args, V.gb)
@@ -322,7 +324,7 @@ def _cmd_pair_ideal(args) -> int:
 
 
 def _emit_projective_ideal(args, V) -> None:
-    dim = variety_dim_projective(V, args.budget)
+    dim = variety_dim_projective(V)
     payload = _ideal_payload(V.gb)
     payload["dim"] = dim
     _emit(args, payload, render_ideal(V.gb) + f"\ndim = {dim}")
@@ -332,7 +334,7 @@ def _cmd_higher_ideal(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
     try:
-        V = higher_variety_ideal(M, N, args.dim, args.budget)
+        V = higher_variety_ideal(M, N, args.dim)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     _emit_projective_ideal(args, V)
@@ -350,10 +352,10 @@ def _cmd_project_gamma(args) -> int:
         if piece.strip()
     ]
     raw = ideal(ring, gens)
-    gb = buchberger_reduced(raw, args.budget)
+    gb = buchberger_reduced(raw)
     Z = VarietyIdeal1(ring, raw, gb)
     try:
-        V = project_incidence(Z, args.dim, args.budget)
+        V = project_incidence(Z, args.dim)
     except ValueError as exc:
         raise CliInputError(str(exc)) from None
     _emit_projective_ideal(args, V)
@@ -389,13 +391,11 @@ def _cmd_oracle(args) -> int:
             targets = [_subspace_arg(M.field, args.subspace, M.c, args.dim)]
         else:
             targets = enumerate_subspaces(M.field, M.c, args.dim)
-        pair = pair_variety_ideal(M, N, args.budget)
-        variety = higher_variety_ideal(M, N, args.dim, args.budget)
+        pair = pair_variety_ideal(M, N)
+        variety = higher_variety_ideal(M, N, args.dim)
         rows = []
         for W in targets:
-            geometric, homological = oracle_membership(
-                M, N, args.dim, W, pair_ideal=pair, budget=args.budget
-            )
+            geometric, homological = oracle_membership(M, N, args.dim, W, pair_ideal=pair)
             member = point_on_variety(variety, pluecker_embed(W))
             rows.append((W, geometric, homological, member))
     except ValueError as exc:
@@ -470,8 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--budget",
         type=int,
-        default=None,
-        help="Groebner S-pair reduction budget (default 200000)",
+        default=DEFAULT_PAIR_BUDGET,
+        help="Groebner S-pair reductions allowed for the whole command "
+        f"(default {DEFAULT_PAIR_BUDGET})",
     )
 
     parser = _Parser(prog="grassvar", description=__doc__.strip().splitlines()[0])
@@ -558,7 +559,10 @@ def run_command(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        if args.budget < 0:
+            raise CliInputError(f"need --budget >= 0, got {args.budget}")
+        with groebner_budget(args.budget):
+            return args.func(args)
     except CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,8 +26,8 @@ only homogeneous Z.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -36,7 +36,7 @@ import numpy as np
 from .errors import SubspaceLimitError
 from .fp import MatrixFp, PrimeField, _rref
 from .homology import ext_eventually_zero
-from .modules import KEModule, _lru, restrict_to_subspace
+from .modules import KEModule, restrict_to_subspace
 from .poly import (
     Ideal,
     Polynomial,
@@ -53,7 +53,6 @@ from .rankvariety import (
 )
 
 DEFAULT_SUBSPACE_CAP = 10_000
-PROJECT_MEMO_SIZE = 256
 
 
 def _subsets(c: int, d: int) -> list[tuple[int, ...]]:
@@ -262,15 +261,7 @@ class VarietyIdealD:
         return self.gb.is_zero_ideal()
 
 
-# Least recently used projections, keyed by (reduced basis of Z, d).
-_project_memo: OrderedDict[tuple[Ideal, int], VarietyIdealD] = OrderedDict()
-
-
-def project_incidence(
-    Z: VarietyIdeal1,
-    d: int,
-    budget: int | None = None,
-) -> VarietyIdealD:
+def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     """Ideal of the d-planes meeting the punctured cone of Z.
 
     For each coordinate xi the point variables are eliminated from the
@@ -283,9 +274,9 @@ def project_incidence(
     has an inhomogeneous element raises ValueError.
 
     The answer depends only on the reduced basis of Z and on d, so results
-    are memoised on (Z.gb, d) in a bounded least-recently-used table.  A hit
-    does no Groebner work, so it spends none of `budget`; a call that raises
-    stores nothing.
+    are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
+    hit does no Groebner work, so it spends none of the enclosing
+    groebner_budget; a call that raises stores nothing.
     """
     c = Z.c
     if not 1 <= d <= c:
@@ -293,18 +284,14 @@ def project_incidence(
     bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
     if bad is not None:
         raise ValueError(f"Z must define a cone, but its basis element {bad} is not homogeneous")
-    return _lru(
-        _project_memo,
-        (Z.gb, d),
-        PROJECT_MEMO_SIZE,
-        lambda: _project_incidence(Z, d, budget),
-    )
+    return _project_incidence(Z.gb, d)
 
 
-def _project_incidence(Z: VarietyIdeal1, d: int, budget: int | None) -> VarietyIdealD:
-    c = Z.c
-    field = Z.ring.field
-    inc = incidence_ideal(Z, d)
+@lru_cache(maxsize=256)
+def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
+    c = gb.ring.nvars
+    field = gb.ring.field
+    inc = incidence_ideal(VarietyIdeal1(gb.ring, gb, gb), d)
     ring = inc.ring
     x_names = [f"x{i + 1}" for i in range(c)]
     small = pluecker_ring(field, c, d)
@@ -312,26 +299,20 @@ def _project_incidence(Z: VarietyIdeal1, d: int, budget: int | None) -> VarietyI
     factors = []
     for name in x_names:
         chart = ideal(ring, inc.gens + (ring.var(name) - 1,))
-        part = eliminate(chart, x_names, budget)
+        part = eliminate(chart, x_names)
         if not part.is_unit_ideal():
             factors.append(part)
     if not factors:
         return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
     result = factors[0]
     for part in factors[1:]:
-        result = ideal_intersect(result, part, budget)
+        result = ideal_intersect(result, part)
     return VarietyIdealD(small, c, d, result)
 
 
-def higher_variety_ideal(
-    M: KEModule,
-    N: KEModule,
-    d: int,
-    budget: int | None = None,
-) -> VarietyIdealD:
+def higher_variety_ideal(M: KEModule, N: KEModule, d: int) -> VarietyIdealD:
     """Ideal of the d-th support variety of the pair (M, N) in G_d(k^c)."""
-    Z = pair_variety_ideal(M, N, budget)
-    return project_incidence(Z, d, budget)
+    return project_incidence(pair_variety_ideal(M, N), d)
 
 
 def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
@@ -342,9 +323,9 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
     return all(g.evaluate(values) == 0 for g in V.gb.gens)
 
 
-def variety_dim_projective(V: VarietyIdealD, budget: int | None = None) -> int:
+def variety_dim_projective(V: VarietyIdealD) -> int:
     """Projective dimension of the variety; -1 when it is empty."""
-    dim = ideal_dimension(V.gb, budget)
+    dim = ideal_dimension(V.gb)
     return dim - 1 if dim > 0 else -1
 
 
@@ -366,7 +347,6 @@ def oracle_membership(
     d: int,
     W: Subspace,
     pair_ideal: VarietyIdeal1 | None = None,
-    budget: int | None = None,
 ) -> tuple[bool, bool]:
     """Test membership of W in the d-th support variety of (M, N) two ways.
 
@@ -383,7 +363,7 @@ def oracle_membership(
     if W.c != M.c or W.d != d:
         raise ValueError("subspace does not match the modules or dimension")
     if pair_ideal is None:
-        pair_ideal = pair_variety_ideal(M, N, budget)
+        pair_ideal = pair_variety_ideal(M, N)
     p = M.p
     rows = W.rows()
     geometric = False

@@ -10,11 +10,10 @@ sum(e_i * p^(i-1)), so for p=2, c=2 the basis reads (1, x1, x2, x1*x2).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,21 +92,6 @@ class KEModule:
     @property
     def p(self) -> int:
         return self.field.p
-
-
-def _lru(memo: OrderedDict, key, size: int, compute: Callable):
-    """The value of `key` in a least-recently-used table of at most `size`
-    entries, from compute() on a miss.  A call of compute() that raises
-    stores nothing."""
-    hit = memo.get(key)
-    if hit is not None:
-        memo.move_to_end(key)
-        return hit
-    value = compute()
-    memo[key] = value
-    if len(memo) > size:
-        memo.popitem(last=False)
-    return value
 
 
 def zero_module(field: PrimeField, c: int) -> KEModule:

@@ -8,6 +8,11 @@ block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
 membership are built on elimination with a fresh auxiliary variable.
 
+Groebner work is bounded by a pool of S-pair reductions.  Inside a
+`with groebner_budget(n):` block every Buchberger run draws on one pool of n,
+so the bound covers a whole computation however many bases it takes; outside
+any block each run has its own DEFAULT_PAIR_BUDGET.
+
 Every routine is deterministic: reduced Groebner bases are unique for a given
 ideal and order, term orders break ties by fixed index order, and nothing
 depends on hash iteration order.
@@ -15,15 +20,33 @@ depends on hash iteration order.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
 from .fp import PrimeField
 
 DEFAULT_PAIR_BUDGET = 200_000
+
+# [limit, reductions spent] of the enclosing groebner_budget block, if any
+_pool: ContextVar[list[int] | None] = ContextVar("groebner_pool", default=None)
+
+
+@contextmanager
+def groebner_budget(limit: int) -> Iterator[None]:
+    """Let every Groebner computation inside the block draw on one pool of
+    `limit` S-pair reductions; the first reduction past it raises
+    GroebnerBudgetError."""
+    token = _pool.set([limit, 0])
+    try:
+        yield
+    finally:
+        _pool.reset(token)
 
 Mono = tuple[int, ...]
 
@@ -518,7 +541,7 @@ def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
     return basis
 
 
-def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
+def buchberger_reduced(I: Ideal) -> Ideal:
     """The reduced Groebner basis of I under its ring order.
 
     S-pairs are taken by the sugar strategy (Giovini, Mora, Niesi, Robbiano
@@ -526,11 +549,13 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
     the variables the order keeps, and by smallest lcm otherwise.  The
     reduced basis is unique, so the strategy changes only the work done.
 
-    Raises GroebnerBudgetError after `budget` S-pair reductions
-    (default DEFAULT_PAIR_BUDGET); partial output is never returned.
+    Each S-pair reduction takes one unit from the enclosing groebner_budget
+    pool, or outside any block from a pool of DEFAULT_PAIR_BUDGET for this
+    call alone; GroebnerBudgetError is raised when the pool runs out, and
+    partial output is never returned.
     """
     ring = I.ring
-    limit = DEFAULT_PAIR_BUDGET if budget is None else budget
+    pool = _pool.get() or [DEFAULT_PAIR_BUDGET, 0]
     G = _interreduce(ring, list(I.gens))
     if not G:
         return Ideal(ring, ())
@@ -564,7 +589,6 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
         push_pairs(j)
 
     reducers = _prepare_reducers(ring, G)
-    reductions = 0
     while heap:
         sugar, _, i, j, l = heapq.heappop(heap)
         if (i, j) not in active:
@@ -587,10 +611,10 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
                     break
         if skip:
             continue
-        reductions += 1
-        if reductions > limit:
+        pool[1] += 1
+        if pool[1] > pool[0]:
             raise GroebnerBudgetError(
-                f"Groebner pair budget exceeded ({limit} reductions)")
+                f"Groebner pair budget exceeded ({pool[0]} reductions)")
         # S-polynomial of monic pair
         fi, fj = G[i], G[j]
         s = fi.mul_mono(tuple(a - b for a, b in zip(l, li))) - fj.mul_mono(
@@ -604,7 +628,10 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
         G.append(r)
         lms.append(r.lm())
         ecart.append(max(sugar, r.total_degree()) - sum(r.lm()))
-        reducers = _prepare_reducers(ring, G)
+        # r is reduced by every lead in G, so its lead is new and the order
+        # matches a full rebuild of the list
+        entry = (r.lm(), 1, r.terms, _support_mask(r.lm()))
+        bisect.insort(reducers, entry, key=lambda t: key(t[0]))
         push_pairs(len(G) - 1)
 
     # minimalize, then tail-reduce in one pass: normal forms against a
@@ -627,7 +654,7 @@ def buchberger_reduced(I: Ideal, budget: int | None = None) -> Ideal:
 
 # --- elimination-based operations ---------------------------------------------
 
-def eliminate(I: Ideal, drop: Iterable[str], budget: int | None = None) -> Ideal:
+def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersection of I with the subring that omits the `drop` variables.
 
     Returns the reduced Groebner basis of that intersection, as an ideal over
@@ -639,11 +666,11 @@ def eliminate(I: Ideal, drop: Iterable[str], budget: int | None = None) -> Ideal
     if unknown:
         raise ValueError(f"cannot eliminate unknown variables {sorted(unknown)}")
     if not drop_set:
-        return buchberger_reduced(I, budget)
+        return buchberger_reduced(I)
     elim_ring = PolyRing(ring.field, ring.names, MonomialOrder.block(drop_set))
     ident = list(range(ring.nvars))
     gens = [g.map_to(elim_ring, ident) for g in I.gens]
-    G = buchberger_reduced(Ideal(elim_ring, tuple(gens)), budget)
+    G = buchberger_reduced(Ideal(elim_ring, tuple(gens)))
     drop_idx = {i for i, n in enumerate(ring.names) if n in drop_set}
     kept_names = tuple(n for n in ring.names if n not in drop_set)
     small = PolyRing(ring.field, kept_names, ring.order.restrict(kept_names))
@@ -670,7 +697,7 @@ def _extend_with_aux(I: Ideal, base: str = "t") -> tuple[Ideal, Polynomial, str]
     return Ideal(big, gens), big.var(t), t
 
 
-def ideal_intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
+def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I n J via t*I + (1-t)*J and elimination of t."""
     if I.ring != J.ring:
         raise ValueError("ideal intersection needs a common ring")
@@ -683,10 +710,10 @@ def ideal_intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
     one_minus_t = big_I.ring.one - t
     for h in J.gens:
         gens.append(one_minus_t * h.map_to(big_I.ring, ident))
-    return eliminate(Ideal(big_I.ring, tuple(gens)), {tname}, budget)
+    return eliminate(Ideal(big_I.ring, tuple(gens)), {tname})
 
 
-def radical_member(f: Polynomial, I: Ideal, budget: int | None = None) -> bool:
+def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical of I."""
     ring = I.ring
     if f.ring != ring:
@@ -697,28 +724,28 @@ def radical_member(f: Polynomial, I: Ideal, budget: int | None = None) -> bool:
     ident = list(range(ring.nvars))
     f_big = f.map_to(big_I.ring, ident)
     gens = big_I.gens + (big_I.ring.one - t * f_big,)
-    G = buchberger_reduced(Ideal(big_I.ring, gens), budget)
+    G = buchberger_reduced(Ideal(big_I.ring, gens))
     return G.is_unit_ideal()
 
 
-def radical_contains(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
+def radical_contains(I: Ideal, J: Ideal) -> bool:
     """Every generator of J lies in the radical of I."""
-    return all(radical_member(g, I, budget) for g in J.gens)
+    return all(radical_member(g, I) for g in J.gens)
 
 
-def radical_equal(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
+def radical_equal(I: Ideal, J: Ideal) -> bool:
     """The two ideals cut out the same variety (mutual radical membership)."""
-    return radical_contains(I, J, budget) and radical_contains(J, I, budget)
+    return radical_contains(I, J) and radical_contains(J, I)
 
 
-def ideal_dimension(I: Ideal, budget: int | None = None) -> int:
+def ideal_dimension(I: Ideal) -> int:
     """Krull dimension of R/I; -1 for the unit ideal.
 
     Computed combinatorially from the leading-monomial ideal of a reduced
     Groebner basis: the dimension is the largest size of a variable subset S
     such that no leading monomial is supported inside S.
     """
-    G = buchberger_reduced(I, budget)
+    G = buchberger_reduced(I)
     if G.is_unit_ideal():
         return -1
     n = I.ring.nvars

@@ -11,18 +11,16 @@ the zero module has empty variety (the unit ideal).
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 from .errors import MinorLimitError
-from .modules import KEModule, _lru
+from .modules import KEModule
 from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 
 MAX_MINOR_MATRIX = 12
 MAX_MINOR_SIZE = 6
-RANK_MEMO_SIZE = 256
-PAIR_MEMO_SIZE = 256
 
 
 def coordinate_ring(field, c: int) -> PolyRing:
@@ -134,26 +132,19 @@ def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
     return gens
 
 
-# Least recently used rank-variety ideals, keyed by the (frozen) module.
-_rank_memo: OrderedDict[KEModule, VarietyIdeal1] = OrderedDict()
-
-
-def rank_variety_ideal(M: KEModule, budget: int | None = None) -> VarietyIdeal1:
+@lru_cache(maxsize=256)
+def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
     """The ideal of the rank variety of M in F_p[a1..ac].
 
-    Results are memoised on the module in a bounded least-recently-used
-    table.  A hit does no Groebner work, so it spends none of `budget`; a
-    call that raises stores nothing.
+    Results are memoised on the (frozen) module in a 256-entry
+    least-recently-used cache.  A hit does no Groebner work, so it spends
+    none of the enclosing groebner_budget; a call that raises stores nothing.
     """
-    return _lru(_rank_memo, M, RANK_MEMO_SIZE, lambda: _rank_variety_ideal(M, budget))
-
-
-def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
     ring = coordinate_ring(M.field, M.c)
     p = M.p
     if M.n == 0:
         raw = ideal(ring, [ring.one])
-        return VarietyIdeal1(ring, raw, buchberger_reduced(raw, budget))
+        return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
     if M.n % p != 0:
         raw = ideal(ring, [])
         return VarietyIdeal1(ring, raw, raw)
@@ -167,37 +158,26 @@ def _rank_variety_ideal(M: KEModule, budget: int | None) -> VarietyIdeal1:
     generic = _generic_action(M, ring)
     power = _matrix_power(generic, p - 1, ring)
     raw = ideal(ring, _minor_generators(power, size, ring))
-    return VarietyIdeal1(ring, raw, buchberger_reduced(raw, budget))
+    return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
 
 
-# Least recently used pair-variety ideals, keyed by the ordered pair of modules.
-_pair_memo: OrderedDict[tuple[KEModule, KEModule], VarietyIdeal1] = OrderedDict()
-
-
-def pair_variety_ideal(
-    M: KEModule, N: KEModule, budget: int | None = None
-) -> VarietyIdeal1:
+@lru_cache(maxsize=256)
+def pair_variety_ideal(M: KEModule, N: KEModule) -> VarietyIdeal1:
     """Ideal of the intersection of the rank varieties of M and N.
 
-    Results are memoised on the ordered pair (M, N) in a bounded
-    least-recently-used table, like rank_variety_ideal: a hit does no
-    Groebner work, so it spends none of `budget`; a call that raises stores
-    nothing.
+    Results are memoised on the ordered pair (M, N) in a 256-entry
+    least-recently-used cache, like rank_variety_ideal: a hit does no
+    Groebner work, so it spends none of the enclosing groebner_budget; a call
+    that raises stores nothing.
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    return _lru(
-        _pair_memo, (M, N), PAIR_MEMO_SIZE, lambda: _pair_variety_ideal(M, N, budget)
-    )
-
-
-def _pair_variety_ideal(M: KEModule, N: KEModule, budget: int | None) -> VarietyIdeal1:
-    vm = rank_variety_ideal(M, budget)
-    vn = rank_variety_ideal(N, budget)
+    vm = rank_variety_ideal(M)
+    vn = rank_variety_ideal(N)
     ring = vm.ring
     raw = ideal(ring, vm.raw.gens + vn.raw.gens)
     combined = ideal(ring, vm.gb.gens + vn.gb.gens)
-    return VarietyIdeal1(ring, raw, buchberger_reduced(combined, budget))
+    return VarietyIdeal1(ring, raw, buchberger_reduced(combined))
 
 
 def point_in_rank_variety(V: VarietyIdeal1, point) -> bool:

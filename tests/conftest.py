@@ -61,8 +61,8 @@ def cold_memos():
     """Empty the rank, pair and projection memos, so the test sees cold
     computations whatever ran before it."""
     for memo in (
-        rankvariety._rank_memo,
-        rankvariety._pair_memo,
-        grassmann._project_memo,
+        rankvariety.rank_variety_ideal,
+        rankvariety.pair_variety_ideal,
+        grassmann._project_incidence,
     ):
-        memo.clear()
+        memo.cache_clear()

@@ -321,6 +321,26 @@ def test_budget_exhaustion_is_resource_error(capsys, cold_memos):
     assert err.startswith("resource limit:")
 
 
+def test_budget_bounds_the_whole_command(capsys, cold_memos):
+    # the command spends 18 reductions over several Groebner calls, at most
+    # 8 in any one of them
+    argv = ("project-gamma", "-p", "2", "-c", "4", "-d", "2", "-z", "a2", "--budget")
+    status, out, err = _run(capsys, *argv, "17")
+    assert (status, out) == (2, "")
+    assert err == "resource limit: Groebner pair budget exceeded (17 reductions)\n"
+    status, out, err = _run(capsys, *argv, "18")
+    assert (status, err) == (0, "")
+    assert out == "ideal(p_14*p_23 + p_13*p_24 + p_12*p_34)\ndim = 4\n"
+
+
+def test_negative_budget_is_input_error(capsys):
+    status, out, err = _run(
+        capsys, "project-gamma", "-c", "4", "-d", "2", "-z", "a2", "--budget", "-3"
+    )
+    assert (status, out) == (1, "")
+    assert err == "error: need --budget >= 0, got -3\n"
+
+
 def test_project_gamma_rejects_nonpositive_c(capsys):
     status, out, err = _run(
         capsys, "project-gamma", "-p", "2", "-c", "0", "-d", "1", "-z", "a1"

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from grassvar import grassmann
+from grassvar import grassmann, poly
 from grassvar.errors import GroebnerBudgetError, SubspaceLimitError
 from grassvar.fp import MatrixFp, PrimeField
 from grassvar.grassmann import (
@@ -23,7 +23,7 @@ from grassvar.grassmann import (
     subspaces_on_variety,
     variety_dim_projective,
 )
-from grassvar.poly import buchberger_reduced, ideal, radical_equal
+from grassvar.poly import buchberger_reduced, groebner_budget, ideal, radical_equal
 from grassvar.rankvariety import (
     VarietyIdeal1,
     coordinate_ring,
@@ -237,7 +237,7 @@ def test_project_incidence_rejects_non_cones(cold_memos):
     for d in (1, 2, 3):
         with pytest.raises(ValueError, match="must define a cone"):
             project_incidence(Z, d)
-    assert not grassmann._project_memo
+    assert grassmann._project_incidence.cache_info().currsize == 0
     # constants are homogeneous: the zero and unit ideals stay accepted
     assert project_incidence(_lines(ring, []), 2).is_full()
     assert project_incidence(_lines(ring, [ring.one]), 2).is_empty()
@@ -262,30 +262,34 @@ def test_projection_memo_keeps_bases_byte_identical(cold_memos):
     warm = [project_incidence(Z, d) for Z, d in inputs]
     assert all(project_incidence(Z, d) is V for (Z, d), V in zip(inputs, warm))
     # the unmemoised route, so a memo that mixes up keys cannot agree with it
-    cold = [grassmann._project_incidence(Z, d, None) for Z, d in inputs]
+    cold = [grassmann._project_incidence.__wrapped__(Z.gb, d) for Z, d in inputs]
     assert [str(V.gb) for V in warm] == [str(V.gb) for V in cold]
 
 
 def test_projection_memo_keeps_no_failures(cold_memos):
     ring = coordinate_ring(F2, 4)
     Z = _lines(ring, [ring.var(1)])
-    with pytest.raises(GroebnerBudgetError):
-        project_incidence(Z, 2, budget=1)
-    assert not grassmann._project_memo
+    with groebner_budget(1), pytest.raises(GroebnerBudgetError):
+        project_incidence(Z, 2)
+    assert grassmann._project_incidence.cache_info().currsize == 0
     V = project_incidence(Z, 2)
     # a hit does no Groebner work, so it fits in any budget
-    assert project_incidence(Z, 2, budget=1) is V
+    with groebner_budget(1):
+        assert project_incidence(Z, 2) is V
 
 
-def test_projection_memo_is_bounded(monkeypatch, cold_memos):
-    monkeypatch.setattr(grassmann, "PROJECT_MEMO_SIZE", 2)
-    ring = coordinate_ring(F2, 3)
-    a, b, c = (_lines(ring, [g]) for g in ring.gens())
-    project_incidence(a, 1)
-    project_incidence(b, 1)
-    project_incidence(a, 1)  # a is now the most recently used
-    project_incidence(c, 1)
-    assert list(grassmann._project_memo) == [(a.gb, 1), (c.gb, 1)]
+def test_rank_pair_and_projection_memos_hold_256_entries():
+    for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence):
+        assert memo.cache_info().maxsize == 256
+
+
+def test_each_groebner_call_has_its_own_default_budget(monkeypatch, cold_memos):
+    # the projection spends 18 reductions in all and at most 8 in any one
+    # Groebner call, so one pool of 8 shared by every call would run out
+    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 8)
+    ring = coordinate_ring(F2, 4)
+    V = project_incidence(_lines(ring, [ring.var(1)]), 2)
+    assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24 + p_12*p_34)"
 
 
 def test_grassmannian_dimension_from_full_ideal():

@@ -2,7 +2,6 @@ import itertools
 
 import pytest
 
-from grassvar import rankvariety
 from grassvar.errors import GroebnerBudgetError, MinorLimitError
 from grassvar.fp import PrimeField
 from grassvar.modules import (
@@ -14,7 +13,7 @@ from grassvar.modules import (
     zero_module,
 )
 from grassvar.homology import syzygy_step
-from grassvar.poly import ideal, radical_contains, radical_equal
+from grassvar.poly import groebner_budget, ideal, radical_contains, radical_equal
 from grassvar.rankvariety import (
     coordinate_ring,
     pair_variety_ideal,
@@ -81,27 +80,16 @@ def test_rank_variety_memo_is_shared_by_equal_modules():
     assert rank_variety_ideal(twin) is rank_variety_ideal(M)
 
 
-def test_rank_variety_memo_keeps_no_failures():
-    rankvariety._rank_memo.clear()
+def test_rank_variety_memo_keeps_no_failures(cold_memos):
     M = quotient_by_linear_forms(F2, 3, [(1, 1, 0)])
-    with pytest.raises(GroebnerBudgetError):
-        rank_variety_ideal(M, budget=1)
-    assert M not in rankvariety._rank_memo
+    with groebner_budget(1), pytest.raises(GroebnerBudgetError):
+        rank_variety_ideal(M)
+    assert rank_variety_ideal.cache_info().currsize == 0
     V = rank_variety_ideal(M)
     assert str(V.gb) == "ideal(a1^2 + a2^2, a1*a3 + a2*a3, a3^2)"
     # a hit does no Groebner work, so it fits in any budget
-    assert rank_variety_ideal(M, budget=1) is V
-
-
-def test_rank_variety_memo_is_bounded(monkeypatch):
-    monkeypatch.setattr(rankvariety, "RANK_MEMO_SIZE", 2)
-    rankvariety._rank_memo.clear()
-    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
-    rank_variety_ideal(a)
-    rank_variety_ideal(b)
-    rank_variety_ideal(a)  # a is now the most recently used
-    rank_variety_ideal(c)
-    assert list(rankvariety._rank_memo) == [a, c]
+    with groebner_budget(1):
+        assert rank_variety_ideal(M) is V
 
 
 def test_pair_memo_is_shared_by_equal_pairs_in_order(cold_memos):
@@ -121,22 +109,13 @@ def test_pair_memo_keeps_no_failures(cold_memos):
     rank_variety_ideal(M)
     rank_variety_ideal(N)
     # the rank varieties are stored, so only the pair's own basis runs out
-    with pytest.raises(GroebnerBudgetError):
-        pair_variety_ideal(M, N, budget=1)
-    assert (M, N) not in rankvariety._pair_memo
+    with groebner_budget(1), pytest.raises(GroebnerBudgetError):
+        pair_variety_ideal(M, N)
+    assert pair_variety_ideal.cache_info().currsize == 0
     V = pair_variety_ideal(M, N)
     assert str(V.gb) == "ideal(a2^3, a1^2, a1*a2 + a2^2)"
-    assert pair_variety_ideal(M, N, budget=1) is V
-
-
-def test_pair_memo_is_bounded(monkeypatch, cold_memos):
-    monkeypatch.setattr(rankvariety, "PAIR_MEMO_SIZE", 2)
-    a, b, c = (quotient_by_linear_forms(F2, 2, [u]) for u in [(1, 0), (0, 1), (1, 1)])
-    pair_variety_ideal(a, a)
-    pair_variety_ideal(b, b)
-    pair_variety_ideal(a, a)  # (a, a) is now the most recently used
-    pair_variety_ideal(c, c)
-    assert list(rankvariety._pair_memo) == [(a, a), (c, c)]
+    with groebner_budget(1):
+        assert pair_variety_ideal(M, N) is V
 
 
 def test_point_membership_respects_scaling(catalog):
