@@ -78,9 +78,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # str.isdigit also takes non-ASCII digits
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -99,6 +99,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         raise CliInputError(f"unexpected character {ch!r} at position {i}")
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _int_value(tok: tuple[str, str, int]) -> int:
+    try:
+        return int(tok[1])
+    except ValueError:  # past the interpreter's digit limit
+        raise CliInputError(
+            f"integer of {len(tok[1])} digits at position {tok[2]} is too long"
+        ) from None
 
 
 class _PolyParser:
@@ -151,7 +160,7 @@ class _PolyParser:
         while self.peek()[0] == "^":
             self.take("^")
             tok = self.take("int")
-            e = int(tok[1])
+            e = _int_value(tok)
             if e > MAX_PARSED_EXPONENT:
                 raise CliInputError(
                     f"exponent {e} at position {tok[2]} exceeds the cap "
@@ -163,8 +172,7 @@ class _PolyParser:
     def atom(self) -> Polynomial:
         kind, text, pos = self.peek()
         if kind == "int":
-            self.take("int")
-            return self.ring.const(int(text))
+            return self.ring.const(_int_value(self.take("int")))
         if kind == "name":
             self.take("name")
             try:

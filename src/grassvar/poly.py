@@ -8,6 +8,13 @@ block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
 membership are built on elimination with a fresh auxiliary variable.
 
+Interreduction is one pass: each polynomial, taken by ascending lead, is fully
+reduced by the monic ones kept before it.  A term is divisible only by leads
+no larger than itself, so a pass whose leads stay ascending leaves every
+element reduced by all the others.  Buchberger's input repeats the pass until
+that holds; its output, a Groebner basis, needs one pass, in which redundant
+elements reduce to 0.
+
 Groebner work is bounded by a pool of S-pair reductions.  Inside a
 `with groebner_budget(n):` block every Buchberger run draws on one pool of n,
 so the bound covers a whole computation however many bases it takes; outside
@@ -449,19 +456,15 @@ def _support_mask(e: Mono) -> int:
     return mask
 
 
-def _prepare_reducers(ring: PolyRing, polys: Sequence[Polynomial]):
-    red = []
-    for g in polys:
-        if g.is_zero():
-            continue
-        inv = ring.field.inv(g.lc())
-        red.append((g.lm(), inv, g.terms, _support_mask(g.lm())))
-    red.sort(key=lambda r: ring.key(r[0]))
-    return red
+def _reducer(g: Polynomial):
+    """Reducer entry (lead, terms, lead support mask) of a monic polynomial."""
+    lm = g.lm()
+    return (lm, g.terms, _support_mask(lm))
 
 
 def _nf_dict(work: dict[Mono, int], reducers, ring: PolyRing) -> dict[Mono, int]:
-    """Full normal form of the term dict against reducers (each with unit lead)."""
+    """Full normal form of the term dict against monic reducers, which are
+    sorted by ascending lead."""
     p = ring.p
     key = ring.key
     out: dict[Mono, int] = {}
@@ -473,19 +476,18 @@ def _nf_dict(work: dict[Mono, int], reducers, ring: PolyRing) -> dict[Mono, int]
         # support cannot divide m
         outside = ~_support_mask(m)
         hit = None
-        for lm, inv, terms, lmask in reducers:
+        for lm, terms, lmask in reducers:
             if not lmask & outside and _divides(lm, m):
-                hit = (lm, inv, terms)
+                hit = (lm, terms)
                 break
         if hit is None:
             out[m] = c
             continue
-        lm, inv, terms = hit
+        lm, terms = hit
         shift = tuple(a - b for a, b in zip(m, lm))
-        factor = (c * inv) % p
         for ge, gc in terms[1:]:
             mm = tuple(a + b for a, b in zip(shift, ge))
-            v = (work.get(mm, 0) - factor * gc) % p
+            v = (work.get(mm, 0) - c * gc) % p
             if v:
                 work[mm] = v
             elif mm in work:
@@ -497,7 +499,8 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     """Remainder of f under full reduction by the given (Groebner) basis."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
     ring = f.ring
-    reducers = _prepare_reducers(ring, polys)
+    reducers = sorted((_reducer(g.monic()) for g in polys if not g.is_zero()),
+                      key=lambda r: ring.key(r[0]))
     if not reducers:
         return f
     return ring.from_dict(_nf_dict(dict(f.terms), reducers, ring))
@@ -505,39 +508,44 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
 
 # --- Buchberger ----------------------------------------------------------------
 
-def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
-    """Monic basis with every element fully reduced against the others."""
-    items = sorted(
-        {g.monic().terms for g in polys if not g.is_zero()},
-        key=lambda t: (ring.key(t[0][0]), t),
-    )
-    # one incremental pass first (cheap on large redundant generator lists)
-    basis: list[Polynomial] = []
+def _autoreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list[Polynomial]:
+    """One reduction pass: polys, made monic and deduplicated, are taken by
+    ascending lead, and each is fully reduced by those kept before it and
+    kept, monic, if nonzero.
+
+    A term is divisible only by leads no larger than itself.  So on a
+    Groebner basis the pass gives the reduced basis, by ascending lead: a
+    redundant element reduces to 0.  On other input a reduction may lower a
+    lead below those kept before it.
+    """
+    key = ring.key
+    items = sorted({g.monic().terms for g in polys if not g.is_zero()},
+                   key=lambda t: (key(t[0][0]), t))
+    kept: list[Polynomial] = []
     reducers: list = []
     for terms in items:
-        if reducers:
-            r = ring.from_dict(_nf_dict(dict(terms), reducers, ring))
-        else:
-            r = Polynomial(ring, terms)
+        r = ring.from_dict(_nf_dict(dict(terms), reducers, ring)).monic()
         if r.is_zero():
             continue
-        r = r.monic()
-        basis.append(r)
-        reducers.append((r.lm(), 1, r.terms, _support_mask(r.lm())))
-        reducers.sort(key=lambda t: ring.key(t[0]))
-    # then sweep to a fixpoint
-    changed = True
-    while changed:
-        changed = False
-        out: list[Polynomial] = []
-        for i, g in enumerate(basis):
-            others = out + basis[i + 1 :]
-            r = normal_form(g, others) if others else g
-            if r.terms != g.terms:
-                changed = True
-            if not r.is_zero():
-                out.append(r.monic())
-        basis = sorted(out, key=lambda g: ring.key(g.lm()))
+        kept.append(r)
+        # r is reduced by every kept lead, so its lead is new
+        bisect.insort(reducers, _reducer(r), key=lambda t: key(t[0]))
+    return kept
+
+
+def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
+    """Monic basis with every element fully reduced against the others, by
+    ascending lead.
+
+    _autoreduce is repeated until its leads come out in ascending order.
+    Then each element has been reduced by every smaller lead, and no larger
+    lead can divide any of its terms.  Each repeat lowers or drops a lead,
+    so the loop ends.
+    """
+    key = ring.key
+    basis = _autoreduce(ring, polys)
+    while any(key(a.lm()) > key(b.lm()) for a, b in zip(basis, basis[1:])):
+        basis = _autoreduce(ring, basis)
     return basis
 
 
@@ -588,7 +596,8 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     for j in range(len(G)):
         push_pairs(j)
 
-    reducers = _prepare_reducers(ring, G)
+    # G is interreduced, so its leads are distinct and ascending
+    reducers = [_reducer(g) for g in G]
     while heap:
         sugar, _, i, j, l = heapq.heappop(heap)
         if (i, j) not in active:
@@ -628,28 +637,12 @@ def buchberger_reduced(I: Ideal) -> Ideal:
         G.append(r)
         lms.append(r.lm())
         ecart.append(max(sugar, r.total_degree()) - sum(r.lm()))
-        # r is reduced by every lead in G, so its lead is new and the order
-        # matches a full rebuild of the list
-        entry = (r.lm(), 1, r.terms, _support_mask(r.lm()))
-        bisect.insort(reducers, entry, key=lambda t: key(t[0]))
+        # r is reduced by every lead in G, so its lead is new
+        bisect.insort(reducers, _reducer(r), key=lambda t: key(t[0]))
         push_pairs(len(G) - 1)
 
-    # minimalize, then tail-reduce in one pass: normal forms against a
-    # Groebner basis are unique, so no fixpoint is needed
-    minimal: list[Polynomial] = []
-    for i, g in enumerate(G):
-        if any(h != i and _divides(lms[h], lms[i]) and
-               (ring.key(lms[h]) != ring.key(lms[i]) or h < i)
-               for h in range(len(G))):
-            continue
-        minimal.append(g)
-    reducers = _prepare_reducers(ring, minimal)
-    reduced = [
-        ring.from_dict({g.lm(): 1, **_nf_dict(dict(g.terms[1:]), reducers, ring)})
-        for g in minimal
-    ]
-    reduced.sort(key=lambda g: ring.key(g.lm()), reverse=True)
-    return Ideal(ring, tuple(reduced))
+    # G is a Groebner basis, so one ascending-lead pass reduces it
+    return Ideal(ring, tuple(_autoreduce(ring, G)[::-1]))
 
 
 # --- elimination-based operations ---------------------------------------------

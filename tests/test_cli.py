@@ -70,6 +70,15 @@ class TestParsePolynomial:
             parse_polynomial(self.ring, "a1 & a2")
         with pytest.raises(CliInputError, match="exponent"):
             parse_polynomial(self.ring, "a1^99999")
+        # only ASCII digits make an integer: a superscript is not an exponent
+        with pytest.raises(CliInputError, match="unexpected character '²' at position 3"):
+            parse_polynomial(self.ring, "a1^²")
+        # a literal too long for int() is bad input, not a crash
+        huge = "1" * 5000
+        with pytest.raises(CliInputError, match="5000 digits at position 0"):
+            parse_polynomial(self.ring, f"{huge}*a1")
+        with pytest.raises(CliInputError, match="5000 digits at position 3"):
+            parse_polynomial(self.ring, f"a1^{huge}")
 
 
 def test_render_ideal_marks_empty_variety():

@@ -8,6 +8,8 @@ from grassvar.poly import (
     Ideal,
     MonomialOrder,
     PolyRing,
+    _autoreduce,
+    _interreduce,
     buchberger_reduced,
     eliminate,
     groebner_budget,
@@ -169,6 +171,11 @@ def test_normal_form_drops_divisible_leads():
     nf = normal_form(f, G)
     # x^4 = (x^2)^2 -> y^2 -> 1
     assert nf == r.one
+    # a non-monic basis gives the same remainders
+    scaled = [2 * x**2 - 2 * y, 3 * y**2 - 3]
+    assert normal_form(f, scaled) == nf
+    g = x**3 + 2 * x * y + y**3
+    assert normal_form(g, scaled) == normal_form(g, G) == 3 * x * y + y
 
 
 def test_buchberger_hand_checked_f3():
@@ -224,6 +231,46 @@ def test_buchberger_deterministic_under_generator_order():
         shuffled = gens[:]
         rng.shuffle(shuffled)
         assert buchberger_reduced(ideal(r, shuffled)).gens == G.gens
+
+
+def test_autoreduce_of_a_groebner_basis_is_the_reduced_basis():
+    rng = random.Random(13)
+    for field, order in [(F2, None), (F3, MonomialOrder.lex()), (F5, MonomialOrder.block(["x"]))]:
+        r = ring(field, order=order)
+        key = r.key
+
+        def rand_poly(terms, degree):
+            return r.from_dict({
+                tuple(rng.randrange(degree + 1) for _ in range(3)): rng.randrange(1, field.p)
+                for _ in range(terms)})
+
+        for _ in range(4):
+            G = buchberger_reduced(ideal(r, [rand_poly(3, 2) for _ in range(3)]))
+            polys = list(G.gens)
+            for g in G.gens:
+                # non-monic multiples of g
+                polys.append(rand_poly(2, 1) * g * rng.randrange(1, field.p))
+                # g plus an element with a smaller lead: same lead, and a tail
+                # term divisible by that smaller lead
+                smaller = [h for h in G.gens if key(h.lm()) < key(g.lm())]
+                if smaller:
+                    polys.append(g + rng.choice(smaller) * rng.randrange(1, field.p))
+            rng.shuffle(polys)
+            assert _autoreduce(r, polys)[::-1] == list(G.gens)
+
+
+def test_interreduce_repeats_the_pass_until_leads_ascend():
+    r = ring(F3)
+    x, y, z = r.gens()
+    gens = [x * y + z, x * y + y**2 + 1, y**2]
+    # one pass lowers the last lead below the others
+    assert [str(g) for g in _autoreduce(r, gens)] == ["y^2", "x*y + z", "z + 2"]
+    out = _interreduce(r, gens)
+    assert [str(g) for g in out] == ["z + 2", "y^2", "x*y + 1"]
+    for g in out:
+        for h in out:
+            if h is not g:
+                assert not any(all(a <= b for a, b in zip(g.lm(), e)) for e, _ in h.terms)
 
 
 def test_budget_raises():
