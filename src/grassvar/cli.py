@@ -160,6 +160,13 @@ class _PolyParser:
         while self.peek()[0] == "^":
             self.take("^")
             tok = self.take("int")
+            # an exponent longer than the cap is over it: name its length,
+            # not its digits, which may run to thousands
+            if len(tok[1].lstrip("0")) > len(str(MAX_PARSED_EXPONENT)):
+                raise CliInputError(
+                    f"exponent of {len(tok[1])} digits at position {tok[2]} "
+                    f"exceeds the cap {MAX_PARSED_EXPONENT}"
+                )
             e = _int_value(tok)
             if e > MAX_PARSED_EXPONENT:
                 raise CliInputError(

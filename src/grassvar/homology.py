@@ -6,9 +6,20 @@ sends the generator t to a chosen basis vector, and the column of F recording
 x^e . (generator t) is built by repeated application of the action matrices.
 The kernel of the cover, in the monomial coordinates of F, is the first
 syzygy; iterating yields the minimal resolution, whose ranks are the Betti
-numbers.  Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled
-from the generator columns of each differential.  Eventual vanishing of Ext
-needs no resolution: it is decided by one rank on Hom_k(M, N).
+numbers.
+
+Past M itself no product is needed, because kE acts on a free module by
+monomial shifts.  On F = kE^b with m = p^c monomials per generator, x^e sends
+basis vector t*m + f to t*m + f + e when x^e x^f is not zero (no base-p digit
+of f + e exceeds p - 1) and to 0 otherwise.  The kernel basis K is the
+identity on its free rows, so on the syzygy x^e acts by a row gather: row r
+of its matrix is row free[r] - e of K where x^e divides x^(free[r] mod m),
+and zero elsewhere.  The syzygy's actions (e = x_j) and its next cover (e
+running over all monomials) are both read off K this way.
+
+Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled from the
+generator columns of each differential.  Eventual vanishing of Ext needs no
+resolution: it is decided by one rank on Hom_k(M, N).
 """
 
 from __future__ import annotations
@@ -19,12 +30,14 @@ import numpy as np
 
 from .errors import SyzygyLimitError
 from .fp import MatrixFp, _kernel_free, _matmul, _rref
-from .modules import KEModule, regular_module
+from .modules import KEModule
 
 # Free covers, their kernels, Ext cochain matrices and the Hom radical matrix
 # of ext_eventually_zero are dense int64 matrices; each is refused past this
-# many cells (80 MB).  A syzygy step holds about eleven matrices of its
-# cover's size at once, so a step at the cap peaks near 1 GB.
+# many cells (80 MB).  A syzygy step peaks at about seven matrices of its
+# cover's size (tracemalloc over resolve(k, 26) on (p, c) = (2, 3)), most of
+# them while the generators of the new syzygy are found, so a step at the cap
+# peaks near 600 MB.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -81,29 +94,13 @@ class ResolutionData:
         return len(self.betti) - 1
 
 
-def _syzygy(
-    actions: list[np.ndarray],
-    gens: list[int],
-    reg: list[np.ndarray],
-    p: int,
-    degree: int,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Cover a module by the free module on `gens` and take the kernel.
+def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
+    """Refuse a cover of a dimension-n module by ncols columns, before it is
+    built, if it or its kernel would have more than DEFAULT_CELL_CAP cells.
 
-    `actions` are the module's action arrays and `reg` those of kE on its
-    monomial basis.  Returns the cover (module coordinates by monomial
-    coordinates of the free module), the kernel's basis as columns in the
-    monomial coordinates, and the action arrays of the kernel on that basis.
-
-    The cover is surjective, so it is n x (b * p^c) for a module of
-    dimension n and its kernel is (b * p^c) x (b * p^c - n); both are dense,
-    and SyzygyLimitError is raised before either is built if one of them
-    has more than DEFAULT_CELL_CAP cells.
+    The cover is surjective, so it is n x ncols and its kernel is
+    ncols x (ncols - n); both are dense.
     """
-    m_alg = p ** len(reg)
-    b = len(gens)
-    n = actions[0].shape[0]
-    ncols = b * m_alg
     cells = ncols * max(n, ncols - n)
     if cells > DEFAULT_CELL_CAP:
         raise SyzygyLimitError(
@@ -111,21 +108,70 @@ def _syzygy(
             f"{degree} needs a dense matrix of {cells} cells, over the cap of "
             f"{DEFAULT_CELL_CAP}"
         )
-    cover = np.zeros((n, ncols), dtype=np.int64)
+
+
+def _product_cover(actions: list[np.ndarray], gens: list[int], p: int) -> np.ndarray:
+    """Cover a module given by its action arrays by the free module on `gens`:
+    column t * p^c + e is x^e applied to basis vector gens[t], one product
+    per monomial."""
+    m_alg = p ** len(actions)
+    n = actions[0].shape[0]
+    cover = np.zeros((n, len(gens) * m_alg), dtype=np.int64)
     for t, g in enumerate(gens):
         cover[g, t * m_alg] = 1
     for e in range(1, m_alg):
         j = _lowest_digit(e, p)
         cover[:, e::m_alg] = _matmul(actions[j], cover[:, e - p**j :: m_alg], p)
+    return cover
 
-    kernel, free = _kernel_free(cover, p)
-    next_actions = []
-    for a in reg:
-        # kernel[free, :] is the identity, so the induced action on the
-        # syzygy is just the free-row block of (x_j . kernel).
-        moved = _matmul_stacked(a, kernel, b, m_alg, p)
-        next_actions.append(moved[free, :])
-    return cover, kernel, next_actions
+
+def _gather_cover(
+    kernel: np.ndarray, free: np.ndarray, gens: list[int], p: int, c: int
+) -> np.ndarray:
+    """Cover the syzygy spanned by the columns of `kernel` by the free module
+    on `gens`, with no products.
+
+    Column t * p^c + e is x^e applied to basis vector gens[t], whose row r is
+    kernel[free[r] - e, gens[t]] where x^e divides the monomial of free[r],
+    and 0 elsewhere.  Its index arrays die with this frame, before the
+    caller's elimination starts.
+    """
+    m_alg = p**c
+    rows = kernel.shape[0]
+    b = len(gens)
+    digits = (np.arange(m_alg)[:, None] // p ** np.arange(c)) % p
+    # divides[f, e]: x^e divides x^f, i.e. no digit of e exceeds that of f
+    divides = (digits[:, None, :] >= digits[None, :, :]).all(axis=2)
+    src = free[:, None] - np.arange(m_alg)
+    # a row that x^e does not reach reads the zero column appended below
+    src[~divides[free % m_alg]] = rows
+    cols = np.zeros((b, rows + 1), dtype=np.int64)
+    cols[:, :rows] = kernel[:, gens].T
+    cover = cols[np.arange(b)[None, :, None], src[:, None, :]]
+    return cover.reshape(len(free), b * m_alg)
+
+
+def _syzygy(
+    cover: np.ndarray, p: int, c: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """The kernel of a cover by a free module of rank b over kE.
+
+    Returns the kernel's basis as columns in the monomial coordinates of
+    kE^b, its free rows, on which the basis is the identity, and the action
+    arrays of the kernel on that basis.  Row r of x_j's array is row
+    free[r] - p^j of the kernel, or 0 where digit j of free[r] is 0: x_j
+    shifts the basis of kE^b, and the free rows read the result off.
+    """
+    kernel, free_list = _kernel_free(cover, p)
+    free = np.asarray(free_list, dtype=np.intp)
+    actions = []
+    for j in range(c):
+        step = p**j
+        unreached = (free // step) % p == 0
+        a = kernel[np.where(unreached, 0, free - step)]
+        a[unreached] = 0
+        actions.append(a)
+    return kernel, free, actions
 
 
 def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> ResolutionData:
@@ -134,34 +180,41 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
     Performs full syzygy steps up to degree bound - 1 and a final generator
     count at degree bound, so betti has bound + 1 entries and gen_columns has
     bound entries (the differentials d_1 .. d_bound on generators).  Only the
-    current syzygy is held while the resolution is built.  SyzygyLimitError
-    is raised at the first degree whose free cover or its kernel would have
-    more than DEFAULT_CELL_CAP cells.
+    current syzygy is held while the resolution is built.  The cover of M is
+    built from its action arrays, every later cover by a gather from the
+    previous kernel.  SyzygyLimitError is raised at the first degree whose
+    free cover or its kernel would have more than DEFAULT_CELL_CAP cells.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
-    p = M.p
-    reg = [a.array for a in regular_module(M.field, M.c).actions]
+    p, c = M.p, M.c
+    m_alg = p**c
 
     betti: list[int] = []
     gen_columns: list[np.ndarray] = []
     differentials: list[np.ndarray] = []
 
     cur = [a.array for a in M.actions]
-    prev_kernel: np.ndarray | None = None
+    kernel = free = None
 
     for i in range(bound + 1):
         gens = _generator_indices(cur, p)
         betti.append(len(gens))
-        if prev_kernel is not None:
-            gen_columns.append(prev_kernel[:, gens])
+        if kernel is not None:
+            gen_columns.append(kernel[:, gens])
         if i == bound:
             break
 
-        cover, kernel, cur = _syzygy(cur, gens, reg, p, i)
-        if keep_differentials and prev_kernel is not None:
-            differentials.append(_matmul(prev_kernel, cover, p))
-        prev_kernel = kernel
+        _check_cover_cells(cur[0].shape[0], len(gens) * m_alg, i)
+        if kernel is None:
+            cover = _product_cover(cur, gens, p)
+        else:
+            cover = _gather_cover(kernel, free, gens, p, c)
+            if keep_differentials:
+                differentials.append(_matmul(kernel, cover, p))
+        kernel, free, cur = _syzygy(cover, p, c)
+        # spent: drop it before the next generator search, the step's peak
+        cover = None
 
     return ResolutionData(
         module=M,
@@ -171,25 +224,12 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
     )
 
 
-def _matmul_stacked(
-    action: np.ndarray, kernel: np.ndarray, blocks: int, m_alg: int, p: int
-) -> np.ndarray:
-    """Apply a regular-representation action to every generator block of a
-    kernel matrix of shape (blocks * m_alg, w)."""
-    w = kernel.shape[1]
-    if blocks == 0 or w == 0:
-        return np.zeros_like(kernel)
-    stacked = kernel.reshape(blocks, m_alg, w)
-    out = (action[None, :, :] @ stacked) % p
-    return out.reshape(blocks * m_alg, w)
-
-
 def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     """One step of the minimal resolution: (number of generators, syzygy module)."""
     cur = [a.array for a in M.actions]
     gens = _generator_indices(cur, M.p)
-    reg = [a.array for a in regular_module(M.field, M.c).actions]
-    _, kernel, arrays = _syzygy(cur, gens, reg, M.p, 0)
+    _check_cover_cells(M.n, len(gens) * M.p**M.c, 0)
+    kernel, _, arrays = _syzygy(_product_cover(cur, gens, M.p), M.p, M.c)
     actions = tuple(MatrixFp(M.field, a) for a in arrays)
     return len(gens), KEModule(M.field, M.c, kernel.shape[1], actions)
 

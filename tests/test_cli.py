@@ -70,6 +70,19 @@ class TestParsePolynomial:
             parse_polynomial(self.ring, "a1 & a2")
         with pytest.raises(CliInputError, match="exponent"):
             parse_polynomial(self.ring, "a1^99999")
+        # an exponent as long as the cap is echoed, a longer one is counted
+        with pytest.raises(
+            CliInputError, match="^exponent 2000 at position 3 exceeds the cap 1024$"
+        ):
+            parse_polynomial(self.ring, "a1^2000")
+        with pytest.raises(
+            CliInputError,
+            match="^exponent of 3000 digits at position 3 exceeds the cap 1024$",
+        ) as err:
+            parse_polynomial(self.ring, "a1^" + "9" * 3000)
+        assert len(str(err.value)) < 100
+        # leading zeros do not count towards the length
+        assert parse_polynomial(self.ring, "a1^00002") == parse_polynomial(self.ring, "a1^2")
         # only ASCII digits make an integer: a superscript is not an exponent
         with pytest.raises(CliInputError, match="unexpected character '²' at position 3"):
             parse_polynomial(self.ring, "a1^²")

@@ -3,7 +3,7 @@ import pytest
 
 from grassvar import homology
 from grassvar.errors import SyzygyLimitError
-from grassvar.fp import MatrixFp, PrimeField
+from grassvar.fp import MatrixFp, PrimeField, _kernel_free
 from grassvar.homology import (
     ExtTable,
     betti_numbers,
@@ -14,6 +14,7 @@ from grassvar.homology import (
 )
 from grassvar.modules import (
     KEModule,
+    direct_sum,
     dual,
     quotient_by_linear_forms,
     regular_module,
@@ -22,6 +23,7 @@ from grassvar.modules import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F5 = PrimeField(5)
 
 
 def _mod(field, c, forms):
@@ -62,6 +64,74 @@ def test_syzygy_step_dimension_count():
         M = _mod(field, c, forms)
         b, omega = syzygy_step(M)
         assert omega.n == b * field.p**c - M.n
+
+
+def test_gathered_covers_match_product_covers(catalog):
+    # resolve(M, n + 1) covers every syzygy by a gather from the previous
+    # kernel; resolve(omega, n) covers omega = syzygy_step(M) by products of
+    # its action arrays.  The two must build the same resolution of omega.
+    modules = [M for mods in catalog.values() for M in mods.values()]
+    modules.append(_mod(F5, 2, [(1, 3)]))
+    n = 4
+    for M in modules:
+        deep = resolve(M, n + 1)
+        shallow = resolve(syzygy_step(M)[1], n)
+        assert deep.betti[1:] == shallow.betti
+        assert len(deep.gen_columns[1:]) == len(shallow.gen_columns)
+        for a, b in zip(deep.gen_columns[1:], shallow.gen_columns):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _product_actions(M):
+    """The syzygy's action arrays by products: x_j acts on each generator
+    block of the kernel by regular_module's matrix, and the kernel's free
+    rows, where it is the identity, read the result off."""
+    p, m_alg = M.p, M.p**M.c
+    cur = [a.array for a in M.actions]
+    gens = homology._generator_indices(cur, p)
+    kernel, free = _kernel_free(homology._product_cover(cur, gens, p), p)
+    blocks = kernel.reshape(len(gens), m_alg, kernel.shape[1])
+    out = []
+    for A in regular_module(M.field, M.c).actions:
+        moved = np.zeros_like(kernel)
+        for t, block in enumerate(blocks):
+            moved[t * m_alg : (t + 1) * m_alg] = (A.array @ block) % p
+        out.append(moved[free])
+    return out
+
+
+def test_syzygy_actions_match_regular_products():
+    for field, c, forms in [
+        (F2, 2, [(1, 0), (0, 1)]),
+        (F2, 3, [(1, 1, 0)]),
+        (F3, 2, [(1, 2)]),
+        (F3, 2, [(1, 0), (0, 1)]),
+        (F5, 2, [(1, 3)]),
+        (F5, 2, [(1, 0), (0, 1)]),
+    ]:
+        M = _mod(field, c, forms)
+        # the second and third syzygies cover kernels of several blocks
+        for _ in range(3):
+            omega = syzygy_step(M)[1]
+            for a, w in zip(omega.actions, _product_actions(M)):
+                assert np.array_equal(a.array, w)
+            M = omega
+
+
+def test_empty_syzygies():
+    # a free module's syzygy is zero: its kernel has no columns, so the
+    # gathers see no free rows
+    for field in (F2, F3, F5):
+        kE = regular_module(field, 2)
+        b, omega = syzygy_step(kE)
+        assert (b, omega.n) == (1, 0)
+        assert [a.array.shape for a in omega.actions] == [(0, 0), (0, 0)]
+        assert resolve(kE, 3).betti == (1, 0, 0, 0)
+        k = _mod(field, 2, [(1, 0), (0, 1)])
+        res = resolve(direct_sum(k, kE), 3, keep_differentials=True)
+        assert res.betti == (2, 2, 3, 4)
+        for d1, d2 in zip(res.differentials, res.differentials[1:]):
+            assert not ((d1 @ d2) % field.p).any()
 
 
 def test_resolution_differentials_compose_to_zero():
