@@ -42,10 +42,11 @@ for _ in range(3):
     dims.append(omega.n)
 print("syzygy dims:", dims)
 
-# the full resolution object keeps the Betti numbers and the differentials
-res = resolve(k, 3, keep_differentials=True)
+# the resolution object keeps the Betti numbers and each differential's
+# columns on generators; the full matrix of d_i is read off them
+res = resolve(k, 3)
 print("first differential:")
-print(res.differentials[0])
+print(res.differential(1))
 
 # Ext tables against different targets
 print("ext(kE/(x1), k):     ", list(ext_dims(Rx, k, 6)))
@@ -57,8 +58,10 @@ print("ext(kE/(x1), itself): ", list(ext_dims(Rx, Rx, 6)))
 print("ext(Rx, Ry) eventually zero:", ext_eventually_zero(Rx, Ry))
 print("ext(Rx, Rx) eventually zero:", ext_eventually_zero(Rx, Rx))
 
-# a precomputed resolution can be reused across many targets
-shared = resolve(Rx, 13)
+# resolve is memoised, so tables of one source against many targets
+# share one resolution
+built = resolve.cache_info().misses
 for name, N in [("k", k), ("kE", kE), ("Ry", Ry)]:
-    table = ext_dims(Rx, N, 12, resolution=shared)
+    table = ext_dims(Rx, N, 12)
     print(f"ext(Rx, {name}) through degree 12:", list(table))
+print("resolutions built for them:", resolve.cache_info().misses - built)

@@ -317,6 +317,8 @@ def higher_variety_ideal(M: KEModule, N: KEModule, d: int) -> VarietyIdealD:
 
 def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
     """Whether a Pluecker point satisfies every equation of the variety."""
+    if pt.field != V.ring.field:
+        raise ValueError(f"point over F_{pt.field.p}, variety over F_{V.ring.field.p}")
     if comb(V.c, V.d) != len(pt.coords):
         raise ValueError("point does not match the variety's Grassmannian")
     values = list(pt.coords)
@@ -360,6 +362,8 @@ def oracle_membership(
     rational points on W, so equality of the two flags is guaranteed only
     when that variety is a union of subspaces defined over the base field.
     """
+    if W.field != M.field:
+        raise ValueError(f"subspace over F_{W.field.p}, modules over F_{M.p}")
     if W.c != M.c or W.d != d:
         raise ValueError("subspace does not match the modules or dimension")
     if pair_ideal is None:

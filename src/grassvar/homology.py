@@ -17,6 +17,11 @@ of its matrix is row free[r] - e of K where x^e divides x^(free[r] mod m),
 and zero elsewhere.  The syzygy's actions (e = x_j) and its next cover (e
 running over all monomials) are both read off K this way.
 
+resolve is memoised on (M, bound), so Ext tables of one source against many
+targets share one resolution.  Its generator columns are the whole record:
+the full differential d_i, which the library itself never needs, is the
+same gather run over every row of the columns of d_i.
+
 Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled from the
 generator columns of each differential.  Eventual vanishing of Ext needs no
 resolution: it is decided by one rank on Hom_k(M, N).
@@ -25,6 +30,7 @@ resolution: it is decided by one rank on Hom_k(M, N).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,18 +55,6 @@ def _lowest_digit(e: int, p: int) -> int:
     return i
 
 
-def _monomial_actions(actions: list[np.ndarray], p: int, c: int) -> np.ndarray:
-    """Stack rho[e] = matrix of x^e acting on the module, e in base-p index order."""
-    m = p**c
-    n = actions[0].shape[0] if actions else 0
-    rho = np.zeros((m, n, n), dtype=np.int64)
-    rho[0] = np.eye(n, dtype=np.int64)
-    for e in range(1, m):
-        i = _lowest_digit(e, p)
-        rho[e] = _matmul(actions[i], rho[e - p**i], p)
-    return rho
-
-
 def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
     """Coordinate indices whose basis vectors span a complement of rad M."""
     n = arrays[0].shape[0]
@@ -80,18 +74,27 @@ class ResolutionData:
     betti[i] is the rank of the i-th free module.  gen_columns[i - 1]
     records the differential d_i on generators: column s holds the image of
     generator s of F_i in the monomial coordinates of F_{i-1}, an array of
-    shape (betti[i-1] * p**c, betti[i]).  differentials, when kept, holds the
-    full matrices of d_i in monomial coordinates on both sides.
+    shape (betti[i-1] * p**c, betti[i]), read-only because resolve's memo
+    shares it.
     """
 
     module: KEModule
     betti: tuple[int, ...]
     gen_columns: tuple[np.ndarray, ...]
-    differentials: tuple[np.ndarray, ...] | None = None
 
     @property
     def depth(self) -> int:
         return len(self.betti) - 1
+
+    def differential(self, i: int) -> np.ndarray:
+        """The matrix of d_i: F_i -> F_{i-1} in monomial coordinates on both
+        sides, for 1 <= i <= depth.  Column t * p^c + e is x^e times
+        generator column t, a gather over every row of F_{i-1}."""
+        if not 1 <= i <= self.depth:
+            raise ValueError(f"need 1 <= i <= {self.depth}, got {i}")
+        H = self.gen_columns[i - 1]
+        p, c = self.module.p, self.module.c
+        return _gather_cover(H, np.arange(H.shape[0]), list(range(H.shape[1])), p, c)
 
 
 def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
@@ -134,7 +137,9 @@ def _gather_cover(
     Column t * p^c + e is x^e applied to basis vector gens[t], whose row r is
     kernel[free[r] - e, gens[t]] where x^e divides the monomial of free[r],
     and 0 elsewhere.  Its index arrays die with this frame, before the
-    caller's elimination starts.
+    caller's elimination starts.  With every row free (free = arange) and
+    `kernel` the generator columns of d_i, the same gather expands them to
+    the full matrix of d_i.
     """
     m_alg = p**c
     rows = kernel.shape[0]
@@ -174,7 +179,12 @@ def _syzygy(
     return kernel, free, actions
 
 
-def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> ResolutionData:
+# Each entry holds its generator columns, copies cut from the kernels, not
+# views that would keep whole kernels alive; resolve(k, 21) over (2, 3) holds
+# 17.5 MB of them, so the memo holds a few dozen resolutions, not hundreds.
+# An ext-deep round asks for 19 distinct (module, depth) keys.
+@lru_cache(maxsize=32)
+def resolve(M: KEModule, bound: int) -> ResolutionData:
     """Minimal free resolution of M with Betti numbers through degree `bound`.
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
@@ -184,6 +194,8 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
     built from its action arrays, every later cover by a gather from the
     previous kernel.  SyzygyLimitError is raised at the first degree whose
     free cover or its kernel would have more than DEFAULT_CELL_CAP cells.
+    Memoised on (M, bound): a repeated call returns the same object, whose
+    arrays are read-only, and a call that raises stores nothing.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
@@ -192,7 +204,6 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
 
     betti: list[int] = []
     gen_columns: list[np.ndarray] = []
-    differentials: list[np.ndarray] = []
 
     cur = [a.array for a in M.actions]
     kernel = free = None
@@ -201,7 +212,9 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
         gens = _generator_indices(cur, p)
         betti.append(len(gens))
         if kernel is not None:
-            gen_columns.append(kernel[:, gens])
+            columns = kernel[:, gens]
+            columns.setflags(write=False)
+            gen_columns.append(columns)
         if i == bound:
             break
 
@@ -210,18 +223,11 @@ def resolve(M: KEModule, bound: int, keep_differentials: bool = False) -> Resolu
             cover = _product_cover(cur, gens, p)
         else:
             cover = _gather_cover(kernel, free, gens, p, c)
-            if keep_differentials:
-                differentials.append(_matmul(kernel, cover, p))
         kernel, free, cur = _syzygy(cover, p, c)
         # spent: drop it before the next generator search, the step's peak
         cover = None
 
-    return ResolutionData(
-        module=M,
-        betti=tuple(betti),
-        gen_columns=tuple(gen_columns),
-        differentials=tuple(differentials) if keep_differentials else None,
-    )
+    return ResolutionData(M, tuple(betti), tuple(gen_columns))
 
 
 def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
@@ -261,17 +267,12 @@ class ExtTable:
         return self.dims[i]
 
 
-def ext_dims(
-    M: KEModule,
-    N: KEModule,
-    bound: int,
-    resolution: ResolutionData | None = None,
-) -> ExtTable:
-    """dim_k Ext^i(M, N) for i = 0..bound, via a minimal resolution of M.
+def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
+    """dim_k Ext^i(M, N) for i = 0..bound, via the minimal resolution
+    resolve(M, bound + 1), which the memo shares between targets.
 
-    A precomputed resolution of M may be passed in; it must have been built
-    with resolve(M, bound + 1) or deeper.  SyzygyLimitError is raised before
-    a cochain matrix of more than DEFAULT_CELL_CAP cells is built.
+    SyzygyLimitError is raised before a cochain matrix of more than
+    DEFAULT_CELL_CAP cells is built.
     """
     if bound < 0:
         raise ValueError("ext bound must be nonnegative")
@@ -283,19 +284,11 @@ def ext_dims(
     if M.n == 0 or N.n == 0:
         return ExtTable(M, N, tuple([0] * (bound + 1)))
 
-    if resolution is None:
-        resolution = resolve(M, bound + 1)
-    else:
-        if resolution.module != M:
-            raise ValueError("resolution was built for a different module")
-        if resolution.depth < bound + 1:
-            raise ValueError(
-                f"resolution depth {resolution.depth} is too shallow for "
-                f"ext bound {bound}"
-            )
-
-    rho = _monomial_actions([a.array for a in N.actions], p, c)
+    resolution = resolve(M, bound + 1)
     n_t = N.n
+    # rho[e] is the matrix of x^e on N: its cover by all of its basis vectors
+    cover = _product_cover([a.array for a in N.actions], list(range(n_t)), p)
+    rho = cover.reshape(n_t, n_t, m_alg).transpose(2, 0, 1)
 
     ranks: list[int] = []
     for i in range(bound + 1):

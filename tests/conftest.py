@@ -8,7 +8,7 @@ from grassvar import (
     regular_module,
     syzygy_step,
 )
-from grassvar import grassmann, rankvariety
+from grassvar import grassmann, homology, rankvariety
 
 # Contexts keep every computation inside the library's resource caps: the
 # (3,3) combination would need minors of a 27x27 matrix, far past the
@@ -58,11 +58,12 @@ def f3():
 
 @pytest.fixture
 def cold_memos():
-    """Empty the rank, pair and projection memos, so the test sees cold
-    computations whatever ran before it."""
+    """Empty the rank, pair, projection and resolution memos, so the test
+    sees cold computations whatever ran before it."""
     for memo in (
         rankvariety.rank_variety_ideal,
         rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
+        homology.resolve,
     ):
         memo.cache_clear()

@@ -356,3 +356,21 @@ def test_oracle_membership_known_answers(catalog):
     assert oracle_membership(M, k, 2, through) == (True, True)
     with pytest.raises(ValueError):
         oracle_membership(M, M, 2, on)
+
+
+def test_oracle_membership_rejects_another_prime_field(catalog):
+    # the F_3 line through (1, 2) read mod 2 is the F_2 line through (1, 0),
+    # which lies on the variety of kE/(x1): the answer would be for that line
+    cat = catalog[(2, 2)]
+    M, k = cat["R/x1"], cat["k"]
+    W = subspace_from_rows(F3, [[1, 2]])
+    with pytest.raises(ValueError, match="subspace over F_3, modules over F_2"):
+        oracle_membership(M, k, 1, W)
+
+
+def test_point_on_variety_rejects_another_prime_field(catalog):
+    cat = catalog[(2, 2)]
+    V = higher_variety_ideal(cat["R/x1"], cat["k"], 1)
+    pt = pluecker_embed(subspace_from_rows(F3, [[1, 2]]))
+    with pytest.raises(ValueError, match="point over F_3, variety over F_2"):
+        point_on_variety(V, pt)

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -128,9 +130,10 @@ def test_empty_syzygies():
         assert [a.array.shape for a in omega.actions] == [(0, 0), (0, 0)]
         assert resolve(kE, 3).betti == (1, 0, 0, 0)
         k = _mod(field, 2, [(1, 0), (0, 1)])
-        res = resolve(direct_sum(k, kE), 3, keep_differentials=True)
+        res = resolve(direct_sum(k, kE), 3)
         assert res.betti == (2, 2, 3, 4)
-        for d1, d2 in zip(res.differentials, res.differentials[1:]):
+        for i in range(1, res.depth):
+            d1, d2 = res.differential(i), res.differential(i + 1)
             assert not ((d1 @ d2) % field.p).any()
 
 
@@ -140,16 +143,19 @@ def test_resolution_differentials_compose_to_zero():
         _mod(F3, 2, [(1, 2)]),
         _mod(F2, 3, [(1, 0, 0)]),
     ):
-        p = M.p
-        res = resolve(M, 4, keep_differentials=True)
-        assert res.differentials is not None
-        for d1, d2 in zip(res.differentials, res.differentials[1:]):
+        p, m_alg = M.p, M.p**M.c
+        res = resolve(M, 4)
+        for i in range(1, res.depth + 1):
+            d = res.differential(i)
+            assert d.shape == (res.betti[i - 1] * m_alg, res.betti[i] * m_alg)
+        for i in range(1, res.depth):
+            d1, d2 = res.differential(i), res.differential(i + 1)
             assert np.all((d1 @ d2) % p == 0)
 
 
 def test_resolution_is_minimal_and_exact():
     M = _mod(F2, 2, [(1, 0), (0, 1)])
-    res = resolve(M, 4, keep_differentials=True)
+    res = resolve(M, 4)
     m_alg = M.p**M.c
     # minimality: generator images live in the radical, so the constant-term
     # rows of every differential vanish
@@ -158,9 +164,9 @@ def test_resolution_is_minimal_and_exact():
     # exactness: ker d_i = im d_(i+1) in the free tower
     from grassvar.fp import _rref
 
-    for i in range(1, len(res.differentials)):
-        d_i = res.differentials[i - 1]
-        d_next = res.differentials[i]
+    for i in range(1, res.depth):
+        d_i = res.differential(i)
+        d_next = res.differential(i + 1)
         rank_i = len(_rref(d_i, M.p)[1])
         rank_next = len(_rref(d_next, M.p)[1])
         assert d_i.shape[1] == rank_i + rank_next
@@ -173,7 +179,11 @@ def test_resolution_metadata():
     assert res.depth == 3
     assert len(res.betti) == 4
     assert len(res.gen_columns) == 3
-    assert res.differentials is None
+    # the generator columns are the whole record: d_i is read off them
+    assert [f.name for f in fields(res)] == ["module", "betti", "gen_columns"]
+    for i in (0, 4):
+        with pytest.raises(ValueError):
+            res.differential(i)
 
 
 def test_resolve_rejects_bad_input():
@@ -184,14 +194,16 @@ def test_resolve_rejects_bad_input():
         KEModule(F2, 1, 1, (MatrixFp(F2, [[1]]),))
 
 
-def test_resolve_cover_cap(monkeypatch):
+def test_resolve_cover_cap(monkeypatch, cold_memos):
     monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 50)
     k = _mod(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     with pytest.raises(SyzygyLimitError):
         resolve(k, 10)
+    # a call that raises stores nothing in the memo
+    assert resolve.cache_info().currsize == 0
 
 
-def test_resolve_caps_cells_not_columns(monkeypatch):
+def test_resolve_caps_cells_not_columns(monkeypatch, cold_memos):
     # trivial action on k^40 over c = 1: the cover has only 80 columns, but
     # it and its kernel are 40 x 80 and 80 x 40, 3200 cells each
     n = 40
@@ -224,6 +236,10 @@ def test_ext_hand_checked_values():
     assert list(ext_dims(Rx, Ry, 8)) == [1, 0, 0, 0, 0, 0, 0, 0, 0]
     k = _mod(F2, 2, [(1, 0), (0, 1)])
     assert list(ext_dims(k, k, 6)) == [1, 2, 3, 4, 5, 6, 7]
+    # Omega k = rad kE is not self-dual: Hom(k, Omega k) is its socle, and
+    # by dimension shifting Ext^i(k, Omega k) is the stable End(k) at i = 1
+    # and Ext^(i-1)(k, k) beyond
+    assert list(ext_dims(k, syzygy_step(k)[1], 4)) == [1, 1, 2, 3, 4]
     kE = regular_module(F2, 2)
     # Ext against a free target vanishes above degree zero; Hom(M, kE) has
     # dim M by self-duality of the regular module
@@ -269,17 +285,61 @@ def test_ext_zero_module_edges():
     assert betti_numbers(Z, 3) == [0, 0, 0, 0]
 
 
-def test_ext_resolution_reuse():
+def test_ext_resolution_reuse(cold_memos):
+    # Ext tables of one source against three targets resolve it once
     M = _mod(F3, 2, [(1, 0)])
-    N = _mod(F3, 2, [(0, 1)])
-    res = resolve(M, 7)
-    fresh = ext_dims(M, N, 6)
-    reused = ext_dims(M, N, 6, resolution=res)
-    assert list(fresh) == list(reused)
-    with pytest.raises(ValueError):
-        ext_dims(M, N, 7, resolution=res)
-    with pytest.raises(ValueError):
-        ext_dims(N, N, 3, resolution=res)
+    targets = [_mod(F3, 2, [(0, 1)]), _mod(F3, 2, [(1, 0), (0, 1)]), regular_module(F3, 2)]
+    cold = []
+    for N in targets:
+        resolve.cache_clear()
+        cold.append(ext_dims(M, N, 6).dims)
+    resolve.cache_clear()
+    warm = [ext_dims(M, N, 6).dims for N in targets]
+    info = resolve.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert warm == cold
+    assert resolve(M, 7) is resolve(M, 7)
+
+
+def test_cached_gen_columns_are_read_only(cold_memos):
+    res = resolve(_mod(F2, 2, [(1, 0), (0, 1)]), 3)
+    for H in res.gen_columns:
+        with pytest.raises(ValueError):
+            H[0, 0] = 1
+
+
+def _regular_power(field, c, e):
+    """The matrix of x^e on kE, e in base-p index order, by plain powers of
+    the monomial-basis shift matrices."""
+    p = field.p
+    R = np.eye(p**c, dtype=np.int64)
+    for A in regular_module(field, c).actions:
+        R = (R @ np.linalg.matrix_power(A.array, e % p)) % p
+        e //= p
+    return R
+
+
+def test_differential_matches_regular_block_products():
+    # column t * p^c + e of d_i is x^e times generator column t: the
+    # block-diagonal action of x^e on F_(i-1) applied to that column
+    for field, c, forms in [
+        (F2, 2, [(1, 0), (0, 1)]),
+        (F2, 3, [(1, 1, 0)]),
+        (F3, 2, [(1, 2)]),
+        (F3, 2, [(1, 0), (0, 1)]),
+        (F5, 2, [(1, 3)]),
+    ]:
+        M = _mod(field, c, forms)
+        p, m_alg = field.p, field.p**c
+        res = resolve(direct_sum(M, _mod(field, c, [(1,) + (0,) * (c - 1)])), 4)
+        for i in range(1, res.depth + 1):
+            H = res.gen_columns[i - 1]
+            want = np.zeros((H.shape[0], H.shape[1] * m_alg), dtype=np.int64)
+            for e in range(m_alg):
+                block = np.kron(np.eye(res.betti[i - 1], dtype=np.int64), _regular_power(field, c, e))
+                want[:, e::m_alg] = (block @ H) % p
+            got = res.differential(i)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (p, c, forms, i)
 
 
 def test_ext_mismatched_modules_rejected():
@@ -336,7 +396,7 @@ def test_ext_eventually_zero_caps_the_hom_space_cells():
         ext_eventually_zero(M, M)
 
 
-def test_ext_dims_caps_the_cochain_cells(monkeypatch):
+def test_ext_dims_caps_the_cochain_cells(monkeypatch, cold_memos):
     # k over (2,2) has Betti numbers 1, 2, 3, 4, so into the trivial module
     # k^30 the cochain matrices of degrees 0, 1, 2 have 2, 6 and 12 times
     # 30^2 cells, while no cover or kernel of the resolution exceeds 84
