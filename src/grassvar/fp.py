@@ -7,7 +7,9 @@ row reduction over F_2 uses a bit-packed elimination path, whose rows are
 packed into 64-bit words by np.packbits.  Both reduction paths produce the
 (unique) reduced row echelon form, so results never depend on which path
 ran.  The kernel basis is read off that form by two scatters: one writes its
-identity block on the free columns, one its pivot rows.
+identity block on the free columns, one its pivot rows.  When only the pivot
+columns are needed, _pivot_columns finds them from a matrix's nonzeros,
+reducing densely only what singleton pruning leaves.
 """
 
 from __future__ import annotations
@@ -136,6 +138,50 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if p == 2:
         return _rref_gf2(a)
     return _rref_modp(a, p)
+
+
+def _pivot_columns(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int], p: int
+) -> list[int]:
+    """The pivot columns of the reduced row echelon form of the matrix of
+    `shape` whose nonzeros are vals at (rows, cols), the list _rref returns.
+
+    The coordinates must be distinct and the values nonzero mod p.  A live
+    column is one not yet found to be a pivot.  Round after round, until a
+    round finds none, every row with exactly one nonzero in a live column
+    marks that column as a pivot, and the column is dropped (the singleton
+    pruning of structured Gaussian elimination, LaMacchia-Odlyzko 1990).
+    The rows left with two or more live entries, restricted to the live
+    columns they touch in their original order, are reduced densely by
+    _rref for the remaining pivots.
+
+    Why the pivots are the same: column j is a pivot exactly when it is not
+    a combination of the columns before it.  Let row r have its only
+    nonzero in column j.  The columns before j are zero in row r, so j is a
+    pivot.  For k != j, a relation col_k = sum_{i<k} a_i col_i read in row r
+    gives 0 = a_j A[r, j], so a_j = 0: no dependency among the other
+    columns uses column j, and deleting it changes no other column's pivot
+    status.  Each round applies this to the matrix with the pivots found so
+    far deleted, which is what "live" means.  At the end every row has zero
+    or at least two live entries; zero rows change no pivot, and a live
+    column with no entry in the remaining rows is zero, hence no pivot.
+    """
+    m, n = shape
+    pivot = np.zeros(n, dtype=bool)
+    while True:
+        single = np.bincount(rows, minlength=m)[rows] == 1
+        if not single.any():
+            break
+        pivot[cols[single]] = True
+        live = ~pivot[cols]
+        rows, cols, vals = rows[live], cols[live], vals[live]
+    if rows.size:
+        kept_rows, r = np.unique(rows, return_inverse=True)
+        kept_cols, c = np.unique(cols, return_inverse=True)
+        remainder = np.zeros((kept_rows.size, kept_cols.size), dtype=np.int64)
+        remainder[r, c] = vals
+        pivot[kept_cols[_rref(remainder, p)[1]]] = True
+    return np.flatnonzero(pivot).tolist()
 
 
 def _kernel_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:

@@ -35,15 +35,16 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SyzygyLimitError
-from .fp import MatrixFp, _kernel_free, _matmul, _rref
+from .fp import MatrixFp, _kernel_free, _matmul, _pivot_columns, _rref
 from .modules import KEModule
 
 # Free covers, their kernels, Ext cochain matrices and the Hom radical matrix
 # of ext_eventually_zero are dense int64 matrices; each is refused past this
-# many cells (80 MB).  A syzygy step peaks at about seven matrices of its
-# cover's size (tracemalloc over resolve(k, 26) on (p, c) = (2, 3)), most of
-# them while the generators of the new syzygy are found, so a step at the cap
-# peaks near 600 MB.
+# many cells (80 MB).  A syzygy step peaks at about eight matrices of its
+# cover's size while the kernel of the cover is found (tracemalloc over
+# resolve(k, 26) on (p, c) = (2, 3): 239 MB at a 30 MB cover, with the
+# previous kernel and actions still held), so a step at the cap peaks near
+# 640 MB.  The generator search reads only nonzeros and adds next to nothing.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -56,20 +57,37 @@ def _lowest_digit(e: int, p: int) -> int:
 
 
 def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
-    """Coordinate indices whose basis vectors span a complement of rad M."""
+    """Coordinate indices whose basis vectors span a complement of rad M.
+
+    rad M is the row space of the stack [a_1^T; ..; a_c^T] of the
+    transposed action arrays, and the non-pivot columns of its echelon form
+    index a complement.  The stack is never built: row j * n + i of it is
+    column i of arrays[j], so its nonzeros are those of the arrays, and
+    _pivot_columns reads them, as these matrices have about one nonzero per
+    row deep in a resolution.
+    """
     n = arrays[0].shape[0]
-    if n == 0:
-        return []
-    radical_rows = np.concatenate([a.T for a in arrays], axis=0)
-    _, piv = _rref(radical_rows, p)
+    rows, cols, vals = [], [], []
+    for j, a in enumerate(arrays):
+        k, i = np.nonzero(a)
+        rows.append(j * n + i)
+        cols.append(k)
+        vals.append(a[k, i])
+    piv = _pivot_columns(
+        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        (len(arrays) * n, n), p,
+    )
     pivset = set(piv)
     return [j for j in range(n) if j not in pivset]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolutionData:
     """A minimal free resolution of `module`, truncated at homological degree
     len(betti) - 1.
+
+    Equality and hashing are by identity: generated ones would compare and
+    hash the arrays of gen_columns, which raises.
 
     betti[i] is the rank of the i-th free module.  gen_columns[i - 1]
     records the differential d_i on generators: column s holds the image of
@@ -224,7 +242,7 @@ def resolve(M: KEModule, bound: int) -> ResolutionData:
         else:
             cover = _gather_cover(kernel, free, gens, p, c)
         kernel, free, cur = _syzygy(cover, p, c)
-        # spent: drop it before the next generator search, the step's peak
+        # spent: drop it before the next step
         cover = None
 
     return ResolutionData(M, tuple(betti), tuple(gen_columns))

@@ -2,7 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from grassvar import fp
 from grassvar.fp import (
     MatrixFp,
     PrimeField,
@@ -10,10 +13,13 @@ from grassvar.fp import (
     _gf2_unpack,
     _kernel_free,
     _matmul,
+    _pivot_columns,
     _rref,
     _rref_gf2,
     _rref_modp,
 )
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
 def test_prime_field_accepts_primes():
@@ -153,6 +159,58 @@ def test_kernel_matches_entrywise_reference_across_words():
             want, want_free = _reference_kernel(a, p)
             assert free == want_free
             assert k.dtype == want.dtype and np.array_equal(k, want)
+
+
+def _nonzeros(a):
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix over F_2, F_3 or F_5 whose rows each have their own density,
+    from empty to full, so singleton rows and rows that only the dense
+    remainder settles mix; widths cross a 64-bit word of the packed F_2
+    rows."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    m = draw(st.integers(0, 24))
+    n = draw(st.integers(0, 70))
+    densities = draw(st.lists(st.sampled_from([0, 0.02, 0.05, 0.1, 0.3, 0.6, 1]), min_size=m, max_size=m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = rng.random((m, n)) < np.array(densities, dtype=float).reshape(m, 1)
+    return p, mask * rng.integers(1, p, (m, n))
+
+
+@PROPERTY
+@given(sparse_matrices())
+def test_pivot_columns_match_rref(drawn):
+    p, a = drawn
+    assert _pivot_columns(*_nonzeros(a), a.shape, p) == _rref(a, p)[1]
+
+
+def test_pivot_columns_reduce_only_the_remainder(monkeypatch):
+    # over F_3: row 0 makes column 3 a pivot, which leaves row 1 a singleton
+    # in column 4 on the second round; rows 2-4 keep two live entries each
+    # and go to _rref on columns 0-2, where column 2 = column 0 + column 1
+    a = np.array([
+        [0, 0, 0, 2, 0],
+        [0, 0, 0, 1, 1],
+        [1, 2, 0, 0, 0],
+        [2, 1, 0, 0, 0],
+        [0, 1, 1, 0, 1],
+    ])
+    seen = []
+    rref = fp._rref
+    monkeypatch.setattr(fp, "_rref", lambda b, p: seen.append(b.copy()) or rref(b, p))
+    assert _pivot_columns(*_nonzeros(a), a.shape, 3) == [0, 1, 3, 4] == rref(a, 3)[1]
+    assert len(seen) == 1
+    assert seen[0].tolist() == [[1, 2, 0], [2, 1, 0], [0, 1, 1]]
+    # a permutation matrix with zero rows and columns needs no remainder
+    seen.clear()
+    b = np.zeros((6, 5), dtype=np.int64)
+    b[[0, 2, 5], [4, 1, 2]] = 1
+    assert _pivot_columns(*_nonzeros(b), b.shape, 2) == [1, 2, 4]
+    assert seen == []
 
 
 def test_matrix_constructor_and_entry_reduction():

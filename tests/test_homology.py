@@ -3,11 +3,12 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from grassvar import homology
+from grassvar import fp, homology
 from grassvar.errors import SyzygyLimitError
-from grassvar.fp import MatrixFp, PrimeField, _kernel_free
+from grassvar.fp import MatrixFp, PrimeField, _kernel_free, _rref
 from grassvar.homology import (
     ExtTable,
+    ResolutionData,
     betti_numbers,
     ext_dims,
     ext_eventually_zero,
@@ -186,6 +187,14 @@ def test_resolution_metadata():
             res.differential(i)
 
 
+def test_resolution_data_compares_and_hashes_by_identity(cold_memos):
+    res = resolve(_mod(F2, 2, [(1, 0), (0, 1)]), 3)
+    copy = ResolutionData(res.module, res.betti, tuple(H.copy() for H in res.gen_columns))
+    assert res == res and res != copy
+    assert hash(res) == hash(res)
+    assert len({res, copy}) == 2
+
+
 def test_resolve_rejects_bad_input():
     with pytest.raises(ValueError):
         resolve(_mod(F2, 2, [(1, 0)]), -1)
@@ -340,6 +349,40 @@ def test_differential_matches_regular_block_products():
                 want[:, e::m_alg] = (block @ H) % p
             got = res.differential(i)
             assert got.dtype == want.dtype and np.array_equal(got, want), (p, c, forms, i)
+
+
+def _conjugate(M, seed):
+    """M in a random dense basis: each action X becomes g X g^-1 for a
+    random invertible g, the inverse read off the rref of [g | 1]."""
+    p, n = M.p, M.n
+    rng = np.random.default_rng(seed)
+    while True:
+        g = rng.integers(0, p, (n, n))
+        red, piv = _rref(np.hstack([g, np.eye(n, dtype=np.int64)]), p)
+        if piv[:n] == list(range(n)):
+            break
+    g_inv = red[:, n:]
+    actions = tuple(MatrixFp(M.field, g @ X.array @ g_inv) for X in M.actions)
+    return KEModule(M.field, M.c, n, actions)
+
+
+def test_generators_of_a_dense_basis_match_the_stacked_rref(catalog, monkeypatch, cold_memos):
+    # dense actions leave few singleton rows, so the generator search runs
+    # through the dense remainder; the complement of the pivots of the
+    # stacked transposes is the reference
+    calls = []
+    monkeypatch.setattr(fp, "_rref", lambda b, q: calls.append(b.shape) or _rref(b, q))
+    through_remainder = 0
+    for p, c in [(2, 3), (3, 2)]:
+        for seed, M in enumerate(catalog[p, c].values()):
+            C = _conjugate(M, seed)
+            arrays = [X.array for X in C.actions]
+            piv = set(_rref(np.concatenate([a.T for a in arrays]), p)[1])
+            calls.clear()
+            assert homology._generator_indices(arrays, p) == [j for j in range(C.n) if j not in piv]
+            through_remainder += bool(calls)
+            assert betti_numbers(C, 4) == betti_numbers(M, 4)
+    assert through_remainder >= 8
 
 
 def test_ext_mismatched_modules_rejected():
