@@ -215,6 +215,10 @@ class MatrixFp:
     def __setattr__(self, name, value):
         raise AttributeError("MatrixFp is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, which __setattr__ allows
+        return (MatrixFp, (self.field, self._a))
+
     # construction helpers
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "MatrixFp":

@@ -8,6 +8,23 @@ block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
 membership are built on elimination with a fresh auxiliary variable.
 
+Every monomial order is one integer weight vector: a monomial's key is
+sum(w_i * e_i), the order's digits read in base B = 2^20.  Grevlex digits are
+(deg, -e_n, ..., -e_1), lex digits are e_1, ..., e_n, and a block order stacks
+the grevlex digits of the dropped variables above those of the kept ones.
+Comparing monomials is comparing ints, and the key is linear, so a shifted
+term's key is key(shift) + key(term).  The key is exact while every digit
+lies strictly between -B/2 and B/2, which holds while a monomial's total
+degree stays below B/2 = 524288.  The degree is checked wherever a key is
+formed or extended, and a monomial that reaches the bound raises ValueError.
+
+Normal forms are heap-driven (Monagan and Pearce, "Sparse polynomial
+division using a heap", 2011): pending terms sit in a max-heap of keys, the
+largest is popped and either kept or replaced by the shifted tail of the
+first reducer, by ascending lead, whose lead divides it.  Terms come out in
+descending order, so a remainder needs no sort, and S-polynomials are built
+straight into the pending terms.
+
 Interreduction is one pass: each polynomial, taken by ascending lead, is fully
 reduced by the monic ones kept before it.  A term is divisible only by leads
 no larger than itself, so a pass whose leads stay ascending leaves every
@@ -33,7 +50,8 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import add, itemgetter, le, mul, sub
+from typing import Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
 from .fp import PrimeField
@@ -91,14 +109,27 @@ class MonomialOrder:
         return MonomialOrder(self.kind)
 
 
-def _grevlex_key(e: Mono):
-    return (sum(e), tuple(-x for x in reversed(e)))
+# the digit base of the order keys, and the total degree below which every
+# digit lies strictly between -_BASE/2 and _BASE/2
+_BASE = 1 << 20
+_DEGREE_BOUND = _BASE // 2
+
+
+def _grevlex_weights(n: int) -> list[int]:
+    """Weights of the grevlex digits (deg, -e_n, ..., -e_1)."""
+    top = _BASE**n
+    return [top - _BASE**i for i in range(n)]
+
+
+def _degree_error(degree: int) -> ValueError:
+    return ValueError(
+        f"monomial of total degree {degree} reaches the order key's bound {_DEGREE_BOUND}")
 
 
 class PolyRing:
     """F_p[names] with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "_pos", "_keyfn", "_keycache")
+    __slots__ = ("field", "names", "order", "_pos", "_weights")
 
     def __init__(self, field: PrimeField, names: Sequence[str], order: MonomialOrder | None = None) -> None:
         names = tuple(names)
@@ -109,22 +140,27 @@ class PolyRing:
         self.names = names
         self.order = order
         self._pos = {n: i for i, n in enumerate(names)}
-        self._keyfn = self._build_keyfn()
-        self._keycache: dict[Mono, tuple] = {}
+        self._weights = self._build_weights()
 
-    def _build_keyfn(self) -> Callable[[Mono], tuple]:
+    def _build_weights(self) -> tuple[int, ...]:
+        n = len(self.names)
         if self.order.kind == "lex":
-            return lambda e: e
+            return tuple(_BASE ** (n - 1 - i) for i in range(n))
         if self.order.kind == "grevlex":
-            return _grevlex_key
+            return tuple(_grevlex_weights(n))
         missing = self.order.drop - set(self.names)
         if missing:
             raise ValueError(f"block order drops unknown variables {sorted(missing)}")
-        di = tuple(i for i, n in enumerate(self.names) if n in self.order.drop)
-        ki = tuple(i for i, n in enumerate(self.names) if n not in self.order.drop)
-        def key(e: Mono):
-            return (_grevlex_key(tuple(e[i] for i in di)), _grevlex_key(tuple(e[i] for i in ki)))
-        return key
+        # the drop block's grevlex digits stacked above the kept block's
+        di = [i for i, v in enumerate(self.names) if v in self.order.drop]
+        ki = [i for i, v in enumerate(self.names) if v not in self.order.drop]
+        shift = _BASE ** (len(ki) + 1)
+        w = [0] * n
+        for i, wi in zip(di, _grevlex_weights(len(di))):
+            w[i] = wi * shift
+        for i, wi in zip(ki, _grevlex_weights(len(ki))):
+            w[i] = wi
+        return tuple(w)
 
     @property
     def p(self) -> int:
@@ -148,12 +184,12 @@ class PolyRing:
     def __repr__(self) -> str:
         return f"PolyRing(F_{self.p}[{', '.join(self.names)}], {self.order.kind})"
 
-    def key(self, e: Mono) -> tuple:
-        k = self._keycache.get(e)
-        if k is None:
-            k = self._keyfn(e)
-            self._keycache[e] = k
-        return k
+    def key(self, e: Mono) -> int:
+        """The order's integer key of e; ValueError once its degree reaches
+        the key's bound."""
+        if sum(e) >= _DEGREE_BOUND:
+            raise _degree_error(sum(e))
+        return sum(map(mul, self._weights, e))
 
     # construction
     def from_dict(self, d: dict[Mono, int]) -> "Polynomial":
@@ -338,14 +374,6 @@ class Polynomial:
         inv = self.ring.field.inv(c)
         return self * inv
 
-    def mul_mono(self, e0: Mono, c0: int = 1) -> "Polynomial":
-        p = self.ring.p
-        c0 %= p
-        if c0 == 0:
-            return self.ring.zero
-        terms = tuple((tuple(a + b for a, b in zip(e, e0)), (c * c0) % p) for e, c in self.terms)
-        return Polynomial(self.ring, terms)
-
     def evaluate(self, values: Sequence[int]) -> int:
         """Value at a point of F_p^nvars."""
         if len(values) != self.ring.nvars:
@@ -447,63 +475,103 @@ def _mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(x if x > y else y for x, y in zip(a, b))
 
 
-def _support_mask(e: Mono) -> int:
-    """Bit i is set when variable i occurs in e."""
-    mask = 0
-    for i, x in enumerate(e):
-        if x:
-            mask |= 1 << i
-    return mask
-
-
-def _reducer(g: Polynomial):
-    """Reducer entry (lead, terms, lead support mask) of a monic polynomial."""
-    lm = g.lm()
-    return (lm, g.terms, _support_mask(lm))
-
-
-def _nf_dict(work: dict[Mono, int], reducers, ring: PolyRing) -> dict[Mono, int]:
-    """Full normal form of the term dict against monic reducers, which are
-    sorted by ascending lead."""
-    p = ring.p
+def _keyed(ring: PolyRing, terms) -> list:
+    """(key, monomial, coefficient) of each term."""
     key = ring.key
-    out: dict[Mono, int] = {}
-    work = dict(work)
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        # a reducer whose leading monomial has a variable outside m's
-        # support cannot divide m
-        outside = ~_support_mask(m)
+    return [(key(e), e, c) for e, c in terms]
+
+
+def _as_polynomial(ring: PolyRing, keyed) -> Polynomial:
+    """The polynomial of keyed terms given by descending key."""
+    return Polynomial(ring, tuple((e, c) for _, e, c in keyed))
+
+
+def _monic(keyed, field: PrimeField) -> list:
+    c0 = keyed[0][2]
+    if c0 == 1:
+        return keyed
+    inv, p = field.inv(c0), field.p
+    return [(k, e, c * inv % p) for k, e, c in keyed]
+
+
+def _reducer(keyed):
+    """Reducer entry (lead key, lead, excess, tail) of a monic polynomial
+    given as keyed terms by descending key.
+
+    The excess is the tail's largest degree minus the lead's, so reducing a
+    term of degree d forms monomials of degree at most d + excess.  It is
+    never positive under grevlex.
+    """
+    lk, lm, _ = keyed[0]
+    tail = tuple(keyed[1:])
+    excess = max((sum(e) for _, e, _ in tail), default=0) - sum(lm)
+    return (lk, lm, excess, tail)
+
+
+def _subtract_shifted(pending: dict, heap: list, reducer, shift_key: int, shift: Mono, c: int) -> None:
+    """Subtract c * shift * (reducer's tail) from the pending terms, a dict
+    key -> [coefficient, monomial] whose keys the heap holds negated, once
+    each.  Coefficients are reduced mod p when the term is popped."""
+    for gk, ge, gc in reducer[3]:
+        k = shift_key + gk
+        t = pending.get(k)
+        if t is None:
+            pending[k] = [-c * gc, tuple(map(add, shift, ge))]
+            heapq.heappush(heap, -k)
+        else:
+            t[0] -= c * gc
+
+
+def _reduce(pending: dict, heap: list, reducers, p: int) -> list:
+    """Full normal form of the pending terms against monic reducer entries
+    sorted by ascending lead key, as keyed terms by descending key.
+
+    The heap pops the largest pending term; it is kept when no lead divides
+    it, and otherwise replaced by the shifted reducer tail, whose terms are
+    all smaller.  So the output comes out sorted.
+    """
+    out = []
+    while heap:
+        k = -heapq.heappop(heap)
+        c, m = pending.pop(k)
+        c %= p
+        if not c:
+            continue
+        # a lead larger than m cannot divide it
         hit = None
-        for lm, terms, lmask in reducers:
-            if not lmask & outside and _divides(lm, m):
-                hit = (lm, terms)
+        for r in reducers:
+            if r[0] > k:
+                break
+            if all(map(le, r[1], m)):
+                hit = r
                 break
         if hit is None:
-            out[m] = c
+            out.append((k, m, c))
             continue
-        lm, terms = hit
-        shift = tuple(a - b for a, b in zip(m, lm))
-        for ge, gc in terms[1:]:
-            mm = tuple(a + b for a, b in zip(shift, ge))
-            v = (work.get(mm, 0) - c * gc) % p
-            if v:
-                work[mm] = v
-            elif mm in work:
-                del work[mm]
+        lk, lm, excess, _ = hit
+        if excess > 0 and sum(m) + excess >= _DEGREE_BOUND:
+            raise _degree_error(sum(m) + excess)
+        _subtract_shifted(pending, heap, hit, k - lk, tuple(map(sub, m, lm)), c)
     return out
+
+
+def _pending(ring: PolyRing, terms) -> tuple[dict, list]:
+    """Pending terms and their heap for _reduce, from distinct terms."""
+    pending = {k: [c, e] for k, e, c in _keyed(ring, terms)}
+    heap = [-k for k in pending]
+    heapq.heapify(heap)
+    return pending, heap
 
 
 def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomial:
     """Remainder of f under full reduction by the given (Groebner) basis."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
     ring = f.ring
-    reducers = sorted((_reducer(g.monic()) for g in polys if not g.is_zero()),
-                      key=lambda r: ring.key(r[0]))
+    reducers = sorted((_reducer(_keyed(ring, g.monic().terms)) for g in polys if not g.is_zero()),
+                      key=itemgetter(0))
     if not reducers:
         return f
-    return ring.from_dict(_nf_dict(dict(f.terms), reducers, ring))
+    return _as_polynomial(ring, _reduce(*_pending(ring, f.terms), reducers, ring.p))
 
 
 # --- Buchberger ----------------------------------------------------------------
@@ -524,12 +592,13 @@ def _autoreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list[Polynomial]
     kept: list[Polynomial] = []
     reducers: list = []
     for terms in items:
-        r = ring.from_dict(_nf_dict(dict(terms), reducers, ring)).monic()
-        if r.is_zero():
+        r = _reduce(*_pending(ring, terms), reducers, ring.p)
+        if not r:
             continue
-        kept.append(r)
+        r = _monic(r, ring.field)
+        kept.append(_as_polynomial(ring, r))
         # r is reduced by every kept lead, so its lead is new
-        bisect.insort(reducers, _reducer(r), key=lambda t: key(t[0]))
+        bisect.insort(reducers, _reducer(r), key=itemgetter(0))
     return kept
 
 
@@ -596,10 +665,12 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     for j in range(len(G)):
         push_pairs(j)
 
-    # G is interreduced, so its leads are distinct and ascending
-    reducers = [_reducer(g) for g in G]
+    # reducer entries by basis index; G is interreduced, so its leads are
+    # distinct and ascending
+    entries = [_reducer(_keyed(ring, g.terms)) for g in G]
+    reducers = list(entries)
     while heap:
-        sugar, _, i, j, l = heapq.heappop(heap)
+        sugar, kl, i, j, l = heapq.heappop(heap)
         if (i, j) not in active:
             continue
         active.discard((i, j))
@@ -624,21 +695,30 @@ def buchberger_reduced(I: Ideal) -> Ideal:
         if pool[1] > pool[0]:
             raise GroebnerBudgetError(
                 f"Groebner pair budget exceeded ({pool[0]} reductions)")
-        # S-polynomial of monic pair
-        fi, fj = G[i], G[j]
-        s = fi.mul_mono(tuple(a - b for a, b in zip(l, li))) - fj.mul_mono(
-            tuple(a - b for a, b in zip(l, lj)))
-        r = ring.from_dict(_nf_dict(dict(s.terms), reducers, ring))
-        if r.is_zero():
+        # S-polynomial of the monic pair, built as pending terms: the leads
+        # cancel, and the tails shifted to l are added and subtracted;
+        # under grevlex no shifted term outgrows l's degree
+        a, b = entries[i], entries[j]
+        excess = max(a[2], b[2])
+        if excess > 0 and sum(l) + excess >= _DEGREE_BOUND:
+            raise _degree_error(sum(l) + excess)
+        pending: dict = {}
+        pending_heap: list = []
+        _subtract_shifted(pending, pending_heap, a, kl - a[0], tuple(map(sub, l, li)), -1)
+        _subtract_shifted(pending, pending_heap, b, kl - b[0], tuple(map(sub, l, lj)), 1)
+        r = _reduce(pending, pending_heap, reducers, ring.p)
+        if not r:
             continue
-        r = r.monic()
-        if r.is_one():
+        r = _monic(r, ring.field)
+        if not any(r[0][1]):
             return Ideal(ring, (ring.one,))
-        G.append(r)
-        lms.append(r.lm())
-        ecart.append(max(sugar, r.total_degree()) - sum(r.lm()))
+        g = _as_polynomial(ring, r)
+        G.append(g)
+        lms.append(g.lm())
+        ecart.append(max(sugar, g.total_degree()) - sum(g.lm()))
+        entries.append(_reducer(r))
         # r is reduced by every lead in G, so its lead is new
-        bisect.insort(reducers, _reducer(r), key=lambda t: key(t[0]))
+        bisect.insort(reducers, entries[-1], key=itemgetter(0))
         push_pairs(len(G) - 1)
 
     # G is a Groebner basis, so one ascending-lead pass reduces it

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -228,6 +230,15 @@ def test_matrix_is_immutable():
         m.field = F
     with pytest.raises(ValueError):
         m.array[0, 0] = 0
+
+
+def test_matrix_round_trips_through_pickle_and_copy():
+    F = PrimeField(3)
+    m = MatrixFp(F, [[1, 2], [0, 1]])
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m), copy.copy(m)):
+        assert twin == m and hash(twin) == hash(m)
+        with pytest.raises(ValueError):
+            twin.array[0, 0] = 0
 
 
 def test_matrix_arithmetic():

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -225,3 +227,9 @@ def test_from_dict_rejects_garbage():
 def test_module_equality():
     assert regular_module(F2, 2) == regular_module(F2, 2)
     assert regular_module(F2, 2) != regular_module(F3, 2)
+
+
+def test_module_deep_copies():
+    M = quotient_by_linear_forms(F3, 2, [(1, 2)])
+    twin = copy.deepcopy(M)
+    assert twin == M and twin.actions[0] is not M.actions[0]

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grassvar.errors import GroebnerBudgetError
 from grassvar.fp import PrimeField
 from grassvar.poly import (
+    _DEGREE_BOUND,
     Ideal,
     MonomialOrder,
     PolyRing,
@@ -74,6 +77,81 @@ def test_block_order_drop_variables_dominate():
     t, x = r.gens()
     f = t + x**7
     assert f.lm() == (1, 0)
+
+
+# The tuple keys the orders were first defined by, kept here as the oracle of
+# the integer weight keys.
+def _grevlex_tuple(e):
+    return (sum(e), tuple(-x for x in reversed(e)))
+
+
+def _tuple_key(r, e):
+    if r.order.kind == "lex":
+        return e
+    if r.order.kind == "grevlex":
+        return _grevlex_tuple(e)
+    drop = [x for n, x in zip(r.names, e) if n in r.order.drop]
+    kept = [x for n, x in zip(r.names, e) if n not in r.order.drop]
+    return (_grevlex_tuple(tuple(drop)), _grevlex_tuple(tuple(kept)))
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+@st.composite
+def rings_and_monomials(draw):
+    """A lex, grevlex or block ring in up to 12 variables and a few of its
+    monomials, each below the degree bound, some of them near it."""
+    n = draw(st.integers(1, 12))
+    names = [f"x{i}" for i in range(n)]
+    kind = draw(st.sampled_from(["lex", "grevlex", "block"]))
+    if kind == "block":
+        order = MonomialOrder.block(draw(st.sets(st.sampled_from(names), min_size=1)))
+    else:
+        order = MonomialOrder(kind)
+    top = (_DEGREE_BOUND - 1) // n
+    exponent = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
+    monos = draw(st.lists(st.tuples(*[exponent] * n), min_size=2, max_size=8))
+    return PolyRing(F2, names, order), monos
+
+
+@PROPERTY
+@given(rings_and_monomials())
+def test_integer_keys_order_as_tuple_keys(drawn):
+    r, monos = drawn
+    for a in monos:
+        for b in monos:
+            assert (r.key(a) < r.key(b)) == (_tuple_key(r, a) < _tuple_key(r, b))
+            assert (r.key(a) == r.key(b)) == (a == b)
+
+
+@PROPERTY
+@given(rings_and_monomials())
+def test_integer_keys_are_linear(drawn):
+    r, monos = drawn
+    a, b = monos[0], monos[1]
+    half_a = tuple(x // 2 for x in a)
+    half_b = tuple(x // 2 for x in b)
+    total = tuple(x + y for x, y in zip(half_a, half_b))
+    assert r.key(total) == r.key(half_a) + r.key(half_b)
+
+
+def test_degree_bound_raises():
+    r = ring(order=MonomialOrder.lex())
+    below = r.from_dict({(_DEGREE_BOUND - 1, 0, 0): 1})
+    assert below.lm() == (_DEGREE_BOUND - 1, 0, 0)
+    with pytest.raises(ValueError, match=str(_DEGREE_BOUND)):
+        r.from_dict({(_DEGREE_BOUND - 2, 1, 1): 1})
+    # under lex, reducing x*y by x - y^(bound - 1) reaches y^bound
+    x, y, z = r.gens()
+    g = x - r.from_dict({(0, _DEGREE_BOUND - 1, 0): 1})
+    with pytest.raises(ValueError, match=str(_DEGREE_BOUND)):
+        normal_form(x * y, [g])
+    # so does the S-polynomial y*(x*z - y^(bound - 1)) - z*(x*y) of two
+    # interreduced generators
+    h = x * z - r.from_dict({(0, _DEGREE_BOUND - 1, 0): 1})
+    with pytest.raises(ValueError, match=str(_DEGREE_BOUND)):
+        buchberger_reduced(ideal(r, [h, x * y]))
 
 
 def test_ring_equality_is_structural():

@@ -1,12 +1,13 @@
-"""Reduced Groebner bases checked against sympy, which shares no code with
-grassvar's Buchberger.  Skipped when sympy is not installed."""
+"""Reduced Groebner bases, normal forms and eliminations checked against
+sympy, which shares no code with grassvar's Buchberger.  Skipped when sympy
+is not installed."""
 
 import random
 
 import pytest
 
 from grassvar.fp import PrimeField
-from grassvar.poly import MonomialOrder, PolyRing, buchberger_reduced, ideal
+from grassvar.poly import MonomialOrder, PolyRing, buchberger_reduced, eliminate, ideal, normal_form
 
 sympy = pytest.importorskip("sympy")
 
@@ -26,8 +27,14 @@ def _random_form_terms(rng, p):
 
 
 def _basis_terms(polys):
-    """Each generator as its set of (exponent, coefficient) terms."""
-    return {frozenset(terms) for terms in polys}
+    """Each generator as its sequence of (exponent, coefficient) terms."""
+    return {tuple(terms) for terms in polys}
+
+
+def _sympy_terms(poly, order, p):
+    """sympy's nonzero terms in its own descending order, coefficients mod p
+    (sympy reports them in the symmetric range, and 0 as one zero term)."""
+    return [(e, int(c) % p) for e, c in poly.terms(order=order) if int(c) % p]
 
 
 def _ours(ring, terms):
@@ -53,12 +60,17 @@ def _check_against_sympy(p, order, seed, terms=_random_terms):
             modulus=p,
             order=order,
         )
-        # sympy reports coefficients mod p in the symmetric range
-        want = _basis_terms(
-            [(e, int(c) % p) for e, c in g.terms()] for g in theirs.polys
-        )
+        want = _basis_terms(_sympy_terms(g, order, p) for g in theirs.polys)
         assert len(ours.gens) == len(theirs.polys), ideal_terms
         assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
+        # the remainder by a Groebner basis is unique, whatever the division
+        f_terms = _random_terms(rng, p) + _random_terms(rng, p)
+        f_terms = list({e: c for e, c in f_terms}.items())
+        _, rem = sympy.reduced(_theirs(symbols, f_terms), theirs.exprs, *symbols,
+                               modulus=p, order=order)
+        rem = sympy.Poly(rem, *symbols, modulus=p)
+        nf = normal_form(_ours(ring, f_terms), ours)
+        assert list(nf.terms) == _sympy_terms(rem, order, p), (ideal_terms, f_terms)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -71,3 +83,27 @@ def test_reduced_lex_basis_matches_sympy(p):
     # homogeneous input takes pairs by sugar, the rest by smallest lcm
     _check_against_sympy(p, "lex", 200 + p)
     _check_against_sympy(p, "lex", 300 + p, _random_form_terms)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_block_elimination_matches_sympy(p):
+    # a lex basis eliminates every leading variable; sympy's grevlex basis of
+    # the elements free of the dropped ones is the reduced basis that
+    # eliminate() computes under a block order
+    rng = random.Random(400 + p)
+    ring = PolyRing(PrimeField(p), ["x", "y", "z"])
+    symbols = sympy.symbols("x y z")
+    for drop in (["x"], ["x", "y"]) * 5:
+        ideal_terms = [_random_terms(rng, p) for _ in range(rng.randint(2, 3))]
+        ours = eliminate(ideal(ring, [_ours(ring, t) for t in ideal_terms]), drop)
+        lex = sympy.groebner([_theirs(symbols, t) for t in ideal_terms], *symbols,
+                             modulus=p, order="lex")
+        kept = symbols[len(drop):]
+        free = [g for g in lex.exprs if not (g.free_symbols & set(symbols[:len(drop)]))]
+        if not free:
+            assert ours.gens == (), ideal_terms
+            continue
+        theirs = sympy.groebner(free, *kept, modulus=p, order="grevlex")
+        want = _basis_terms(_sympy_terms(g, "grevlex", p) for g in theirs.polys)
+        assert len(ours.gens) == len(theirs.polys), ideal_terms
+        assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
