@@ -35,8 +35,8 @@ import numpy as np
 
 from .errors import SubspaceLimitError
 from .fp import MatrixFp, PrimeField, _rref
-from .homology import ext_eventually_zero
-from .modules import KEModule, restrict_to_subspace
+from .homology import _hom_projective
+from .modules import KEModule, _restricted_arrays
 from .poly import (
     Ideal,
     Polynomial,
@@ -354,18 +354,25 @@ def oracle_membership(
 
     Returns (geometric, homological).  The geometric answer scans the nonzero
     rational points of W for one lying on the order-one variety of the pair;
-    the homological answer restricts both modules to the subalgebra on a basis
-    of W and asks whether Ext fails to vanish eventually, decided exactly by
-    ext_eventually_zero as projectivity of the restricted Hom_k(M, N).  The
-    homological answer is exact; a geometric hit is always definitive, but a
-    miss can be a field-size artifact when the order-one variety has no
-    rational points on W, so equality of the two flags is guaranteed only
-    when that variety is a union of subspaces defined over the base field.
+    the homological answer restricts both modules to the subalgebra on the
+    echelon basis of W and asks whether Ext fails to vanish eventually,
+    decided exactly, as in ext_eventually_zero, by Higman's criterion: the
+    restricted Hom_k(M, N) is projective exactly when p^d times the rank of
+    its h x h PHom matrix is h = dim M * dim N.  The restricted action
+    arrays are read straight off W's basis, with no KEModule built: W is
+    already a validated Subspace, and combinations of M's actions satisfy the
+    module axioms.  The homological answer is exact; a geometric hit is
+    always definitive, but a miss can be a field-size artifact when the
+    order-one variety has no rational points on W, so equality of the two
+    flags is guaranteed only when that variety is a union of subspaces
+    defined over the base field.
     """
     if W.field != M.field:
         raise ValueError(f"subspace over F_{W.field.p}, modules over F_{M.p}")
     if W.c != M.c or W.d != d:
         raise ValueError("subspace does not match the modules or dimension")
+    if N.field != M.field or N.c != M.c:
+        raise ValueError("modules must share the same p and c")
     if pair_ideal is None:
         pair_ideal = pair_variety_ideal(M, N)
     p = M.p
@@ -380,7 +387,8 @@ def oracle_membership(
         if point_in_rank_variety(pair_ideal, u):
             geometric = True
             break
-    MW = restrict_to_subspace(M, rows)
-    NW = restrict_to_subspace(N, rows)
-    homological = not ext_eventually_zero(MW, NW)
+    forms = W.basis.array
+    homological = not _hom_projective(
+        _restricted_arrays(M, forms), _restricted_arrays(N, forms), p
+    )
     return geometric, homological

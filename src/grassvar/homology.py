@@ -24,7 +24,11 @@ same gather run over every row of the columns of d_i.
 
 Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled from the
 generator columns of each differential.  Eventual vanishing of Ext needs no
-resolution: it is decided by one rank on Hom_k(M, N).
+resolution: it is decided by Higman's criterion, Hom_k(M, N) being free
+exactly when p^c times the dimension of PHom(M, N), the maps that factor
+through a projective, is dim M * dim N.  PHom is spanned by the columns of
+one h x h product of monomial covers, h = dim M * dim N, so the test is one
+product and one rank on h^2 cells.
 """
 
 from __future__ import annotations
@@ -38,13 +42,13 @@ from .errors import SyzygyLimitError
 from .fp import MatrixFp, _kernel_free, _matmul, _pivot_columns, _rref
 from .modules import KEModule
 
-# Free covers, their kernels, Ext cochain matrices and the Hom radical matrix
-# of ext_eventually_zero are dense int64 matrices; each is refused past this
-# many cells (80 MB).  A syzygy step peaks at about eight matrices of its
-# cover's size while the kernel of the cover is found (tracemalloc over
-# resolve(k, 26) on (p, c) = (2, 3): 239 MB at a 30 MB cover, with the
-# previous kernel and actions still held), so a step at the cap peaks near
-# 640 MB.  The generator search reads only nonzeros and adds next to nothing.
+# Free covers, their kernels, Ext cochain matrices and the h x h PHom matrix
+# of ext_eventually_zero (h^2 cells for h = dim M * dim N) are dense int64
+# matrices; each is refused past this many cells (80 MB).  A syzygy step
+# peaks at about eight matrices of its cover's size while the kernel of the
+# cover is found (tracemalloc over resolve(k, 26) on (p, c) = (2, 3):
+# 239 MB at a 30 MB cover, with the previous kernel and actions still held),
+# so a step at the cap peaks near 640 MB.  The generator search reads only nonzeros and adds next to nothing.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -335,6 +339,45 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
     return ExtTable(M, N, tuple(dims))
 
 
+def _hom_projective(XM: list[np.ndarray], XN: list[np.ndarray], p: int) -> bool:
+    """Whether Hom_k(M, N) is projective over kE, for modules M and N given
+    by their action arrays XM and XN over the same c generators.
+
+    H = Hom_k(M, N) is free exactly when p^c * dim PHom(M, N) = dim H
+    (Higman's criterion): PHom is the image of the norm element
+    prod_i x_i^(p-1) on H, whose rank counts the free summands of H.  So the
+    answer is False at once when p^c does not divide h = dim H.  Otherwise
+    PHom is spanned by the maps that factor through the cover kE^n -> N
+    sending e_t to basis vector n_t.  kE is a Frobenius algebra, so every map
+    M -> kE is m -> sum_e lambda(x^(e^ - e) m) x^e for a functional lambda,
+    with e^ the top monomial; one spanning map per (n_t, basis functional
+    lambda) has entry (i, j) equal to sum_e (x^e n_t)_i (x^(e^ - e))_{lambda j}.
+    Digit-wise subtraction from e^ never borrows, so x^(e^ - e) is monomial
+    index q - 1 - e for q = p^c, and the h x h spanning matrix is one product
+    of the two modules' monomial covers.  SyzygyLimitError is raised before
+    it is built if it, or either cover, has more than DEFAULT_CELL_CAP cells.
+    """
+    q = p ** len(XM)
+    m, n = XM[0].shape[0], XN[0].shape[0]
+    h = m * n
+    if h % q:
+        return False
+    if h == 0:
+        return True
+    cells = max(h * h, q * m * m, q * n * n)
+    if cells > DEFAULT_CELL_CAP:
+        raise SyzygyLimitError(
+            f"PHom matrix of a dimension-{h} Hom space and its covers need "
+            f"{cells} cells, over the cap of {DEFAULT_CELL_CAP}"
+        )
+    # left[(i, t), e] = (x^e n_t)_i and right[e, (j, lam)] = (x^(q-1-e))_{lam j}
+    left = _product_cover(XN, list(range(n)), p).reshape(n * n, q)
+    right = _product_cover(XM, list(range(m)), p).reshape(m, m, q)[:, :, ::-1]
+    right = right.transpose(2, 1, 0).reshape(q, m * m)
+    phom = _matmul(left, right, p).reshape(n, n, m, m).transpose(0, 2, 1, 3)
+    return q * len(_rref(phom.reshape(h, h), p)[1]) == h
+
+
 def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     """Whether Ext^i(M, N) vanishes for all large i, decided exactly.
 
@@ -342,36 +385,15 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     Ext^i(M, N) = Ext^i(k, H) for H = Hom_k(M, N) with g acting by
     f -> g f g^-1.  By the Avrunin-Scott/Carlson tensor-product theorem
     (Benson, Representations and Cohomology II) Ext^i(k, H) vanishes for all
-    large i exactly when H is projective, that is free: dim H equals p^c
-    times dim H / rad H.  On column-major vec(f), x_i acts on H by
-    (G_M^-T kron G_N) - I with G = 1 + X, and rad H is the span of the
-    images of those c matrices, so the test is one rank computation.  The
-    radical matrix is dense with c * h^2 cells for h = dim M * dim N, and
-    SyzygyLimitError is raised before it is built if that exceeds
-    DEFAULT_CELL_CAP.
+    large i exactly when H is projective.  That is decided by the rank of
+    PHom(M, N), the maps that factor through a projective (_hom_projective;
+    Benson, Representations and Cohomology I, 3.6): one h x h matrix of h^2
+    cells for h = dim M * dim N, none at all when p^c does not divide h.
+    SyzygyLimitError is raised before a matrix of more than DEFAULT_CELL_CAP
+    cells is built.
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    p, c = M.p, M.c
-    h = M.n * N.n
-    if h == 0:
-        return True
-    if c * h * h > DEFAULT_CELL_CAP:
-        raise SyzygyLimitError(
-            f"Hom space needs a {c * h}x{h} radical matrix of {c * h * h} cells, "
-            f"over the cap of {DEFAULT_CELL_CAP}"
-        )
-    eye = np.eye(h, dtype=np.int64)
-    blocks = []
-    for X, Y in zip(M.actions, N.actions):
-        # (1 + X)^-1 = sum_{k < p} (-X)^k, since X^p = 0
-        neg = (-X.array) % p
-        inv = term = np.eye(M.n, dtype=np.int64)
-        for _ in range(p - 1):
-            term = _matmul(term, neg, p)
-            inv = (inv + term) % p
-        g_n = (np.eye(N.n, dtype=np.int64) + Y.array) % p
-        # rows of A_i^T, so the rank loop runs over h columns, not c * h
-        blocks.append((np.kron(inv.T, g_n) - eye).T % p)
-    rank = len(_rref(np.concatenate(blocks, axis=0), p)[1])
-    return h == p**c * (h - rank)
+    return _hom_projective(
+        [a.array for a in M.actions], [a.array for a in N.actions], M.p
+    )

@@ -216,8 +216,20 @@ def restrict_to_subspace(M: KEModule, basis: Sequence) -> KEModule:
     rows = np.array([f.coeffs for f in forms], dtype=np.int64)
     if len(_rref(rows, M.p)[1]) != len(forms):
         raise ValueError("restriction basis is not independent")
-    acts = tuple(action_of(M, f) for f in forms)
+    acts = tuple(MatrixFp(M.field, a) for a in _restricted_arrays(M, rows))
     return KEModule(M.field, len(forms), M.n, acts)
+
+
+def _restricted_arrays(M: KEModule, forms: np.ndarray) -> list[np.ndarray]:
+    """The arrays of sum_i forms[r, i] * X_i on M, one per row r of the
+    d x c array `forms`, reduced mod p.
+
+    For independent rows they are the actions of M restricted to the
+    subalgebra the forms generate, and they need no check: combinations of
+    commuting X_i commute, and u^p = sum_i a_i^p X_i^p = 0 in characteristic p.
+    """
+    stacked = np.stack([a.array for a in M.actions]).reshape(M.c, M.n * M.n)
+    return list((forms @ stacked % M.p).reshape(len(forms), M.n, M.n))
 
 
 def jordan_type(M: KEModule, u) -> tuple:

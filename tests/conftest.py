@@ -47,6 +47,13 @@ def catalog():
 
 
 @pytest.fixture(scope="session")
+def hom_catalog(catalog):
+    """The catalog over CONTEXTS and also over (3,3) and (5,2), where no
+    minors are needed: for tests of Hom projectivity alone."""
+    return {**catalog, **{(p, c): build_catalog(p, c) for p, c in [(3, 3), (5, 2)]}}
+
+
+@pytest.fixture(scope="session")
 def f2():
     return PrimeField(2)
 

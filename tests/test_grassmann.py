@@ -358,6 +358,16 @@ def test_oracle_membership_known_answers(catalog):
         oracle_membership(M, M, 2, on)
 
 
+def test_oracle_membership_rejects_a_mismatched_target(catalog):
+    # a given pair ideal does not excuse a target over another p or c
+    M, k = catalog[(2, 3)]["R/x1"], catalog[(2, 3)]["k"]
+    on = subspace_from_rows(F2, [(1, 0, 0)])
+    pair = pair_variety_ideal(M, k)
+    for other in (catalog[(3, 2)]["k"], catalog[(2, 2)]["k"]):
+        with pytest.raises(ValueError, match="same p and c"):
+            oracle_membership(M, other, 1, on, pair_ideal=pair)
+
+
 def test_oracle_membership_rejects_another_prime_field(catalog):
     # the F_3 line through (1, 2) read mod 2 is the F_2 line through (1, 0),
     # which lies on the variety of kE/(x1): the answer would be for that line

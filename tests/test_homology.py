@@ -1,11 +1,13 @@
+import itertools
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from grassvar import fp, homology
-from grassvar.errors import SyzygyLimitError
+from grassvar.errors import MinorLimitError, SyzygyLimitError
 from grassvar.fp import MatrixFp, PrimeField, _kernel_free, _rref
+from grassvar.grassmann import enumerate_subspaces, oracle_membership
 from grassvar.homology import (
     ExtTable,
     ResolutionData,
@@ -21,8 +23,10 @@ from grassvar.modules import (
     dual,
     quotient_by_linear_forms,
     regular_module,
+    restrict_to_subspace,
     zero_module,
 )
+from grassvar.rankvariety import pair_variety_ideal
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -423,20 +427,121 @@ def test_ext_eventually_zero_rejects_non_modules():
 
 
 def test_ext_eventually_zero_caps_the_hom_space():
-    # trivial action on k^300: c * dim Hom = 2 * 300 * 300 is over the cap
+    # trivial action on k^300: the PHom matrix of the 90000-dimensional Hom
+    # space has 90000^2 cells, over the cap
     n = 300
     big = KEModule(F2, 2, n, (MatrixFp.zeros(F2, n, n),) * 2)
     with pytest.raises(SyzygyLimitError):
         ext_eventually_zero(big, big)
 
 
-def test_ext_eventually_zero_caps_the_hom_space_cells():
-    # trivial actions on k^55 over c = 3: the radical matrix has only
-    # 3 * 55^2 = 9075 rows, but 3 * 55^4 cells
+def test_ext_eventually_zero_caps_the_hom_space_cells(monkeypatch):
+    # trivial actions over c = 3: on k^64 the PHom matrix has only 64^2 = 4096
+    # rows, but 4096^2 = 16.8 M cells
+    n = 64
+    M = KEModule(F2, 3, n, (MatrixFp.zeros(F2, n, n),) * 3)
+    with pytest.raises(SyzygyLimitError, match="16777216 cells"):
+        ext_eventually_zero(M, M)
+    # on k^55, 8 does not divide 55^2, so Hom is not free and no matrix is
+    # built: the answer needs no cells at all
     n = 55
     M = KEModule(F2, 3, n, (MatrixFp.zeros(F2, n, n),) * 3)
-    with pytest.raises(SyzygyLimitError):
-        ext_eventually_zero(M, M)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 0)
+    assert not ext_eventually_zero(M, M)
+
+
+def test_ext_eventually_zero_reaches_dimension_54_over_3_3():
+    # M = kE + 3 kE/(x1) has dimension 27 + 3 * 9 = 54 over (3,3); a c * h x h
+    # radical matrix of Hom(M, M) would need 3 * 2916^2 = 25.5 M cells, the
+    # h x h PHom matrix needs 8.5 M.  V(M) is the line of x1, which meets
+    # V(kE/(x2) + kE/(x3)) only at 0.
+    q = [_mod(F3, 3, [f]) for f in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]]
+    kE = regular_module(F3, 3)
+    M = direct_sum(direct_sum(direct_sum(kE, q[0]), q[0]), q[0])
+    N = direct_sum(direct_sum(direct_sum(kE, q[1]), q[2]), q[1])
+    assert M.n == N.n == 54
+    assert not ext_eventually_zero(M, M)
+    assert ext_eventually_zero(M, N)
+
+
+def _rank_mod_p(a, p):
+    """Rank over F_p by forward elimination, sharing no code with fp."""
+    a = a % p
+    rank = 0
+    for j in range(a.shape[1]):
+        nz = np.flatnonzero(a[rank:, j])
+        if nz.size == 0:
+            continue
+        a[[rank, rank + nz[0]]] = a[[rank + nz[0], rank]]
+        row = a[rank, j:] * pow(int(a[rank, j]), p - 2, p) % p
+        hit = rank + 1 + np.flatnonzero(a[rank + 1 :, j])
+        a[hit, j:] = (a[hit, j:] - np.outer(a[hit, j], row)) % p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+def _radical_rank_free(M, N):
+    """Reference for ext_eventually_zero by a route it does not share: whether
+    H = Hom_k(M, N) is free, as dim H = p^c dim H / rad H.
+
+    With G = 1 + X, x_i acts on column-major vec(f) by
+    A_i = (G_M^-T kron G_N) - I, and rad H is the span of the images of
+    those c matrices, so the test is one rank of the dense h x c * h matrix
+    [A_1 .. A_c].
+    """
+    p = M.p
+    h = M.n * N.n
+    if h == 0:
+        return True
+    blocks = []
+    for X, Y in zip(M.actions, N.actions):
+        # (1 + X)^-1 = sum_{k < p} (-X)^k, since X^p = 0
+        neg = (-X.array) % p
+        inv = term = np.eye(M.n, dtype=np.int64)
+        for _ in range(p - 1):
+            term = (term @ neg) % p
+            inv = (inv + term) % p
+        g_n = (np.eye(N.n, dtype=np.int64) + Y.array) % p
+        blocks.append(np.kron(inv.T, g_n) - np.eye(h, dtype=np.int64))
+    return h == p**M.c * (h - _rank_mod_p(np.concatenate(blocks, axis=1), p))
+
+
+def test_hom_projectivity_agrees_with_the_radical_rank(hom_catalog):
+    # every pair of the catalog, and of its restrictions to every rational
+    # W, over (2,2), (3,2), (2,3), (3,3) and (5,2); the oracle's homological
+    # flag reads the restricted arrays straight off W, so it is checked
+    # against restrict_to_subspace wherever the pair's order-one ideal is
+    # within the minor caps
+    answers = set()
+    oracle_checks = 0
+    for (p, c), cat in hom_catalog.items():
+        field = PrimeField(p)
+        pairs = list(itertools.product(cat.values(), repeat=2))
+        for M, N in pairs:
+            assert ext_eventually_zero(M, N) == _radical_rank_free(M, N), (p, c)
+        ideals = {}
+        for M, N in pairs:
+            try:
+                ideals[M, N] = pair_variety_ideal(M, N)
+            except MinorLimitError:
+                pass
+        for d in range(1, c + 1):
+            for W in enumerate_subspaces(field, c, d):
+                rows = W.rows()
+                for M, N in pairs:
+                    MW = restrict_to_subspace(M, rows)
+                    NW = restrict_to_subspace(N, rows)
+                    vanishes = ext_eventually_zero(MW, NW)
+                    assert vanishes == _radical_rank_free(MW, NW), (p, c, rows)
+                    answers.add(vanishes)
+                    if (M, N) in ideals:
+                        _, homological = oracle_membership(M, N, d, W, ideals[M, N])
+                        assert homological == (not vanishes), (p, c, rows)
+                        oracle_checks += 1
+    assert answers == {False, True}
+    assert oracle_checks > 2000
 
 
 def test_ext_dims_caps_the_cochain_cells(monkeypatch, cold_memos):

@@ -1,5 +1,6 @@
-"""Property tests of resolutions and Ext on modules drawn from quotients,
-direct sums, duals and syzygies over (p, c) = (2, 2), (3, 2) and (2, 3).
+"""Property tests of resolutions, Ext and its eventual vanishing on modules
+drawn from quotients, direct sums, duals and syzygies over (p, c) = (2, 2),
+(3, 2) and (2, 3).
 
 The examples are derandomized and bounded, so every run draws the same
 modules and the suite stays deterministic.
@@ -10,8 +11,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grassvar.fp import PrimeField, _rref
-from grassvar.homology import betti_numbers, ext_dims, syzygy_step
-from grassvar.modules import direct_sum, dual, quotient_by_linear_forms
+from grassvar.homology import betti_numbers, ext_dims, ext_eventually_zero, syzygy_step
+from grassvar.modules import direct_sum, dual, quotient_by_linear_forms, regular_module
 
 CONTEXTS = [(2, 2), (3, 2), (2, 3)]
 BOUND = 4
@@ -83,3 +84,36 @@ def test_ext0_is_the_dimension_of_hom(triple):
 def test_betti_numbers_shift_under_syzygy(M):
     # the minimal resolution of M from degree 1 on resolves Omega M minimally
     assert betti_numbers(syzygy_step(M)[1], BOUND) == betti_numbers(M, BOUND + 1)[1:]
+
+
+# Eventual vanishing of Ext(M, N) is projectivity of Hom_k(M, N) = M* (x) N,
+# so these hold with no variety theory: the dual of a projective is
+# projective, kE (x) X is free, and a sum is projective exactly when each
+# summand is.
+
+
+@PROPERTY
+@given(module_triples())
+def test_ext_eventually_zero_is_symmetric_and_dual(triple):
+    M, N, _ = triple
+    vanishes = ext_eventually_zero(M, N)
+    assert ext_eventually_zero(N, M) == vanishes
+    assert ext_eventually_zero(dual(N), dual(M)) == vanishes
+
+
+@PROPERTY
+@given(st.sampled_from(CONTEXTS).flatmap(lambda pc: modules(*pc)))
+def test_ext_eventually_zero_against_the_regular_module(M):
+    kE = regular_module(M.field, M.c)
+    assert ext_eventually_zero(M, kE)
+    assert ext_eventually_zero(kE, M)
+
+
+@PROPERTY
+@given(module_triples())
+def test_ext_eventually_zero_is_additive(triple):
+    M, M2, N = triple
+    both = ext_eventually_zero(M, N) and ext_eventually_zero(M2, N)
+    assert ext_eventually_zero(direct_sum(M, M2), N) == both
+    both = ext_eventually_zero(N, M) and ext_eventually_zero(N, M2)
+    assert ext_eventually_zero(N, direct_sum(M, M2)) == both
