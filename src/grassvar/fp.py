@@ -9,7 +9,11 @@ packed into 64-bit words by np.packbits.  Both reduction paths produce the
 ran.  The kernel basis is read off that form by two scatters: one writes its
 identity block on the free columns, one its pivot rows.  When only the pivot
 columns are needed, _pivot_columns finds them from a matrix's nonzeros,
-reducing densely only what singleton pruning leaves.
+reducing densely only what singleton pruning leaves.  When only the rank is
+needed, _rank is the one routine: over F_2 it packs each row into a Python
+int and XOR-reduces it against pivots keyed by their highest bit, so its
+Python work follows the rank, not the columns; over odd p it counts the
+pivots of _rref_modp.
 """
 
 from __future__ import annotations
@@ -138,6 +142,44 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     if p == 2:
         return _rref_gf2(a)
     return _rref_modp(a, p)
+
+
+def _rank(a: np.ndarray, p: int) -> int:
+    """The rank of a over F_p, the number of pivots _rref finds; the entries
+    need not be reduced mod p.
+
+    Over F_2 each row, packed by _gf2_pack, is read as one little-endian
+    Python int, bit j for column j, and XOR-reduced against the pivot rows
+    kept so far, keyed by their highest set bit: a row whose highest bit has
+    a pivot is reduced by it, and one whose highest bit has none is a new
+    pivot.  The Python work grows with the rows and the rank, never with
+    the columns, and it stops once every column has a pivot.
+    """
+    m, n = a.shape
+    if m == 0 or n == 0:
+        return 0
+    if p != 2:
+        # a % p costs ten times the range check, and the library's own
+        # callers pass reduced arrays
+        if a.min() < 0 or a.max() >= p:
+            a = a % p
+        return len(_rref_modp(a, p)[1])
+    words = _gf2_pack(a)
+    width = 8 * words.shape[1]
+    packed = words.tobytes()
+    pivots: dict[int, int] = {}
+    for start in range(0, m * width, width):
+        row = int.from_bytes(packed[start : start + width], "little")
+        while row:
+            top = row.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = row
+                break
+            row ^= pivot
+        if len(pivots) == n:
+            break
+    return len(pivots)
 
 
 def _pivot_columns(
@@ -307,7 +349,7 @@ class MatrixFp:
 
     # reductions
     def rank(self) -> int:
-        return len(_rref(self._a, self.p)[1])
+        return _rank(self._a, self.p)
 
     def kernel_columns(self) -> list[tuple[int, ...]]:
         k = _kernel_free(self._a, self.p)[0]

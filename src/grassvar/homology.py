@@ -39,16 +39,19 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SyzygyLimitError
-from .fp import MatrixFp, _kernel_free, _matmul, _pivot_columns, _rref
+from .fp import MatrixFp, _kernel_free, _matmul, _pivot_columns, _rank
 from .modules import KEModule
 
-# Free covers, their kernels, Ext cochain matrices and the h x h PHom matrix
-# of ext_eventually_zero (h^2 cells for h = dim M * dim N) are dense int64
-# matrices; each is refused past this many cells (80 MB).  A syzygy step
-# peaks at about eight matrices of its cover's size while the kernel of the
-# cover is found (tracemalloc over resolve(k, 26) on (p, c) = (2, 3):
-# 239 MB at a 30 MB cover, with the previous kernel and actions still held),
-# so a step at the cap peaks near 640 MB.  The generator search reads only nonzeros and adds next to nothing.
+# Free covers, their kernels, Ext cochain matrices, the h x h PHom matrix of
+# ext_eventually_zero (h^2 cells for h = dim M * dim N) and the monomial
+# covers of a module by all its basis vectors, which both PHom and the Ext
+# cochains are built from (p^c * dim^2 cells), are dense int64 matrices;
+# each is refused past this many cells (80 MB).  A syzygy step peaks at about
+# eight matrices of its cover's size while the kernel of the cover is found
+# (tracemalloc over resolve(k, 26) on (p, c) = (2, 3): 239 MB at a 30 MB
+# cover, with the previous kernel and actions still held), so a step at the
+# cap peaks near 640 MB.  The generator search reads only nonzeros and adds
+# next to nothing.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -293,8 +296,9 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
     """dim_k Ext^i(M, N) for i = 0..bound, via the minimal resolution
     resolve(M, bound + 1), which the memo shares between targets.
 
-    SyzygyLimitError is raised before a cochain matrix of more than
-    DEFAULT_CELL_CAP cells is built.
+    SyzygyLimitError is raised before the target's monomial cover (p^c *
+    dim N^2 cells) or a cochain matrix of more than DEFAULT_CELL_CAP cells is
+    built.
     """
     if bound < 0:
         raise ValueError("ext bound must be nonnegative")
@@ -306,8 +310,14 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
     if M.n == 0 or N.n == 0:
         return ExtTable(M, N, tuple([0] * (bound + 1)))
 
-    resolution = resolve(M, bound + 1)
     n_t = N.n
+    cells = m_alg * n_t * n_t
+    if cells > DEFAULT_CELL_CAP:
+        raise SyzygyLimitError(
+            f"monomial cover of the dimension-{n_t} target needs {cells} cells, "
+            f"over the cap of {DEFAULT_CELL_CAP}"
+        )
+    resolution = resolve(M, bound + 1)
     # rho[e] is the matrix of x^e on N: its cover by all of its basis vectors
     cover = _product_cover([a.array for a in N.actions], list(range(n_t)), p)
     rho = cover.reshape(n_t, n_t, m_alg).transpose(2, 0, 1)
@@ -330,7 +340,7 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
         # entry is sum_t (sum_e alpha[t, e, s] rho[e]) v_t.
         cochain = np.tensordot(gen_cols, rho, axes=([1], [0]))
         mat = cochain.transpose(1, 2, 0, 3).reshape(b_next * n_t, b_i * n_t) % p
-        ranks.append(len(_rref(mat, p)[1]))
+        ranks.append(_rank(mat, p))
 
     dims = []
     for i in range(bound + 1):
@@ -375,7 +385,7 @@ def _hom_projective(XM: list[np.ndarray], XN: list[np.ndarray], p: int) -> bool:
     right = _product_cover(XM, list(range(m)), p).reshape(m, m, q)[:, :, ::-1]
     right = right.transpose(2, 1, 0).reshape(q, m * m)
     phom = _matmul(left, right, p).reshape(n, n, m, m).transpose(0, 2, 1, 3)
-    return q * len(_rref(phom.reshape(h, h), p)[1]) == h
+    return q * _rank(phom.reshape(h, h), p) == h
 
 
 def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModuleAxiomError, ResourceLimitError
-from .fp import MatrixFp, PrimeField, _matmul, _rref
+from .fp import MatrixFp, PrimeField, _matmul, _rank, _rref
 
 DEFAULT_DIM_CAP = 256
 
@@ -154,7 +154,7 @@ def quotient_by_linear_forms(field: PrimeField, c: int, forms: Sequence) -> KEMo
         return regular_module(field, c)
     p = field.p
     coeff_rows = np.array([f.coeffs for f in forms], dtype=np.int64)
-    if len(_rref(coeff_rows, p)[1]) != len(forms):
+    if _rank(coeff_rows, p) != len(forms):
         raise ValueError("linear forms are not independent")
     R = regular_module(field, c)
     n = R.n
@@ -214,7 +214,7 @@ def restrict_to_subspace(M: KEModule, basis: Sequence) -> KEModule:
     if not forms:
         raise ValueError("restriction needs at least one form")
     rows = np.array([f.coeffs for f in forms], dtype=np.int64)
-    if len(_rref(rows, M.p)[1]) != len(forms):
+    if _rank(rows, M.p) != len(forms):
         raise ValueError("restriction basis is not independent")
     acts = tuple(MatrixFp(M.field, a) for a in _restricted_arrays(M, rows))
     return KEModule(M.field, len(forms), M.n, acts)

@@ -16,10 +16,12 @@ from grassvar.fp import (
     _kernel_free,
     _matmul,
     _pivot_columns,
+    _rank,
     _rref,
     _rref_gf2,
     _rref_modp,
 )
+from test_homology import _rank_mod_p
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -163,18 +165,54 @@ def test_kernel_matches_entrywise_reference_across_words():
             assert k.dtype == want.dtype and np.array_equal(k, want)
 
 
+def test_rank_matches_rref_and_an_independent_elimination():
+    # every word width of the packed F_2 rows, and matrices with no rows
+    for p in (2, 3, 5):
+        for a in _wide_matrices(p):
+            assert _rank(a, p) == len(_rref(a, p)[1]) == _rank_mod_p(a, p)
+
+
+def test_rank_of_empty_and_unreduced_matrices():
+    for p in (2, 3, 5):
+        assert _rank(np.zeros((4, 0), dtype=np.int64), p) == 0
+        assert _rank(np.zeros((0, 4), dtype=np.int64), p) == 0
+    # multiples of p are zero and negative entries count by their residue:
+    # mod 2 the rows are 0 and (1, 1, 1), mod 3 they are 0, v and 2v
+    assert _rank(np.array([[2, 4, -2], [1, -1, 3]]), 2) == 1
+    assert _rank(np.array([[3, 6, -3], [1, -2, 4], [2, 2, -1]]), 3) == 1
+    rng = np.random.default_rng(23)
+    for p in (2, 3, 5):
+        for m, n in [(1, 1), (5, 7), (40, 65), (70, 129)]:
+            a = rng.integers(-3 * p, 3 * p, (m, n))
+            assert _rank(a, p) == _rank(a % p, p) == _rank_mod_p(a, p)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(sparse_matrices(p), sparse_matrices(p))))
+def test_rank_is_transpose_invariant_and_adds_over_blocks(drawn):
+    (p, a), (_, b) = drawn
+    ra, rb = _rank(a, p), _rank(b, p)
+    assert _rank(a.T, p) == ra
+    (m, n), (r, s) = a.shape, b.shape
+    block = np.zeros((m + r, n + s), dtype=np.int64)
+    block[:m, :n] = a
+    block[m:, n:] = b
+    assert _rank(block, p) == ra + rb
+
+
 def _nonzeros(a):
     rows, cols = np.nonzero(a)
     return rows, cols, a[rows, cols]
 
 
 @st.composite
-def sparse_matrices(draw):
-    """A matrix over F_2, F_3 or F_5 whose rows each have their own density,
-    from empty to full, so singleton rows and rows that only the dense
-    remainder settles mix; widths cross a 64-bit word of the packed F_2
-    rows."""
-    p = draw(st.sampled_from([2, 3, 5]))
+def sparse_matrices(draw, p=None):
+    """A matrix over F_p, for p drawn from 2, 3 and 5 unless given, whose
+    rows each have their own density, from empty to full, so singleton rows
+    and rows that only the dense remainder settles mix; widths cross a
+    64-bit word of the packed F_2 rows."""
+    if p is None:
+        p = draw(st.sampled_from([2, 3, 5]))
     m = draw(st.integers(0, 24))
     n = draw(st.integers(0, 70))
     densities = draw(st.lists(st.sampled_from([0, 0.02, 0.05, 0.1, 0.3, 0.6, 1]), min_size=m, max_size=m))

@@ -556,3 +556,17 @@ def test_ext_dims_caps_the_cochain_cells(monkeypatch, cold_memos):
         ext_dims(k, N, 2)
     monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 12 * n * n)
     assert ext_dims(k, N, 2).dims == (n, 2 * n, 3 * n)
+
+
+def test_ext_dims_caps_the_target_cover(monkeypatch, cold_memos):
+    # k over (2,3) into the trivial module k^30: the degree-0 cochain matrix
+    # has 3 * 30^2 = 2700 cells, but the monomial cover of the target that
+    # it is built from has 8 * 30^2 = 7200
+    k = _mod(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    n = 30
+    N = KEModule(F2, 3, n, (MatrixFp.zeros(F2, n, n),) * 3)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 3 * n * n)
+    with pytest.raises(SyzygyLimitError, match="7200 cells"):
+        ext_dims(k, N, 0)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 8 * n * n)
+    assert ext_dims(k, N, 0).dims == (n,)
