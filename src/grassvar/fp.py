@@ -373,8 +373,8 @@ class MatrixFp:
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        # elimination on Python ints: the minors of pluecker_embed are 2 x 2
-        # and 3 x 3, where numpy row operations cost more than the arithmetic
+        # elimination on Python ints: on the small matrices this is asked
+        # for, numpy row operations cost more than the arithmetic
         p = self.p
         a = self._a.tolist()
         n = self.rows

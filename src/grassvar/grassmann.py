@@ -18,10 +18,27 @@ homogeneous in the u-coordinates, and then
 
 if f in k[p] equals g + h (xi - 1) with g in I, put xi = 1 in each
 u-homogeneous part of g (each lies in I) and homogenise again; that shows
-xi^N f in I for large N.  So each chart is one elimination of the
-u-coordinates from I + (xi - 1), with no auxiliary variable.  On a Z that
-is not a cone the identity fails, which is why project_incidence accepts
-only homogeneous Z.
+xi^N f in I for large N.  On a Z that is not a cone the identity fails,
+which is why project_incidence accepts only homogeneous Z.  Setting xi = 1
+identifies k[p, x]/(xi - 1) with the ring without xi, so
+
+    (I + (xi - 1)) n k[p] = phi_i(I) n k[p],
+
+where phi_i substitutes xi = 1.  So each chart substitutes xi = 1 in the
+generators of I and eliminates the other c - 1 point coordinates, in a ring
+without xi and with no auxiliary variable.  The charts' projections are
+reduced bases in one grevlex ring, and I n J = I whenever I lies in J, so
+two of them are intersected only when neither contains the other, which
+normal forms decide.  Reduced bases are unique, so neither step changes the
+answer.
+
+Checking a variety at its rational points repeats work that depends only on
+(p, c, d), so two memos hold it.  enumerate_subspaces builds the subspaces
+of a Grassmannian once and shares them, for the last 16 (field, c, d): no
+workload or command scans more than six.  pluecker_embed is memoised on W
+for the last 10,000 subspaces, the default subspace cap, so a second scan
+of any Grassmannian within that cap hits on every point; each point is
+taken from all the maximal minors of W's basis at once.
 """
 
 from __future__ import annotations
@@ -45,6 +62,7 @@ from .poly import (
     ideal,
     ideal_dimension,
     ideal_intersect,
+    normal_form,
 )
 from .rankvariety import (
     VarietyIdeal1,
@@ -122,7 +140,12 @@ def subspace_from_rows(field: PrimeField, rows) -> Subspace:
 def enumerate_subspaces(
     field: PrimeField, c: int, d: int, cap: int = DEFAULT_SUBSPACE_CAP
 ) -> list[Subspace]:
-    """All d-subspaces of F_p^c, by pivot pattern then free entries."""
+    """All d-subspaces of F_p^c, by pivot pattern then free entries.
+
+    The cap is checked on every call; the subspaces themselves are built
+    once per (field, c, d) and shared, which is safe because a Subspace is
+    frozen and its basis array is read-only.  The caller gets a fresh list.
+    """
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
     p = field.p
@@ -131,6 +154,15 @@ def enumerate_subspaces(
         raise SubspaceLimitError(
             f"{count} subspaces of dimension {d} in F_{p}^{c}, over the cap {cap}"
         )
+    return list(_subspaces(field, c, d))
+
+
+# 16 Grassmannians: each workload and CLI command scans at most six distinct
+# (field, c, d).  An entry holds every subspace of its Grassmannian, at most
+# the cap its first caller passed: 10,000 at the default take about 4 MB.
+@lru_cache(maxsize=16)
+def _subspaces(field: PrimeField, c: int, d: int) -> tuple[Subspace, ...]:
+    p = field.p
     out = []
     for piv in combinations(range(c), d):
         pivset = set(piv)
@@ -144,8 +176,8 @@ def enumerate_subspaces(
             for (r, j), val in zip(free_pos, assignment):
                 mat[r, j] = val
             out.append(Subspace(field, c, d, MatrixFp(field, mat)))
-    assert len(out) == count
-    return out
+    assert len(out) == gaussian_binomial(c, d, p)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -175,12 +207,42 @@ class PlueckerPoint:
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 
 
+def _maximal_minors(rows: list[list[int]], p: int) -> list[int]:
+    """The d x d minors of a d x c matrix over F_p, one per d-subset of
+    columns in lexicographic order.
+
+    Laplace expansion along the rows, bottom row first: the minor of the
+    last k rows on a k-subset S of columns is the alternating sum over
+    j in S of entry (d - k, j) times the minor of the last k - 1 rows on
+    S - j.  Each of those smaller minors is formed once, in a dict keyed by
+    its column subset, so all C(c, d) minors cost about sum_k k C(c, k)
+    products of Python ints.
+    """
+    d = len(rows)
+    c = len(rows[0]) if d else 0
+    minors = {(): 1}
+    for k in range(1, d + 1):
+        row = rows[d - k]
+        below = minors
+        minors = {}
+        for S in combinations(range(c), k):
+            total = 0
+            for i, j in enumerate(S):
+                if row[j]:
+                    term = row[j] * below[S[:i] + S[i + 1 :]]
+                    total += -term if i & 1 else term
+            minors[S] = total % p
+    return list(minors.values())
+
+
+# One entry per rational subspace: 10,000, the default subspace cap, lets a
+# second scan of any Grassmannian that enumerate_subspaces yields by default
+# hit on every point, where a smaller LRU would evict each point before its
+# next use.  An entry is a few hundred bytes.
+@lru_cache(maxsize=DEFAULT_SUBSPACE_CAP)
 def pluecker_embed(W: Subspace) -> PlueckerPoint:
     """The point of P^(C(c,d)-1) whose coordinates are the d-minors of a basis."""
-    coords = []
-    for S in _subsets(W.c, W.d):
-        sub = W.basis.array[:, list(S)]
-        coords.append(MatrixFp(W.field, sub).det())
+    coords = _maximal_minors(W.basis.tolist(), W.field.p)
     return PlueckerPoint(W.field, W.c, W.d, tuple(coords))
 
 
@@ -271,7 +333,11 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     projection equals the projection of its saturation at xi, and their
     intersection equals the projection of the saturation with respect to
     the whole irrelevant ideal (x1, .., xc).  So a Z whose reduced basis
-    has an inhomogeneous element raises ValueError.
+    has an inhomogeneous element raises ValueError.  Each chart substitutes
+    xi = 1 in the incidence generators, in a ring without xi, which gives
+    the same ideal as adjoining xi - 1; and the intersection skips a chart
+    whose projection contains the running result (I n J = I when I lies in
+    J), or takes it in place of the result when it lies inside.
 
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
@@ -287,26 +353,43 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     return _project_incidence(Z.gb, d)
 
 
+def _set_to_one(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
+    """f with its variable i set to 1, read in `ring`, which omits it."""
+    terms: dict[tuple[int, ...], int] = {}
+    for e, a in f.terms:
+        e = e[:i] + e[i + 1 :]
+        terms[e] = terms.get(e, 0) + a
+    return ring.from_dict(terms)
+
+
+def _contains(I: Ideal, J: Ideal) -> bool:
+    """Whether J lies in I, for I a Groebner basis."""
+    return all(normal_form(g, I).is_zero() for g in J.gens)
+
+
 @lru_cache(maxsize=256)
 def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     c = gb.ring.nvars
     field = gb.ring.field
     inc = incidence_ideal(VarietyIdeal1(gb.ring, gb, gb), d)
-    ring = inc.ring
-    x_names = [f"x{i + 1}" for i in range(c)]
+    names = inc.ring.names
+    npl = comb(c, d)
     small = pluecker_ring(field, c, d)
 
     factors = []
-    for name in x_names:
-        chart = ideal(ring, inc.gens + (ring.var(name) - 1,))
-        part = eliminate(chart, x_names)
+    for i in range(npl, npl + c):
+        chart_ring = PolyRing(field, names[:i] + names[i + 1 :])
+        chart = ideal(chart_ring, (_set_to_one(g, i, chart_ring) for g in inc.gens))
+        part = eliminate(chart, chart_ring.names[npl:])
         if not part.is_unit_ideal():
             factors.append(part)
     if not factors:
         return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
     result = factors[0]
     for part in factors[1:]:
-        result = ideal_intersect(result, part)
+        if _contains(part, result):
+            continue
+        result = part if _contains(result, part) else ideal_intersect(result, part)
     return VarietyIdealD(small, c, d, result)
 
 
@@ -319,8 +402,10 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
     """Whether a Pluecker point satisfies every equation of the variety."""
     if pt.field != V.ring.field:
         raise ValueError(f"point over F_{pt.field.p}, variety over F_{V.ring.field.p}")
-    if comb(V.c, V.d) != len(pt.coords):
-        raise ValueError("point does not match the variety's Grassmannian")
+    if (pt.c, pt.d) != (V.c, V.d):
+        raise ValueError(
+            f"point of G_{pt.d}(k^{pt.c}), variety in G_{V.d}(k^{V.c})"
+        )
     values = list(pt.coords)
     return all(g.evaluate(values) == 0 for g in V.gb.gens)
 

@@ -1,10 +1,15 @@
 import itertools
+import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from grassvar import grassmann, poly
+from grassvar.cli import parse_polynomial
 from grassvar.errors import GroebnerBudgetError, SubspaceLimitError
-from grassvar.fp import MatrixFp, PrimeField
+from grassvar.fp import MatrixFp, PrimeField, _rref
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
@@ -23,7 +28,15 @@ from grassvar.grassmann import (
     subspaces_on_variety,
     variety_dim_projective,
 )
-from grassvar.poly import buchberger_reduced, groebner_budget, ideal, radical_equal
+from grassvar.poly import (
+    Ideal,
+    buchberger_reduced,
+    eliminate,
+    groebner_budget,
+    ideal,
+    ideal_intersect,
+    radical_equal,
+)
 from grassvar.rankvariety import (
     VarietyIdeal1,
     coordinate_ring,
@@ -33,6 +46,8 @@ from grassvar.rankvariety import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=200, deadline=None)
 
 
 def _lines(ring, gens):
@@ -81,6 +96,63 @@ def test_pluecker_embed_hand_checked():
     pt = pluecker_embed(W)
     assert pt.coords == (1, 0, 1, 0, 1, 0)
     assert str(pt) == "(1 : 0 : 1 : 0 : 1 : 0)"
+
+
+@st.composite
+def wide_matrices(draw):
+    """(p, d x c matrix) for d <= c <= 7, with entries that need not be
+    reduced mod p, and never a reduced echelon matrix."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(1, 7))
+    d = draw(st.integers(1, c))
+    rows = draw(st.lists(
+        st.lists(st.integers(-p, 2 * p), min_size=c, max_size=c), min_size=d, max_size=d))
+    a = np.array(rows, dtype=np.int64)
+    assume(not np.array_equal(_rref(a, p)[0], a % p))
+    return p, rows
+
+
+@PROPERTY
+@given(wide_matrices())
+def test_maximal_minors_match_determinants(drawn):
+    p, rows = drawn
+    field = PrimeField(p)
+    a = np.array(rows, dtype=np.int64)
+    d, c = a.shape
+    expected = [
+        MatrixFp(field, a[:, list(S)]).det() for S in itertools.combinations(range(c), d)
+    ]
+    assert grassmann._maximal_minors(rows, p) == expected
+
+
+def test_pluecker_embed_of_an_equal_subspace_is_an_equal_point():
+    for W in enumerate_subspaces(F3, 4, 2):
+        pt = pluecker_embed(W)
+        # the same plane from another basis: the rows summed and scaled
+        r1, r2 = W.rows()
+        twin = subspace_from_rows(F3, [
+            [(x + y) % 3 for x, y in zip(r1, r2)],
+            [2 * y % 3 for y in r2],
+        ])
+        assert twin == W and twin is not W
+        assert pluecker_embed(twin) == pt
+
+
+def test_enumerated_lists_are_the_callers_own():
+    first = enumerate_subspaces(F2, 3, 2)
+    kept = list(first)
+    first.clear()
+    second = enumerate_subspaces(F2, 3, 2)
+    assert second == kept and len(second) == 7
+    second.append(None)
+    assert enumerate_subspaces(F2, 3, 2) == kept
+
+
+def test_cap_is_checked_after_a_cached_enumeration():
+    assert len(enumerate_subspaces(F2, 4, 2)) == 35
+    with pytest.raises(SubspaceLimitError, match="35 subspaces"):
+        enumerate_subspaces(F2, 4, 2, cap=34)
+    assert len(enumerate_subspaces(F2, 4, 2, cap=35)) == 35
 
 
 def test_pluecker_embed_injective_on_grassmannian():
@@ -384,3 +456,123 @@ def test_point_on_variety_rejects_another_prime_field(catalog):
     pt = pluecker_embed(subspace_from_rows(F3, [[1, 2]]))
     with pytest.raises(ValueError, match="point over F_3, variety over F_2"):
         point_on_variety(V, pt)
+
+
+def test_point_on_variety_rejects_another_grassmannian():
+    # G_1(k^4) and G_3(k^4) both have four Pluecker coordinates, so the
+    # count alone cannot tell their points apart
+    ring = coordinate_ring(F2, 4)
+    a1, a2, a3, a4 = ring.gens()
+    V = project_incidence(_lines(ring, [a1, a3, a4]), 3)
+    with pytest.raises(ValueError, match=r"point of G_1\(k\^4\), variety in G_3\(k\^4\)"):
+        point_on_variety(V, PlueckerPoint(F2, 4, 1, (1, 0, 0, 0)))
+    # p_123 = 1 is span(e1, e2, e3), which contains the line through e2
+    assert point_on_variety(V, PlueckerPoint(F2, 4, 3, (1, 0, 0, 0))) is True
+    with pytest.raises(ValueError, match="variety in G_3"):
+        point_on_variety(V, pluecker_embed(subspace_from_rows(F2, [(0, 1, 0, 0, 0)])))
+
+
+# --- the chart route by adjoining x_i - 1 ------------------------------------
+
+
+def _project_by_adjoining(gb, d):
+    """Reference projection: each chart adjoins x_i - 1 to the incidence
+    ideal, and every non-unit chart enters an unconditional chain of
+    intersections."""
+    c = gb.ring.nvars
+    inc = incidence_ideal(VarietyIdeal1(gb.ring, gb, gb), d)
+    ring = inc.ring
+    x_names = [f"x{i + 1}" for i in range(c)]
+    small = pluecker_ring(gb.ring.field, c, d)
+    factors = []
+    for name in x_names:
+        part = eliminate(ideal(ring, inc.gens + (ring.var(name) - 1,)), x_names)
+        if not part.is_unit_ideal():
+            factors.append(part)
+    if not factors:
+        return Ideal(small, (small.one,))
+    result = factors[0]
+    for part in factors[1:]:
+        result = ideal_intersect(result, part)
+    return result
+
+
+def _union_of_subspaces(rng, field, c, dims):
+    """Reduced basis of the cone of a union of random rational subspaces of
+    the given dimensions: the product of their ideals of linear equations."""
+    ring = coordinate_ring(field, c)
+    gens = ring.gens()
+    products = [ring.one]
+    for r in dims:
+        while True:
+            forms = [[rng.randrange(field.p) for _ in range(c)] for _ in range(c - r)]
+            if MatrixFp(field, forms).rank() == c - r:
+                break
+        eqs = [sum((gens[i] * a for i, a in enumerate(f) if a), ring.zero) for f in forms]
+        products = [f * g for f in products for g in eqs]
+    return _lines(ring, products)
+
+
+THREE_LINES = (
+    "a1^3; a1^2*a2; a1*a2^2; a1^2*a3; a1*a2*a3; a2^2*a3 + 2*a3^3; a1*a3^2; "
+    "a2*a3^2 + 2*a3^3; a1^2*a4; a1*a2*a4; a2^2*a4; a1*a3*a4; a2*a3*a4; a3^2*a4; "
+    "a1*a4^2; a2*a4^2; a3*a4^2"
+)
+
+
+def _counting_intersections(monkeypatch):
+    calls = []
+
+    def counted(I, J):
+        calls.append((I, J))
+        return ideal_intersect(I, J)
+
+    monkeypatch.setattr(grassmann, "ideal_intersect", counted)
+    return calls
+
+
+def test_projection_matches_the_adjoining_route(monkeypatch):
+    calls = _counting_intersections(monkeypatch)
+    rng = random.Random("projection reference")
+    cones = []
+    for field in (F2, F3):
+        for dims in [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2)]:
+            cones.append(_union_of_subspaces(rng, field, 4, dims))
+    for Z in cones:
+        for d in (1, 2, 3):
+            V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+            ref = _project_by_adjoining(Z.gb, d)
+            assert V.gb.ring == ref.ring
+            assert V.gb.gens == ref.gens, (str(Z.gb), d)
+            assert str(V.gb) == str(ref)
+    # the containment test settles every one of these chains
+    assert calls == []
+
+
+def test_three_lines_keep_one_proper_intersection(monkeypatch):
+    ring = coordinate_ring(F3, 4)
+    Z = _lines(ring, [parse_polynomial(ring, g) for g in THREE_LINES.split(";")])
+    # the lines through e2, e2 + e3 and e4, given by their reduced basis
+    assert str(Z.gb) == f"ideal({THREE_LINES.replace(';', ',')})"
+    calls = _counting_intersections(monkeypatch)
+    for d in (1, 2, 3):
+        del calls[:]
+        V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+        assert len(calls) == 1
+        ref = _project_by_adjoining(Z.gb, d)
+        assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
+        if d == 1:
+            assert str(V.gb) == "ideal(p_2*p_3 + 2*p_3^2, p_2*p_4, p_3*p_4, p_1)"
+
+
+def test_projection_with_unit_charts_matches_the_adjoining_route():
+    # the line through e1: every chart but x1 = 1 is the unit ideal; the
+    # origin alone and the unit ideal: every chart is
+    ring = coordinate_ring(F3, 4)
+    a1, a2, a3, a4 = ring.gens()
+    for gens in ([a2, a3, a4], [a1, a2, a3, a4], [ring.one], [a2 * a3, a4]):
+        Z = _lines(ring, gens)
+        for d in (1, 2, 3, 4):
+            V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+            ref = _project_by_adjoining(Z.gb, d)
+            assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
