@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over prime fields F_p.
+"""Exact linear algebra over prime fields F_p, dense and on nonzeros.
 
 Matrices are immutable wrappers around integer numpy arrays with all entries
 reduced mod p.  Every operation is exact: products route through float64 BLAS
@@ -7,13 +7,15 @@ row reduction over F_2 uses a bit-packed elimination path, whose rows are
 packed into 64-bit words by np.packbits.  Both reduction paths produce the
 (unique) reduced row echelon form, so results never depend on which path
 ran.  The kernel basis is read off that form by two scatters: one writes its
-identity block on the free columns, one its pivot rows.  When only the pivot
-columns are needed, _pivot_columns finds them from a matrix's nonzeros,
-reducing densely only what singleton pruning leaves.  When only the rank is
-needed, _rank is the one routine: over F_2 it packs each row into a Python
-int and XOR-reduces it against pivots keyed by their highest bit, so its
-Python work follows the rank, not the columns; over odd p it counts the
-pivots of _rref_modp.
+identity block on the free columns, one its pivot rows.  A matrix held by
+its nonzeros, as the covers of a resolution are, gets the same kernel as
+nonzeros from _kernel_sparse, Gauss-Jordan elimination over rows held as
+dicts.  When only the pivot columns are needed, _pivot_columns finds them
+from a matrix's nonzeros, reducing densely only what singleton pruning
+leaves.  When only the rank is needed, _rank is the one routine: over F_2
+it packs each row into a Python int and XOR-reduces it against pivots keyed
+by their highest bit, so its Python work follows the rank, not the columns;
+over odd p it counts the pivots of _rref_modp.
 """
 
 from __future__ import annotations
@@ -241,6 +243,79 @@ def _kernel_free(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     k[free, np.arange(len(free))] = 1
     k[pivots] = (-red[: len(pivots)][:, free]) % p
     return k, free
+
+
+def _kernel_sparse(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape: tuple[int, int], p: int
+) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], list[int]]:
+    """The kernel of _kernel_free, for the matrix of `shape` whose nonzeros
+    are vals at (rows, cols), as the nonzeros (rows, cols, vals) of the
+    basis, with the free column list.
+
+    The coordinates must be distinct and the values nonzero mod p.
+    Gauss-Jordan elimination over rows held as dicts {column: value}:
+    column by column in order, the shortest row not yet a pivot row with a
+    nonzero in the column becomes its pivot, is scaled to 1, and is
+    subtracted from every other row, pivot rows included, that has a
+    nonzero there; each column keeps the set of rows that touch it.  The
+    result is the reduced row echelon form, which is unique, so the pivots
+    and the kernel are those of _kernel_free whatever row is chosen;
+    choosing short rows keeps the fill-in small on sparse matrices.  The
+    index arrays are intp and the values int64, also when empty.
+    """
+    m, n = shape
+    table: list[dict[int, int]] = [{} for _ in range(m)]
+    touching: list[set[int]] = [set() for _ in range(n)]
+    for r, j, v in zip(rows.tolist(), cols.tolist(), (vals % p).tolist()):
+        table[r][j] = v
+        touching[j].add(r)
+    used = [False] * m
+    pivot_rows: list[tuple[int, int]] = []
+    for j in range(n):
+        rows_j = touching[j]
+        candidates = [r for r in rows_j if not used[r]]
+        if not candidates:
+            continue
+        r = min(candidates, key=lambda s: (len(table[s]), s))
+        row = table[r]
+        inv = pow(row[j], p - 2, p)
+        if inv != 1:
+            for k in row:
+                row[k] = row[k] * inv % p
+        for s in rows_j:
+            if s == r:
+                continue
+            other = table[s]
+            f = other[j]
+            for k, x in row.items():
+                y = (other.get(k, 0) - f * x) % p
+                if y:
+                    if k not in other:
+                        touching[k].add(s)
+                    other[k] = y
+                else:
+                    del other[k]
+                    if k != j:
+                        touching[k].discard(s)
+        touching[j] = {r}
+        used[r] = True
+        pivot_rows.append((j, r))
+    pivots = {j for j, _ in pivot_rows}
+    free = [j for j in range(n) if j not in pivots]
+    index = {f: t for t, f in enumerate(free)}
+    # the identity on the free rows, then -red[i, free] on pivot row j_i
+    out_rows, out_cols, out_vals = list(free), list(range(len(free))), [1] * len(free)
+    for j, r in pivot_rows:
+        for k, x in table[r].items():
+            if k != j:
+                out_rows.append(j)
+                out_cols.append(index[k])
+                out_vals.append(p - x)
+    return (
+        np.array(out_rows, dtype=np.intp),
+        np.array(out_cols, dtype=np.intp),
+        np.array(out_vals, dtype=np.int64),
+    ), free
 
 
 class MatrixFp:

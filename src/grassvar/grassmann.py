@@ -32,13 +32,16 @@ two of them are intersected only when neither contains the other, which
 normal forms decide.  Reduced bases are unique, so neither step changes the
 answer.
 
-Checking a variety at its rational points repeats work that depends only on
-(p, c, d), so two memos hold it.  enumerate_subspaces builds the subspaces
-of a Grassmannian once and shares them, for the last 16 (field, c, d): no
-workload or command scans more than six.  pluecker_embed is memoised on W
-for the last 10,000 subspaces, the default subspace cap, so a second scan
-of any Grassmannian within that cap hits on every point; each point is
-taken from all the maximal minors of W's basis at once.
+Checking a variety at its rational points, and projecting one, repeats
+work that depends only on (p, c, d), so three memos hold it.
+enumerate_subspaces builds the subspaces of a Grassmannian once and shares
+them, for the last 16 (field, c, d): no workload or command scans more than
+six.  pluecker_embed is memoised on W for the last 10,000 subspaces, the
+default subspace cap, so a second scan of any Grassmannian within that cap
+hits on every point; each point is taken from all the maximal minors of W's
+basis at once.  The Pluecker and wedge relations of the incidence ideal are
+built once per (field, c, d) as well, and each projection maps only Z's
+generators into their ring.
 """
 
 from __future__ import annotations
@@ -280,21 +283,18 @@ def incidence_ring(field: PrimeField, c: int, d: int) -> PolyRing:
     return base.extend([f"x{i + 1}" for i in range(c)])
 
 
-def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
-    """Ideal of { (u, W) : u in Z, u in W } inside Pluecker-by-point space.
-
-    Membership of u in W is the vanishing of the wedge of u with a basis of
-    W: for every (d+1)-subset J, the alternating sum of x_j * p_(J-j) over
-    j in J.
-    """
-    c = Z.c
-    field = Z.ring.field
+@lru_cache(maxsize=16)
+def _incidence_relations(
+    field: PrimeField, c: int, d: int
+) -> tuple[PolyRing, tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """The incidence ring and the two parts of the incidence ideal that
+    depend only on (p, c, d): the Pluecker relations, and the wedge
+    relations, one per (d+1)-subset J, the alternating sum of
+    x_j * p_(J-j) over j in J.  Built once per (field, c, d), the last 16
+    kept, as for _subspaces."""
     ring = incidence_ring(field, c, d)
-    npl = comb(c, d)
     pos = {S: i for i, S in enumerate(_subsets(c, d))}
-    gens: list[Polynomial] = list(pluecker_relations(ring, c, d))
-    z_map = [npl + i for i in range(c)]
-    gens.extend(g.map_to(ring, z_map) for g in Z.gb.gens)
+    wedge = []
     for J in combinations(range(c), d + 1):
         rel = ring.zero
         for k, j in enumerate(J):
@@ -302,8 +302,23 @@ def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
             p_rest = ring.var(pos[tuple(s for s in J if s != j)])
             term = x_j * p_rest
             rel = rel + term * ((-1) ** k)
-        gens.append(rel)
-    return ideal(ring, gens)
+        wedge.append(rel)
+    return ring, tuple(pluecker_relations(ring, c, d)), tuple(wedge)
+
+
+def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
+    """Ideal of { (u, W) : u in Z, u in W } inside Pluecker-by-point space.
+
+    Membership of u in W is the vanishing of the wedge of u with a basis of
+    W: for every (d+1)-subset J, the alternating sum of x_j * p_(J-j) over
+    j in J.  The generators are the Pluecker relations, then Z's, then the
+    wedge relations; only Z's are mapped here, the rest are memoised on
+    (field, c, d) by _incidence_relations.
+    """
+    c = Z.c
+    ring, pluecker, wedge = _incidence_relations(Z.ring.field, c, d)
+    z_map = [comb(c, d) + i for i in range(c)]
+    return ideal(ring, [*pluecker, *(g.map_to(ring, z_map) for g in Z.gb.gens), *wedge])
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,25 @@ The kernel of the cover, in the monomial coordinates of F, is the first
 syzygy; iterating yields the minimal resolution, whose ranks are the Betti
 numbers.
 
-Past M itself no product is needed, because kE acts on a free module by
-monomial shifts.  On F = kE^b with m = p^c monomials per generator, x^e sends
-basis vector t*m + f to t*m + f + e when x^e x^f is not zero (no base-p digit
-of f + e exceeds p - 1) and to 0 otherwise.  The kernel basis K is the
-identity on its free rows, so on the syzygy x^e acts by a row gather: row r
-of its matrix is row free[r] - e of K where x^e divides x^(free[r] mod m),
-and zero elsewhere.  The syzygy's actions (e = x_j) and its next cover (e
-running over all monomials) are both read off K this way.
+Past M itself no product and no dense matrix is needed, because kE acts on
+a free module by monomial shifts.  On F = kE^b with m = p^c monomials per
+generator, x^e sends basis vector t*m + f to t*m + f + e when x^e x^f is
+not zero (no base-p digit of f + e carries) and to 0 otherwise.  The kernel
+basis K is the identity on its free rows, so a vector of its span is read
+off those rows, and x^e acts on the syzygy by a gather of K's nonzeros: a
+nonzero at row q goes to the free row q + e when f + e does not carry.  The
+syzygy's actions (e = x_j) and its next cover (e running over all
+monomials) are both this gather (_gather), and each later kernel is taken
+from the cover's nonzeros by sparse Gauss-Jordan elimination
+(fp._kernel_sparse).  Deep in a resolution these matrices have about two
+nonzeros per row, so only the cover of M, which is a product of arbitrary
+action arrays, and its kernel are built dense.
 
 resolve is memoised on (M, bound), so Ext tables of one source against many
-targets share one resolution.  Its generator columns are the whole record:
-the full differential d_i, which the library itself never needs, is the
-same gather run over every row of the columns of d_i.
+targets share one resolution.  Its generator columns, dense and read-only,
+are the whole record: the full differential d_i, which the library itself
+never needs, is the same gather run on the nonzeros of the columns of d_i
+with every row free.
 
 Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled from the
 generator columns of each differential.  Eventual vanishing of Ext needs no
@@ -39,19 +45,20 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SyzygyLimitError
-from .fp import MatrixFp, _kernel_free, _matmul, _pivot_columns, _rank
+from .fp import MatrixFp, _kernel_free, _kernel_sparse, _matmul, _pivot_columns, _rank
 from .modules import KEModule
 
-# Free covers, their kernels, Ext cochain matrices, the h x h PHom matrix of
+# The cover of a module by its generators and the kernel of that cover (as
+# dense matrices), Ext cochain matrices, the h x h PHom matrix of
 # ext_eventually_zero (h^2 cells for h = dim M * dim N) and the monomial
 # covers of a module by all its basis vectors, which both PHom and the Ext
-# cochains are built from (p^c * dim^2 cells), are dense int64 matrices;
-# each is refused past this many cells (80 MB).  A syzygy step peaks at about
-# eight matrices of its cover's size while the kernel of the cover is found
-# (tracemalloc over resolve(k, 26) on (p, c) = (2, 3): 239 MB at a 30 MB
-# cover, with the previous kernel and actions still held), so a step at the
-# cap peaks near 640 MB.  The generator search reads only nonzeros and adds
-# next to nothing.
+# cochains are built from (p^c * dim^2 cells), are each refused past this
+# many cells (80 MB as dense int64).  Past the cover of M itself a
+# resolution holds its covers and kernels by their nonzeros, but the cap
+# still counts the cells they would have dense, so where a resolution is
+# refused does not depend on the route.  tracemalloc over resolve(k, 26) on
+# (p, c) = (2, 3) peaks at 50.5 MB, of which 50.2 MB are the generator
+# columns the result keeps.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -63,26 +70,44 @@ def _lowest_digit(e: int, p: int) -> int:
     return i
 
 
+Nonzeros = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _nonzeros(a: np.ndarray) -> Nonzeros:
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def _densify(entries: Nonzeros, shape: tuple[int, int]) -> np.ndarray:
+    rows, cols, vals = entries
+    out = np.zeros(shape, dtype=np.int64)
+    out[rows, cols] = vals
+    return out
+
+
 def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
-    """Coordinate indices whose basis vectors span a complement of rad M.
+    """Coordinate indices whose basis vectors span a complement of rad M,
+    for M given by its action arrays: _generators on their nonzeros."""
+    return _generators([_nonzeros(a) for a in arrays], arrays[0].shape[0], p)
+
+
+def _generators(actions: list[Nonzeros], n: int, p: int) -> list[int]:
+    """Coordinate indices whose basis vectors span a complement of rad M,
+    for the dimension-n module M whose action arrays have the nonzeros
+    `actions`.
 
     rad M is the row space of the stack [a_1^T; ..; a_c^T] of the
     transposed action arrays, and the non-pivot columns of its echelon form
     index a complement.  The stack is never built: row j * n + i of it is
-    column i of arrays[j], so its nonzeros are those of the arrays, and
-    _pivot_columns reads them, as these matrices have about one nonzero per
-    row deep in a resolution.
+    column i of the array of x_j, so its nonzeros are those of the arrays,
+    and _pivot_columns reads them, as these matrices have about one nonzero
+    per row deep in a resolution.
     """
-    n = arrays[0].shape[0]
-    rows, cols, vals = [], [], []
-    for j, a in enumerate(arrays):
-        k, i = np.nonzero(a)
-        rows.append(j * n + i)
-        cols.append(k)
-        vals.append(a[k, i])
     piv = _pivot_columns(
-        np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-        (len(arrays) * n, n), p,
+        np.concatenate([j * n + a_cols for j, (_, a_cols, _) in enumerate(actions)]),
+        np.concatenate([a_rows for a_rows, _, _ in actions]),
+        np.concatenate([a_vals for _, _, a_vals in actions]),
+        (len(actions) * n, n), p,
     )
     pivset = set(piv)
     return [j for j in range(n) if j not in pivset]
@@ -114,26 +139,33 @@ class ResolutionData:
     def differential(self, i: int) -> np.ndarray:
         """The matrix of d_i: F_i -> F_{i-1} in monomial coordinates on both
         sides, for 1 <= i <= depth.  Column t * p^c + e is x^e times
-        generator column t, a gather over every row of F_{i-1}."""
+        generator column t: the gather of resolve's covers, run on the
+        nonzeros of the generator columns with every row free."""
         if not 1 <= i <= self.depth:
             raise ValueError(f"need 1 <= i <= {self.depth}, got {i}")
         H = self.gen_columns[i - 1]
         p, c = self.module.p, self.module.c
-        return _gather_cover(H, np.arange(H.shape[0]), list(range(H.shape[1])), p, c)
+        rows = H.shape[0]
+        entries = _gather(_nonzeros(H), np.arange(rows), range(p**c), p, c)
+        return _densify(entries, (rows, H.shape[1] * p**c))
 
 
 def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
     """Refuse a cover of a dimension-n module by ncols columns, before it is
-    built, if it or its kernel would have more than DEFAULT_CELL_CAP cells.
+    built, if it or its kernel would have more than DEFAULT_CELL_CAP cells
+    as a dense matrix.
 
     The cover is surjective, so it is n x ncols and its kernel is
-    ncols x (ncols - n); both are dense.
+    ncols x (ncols - n).  Only the cover of M itself and its kernel are
+    built dense; every later cover and kernel is held by its nonzeros, but
+    the cap still counts the cells a dense one would have, so the deepest
+    resolution a module allows does not depend on the route.
     """
     cells = ncols * max(n, ncols - n)
     if cells > DEFAULT_CELL_CAP:
         raise SyzygyLimitError(
             f"free cover of a dimension-{n} module by {ncols} columns at degree "
-            f"{degree} needs a dense matrix of {cells} cells, over the cap of "
+            f"{degree} counts as a dense matrix of {cells} cells, over the cap of "
             f"{DEFAULT_CELL_CAP}"
         )
 
@@ -153,74 +185,79 @@ def _product_cover(actions: list[np.ndarray], gens: list[int], p: int) -> np.nda
     return cover
 
 
-def _gather_cover(
-    kernel: np.ndarray, free: np.ndarray, gens: list[int], p: int, c: int
-) -> np.ndarray:
-    """Cover the syzygy spanned by the columns of `kernel` by the free module
-    on `gens`, with no products.
+@lru_cache(maxsize=16)
+def _reach(p: int, c: int) -> np.ndarray:
+    """reach[f, e]: x^e x^f is not zero in kE, i.e. no base-p digit of
+    f + e carries; read-only, as the memo shares it."""
+    digits = (np.arange(p**c)[:, None] // p ** np.arange(c)) % p
+    reach = (digits[:, None, :] + digits[None, :, :] < p).all(axis=2)
+    reach.setflags(write=False)
+    return reach
 
-    Column t * p^c + e is x^e applied to basis vector gens[t], whose row r is
-    kernel[free[r] - e, gens[t]] where x^e divides the monomial of free[r],
-    and 0 elsewhere.  Its index arrays die with this frame, before the
-    caller's elimination starts.  With every row free (free = arange) and
-    `kernel` the generator columns of d_i, the same gather expands them to
-    the full matrix of d_i.
+
+def _gather(
+    kernel: Nonzeros, pos: np.ndarray, exponents, p: int, c: int
+) -> Nonzeros:
+    """The nonzeros of x^e applied to the columns of a kernel basis K, read
+    in the basis K itself, for each e in `exponents`.
+
+    K is given by its nonzeros (q, g, v), in the monomial coordinates of a
+    free module kE^b, and by pos: pos[q] is the index of row q among the
+    free rows of K, where K is the identity, or -1 on any other row.  A
+    vector of the span of K is read off its free rows.  x^e sends basis
+    vector q of kE^b to q + e when no base-p digit of (q mod p^c) + e
+    carries, and to 0 otherwise.  So for the k-th exponent e, nonzero
+    (q, g, v) goes to (pos[q + e], g * len(exponents) + k, v) when there is
+    no carry and q + e is a free row; a pivot row of K is determined by the
+    free rows and read nowhere.  With e running over every monomial this is
+    the cover of the span by the free module on K's columns; with the one
+    exponent p^j it is the array of x_j on the span.
     """
-    m_alg = p**c
-    rows = kernel.shape[0]
-    b = len(gens)
-    digits = (np.arange(m_alg)[:, None] // p ** np.arange(c)) % p
-    # divides[f, e]: x^e divides x^f, i.e. no digit of e exceeds that of f
-    divides = (digits[:, None, :] >= digits[None, :, :]).all(axis=2)
-    src = free[:, None] - np.arange(m_alg)
-    # a row that x^e does not reach reads the zero column appended below
-    src[~divides[free % m_alg]] = rows
-    cols = np.zeros((b, rows + 1), dtype=np.int64)
-    cols[:, :rows] = kernel[:, gens].T
-    cover = cols[np.arange(b)[None, :, None], src[:, None, :]]
-    return cover.reshape(len(free), b * m_alg)
+    q, g, v = kernel
+    exps = np.asarray(exponents, dtype=np.intp).reshape(-1)
+    # every (nonzero, exponent) pair with no carry
+    src, k = np.nonzero(_reach(p, c)[:, exps][q % p**c])
+    rows = pos[q[src] + exps[k]]
+    free = rows >= 0
+    return rows[free], (g[src] * exps.size + k)[free], v[src][free]
 
 
 def _syzygy(
-    cover: np.ndarray, p: int, c: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """The kernel of a cover by a free module of rank b over kE.
-
-    Returns the kernel's basis as columns in the monomial coordinates of
-    kE^b, its free rows, on which the basis is the identity, and the action
-    arrays of the kernel on that basis.  Row r of x_j's array is row
-    free[r] - p^j of the kernel, or 0 where digit j of free[r] is 0: x_j
-    shifts the basis of kE^b, and the free rows read the result off.
-    """
-    kernel, free_list = _kernel_free(cover, p)
-    free = np.asarray(free_list, dtype=np.intp)
-    actions = []
-    for j in range(c):
-        step = p**j
-        unreached = (free // step) % p == 0
-        a = kernel[np.where(unreached, 0, free - step)]
-        a[unreached] = 0
-        actions.append(a)
-    return kernel, free, actions
+    kernel: Nonzeros, free: list[int], nrows: int, p: int, c: int
+) -> tuple[np.ndarray, list[Nonzeros]]:
+    """For the syzygy spanned by a kernel basis K of nrows rows, given by
+    its nonzeros and its free rows, on which K is the identity: the map pos
+    of _gather, and the nonzeros of the syzygy's action arrays on the basis
+    K.  Row r of x_j's array is row free[r] - p^j of K, or 0 where digit j
+    of free[r] is 0: x_j shifts the basis of kE^b, and the free rows read
+    the result off."""
+    pos = np.full(nrows, -1, dtype=np.intp)
+    pos[free] = np.arange(len(free))
+    return pos, [_gather(kernel, pos, p**j, p, c) for j in range(c)]
 
 
-# Each entry holds its generator columns, copies cut from the kernels, not
-# views that would keep whole kernels alive; resolve(k, 21) over (2, 3) holds
-# 17.5 MB of them, so the memo holds a few dozen resolutions, not hundreds.
-# An ext-deep round asks for 19 distinct (module, depth) keys.
+# Each entry holds its generator columns, dense copies written from the
+# kernels' nonzeros; resolve(k, 21) over (2, 3) holds 17.5 MB of them, so
+# the memo holds a few dozen resolutions, not hundreds.  An ext-deep round
+# asks for 19 distinct (module, depth) keys.
 @lru_cache(maxsize=32)
 def resolve(M: KEModule, bound: int) -> ResolutionData:
     """Minimal free resolution of M with Betti numbers through degree `bound`.
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
     count at degree bound, so betti has bound + 1 entries and gen_columns has
-    bound entries (the differentials d_1 .. d_bound on generators).  Only the
-    current syzygy is held while the resolution is built.  The cover of M is
-    built from its action arrays, every later cover by a gather from the
-    previous kernel.  SyzygyLimitError is raised at the first degree whose
-    free cover or its kernel would have more than DEFAULT_CELL_CAP cells.
-    Memoised on (M, bound): a repeated call returns the same object, whose
-    arrays are read-only, and a call that raises stores nothing.
+    bound entries (the differentials d_1 .. d_bound on generators).  The
+    cover of M is built dense from its action arrays, and its kernel is read
+    off by _kernel_free.  From then on no dense matrix is made but the
+    generator columns: each kernel, each syzygy's action arrays and each
+    later cover are nonzero arrays, the covers and actions gathered from the
+    previous kernel (_gather) and each kernel taken by sparse Gauss-Jordan
+    elimination (fp._kernel_sparse), whose reduced echelon form is the one
+    _kernel_free reads.  SyzygyLimitError is raised at the first degree
+    whose free cover or its kernel would have more than DEFAULT_CELL_CAP
+    cells as dense matrices.  Memoised on (M, bound): a repeated call
+    returns the same object, whose arrays are read-only, and a call that
+    raises stores nothing.
     """
     if bound < 0:
         raise ValueError("resolution bound must be nonnegative")
@@ -230,27 +267,40 @@ def resolve(M: KEModule, bound: int) -> ResolutionData:
     betti: list[int] = []
     gen_columns: list[np.ndarray] = []
 
-    cur = [a.array for a in M.actions]
-    kernel = free = None
+    n = M.n
+    actions = [_nonzeros(a.array) for a in M.actions]
+    kernel = pos = None
 
     for i in range(bound + 1):
-        gens = _generator_indices(cur, p)
+        gens = _generators(actions, n, p)
         betti.append(len(gens))
         if kernel is not None:
-            columns = kernel[:, gens]
+            # the kernel's nonzeros in the columns gens, renumbered 0..
+            col_of = np.full(n, -1, dtype=np.intp)
+            col_of[gens] = np.arange(len(gens))
+            q, g, v = kernel
+            hit = col_of[g] >= 0
+            chosen = q[hit], col_of[g[hit]], v[hit]
+            columns = _densify(chosen, (pos.size, len(gens)))
             columns.setflags(write=False)
             gen_columns.append(columns)
         if i == bound:
             break
 
-        _check_cover_cells(cur[0].shape[0], len(gens) * m_alg, i)
+        ncols = len(gens) * m_alg
+        _check_cover_cells(n, ncols, i)
         if kernel is None:
-            cover = _product_cover(cur, gens, p)
+            # M's actions may be dense, so its cover is a product and its
+            # kernel's nonzeros are read once off _kernel_free
+            cover = _product_cover([a.array for a in M.actions], gens, p)
+            dense, free = _kernel_free(cover, p)
+            kernel = _nonzeros(dense)
+            del cover, dense
         else:
-            cover = _gather_cover(kernel, free, gens, p, c)
-        kernel, free, cur = _syzygy(cover, p, c)
-        # spent: drop it before the next step
-        cover = None
+            cover = _gather(chosen, pos, range(m_alg), p, c)
+            kernel, free = _kernel_sparse(*cover, (n, ncols), p)
+        pos, actions = _syzygy(kernel, free, ncols, p, c)
+        n = len(free)
 
     return ResolutionData(M, tuple(betti), tuple(gen_columns))
 
@@ -259,10 +309,13 @@ def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     """One step of the minimal resolution: (number of generators, syzygy module)."""
     cur = [a.array for a in M.actions]
     gens = _generator_indices(cur, M.p)
-    _check_cover_cells(M.n, len(gens) * M.p**M.c, 0)
-    kernel, _, arrays = _syzygy(_product_cover(cur, gens, M.p), M.p, M.c)
-    actions = tuple(MatrixFp(M.field, a) for a in arrays)
-    return len(gens), KEModule(M.field, M.c, kernel.shape[1], actions)
+    ncols = len(gens) * M.p**M.c
+    _check_cover_cells(M.n, ncols, 0)
+    kernel, free = _kernel_free(_product_cover(cur, gens, M.p), M.p)
+    _, arrays = _syzygy(_nonzeros(kernel), free, ncols, M.p, M.c)
+    n = len(free)
+    actions = tuple(MatrixFp(M.field, _densify(a, (n, n))) for a in arrays)
+    return len(gens), KEModule(M.field, M.c, n, actions)
 
 
 def betti_numbers(M: KEModule, bound: int) -> list[int]:

@@ -14,6 +14,7 @@ from grassvar.fp import (
     _gf2_pack,
     _gf2_unpack,
     _kernel_free,
+    _kernel_sparse,
     _matmul,
     _pivot_columns,
     _rank,
@@ -226,6 +227,52 @@ def sparse_matrices(draw, p=None):
 def test_pivot_columns_match_rref(drawn):
     p, a = drawn
     assert _pivot_columns(*_nonzeros(a), a.shape, p) == _rref(a, p)[1]
+
+
+@st.composite
+def kernel_inputs(draw):
+    """A matrix over F_p, p in 2, 3, 5, 7, of one of the shapes a kernel
+    must survive: no rows or no columns, all zero, one nonzero per row,
+    dense, square of full rank (no kernel columns), or sparse_matrices'
+    mixed densities."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    kind = draw(st.sampled_from(["empty", "zero", "single", "dense", "full", "mixed"]))
+    m = draw(st.integers(0, 14))
+    n = draw(st.integers(0, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "empty":
+        shape = draw(st.sampled_from([(0, n), (m, 0)]))
+        return p, np.zeros(shape, dtype=np.int64)
+    if kind == "zero":
+        return p, np.zeros((m, n), dtype=np.int64)
+    if kind == "single":
+        a = np.zeros((m, n + 1), dtype=np.int64)
+        a[np.arange(m), rng.integers(0, n + 1, m)] = rng.integers(1, p, m)
+        return p, a
+    if kind == "dense":
+        return p, rng.integers(0, p, (m, n))
+    if kind == "full":
+        # unit lower times unit upper triangular, columns permuted
+        lower = np.tril(rng.integers(0, p, (m, m)), -1) + np.eye(m, dtype=np.int64)
+        upper = np.triu(rng.integers(0, p, (m, m)), 1) + np.eye(m, dtype=np.int64)
+        return p, ((lower @ upper) % p)[:, rng.permutation(m)]
+    return draw(sparse_matrices(p))
+
+
+@PROPERTY
+@given(kernel_inputs())
+def test_sparse_kernel_matches_kernel_free(drawn):
+    p, a = drawn
+    (rows, cols, vals), free = _kernel_sparse(*_nonzeros(a), a.shape, p)
+    want, want_free = _kernel_free(a, p)
+    assert free == want_free
+    # integer dtypes even when empty, so the arrays can index
+    assert rows.dtype == cols.dtype == np.intp and vals.dtype == np.int64
+    assert np.all((vals > 0) & (vals < p))
+    assert len(set(zip(rows.tolist(), cols.tolist()))) == rows.size
+    got = np.zeros_like(want)
+    got[rows, cols] = vals
+    assert np.array_equal(got, want)
 
 
 def test_pivot_columns_reduce_only_the_remainder(monkeypatch):

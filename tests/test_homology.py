@@ -389,6 +389,106 @@ def test_generators_of_a_dense_basis_match_the_stacked_rref(catalog, monkeypatch
     assert through_remainder >= 8
 
 
+# The dense route resolve took before covers, kernels and actions were held
+# by their nonzeros: every cover after the first a dense gather from the
+# previous kernel, every kernel a dense _kernel_free.  It is the reference
+# for the sparse route.
+
+
+def _dense_gather_cover(kernel, free, gens, p, c):
+    """Column t * p^c + e is x^e applied to basis vector gens[t]: row r is
+    kernel[free[r] - e, gens[t]] where x^e divides the monomial of
+    free[r], and 0 elsewhere."""
+    m_alg = p**c
+    rows = kernel.shape[0]
+    b = len(gens)
+    digits = (np.arange(m_alg)[:, None] // p ** np.arange(c)) % p
+    # divides[f, e]: x^e divides x^f, i.e. no digit of e exceeds that of f
+    divides = (digits[:, None, :] >= digits[None, :, :]).all(axis=2)
+    src = free[:, None] - np.arange(m_alg)
+    # a row that x^e does not reach reads the zero column appended below
+    src[~divides[free % m_alg]] = rows
+    cols = np.zeros((b, rows + 1), dtype=np.int64)
+    cols[:, :rows] = kernel[:, gens].T
+    cover = cols[np.arange(b)[None, :, None], src[:, None, :]]
+    return cover.reshape(len(free), b * m_alg)
+
+
+def _dense_syzygy(cover, p, c):
+    """The dense kernel of a cover, its free rows, and the kernel's action
+    arrays: row r of x_j's array is row free[r] - p^j of the kernel, or 0
+    where digit j of free[r] is 0."""
+    kernel, free_list = _kernel_free(cover, p)
+    free = np.asarray(free_list, dtype=np.intp)
+    actions = []
+    for j in range(c):
+        step = p**j
+        unreached = (free // step) % p == 0
+        a = kernel[np.where(unreached, 0, free - step)]
+        a[unreached] = 0
+        actions.append(a)
+    return kernel, free, actions
+
+
+def _dense_resolve(M, bound):
+    """(betti, gen_columns) of M's minimal resolution by the dense route."""
+    p, c = M.p, M.c
+    betti, gen_columns = [], []
+    cur = [a.array for a in M.actions]
+    kernel = free = None
+    for i in range(bound + 1):
+        gens = homology._generator_indices(cur, p)
+        betti.append(len(gens))
+        if kernel is not None:
+            columns = kernel[:, gens]
+            columns.setflags(write=False)
+            gen_columns.append(columns)
+        if i == bound:
+            break
+        if kernel is None:
+            cover = homology._product_cover(cur, gens, p)
+        else:
+            cover = _dense_gather_cover(kernel, free, gens, p, c)
+        kernel, free, cur = _dense_syzygy(cover, p, c)
+    return tuple(betti), gen_columns
+
+
+def _assert_matches_dense_route(M, bound):
+    res = resolve(M, bound)
+    betti, gen_columns = _dense_resolve(M, bound)
+    assert res.betti == betti
+    assert len(res.gen_columns) == len(gen_columns)
+    for got, want in zip(res.gen_columns, gen_columns):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (got.flags.writeable, want.flags.writeable) == (False, False)
+    p, c = M.p, M.c
+    for i in range(1, res.depth + 1):
+        H = gen_columns[i - 1]
+        want = _dense_gather_cover(H, np.arange(H.shape[0]), list(range(H.shape[1])), p, c)
+        got = res.differential(i)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_sparse_resolution_matches_the_dense_route(hom_catalog, cold_memos):
+    for p, c in [(2, 2), (3, 2), (2, 3), (5, 2)]:
+        for M in hom_catalog[p, c].values():
+            _assert_matches_dense_route(M, 5)
+    k23 = _mod(F2, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    _assert_matches_dense_route(k23, 12)
+    k33 = _mod(F3, 3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    _assert_matches_dense_route(k33, 6)
+
+
+def test_sparse_resolution_of_a_dense_basis_matches_the_dense_route(catalog, cold_memos):
+    # a dense change of basis leaves the cover of M dense; every later step
+    # runs on nonzeros whatever the basis of M
+    for p, c in [(2, 2), (3, 2), (2, 3)]:
+        for seed, M in enumerate(catalog[p, c].values()):
+            _assert_matches_dense_route(_conjugate(M, seed), 4)
+    for seed, forms in enumerate([[(1, 3)], [(1, 0), (0, 1)], [(2, 1)]]):
+        _assert_matches_dense_route(_conjugate(direct_sum(_mod(F5, 2, forms), _mod(F5, 2, [(1, 1)])), seed), 4)
+
+
 def test_ext_mismatched_modules_rejected():
     with pytest.raises(ValueError):
         ext_dims(_mod(F2, 2, [(1, 0)]), _mod(F3, 2, [(1, 0)]), 3)
