@@ -12,15 +12,19 @@ its nonzeros, as the covers of a resolution are, gets the same kernel as
 nonzeros from _kernel_sparse, Gauss-Jordan elimination over rows held as
 dicts.  When only the pivot columns are needed, _pivot_columns finds them
 from a matrix's nonzeros, reducing densely only what singleton pruning
-leaves.  When only the rank is needed, _rank is the one routine: over F_2
-it packs each row into a Python int and XOR-reduces it against pivots keyed
-by their highest bit, so its Python work follows the rank, not the columns;
-over odd p it counts the pivots of _rref_modp.
+leaves.  When only the rank is needed, _rank is the one routine for every
+p: it packs each row into one Python int of w-bit fields, one per column
+(w = 1 over F_2; 8, 16 or 32 over odd p), and reduces it against pivots
+keyed by their top field, by XOR over F_2, and over odd p by a multiply-add
+followed by a multiply, a shift and a mask that take every field mod p at
+once, with no carry between fields (Granlund-Montgomery 1994).  Its Python
+work follows the rank, not the columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -49,7 +53,14 @@ class PrimeField:
 
 
 def _as_array(entries, p: int) -> np.ndarray:
-    a = np.asarray(entries, dtype=np.int64)
+    try:
+        a = np.asarray(entries, dtype=np.int64)
+    except OverflowError:
+        # entries beyond int64 are read mod p, as the a % p below reads
+        # negative ones
+        a = np.asarray(entries, dtype=object)
+        if a.ndim == 2:
+            a = (a % p).astype(np.int64)
     if a.ndim != 2:
         raise ValueError(f"matrix entries must be 2-dimensional, got shape {a.shape}")
     return a % p
@@ -146,39 +157,88 @@ def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return _rref_modp(a, p)
 
 
+@lru_cache(maxsize=None)
+def _packed_fields(p: int) -> tuple[int, int, int]:
+    """The field width w, shift s and multiplier m of _rank's rows over an
+    odd prime p.
+
+    m = ceil(2^s / p) for the smallest s with (v * m) >> s == v // p on
+    every 0 <= v <= p^2 - p, so a quotient by p is a multiply and a shift
+    (Granlund-Montgomery 1994), and w is the smallest of 8, 16 and 32 with
+    (p^2 - p) * m < 2^w, so no product of a field by m reaches the next.
+    """
+    top = p * p - p
+    s = 0
+    while True:
+        m = -(-(1 << s) // p)
+        if all((v * m) >> s == v // p for v in range(top + 1)):
+            break
+        s += 1
+    return next(w for w in (8, 16, 32) if top * m < 1 << w), s, m
+
+
 def _rank(a: np.ndarray, p: int) -> int:
     """The rank of a over F_p, the number of pivots _rref finds; the entries
     need not be reduced mod p.
 
-    Over F_2 each row, packed by _gf2_pack, is read as one little-endian
-    Python int, bit j for column j, and XOR-reduced against the pivot rows
-    kept so far, keyed by their highest set bit: a row whose highest bit has
-    a pivot is reduced by it, and one whose highest bit has none is a new
-    pivot.  The Python work grows with the rows and the rank, never with
-    the columns, and it stops once every column has a pivot.
+    Each row is one little-endian Python int of w-bit fields, field j for
+    column j: over F_2 the 1-bit fields of _gf2_pack, over odd p the bytes
+    of a.astype(<u1|u2|u4>) with (w, s, m) from _packed_fields.  A row is
+    reduced against the pivot rows kept so far, keyed by their top field
+    (row.bit_length() - 1) // w and stored with leading coefficient 1: a
+    row whose top field has a pivot is reduced by it, and one whose top
+    field has none is a new pivot.  Over F_2 the reduction is row ^= pivot.
+    Over odd p a row with leading coefficient c becomes row + (p - c) *
+    pivot, whose top field is p, and then every field v is replaced by
+    v mod p at once, as row - p * (((row * m) >> s) & low), where low keeps
+    the low w - s bits of each field.
+
+    Why that is exact: between steps every field is below p.  The update
+    adds at most (p - 1)^2 to it, and scaling a new pivot by the inverse of
+    its leading coefficient makes it at most (p - 1)^2, so every field is at
+    most p^2 - p.  Then each field times m is below 2^w, so row * m
+    multiplies field by field with no carry.  The shift brings the low s
+    bits of each field into the top of the one below, and low masks them
+    off, leaving (v * m) >> s = v // p in each field.  Subtracting p times
+    it leaves v mod p >= 0 in each field, so nothing borrows either.
+
+    Pivots have distinct top fields, so they are independent, and each row
+    is reduced by pivots until it is zero or a new pivot, so they span the
+    rows.  The Python work grows with the rows and the rank, never with the
+    columns, and it stops once every column has a pivot.
     """
     m, n = a.shape
     if m == 0 or n == 0:
         return 0
-    if p != 2:
+    if p == 2:
+        words = _gf2_pack(a)
+        w, width, packed = 1, 8 * words.shape[1], words.tobytes()
+    else:
         # a % p costs ten times the range check, and the library's own
         # callers pass reduced arrays
         if a.min() < 0 or a.max() >= p:
             a = a % p
-        return len(_rref_modp(a, p)[1])
-    words = _gf2_pack(a)
-    width = 8 * words.shape[1]
-    packed = words.tobytes()
+        w, shift, mul = _packed_fields(p)
+        width, packed = n * w // 8, a.astype(f"<u{w // 8}").tobytes()
+        # the low w - shift bits of each of the n fields
+        low = ((1 << (w - shift)) - 1) * (((1 << (n * w)) - 1) // ((1 << w) - 1))
     pivots: dict[int, int] = {}
     for start in range(0, m * width, width):
         row = int.from_bytes(packed[start : start + width], "little")
         while row:
-            top = row.bit_length()
+            top = (row.bit_length() - 1) // w
             pivot = pivots.get(top)
             if pivot is None:
+                if p != 2 and (lead := row >> (top * w)) != 1:
+                    row *= pow(lead, p - 2, p)
+                    row -= p * (((row * mul) >> shift) & low)
                 pivots[top] = row
                 break
-            row ^= pivot
+            if p == 2:
+                row ^= pivot
+            else:
+                row += (p - (row >> (top * w))) * pivot
+                row -= p * (((row * mul) >> shift) & low)
         if len(pivots) == n:
             break
     return len(pivots)

@@ -54,7 +54,7 @@ from math import comb
 import numpy as np
 
 from .errors import SubspaceLimitError
-from .fp import MatrixFp, PrimeField, _rref
+from .fp import MatrixFp, PrimeField, _as_array, _rref
 from .homology import _hom_projective
 from .modules import KEModule, _restricted_arrays
 from .poly import (
@@ -130,9 +130,7 @@ class Subspace:
 
 def subspace_from_rows(field: PrimeField, rows) -> Subspace:
     """The subspace spanned by the given independent row vectors."""
-    arr = np.array([[int(x) for x in row] for row in rows], dtype=np.int64)
-    if arr.ndim != 2:
-        raise ValueError("rows must form a matrix")
+    arr = _as_array([[int(x) for x in row] for row in rows], field.p)
     d, c = arr.shape
     red, piv = _rref(arr, field.p)
     if len(piv) != d:

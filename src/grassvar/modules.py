@@ -269,6 +269,11 @@ def module_to_dict(M: KEModule) -> dict:
     }
 
 
+def _is_int(v) -> bool:
+    # JSON's true and false load as bool, which is a subclass of int
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def module_from_dict(d: dict) -> KEModule:
     if not isinstance(d, dict):
         raise ValueError("module document must be a JSON object")
@@ -276,7 +281,7 @@ def module_from_dict(d: dict) -> KEModule:
     if missing:
         raise ValueError(f"module document missing keys: {sorted(missing)}")
     p, c, n = d["p"], d["c"], d["dim"]
-    if not (isinstance(p, int) and isinstance(c, int) and isinstance(n, int)):
+    if not (_is_int(p) and _is_int(c) and _is_int(n)):
         raise ValueError("p, c and dim must be integers")
     field = PrimeField(p)
     acts = d["actions"]
@@ -288,7 +293,7 @@ def module_from_dict(d: dict) -> KEModule:
             not isinstance(a, list)
             or len(a) != n
             or any(not isinstance(row, list) or len(row) != n for row in a)
-            or any(not isinstance(v, int) for row in a for v in row)
+            or any(not _is_int(v) for row in a for v in row)
         ):
             raise ValueError(f"action matrices must be {n}x{n} integer arrays")
         mats.append(MatrixFp(field, a))

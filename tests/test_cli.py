@@ -107,6 +107,26 @@ def test_validate_ok(capsys, module_files):
     assert out == "ok: p=2 c=3 dim=4\n"
 
 
+def test_validate_reads_entries_beyond_int64_mod_p(capsys, tmp_path):
+    # 10^26 is even, so over F_2 this is the zero action on k
+    path = tmp_path / "big.json"
+    path.write_text('{"p": 2, "c": 1, "dim": 1, "actions": [[[100000000000000000000000000]]]}')
+    assert _run(capsys, "validate", str(path)) == (0, "ok: p=2 c=1 dim=1\n", "")
+
+
+@pytest.mark.parametrize("doc", [
+    '{"p": 2, "c": true, "dim": 1, "actions": [[[0]]]}',
+    '{"p": 2, "c": 1, "dim": true, "actions": [[[0]]]}',
+    '{"p": 2, "c": 1, "dim": 1, "actions": [[[false]]]}',
+], ids=["c", "dim", "entry"])
+def test_validate_rejects_booleans(capsys, tmp_path, doc):
+    path = tmp_path / "bool.json"
+    path.write_text(doc)
+    status, out, err = _run(capsys, "validate", str(path))
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "integer" in err and len(err.splitlines()) == 1
+
+
 def test_validate_reports_problems(capsys, tmp_path, module_files):
     data = json.loads(open(module_files["rx3"]).read())
     data["actions"][0][0][0] = 1
@@ -279,6 +299,14 @@ def test_embed(capsys):
     )
     assert status == 0
     assert out == "(1 : 0 : 1 : 0 : 1 : 0)\n"
+
+
+def test_embed_reads_entries_mod_p(capsys):
+    # 10^23 is even and 3 is 0 over F_3, so each row spans the line (0 : 1);
+    # an entry beyond int64 raised OverflowError with a traceback
+    for argv in (["-c", "2", "-d", "1", "100000000000000000000000,1"],
+                 ["-p", "3", "-c", "2", "-d", "1", "3,1"]):
+        assert _run(capsys, "embed", *argv) == (0, "(0 : 1)\n", "")
 
 
 def test_embed_rejects_more_than_nine_coordinates(capsys):

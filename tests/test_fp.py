@@ -16,6 +16,7 @@ from grassvar.fp import (
     _kernel_free,
     _kernel_sparse,
     _matmul,
+    _packed_fields,
     _pivot_columns,
     _rank,
     _rref,
@@ -167,14 +168,15 @@ def test_kernel_matches_entrywise_reference_across_words():
 
 
 def test_rank_matches_rref_and_an_independent_elimination():
-    # every word width of the packed F_2 rows, and matrices with no rows
-    for p in (2, 3, 5):
+    # every word width of the packed F_2 rows, the 8-, 16- and 32-bit fields
+    # of odd p, and matrices with no rows
+    for p in (2, 3, 5, 7, 97):
         for a in _wide_matrices(p):
             assert _rank(a, p) == len(_rref(a, p)[1]) == _rank_mod_p(a, p)
 
 
 def test_rank_of_empty_and_unreduced_matrices():
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 97):
         assert _rank(np.zeros((4, 0), dtype=np.int64), p) == 0
         assert _rank(np.zeros((0, 4), dtype=np.int64), p) == 0
     # multiples of p are zero and negative entries count by their residue:
@@ -182,14 +184,14 @@ def test_rank_of_empty_and_unreduced_matrices():
     assert _rank(np.array([[2, 4, -2], [1, -1, 3]]), 2) == 1
     assert _rank(np.array([[3, 6, -3], [1, -2, 4], [2, 2, -1]]), 3) == 1
     rng = np.random.default_rng(23)
-    for p in (2, 3, 5):
+    for p in (2, 3, 5, 7, 97):
         for m, n in [(1, 1), (5, 7), (40, 65), (70, 129)]:
             a = rng.integers(-3 * p, 3 * p, (m, n))
             assert _rank(a, p) == _rank(a % p, p) == _rank_mod_p(a, p)
 
 
 @PROPERTY
-@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(sparse_matrices(p), sparse_matrices(p))))
+@given(st.sampled_from([2, 3, 5, 7, 97]).flatmap(lambda p: st.tuples(sparse_matrices(p), sparse_matrices(p))))
 def test_rank_is_transpose_invariant_and_adds_over_blocks(drawn):
     (p, a), (_, b) = drawn
     ra, rb = _rank(a, p), _rank(b, p)
@@ -199,6 +201,58 @@ def test_rank_is_transpose_invariant_and_adds_over_blocks(drawn):
     block[:m, :n] = a
     block[m:, n:] = b
     assert _rank(block, p) == ra + rb
+
+
+@st.composite
+def rank_inputs(draw):
+    """A function of p giving a matrix over F_p of one of the shapes _rank
+    must survive: no rows or no columns, all zero, a product of rank at
+    most 4, or entries anywhere in [-3p, 3p), so unreduced and negative.
+    Tall and wide shapes both occur, and the widths put the packed rows of
+    every field width, 1 bit over F_2 and 8, 16 or 32 over odd p, on both
+    sides of one and of two 64-bit words."""
+    kind = draw(st.sampled_from(["empty", "zero", "low", "unreduced"]))
+    m = draw(st.integers(0, 70))
+    n = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70]))
+    r = draw(st.integers(0, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "empty":
+        shape = draw(st.sampled_from([(0, n), (m, 0)]))
+        return lambda p: np.zeros(shape, dtype=np.int64)
+    if kind == "zero":
+        return lambda p: np.zeros((m, n), dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if kind == "low":
+        return lambda p: rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))
+    return lambda p: rng.integers(-3 * p, 3 * p, (m, n))
+
+
+@PROPERTY
+@given(rank_inputs())
+def test_rank_matches_rref_modp_for_every_prime(matrix):
+    for p in sorted(fp._PRIMES_TO_97):
+        a = matrix(p)
+        assert _rank(a, p) == len(_rref_modp(a % p, p)[1]) == _rank_mod_p(a, p)
+
+
+def test_packed_fields_are_exact_and_never_spill():
+    for p in sorted(fp._PRIMES_TO_97 - {2}):
+        w, s, m = _packed_fields(p)
+        top = p * p - p
+        assert w in (8, 16, 32) and m == -(-(1 << s) // p)
+        assert all((v * m) >> s == v // p for v in range(top + 1))
+        assert top * m < 1 << w
+        # one packed row holding every value 0..p^2 - p, one per field, is
+        # reduced mod p field by field, as _rank reduces its rows
+        row = sum(v << (j * w) for j, v in enumerate(range(top + 1)))
+        low = sum(((1 << (w - s)) - 1) << (j * w) for j in range(top + 1))
+        row -= p * (((row * m) >> s) & low)
+        fields = [(row >> (j * w)) & ((1 << w) - 1) for j in range(top + 1)]
+        assert fields == [v % p for v in range(top + 1)]
+        assert row >> ((top + 1) * w) == 0
+    assert [_packed_fields(p) for p in (3, 5, 7, 97)] == [
+        (8, 3, 3), (16, 6, 13), (16, 8, 37), (32, 20, 10811)
+    ]
 
 
 def _nonzeros(a):
@@ -304,6 +358,11 @@ def test_matrix_constructor_and_entry_reduction():
     F = PrimeField(3)
     m = MatrixFp(F, [[4, -1], [0, 2]])
     assert m.tolist() == [[1, 2], [0, 2]]
+    # entries beyond int64 are read mod p as well
+    big = 10**26 + 1
+    assert MatrixFp(F, [[big, -big], [2**64, 0]]).tolist() == [[big % 3, -big % 3], [1, 0]]
+    with pytest.raises(ValueError):
+        MatrixFp(F, [[big, 1], [1]])
     with pytest.raises(ValueError):
         MatrixFp(F, [1, 2, 3])
 

@@ -224,6 +224,18 @@ def test_from_dict_rejects_garbage():
     assert module_from_dict(good) == regular_module(F2, 2)
 
 
+def test_from_dict_rejects_booleans():
+    # JSON's true and false load as bool, a subclass of int
+    for doc in [
+        {"p": True, "c": 1, "dim": 1, "actions": [[[0]]]},
+        {"p": 2, "c": True, "dim": 1, "actions": [[[0]]]},
+        {"p": 2, "c": 1, "dim": True, "actions": [[[0]]]},
+        {"p": 2, "c": 1, "dim": 1, "actions": [[[False]]]},
+    ]:
+        with pytest.raises(ValueError, match="integer"):
+            module_from_dict(doc)
+
+
 def test_module_equality():
     assert regular_module(F2, 2) == regular_module(F2, 2)
     assert regular_module(F2, 2) != regular_module(F3, 2)
