@@ -214,7 +214,6 @@ def rank_inputs(draw):
     kind = draw(st.sampled_from(["empty", "zero", "low", "unreduced"]))
     m = draw(st.integers(0, 70))
     n = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 70]))
-    r = draw(st.integers(0, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     if kind == "empty":
         shape = draw(st.sampled_from([(0, n), (m, 0)]))
@@ -223,6 +222,7 @@ def rank_inputs(draw):
         return lambda p: np.zeros((m, n), dtype=np.int64)
     rng = np.random.default_rng(seed)
     if kind == "low":
+        r = draw(st.integers(0, 4))
         return lambda p: rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))
     return lambda p: rng.integers(-3 * p, 3 * p, (m, n))
 
