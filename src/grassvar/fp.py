@@ -2,23 +2,22 @@
 
 Matrices are immutable wrappers around integer numpy arrays with all entries
 reduced mod p.  Every operation is exact: products route through float64 BLAS
-only when the intermediate values provably fit in the 53-bit mantissa, and
-row reduction over F_2 uses a bit-packed elimination path, whose rows are
-packed into 64-bit words by np.packbits.  Both reduction paths produce the
-(unique) reduced row echelon form, so results never depend on which path
-ran.  The kernel basis is read off that form by two scatters: one writes its
-identity block on the free columns, one its pivot rows.  A matrix held by
-its nonzeros, as the covers of a resolution are, gets the same kernel as
-nonzeros from _kernel_sparse, Gauss-Jordan elimination over rows held as
-dicts.  When only the pivot columns are needed, _pivot_columns finds them
-from a matrix's nonzeros, reducing densely only what singleton pruning
-leaves.  When only the rank is needed, _rank is the one routine for every
-p: it packs each row into one Python int of w-bit fields, one per column
-(w = 1 over F_2; 8, 16 or 32 over odd p), and reduces it against pivots
-keyed by their top field, by XOR over F_2, and over odd p by a multiply-add
-followed by a multiply, a shift and a mask that take every field mod p at
-once, with no carry between fields (Granlund-Montgomery 1994).  Its Python
-work follows the rank, not the columns.
+only when the intermediate values provably fit in the 53-bit mantissa.  Dense
+row reduction is one packed Gauss-Jordan elimination for every p: _echelon
+packs each row into one Python int of w-bit fields, one per column with the
+first column on top (w = 1 over F_2; 8, 16 or 32 over odd p), and reduces it
+against pivots keyed by their top field, by XOR over F_2, and over odd p by
+a multiply-add followed by a multiply, a shift and a mask that take every
+field mod p at once, with no carry between fields (Granlund-Montgomery
+1994).  _rank counts those pivots; _rref back-substitutes them into the
+(unique) reduced row echelon form and unpacks it.  Their Python work follows
+the rows and the rank, not the columns.  The kernel basis is read off that
+form by two scatters: one writes its identity block on the free columns, one
+its pivot rows.  A matrix held by its nonzeros, as the covers of a
+resolution are, gets the same kernel as nonzeros from _kernel_sparse,
+Gauss-Jordan elimination over rows held as dicts.  When only the pivot
+columns are needed, _pivot_columns finds them from a matrix's nonzeros,
+reducing densely only what singleton pruning leaves.
 """
 
 from __future__ import annotations
@@ -77,37 +76,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return (a @ b) % p
 
 
-# --- generic mod-p row reduction -------------------------------------------
-
-def _rref_modp(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    m, n = a.shape
-    r = 0
-    pivots: list[int] = []
-    out = a.copy()
-    for j in range(n):
-        if r == m:
-            break
-        col = out[r:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            out[[r, piv]] = out[[piv, r]]
-        inv = pow(int(out[r, j]), p - 2, p)
-        if inv != 1:
-            out[r] = (out[r] * inv) % p
-        rest = out[:, j].copy()
-        rest[r] = 0
-        rows = np.nonzero(rest)[0]
-        if rows.size:
-            out[rows] = (out[rows] - np.outer(rest[rows], out[r])) % p
-        pivots.append(j)
-        r += 1
-    return out, pivots
-
-
-# --- bit-packed F_2 row reduction ------------------------------------------
+# --- packed Gauss-Jordan elimination, for every p --------------------------
 
 def _gf2_pack(a: np.ndarray) -> np.ndarray:
     """The low bits of the rows of a as little-endian 64-bit words: bit j of
@@ -119,48 +88,11 @@ def _gf2_pack(a: np.ndarray) -> np.ndarray:
     buf[:, : bits.shape[1]] = bits
     return buf.view("<u8")
 
-def _gf2_unpack(packed: np.ndarray, n: int) -> np.ndarray:
-    bits = np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
-    return bits.astype(np.int64)
-
-def _rref_gf2(a: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m, n = a.shape
-    packed = _gf2_pack(a)
-    r = 0
-    pivots: list[int] = []
-    for j in range(n):
-        if r == m:
-            break
-        w, b = j >> 6, np.uint64(j & 63)
-        col = (packed[r:, w] >> b) & np.uint64(1)
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            packed[[r, piv]] = packed[[piv, r]]
-        whole = (packed[:, w] >> b) & np.uint64(1)
-        whole[r] = 0
-        rows = np.nonzero(whole)[0]
-        if rows.size:
-            packed[rows] ^= packed[r]
-        pivots.append(j)
-        r += 1
-    return _gf2_unpack(packed, n), pivots
-
-
-def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    if a.shape[0] == 0 or a.shape[1] == 0:
-        return a.copy(), []
-    if p == 2:
-        return _rref_gf2(a)
-    return _rref_modp(a, p)
-
 
 @lru_cache(maxsize=None)
 def _packed_fields(p: int) -> tuple[int, int, int]:
-    """The field width w, shift s and multiplier m of _rank's rows over an
-    odd prime p.
+    """The field width w, shift s and multiplier m of the packed rows over
+    an odd prime p.
 
     m = ceil(2^s / p) for the smallest s with (v * m) >> s == v // p on
     every 0 <= v <= p^2 - p, so a quotient by p is a multiply and a shift
@@ -177,49 +109,53 @@ def _packed_fields(p: int) -> tuple[int, int, int]:
     return next(w for w in (8, 16, 32) if top * m < 1 << w), s, m
 
 
-def _rank(a: np.ndarray, p: int) -> int:
-    """The rank of a over F_p, the number of pivots _rref finds; the entries
-    need not be reduced mod p.
+def _echelon(a: np.ndarray, p: int) -> tuple[dict[int, int], int, int, int, int]:
+    """The forward pass of _rank and _rref: pivot rows of a nonempty a over
+    F_p, keyed by their top field, with the field width w, shift, multiplier
+    and mask `low` of their packing.
 
-    Each row is one little-endian Python int of w-bit fields, field j for
-    column j: over F_2 the 1-bit fields of _gf2_pack, over odd p the bytes
-    of a.astype(<u1|u2|u4>) with (w, s, m) from _packed_fields.  A row is
-    reduced against the pivot rows kept so far, keyed by their top field
+    Each row is one little-endian Python int of w-bit fields with the
+    columns reversed, field n - 1 - j for column j, so that the top field
+    is the first nonzero column: over F_2 the 1-bit fields of _gf2_pack,
+    over odd p the bytes of a.astype(<u1|u2|u4>) with (w, shift, mul) from
+    _packed_fields.  Entries are read mod p.  A row is reduced against the
+    pivot rows kept so far, keyed by their top field
     (row.bit_length() - 1) // w and stored with leading coefficient 1: a
     row whose top field has a pivot is reduced by it, and one whose top
     field has none is a new pivot.  Over F_2 the reduction is row ^= pivot.
     Over odd p a row with leading coefficient c becomes row + (p - c) *
     pivot, whose top field is p, and then every field v is replaced by
-    v mod p at once, as row - p * (((row * m) >> s) & low), where low keeps
-    the low w - s bits of each field.
+    v mod p at once, as row - p * (((row * mul) >> shift) & low), where low
+    keeps the low w - shift bits of each field.
 
     Why that is exact: between steps every field is below p.  The update
     adds at most (p - 1)^2 to it, and scaling a new pivot by the inverse of
     its leading coefficient makes it at most (p - 1)^2, so every field is at
-    most p^2 - p.  Then each field times m is below 2^w, so row * m
-    multiplies field by field with no carry.  The shift brings the low s
-    bits of each field into the top of the one below, and low masks them
-    off, leaving (v * m) >> s = v // p in each field.  Subtracting p times
-    it leaves v mod p >= 0 in each field, so nothing borrows either.
+    most p^2 - p.  Then each field times mul is below 2^w, so row * mul
+    multiplies field by field with no carry.  The shift brings the low
+    shift bits of each field into the top of the one below, and low masks
+    them off, leaving (v * mul) >> shift = v // p in each field.
+    Subtracting p times it leaves v mod p >= 0 in each field, so nothing
+    borrows either.
 
-    Pivots have distinct top fields, so they are independent, and each row
-    is reduced by pivots until it is zero or a new pivot, so they span the
-    rows.  The Python work grows with the rows and the rank, never with the
-    columns, and it stops once every column has a pivot.
+    Pivots have distinct top fields, so they are independent and in row
+    echelon form, and each row is reduced by pivots until it is zero or a
+    new pivot, so they span the rows.  The Python work grows with the rows
+    and the rank, never with the columns, and it stops once every column
+    has a pivot.
     """
     m, n = a.shape
-    if m == 0 or n == 0:
-        return 0
     if p == 2:
-        words = _gf2_pack(a)
-        w, width, packed = 1, 8 * words.shape[1], words.tobytes()
+        words = _gf2_pack(a[:, ::-1])
+        w, shift, mul, low = 1, 0, 0, 0
+        width, packed = 8 * words.shape[1], words.tobytes()
     else:
         # a % p costs ten times the range check, and the library's own
         # callers pass reduced arrays
         if a.min() < 0 or a.max() >= p:
             a = a % p
         w, shift, mul = _packed_fields(p)
-        width, packed = n * w // 8, a.astype(f"<u{w // 8}").tobytes()
+        width, packed = n * w // 8, a[:, ::-1].astype(f"<u{w // 8}").tobytes()
         # the low w - shift bits of each of the n fields
         low = ((1 << (w - shift)) - 1) * (((1 << (n * w)) - 1) // ((1 << w) - 1))
     pivots: dict[int, int] = {}
@@ -241,7 +177,66 @@ def _rank(a: np.ndarray, p: int) -> int:
                 row -= p * (((row * mul) >> shift) & low)
         if len(pivots) == n:
             break
-    return len(pivots)
+    return pivots, w, shift, mul, low
+
+
+def _rank(a: np.ndarray, p: int) -> int:
+    """The rank of a over F_p, the number of pivots _rref finds; the entries
+    need not be reduced mod p.
+
+    It shares _rref's packing and reduction loop: it counts the pivot rows
+    of _echelon's forward pass, whose packed rows hold the columns reversed
+    so that a pivot's top field is its first nonzero column, and does no
+    back-substitution.
+    """
+    if a.shape[0] == 0 or a.shape[1] == 0:
+        return 0
+    return len(_echelon(a, p)[0])
+
+
+def _rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """The reduced row echelon form of a over F_p, as an int64 array of a's
+    shape whose rows past the rank are zero, and its pivot columns in
+    increasing order; the entries need not be reduced mod p.
+
+    _echelon's pivot rows are in echelon form with leading coefficient 1.
+    Back-substitution takes them in increasing pivot column k and clears
+    field k of every row before it by one more update of the same kind, so
+    each pivot column is zero outside its own row at the end, and the rows
+    are unpacked.  The form is unique, so it does not depend on the order
+    in which _echelon met the rows.
+    """
+    m, n = a.shape
+    out = np.zeros((m, n), dtype=np.int64)
+    if m == 0 or n == 0:
+        return out, []
+    pivots, w, shift, mul, low = _echelon(a, p)
+    tops = sorted(pivots, reverse=True)
+    field = (1 << w) - 1
+    rows: list[int] = []
+    for top in tops:
+        pivot = pivots[top]
+        at = top * w
+        for i, row in enumerate(rows):
+            lead = (row >> at) & field
+            if lead:
+                if p == 2:
+                    rows[i] = row ^ pivot
+                else:
+                    row += (p - lead) * pivot
+                    rows[i] = row - p * (((row * mul) >> shift) & low)
+        rows.append(pivot)
+    if p == 2:
+        size = (n + 7) // 8
+        bits = np.frombuffer(b"".join(r.to_bytes(size, "little") for r in rows), np.uint8)
+        fields = np.unpackbits(bits.reshape(len(rows), size), axis=1, count=n, bitorder="little")
+    else:
+        size = n * w // 8
+        fields = np.frombuffer(
+            b"".join(r.to_bytes(size, "little") for r in rows), f"<u{w // 8}"
+        ).reshape(len(rows), n)
+    out[: len(rows)] = fields[:, ::-1]
+    return out, [n - 1 - top for top in tops]
 
 
 def _pivot_columns(
@@ -466,9 +461,6 @@ class MatrixFp:
 
     def __neg__(self) -> "MatrixFp":
         return MatrixFp(self.field, (-self._a) % self.p)
-
-    def scale(self, a: int) -> "MatrixFp":
-        return MatrixFp(self.field, (self._a * (a % self.p)) % self.p)
 
     def __matmul__(self, other: "MatrixFp") -> "MatrixFp":
         self._check(other)

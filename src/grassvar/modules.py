@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModuleAxiomError, ResourceLimitError
-from .fp import MatrixFp, PrimeField, _matmul, _rank, _rref
+from .fp import MatrixFp, PrimeField, _kernel_free, _matmul, _rank
 
 DEFAULT_DIM_CAP = 256
 
@@ -148,46 +148,50 @@ def action_of(M: KEModule, u) -> MatrixFp:
 
 
 def quotient_by_linear_forms(field: PrimeField, c: int, forms: Sequence) -> KEModule:
-    """The cyclic module kE / (u_1, .., u_s) for independent linear forms u_j."""
+    """The cyclic module kE / (u_1, .., u_s) for independent linear forms u_j,
+    on its standard monomials, in closed form.
+
+    Row-reduce the forms.  The free variables are the c - s variables that
+    are not pivots, free[0] < free[1] < ...; K is the c x (c - s) kernel
+    basis _kernel_free reads off the reduced form: row free[t] is the unit
+    vector e_t, and the row of the pivot variable of reduced form r is
+    -red[r, free] mod p.  Then x_i acts as sum_t K[i, t] Y_t, where the Y_t
+    are the actions of regular_module(field, c - s).  For s = c the
+    quotient is k, with 1 x 1 zero actions.
+
+    Why these are the actions of x_i on kE / I, I = (u_1, .., u_s), in the
+    basis of its standard monomials (the monomials that are no element's
+    leading term, its lowest-index term), in kE's base-p index order:
+    - The leading terms of the reduced forms are the pivot variables: form
+      r is its pivot variable x_j plus multiples of free x_k with k > j.
+      Index order is compatible with products of monomials, whose indices
+      add with no carry, so every monomial x^f divisible by x_j is the
+      leading term of (x^f / x_j) * form r in I.  So the standard monomials
+      are among the p^(c - s) monomials in the free variables.
+    - x_i -> sum_t K[i, t] Y_t is an algebra map from kE onto
+      A = kE over c - s variables: the image of x_i has p-th power 0 in
+      characteristic p, x_free[t] goes to Y_t, and every form goes to 0,
+      since the columns of K lie in the kernel of the form matrix.  So
+      dim kE / I >= p^(c - s), the standard monomials are the monomials in
+      the free variables, and the map is an isomorphism kE / I -> A that
+      takes x^f to the monomial Y^f, in the same base-p index order, which
+      is the basis order of regular_module(field, c - s).
+    - So in that basis x_i acts as multiplication by sum_t K[i, t] Y_t in
+      A, and an action matrix in a fixed basis is unique.
+    """
     forms = [_coerce_form(field, c, f) for f in forms]
     if not forms:
         return regular_module(field, c)
-    p = field.p
     coeff_rows = np.array([f.coeffs for f in forms], dtype=np.int64)
-    if _rank(coeff_rows, p) != len(forms):
+    K, free = _kernel_free(coeff_rows, field.p)
+    if len(free) != c - len(forms):
         raise ValueError("linear forms are not independent")
-    R = regular_module(field, c)
-    n = R.n
-    # images of the forms under multiplication into the regular module
-    seed = np.zeros((len(forms), n), dtype=np.int64)
-    for r, f in enumerate(forms):
-        for i, a in enumerate(f.coeffs):
-            seed[r, p**i] = a
-    # close the span under all actions
-    span = seed
-    rank = -1
-    while True:
-        red, piv = _rref(span, p)
-        if len(piv) == rank:
-            break
-        rank = len(piv)
-        basis = red[: len(piv)]
-        images = [_matmul(X.array, basis.T, p).T for X in R.actions]
-        span = np.concatenate([basis] + images, axis=0)
-    sub = red[: len(piv)]
-    piv_list = list(piv)
-    quot_idx = [j for j in range(n) if j not in set(piv_list)]
-
-    def reduce_cols(w: np.ndarray) -> np.ndarray:
-        # canonical representatives: kill the pivot coordinates
-        return (w - sub.T @ w[piv_list, :]) % p
-
-    acts = []
-    for X in R.actions:
-        w = X.array[:, quot_idx]
-        u = reduce_cols(w)
-        acts.append(MatrixFp(field, u[quot_idx, :]))
-    return KEModule(field, c, len(quot_idx), tuple(acts))
+    if not free:
+        zero = MatrixFp.zeros(field, 1, 1)
+        return KEModule(field, c, 1, tuple(zero for _ in range(c)))
+    Y = regular_module(field, len(free))
+    acts = tuple(MatrixFp(field, a) for a in _restricted_arrays(Y, K))
+    return KEModule(field, c, Y.n, acts)
 
 
 def direct_sum(M: KEModule, N: KEModule) -> KEModule:

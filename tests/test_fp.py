@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from grassvar import fp
 from grassvar.fp import (
     MatrixFp,
     PrimeField,
     _gf2_pack,
-    _gf2_unpack,
     _kernel_free,
     _kernel_sparse,
     _matmul,
@@ -20,8 +21,6 @@ from grassvar.fp import (
     _pivot_columns,
     _rank,
     _rref,
-    _rref_gf2,
-    _rref_modp,
 )
 from test_homology import _rank_mod_p
 
@@ -83,16 +82,6 @@ def test_rref_shape_and_idempotence():
             assert np.array_equal(again, red) and list(piv2) == list(piv)
 
 
-def test_gf2_path_matches_generic_path():
-    rng = random.Random(7)
-    for _ in range(40):
-        a = _random_matrix(rng, rng.randrange(1, 9), rng.randrange(1, 9), 2)
-        r1, p1 = _rref_gf2(a)
-        r2, p2 = _rref_modp(a, 2)
-        assert np.array_equal(r1, r2)
-        assert list(p1) == list(p2)
-
-
 def test_kernel_annihilates_and_has_identity_block():
     rng = random.Random(13)
     for p in (2, 3):
@@ -147,15 +136,45 @@ def test_gf2_pack_layout_and_round_trip_across_words():
             if j < n:
                 bit = (packed[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
                 assert np.array_equal(bit.astype(np.int64), a[:, j] % 2)
-        assert np.array_equal(_gf2_unpack(packed, n), a % 2)
+        bits = np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
+        assert np.array_equal(bits, a % 2)
 
 
-def test_gf2_path_matches_generic_path_across_words():
-    for a in _wide_matrices(2):
-        r1, p1 = _rref_gf2(a)
-        r2, p2 = _rref_modp(a, 2)
-        assert np.array_equal(r1, r2)
-        assert list(p1) == list(p2)
+def _sympy_rref(a, p):
+    """The reduced row echelon form of a over F_p and its pivot columns, by
+    sympy's DomainMatrix over GF(p), which shares no code with grassvar."""
+    K = GF(p)
+    m, n = a.shape
+    red, pivots = DomainMatrix([[K(int(v)) for v in row] for row in a.tolist()], (m, n), K).rref()
+    out = np.zeros((m, n), dtype=np.int64)
+    for i, row in enumerate(red.to_list()):
+        out[i] = [int(v) % p for v in row]
+    return out, list(pivots)
+
+
+def test_rref_matches_sympy_domain_matrix():
+    # _wide_matrices up to 40 rows: sympy's GF(p) arithmetic costs about a
+    # microsecond an operation, so its 64- and 150-row matrices would take
+    # about 100 s; the ranks of those are checked against _rank_mod_p
+    rng = np.random.default_rng(29)
+    for p in (2, 3, 5, 7, 97):
+        drawn = [a for a in _wide_matrices(p) if a.shape[0] <= 40]
+        # entries below 0 and past p, read mod p
+        drawn += [rng.integers(-3 * p, 3 * p, shape) for shape in [(1, 1), (2, 3), (5, 4), (9, 17), (16, 33)]]
+        for a in drawn:
+            red, pivots = _rref(a, p)
+            want, want_pivots = _sympy_rref(a, p)
+            assert pivots == want_pivots
+            assert red.dtype == np.int64 and np.array_equal(red, want)
+
+
+def test_rref_and_kernel_read_entries_mod_p():
+    # 3 is 0 over F_3, so column 1 is the pivot and e_0 spans the kernel
+    a = np.array([[3, 1]])
+    red, pivots = _rref(a, 3)
+    assert red.tolist() == [[0, 1]] and pivots == [1]
+    k, free = _kernel_free(a, 3)
+    assert k.tolist() == [[1], [0]] and free == [0]
 
 
 def test_kernel_matches_entrywise_reference_across_words():
@@ -229,10 +248,10 @@ def rank_inputs(draw):
 
 @PROPERTY
 @given(rank_inputs())
-def test_rank_matches_rref_modp_for_every_prime(matrix):
+def test_rank_matches_an_independent_elimination_for_every_prime(matrix):
     for p in sorted(fp._PRIMES_TO_97):
         a = matrix(p)
-        assert _rank(a, p) == len(_rref_modp(a % p, p)[1]) == _rank_mod_p(a, p)
+        assert _rank(a, p) == _rank_mod_p(a, p)
 
 
 def test_packed_fields_are_exact_and_never_spill():
@@ -393,7 +412,6 @@ def test_matrix_arithmetic():
     assert (a - b).tolist() == [[4, 2], [2, 3]]
     assert (-a).tolist() == [[4, 3], [2, 1]]
     assert (a @ b).tolist() == [[4, 2], [0, 4]]
-    assert a.scale(2).tolist() == [[2, 4], [1, 3]]
     assert a.transpose().tolist() == [[1, 3], [2, 4]]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from grassvar.errors import ModuleAxiomError, ResourceLimitError
-from grassvar.fp import MatrixFp, PrimeField
+from grassvar.fp import MatrixFp, PrimeField, _matmul, _rank, _rref
 from grassvar.modules import (
     KEModule,
     LinearForm,
@@ -100,6 +100,57 @@ def test_quotient_rejects_dependent_forms():
         quotient_by_linear_forms(F2, 2, [(1, 1), (1, 1)])
     with pytest.raises(ValueError):
         quotient_by_linear_forms(F3, 2, [(1, 0), (2, 0)])
+
+
+def _closure_quotient_arrays(field, c, forms):
+    """The action arrays of kE / (forms) by closing the span of the forms
+    in the regular module under every x_i and reducing each product to the
+    standard monomials, the non-pivot columns of that span's reduced form:
+    a route that knows nothing of the closed form."""
+    p = field.p
+    R = regular_module(field, c)
+    n = R.n
+    seed = np.zeros((len(forms), n), dtype=np.int64)
+    for r, f in enumerate(forms):
+        for i, a in enumerate(f):
+            seed[r, p**i] = a % p
+    span, rank = seed, -1
+    while True:
+        red, piv = _rref(span, p)
+        if len(piv) == rank:
+            break
+        rank = len(piv)
+        basis = red[:rank]
+        images = [_matmul(X.array, basis.T, p).T for X in R.actions]
+        span = np.concatenate([basis] + images, axis=0)
+    sub = red[: len(piv)]
+    quot = [j for j in range(n) if j not in set(piv)]
+    arrays = []
+    for X in R.actions:
+        w = X.array[:, quot]
+        arrays.append(((w - sub.T @ w[piv, :]) % p)[quot, :])
+    return arrays
+
+
+def test_quotient_matches_the_span_closure():
+    rng = np.random.default_rng(41)
+    contexts = [(2, c) for c in range(1, 6)] + [(3, c) for c in range(1, 5)] + [(5, c) for c in range(1, 4)]
+    for p, c in contexts:
+        field = PrimeField(p)
+        for s in range(c + 1):
+            done = 0
+            while done < 4:
+                # entries below 0 and past p, which the forms read mod p
+                a = rng.integers(-p, 2 * p, (s, c))
+                if _rank(a, p) != s:
+                    continue
+                forms = [tuple(int(v) for v in row) for row in a]
+                M = quotient_by_linear_forms(field, c, forms)
+                want = _closure_quotient_arrays(field, c, forms)
+                assert M.n == p ** (c - s)
+                for X, w in zip(M.actions, want):
+                    assert X.array.dtype == w.dtype and X.array.tobytes() == w.tobytes()
+                done += 1
 
 
 def test_validate_reports_problems():
