@@ -372,7 +372,7 @@ def _set_to_one(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
     for e, a in f.terms:
         e = e[:i] + e[i + 1 :]
         terms[e] = terms.get(e, 0) + a
-    return ring.from_dict(terms)
+    return ring._from_valid_dict(terms)
 
 
 def _contains(I: Ideal, J: Ideal) -> bool:

@@ -17,6 +17,41 @@ term's key is key(shift) + key(term).  The key is exact while every digit
 lies strictly between -B/2 and B/2, which holds while a monomial's total
 degree stays below B/2 = 524288.  The degree is checked wherever a key is
 formed or extended, and a monomial that reaches the bound raises ValueError.
+The same bound keeps every field of a packed monomial below its guard bit.
+
+`Polynomial.terms` hold exponent tuples, but division and Buchberger's
+algorithm hold each term as (key, packed monomial, coefficient), from the
+first key to the reduced basis.  A packed monomial is one int with a field of
+20 bits per variable, at bit 20 * f(i) for variable i: 19 value bits and a
+guard bit above them (Monagan and Pearce 2011 pack exponents the same way).
+The fields sit on the key's own base-B digits, so the key is a cheap function
+of the packed int m:
+- lex: f(i) = n - 1 - i.  Digit n - 1 - i of the key is e_i, so key == m.
+- grevlex: f(i) = i.  w_i = B^n - B^i, so key = deg * B^n - m.
+- block, with the kept variables K and the dropped ones D each in index
+  order: the t-th kept variable has field t, the t-th dropped one field
+  |K| + 1 + t, and field |K| stays empty.  The kept weights are
+  B^|K| - B^t and the dropped ones (B^|D| - B^t) * B^(|K|+1), so
+  key = deg_D * B^(n+1) + deg_K * B^|K| - m.
+Every exponent is below the degree bound 2^19, so each field holds its
+exponent with the guard bit clear, and with G the guard bits:
+- multiplying by a monomial adds packed ints and dividing by a divisor
+  subtracts them; no field passes 2^19 - 1 while the result's degree is
+  below the bound, which is checked as for keys;
+- a divides m iff ((m | G) - a) & G == G: field i of the difference is
+  2^19 + m_i - a_i, which lies in [1, 2^20), so no field borrows from the
+  next and its guard bit is set exactly when a_i <= m_i;
+- in (a | G) - b likewise field i keeps its guard bit exactly when
+  a_i >= b_i; with S those guard bits, S - (S >> 19) covers the value bits
+  of the selected fields, and lcm(a, b) = b ^ ((a ^ b) & (S - (S >> 19)));
+- a and b are coprime iff lcm(a, b) == a + b, as max(x, y) = x + y iff
+  min(x, y) = 0;
+- with W fields (n, or n + 1 for a block order) the degree is field W - 1
+  of m * (1 + B + ... + B^(W-1)): each field of the product is a sum of
+  fields of m, below B for any monomial of degree below B, so nothing
+  carries and one multiply, shift and mask reads it.  An lcm of two
+  monomials below the bound has degree below B, so its degree is read
+  exactly and checked before its key is formed.
 
 Normal forms are heap-driven (Monagan and Pearce, "Sparse polynomial
 division using a heap", 2011): pending terms sit in a max-heap of keys, the
@@ -30,7 +65,8 @@ reduced by the monic ones kept before it.  A term is divisible only by leads
 no larger than itself, so a pass whose leads stay ascending leaves every
 element reduced by all the others.  Buchberger's input repeats the pass until
 that holds; its output, a Groebner basis, needs one pass, in which redundant
-elements reduce to 0.
+elements reduce to 0.  The passes, the reducers and the basis all stay in
+keyed form; only the returned basis is unpacked into Polynomials.
 
 Groebner work is bounded by a pool of S-pair reductions.  Inside a
 `with groebner_budget(n):` block every Buchberger run draws on one pool of n,
@@ -50,7 +86,7 @@ import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import add, itemgetter, le, mul, sub
+from operator import itemgetter, lshift, mul
 from typing import Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
@@ -109,16 +145,13 @@ class MonomialOrder:
         return MonomialOrder(self.kind)
 
 
-# the digit base of the order keys, and the total degree below which every
-# digit lies strictly between -_BASE/2 and _BASE/2
-_BASE = 1 << 20
+# the width of a packed monomial's fields, the digit base of the order keys,
+# and the total degree below which every digit lies strictly between
+# -_BASE/2 and _BASE/2 and every field below its guard bit
+_FIELD = 20
+_BASE = 1 << _FIELD
+_FIELD_MASK = _BASE - 1
 _DEGREE_BOUND = _BASE // 2
-
-
-def _grevlex_weights(n: int) -> list[int]:
-    """Weights of the grevlex digits (deg, -e_n, ..., -e_1)."""
-    top = _BASE**n
-    return [top - _BASE**i for i in range(n)]
 
 
 def _degree_error(degree: int) -> ValueError:
@@ -129,7 +162,8 @@ def _degree_error(degree: int) -> ValueError:
 class PolyRing:
     """F_p[names] with a fixed monomial order."""
 
-    __slots__ = ("field", "names", "order", "_pos", "_weights")
+    __slots__ = ("field", "names", "order", "_pos", "_weights", "_shifts", "_ones", "_top", "_kept",
+                 "_guard")
 
     def __init__(self, field: PrimeField, names: Sequence[str], order: MonomialOrder | None = None) -> None:
         names = tuple(names)
@@ -140,27 +174,40 @@ class PolyRing:
         self.names = names
         self.order = order
         self._pos = {n: i for i, n in enumerate(names)}
-        self._weights = self._build_weights()
+        self._build_layout()
 
-    def _build_weights(self) -> tuple[int, ...]:
+    def _build_layout(self) -> None:
+        """Each variable's packed field f(i) and the order's weights, which
+        the module docstring derives from the fields; a block order's kept
+        degree is the sum of its first |K| fields."""
         n = len(self.names)
-        if self.order.kind == "lex":
-            return tuple(_BASE ** (n - 1 - i) for i in range(n))
-        if self.order.kind == "grevlex":
-            return tuple(_grevlex_weights(n))
-        missing = self.order.drop - set(self.names)
-        if missing:
-            raise ValueError(f"block order drops unknown variables {sorted(missing)}")
-        # the drop block's grevlex digits stacked above the kept block's
-        di = [i for i, v in enumerate(self.names) if v in self.order.drop]
-        ki = [i for i, v in enumerate(self.names) if v not in self.order.drop]
-        shift = _BASE ** (len(ki) + 1)
-        w = [0] * n
-        for i, wi in zip(di, _grevlex_weights(len(di))):
-            w[i] = wi * shift
-        for i, wi in zip(ki, _grevlex_weights(len(ki))):
-            w[i] = wi
-        return tuple(w)
+        kind = self.order.kind
+        if kind == "lex":
+            fields = [n - 1 - i for i in range(n)]
+            weights = [_BASE**f for f in fields]
+            width = nk = n
+        elif kind == "grevlex":
+            fields = list(range(n))
+            weights = [_BASE**n - _BASE**f for f in fields]
+            width = nk = n
+        else:
+            missing = self.order.drop - set(self.names)
+            if missing:
+                raise ValueError(f"block order drops unknown variables {sorted(missing)}")
+            dropped = [v in self.order.drop for v in self.names]
+            nk = dropped.count(False)
+            kept_fields, drop_fields = iter(range(nk)), iter(range(nk + 1, n + 1))
+            fields = [next(drop_fields) if d else next(kept_fields) for d in dropped]
+            weights = [(_BASE ** (n + 1) if d else _BASE**nk) - _BASE**f for d, f in zip(dropped, fields)]
+            width = n + 1
+        self._weights = tuple(weights)
+        self._shifts = tuple(_FIELD * f for f in fields)
+        ones = sum(1 << _FIELD * f for f in range(width))
+        self._guard = ones << (_FIELD - 1)
+        # field j + 1 of m * _ones is the sum of m's fields 0..j
+        self._ones = ones << _FIELD
+        self._top = _FIELD * width
+        self._kept = _FIELD * nk
 
     @property
     def p(self) -> int:
@@ -191,8 +238,49 @@ class PolyRing:
             raise _degree_error(sum(e))
         return sum(map(mul, self._weights, e))
 
+    # packed monomials, laid out and proved exact in the module docstring
+    def _pack(self, e: Mono) -> int:
+        return sum(map(lshift, e, self._shifts))
+
+    def _unpack(self, m: int) -> Mono:
+        return tuple([m >> s & _FIELD_MASK for s in self._shifts])
+
+    def _degree(self, m: int) -> int:
+        """Total degree of a packed monomial of degree below _BASE."""
+        return m * self._ones >> self._top & _FIELD_MASK
+
+    def _kept_degree(self, m: int) -> int:
+        """Degree in the variables a block order keeps, or in all of them."""
+        return m * self._ones >> self._kept & _FIELD_MASK
+
+    def _mkey(self, m: int) -> int:
+        """The order key of a packed monomial of degree below _BASE; the
+        caller checks the degree bound."""
+        kind = self.order.kind
+        if kind == "lex":
+            return m
+        s = m * self._ones
+        deg = s >> self._top & _FIELD_MASK
+        if kind == "grevlex":
+            return (deg << self._top) - m
+        kept = s >> self._kept & _FIELD_MASK
+        return ((deg - kept) << self._top) + (kept << self._kept) - m
+
     # construction
     def from_dict(self, d: dict[Mono, int]) -> "Polynomial":
+        """The polynomial sum(c * x^e); ValueError on an exponent vector of
+        the wrong length or with a negative entry."""
+        n = len(self.names)
+        for e in d:
+            if len(e) != n or (e and min(e) < 0):
+                raise ValueError(f"monomial {e} of {self} needs {n} nonnegative exponents")
+        return self._from_valid_dict(d)
+
+    def _from_valid_dict(self, d: dict[Mono, int]) -> "Polynomial":
+        """from_dict for exponent vectors built from a ring's own by
+        arithmetic, substitution or renaming, which cannot be malformed.
+        Nearly every polynomial a projection builds is one of these, so
+        they skip from_dict's check."""
         p = self.p
         clean = {}
         for e, c in d.items():
@@ -256,9 +344,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return not self.terms or not any(self.terms[0][0])
 
-    def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][1] == 1 and not any(self.terms[0][0])
-
     def lm(self) -> Mono:
         if not self.terms:
             raise ValueError("zero polynomial has no leading monomial")
@@ -315,7 +400,7 @@ class Polynomial:
                 d[e] = v
             elif e in d:
                 del d[e]
-        return self.ring.from_dict(d)
+        return self.ring._from_valid_dict(d)
 
     __radd__ = __add__
 
@@ -348,7 +433,7 @@ class Polynomial:
                     d[e] = v
                 elif e in d:
                     del d[e]
-        return self.ring.from_dict(d)
+        return self.ring._from_valid_dict(d)
 
     __rmul__ = __mul__
 
@@ -405,7 +490,7 @@ class Polynomial:
                 out[j] += x
             key = tuple(out)
             d[key] = (d.get(key, 0) + c) % ring.p
-        return ring.from_dict(d)
+        return ring._from_valid_dict(d)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -464,26 +549,16 @@ def ideal(ring: PolyRing, gens: Iterable[Polynomial]) -> Ideal:
 
 # --- division ----------------------------------------------------------------
 
-def _divides(a: Mono, b: Mono) -> bool:
-    for x, y in zip(a, b):
-        if x > y:
-            return False
-    return True
-
-
-def _mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(x if x > y else y for x, y in zip(a, b))
-
-
 def _keyed(ring: PolyRing, terms) -> list:
-    """(key, monomial, coefficient) of each term."""
-    key = ring.key
-    return [(key(e), e, c) for e, c in terms]
+    """(key, packed monomial, coefficient) of each term."""
+    key, pack = ring.key, ring._pack
+    return [(key(e), pack(e), c) for e, c in terms]
 
 
 def _as_polynomial(ring: PolyRing, keyed) -> Polynomial:
     """The polynomial of keyed terms given by descending key."""
-    return Polynomial(ring, tuple((e, c) for _, e, c in keyed))
+    unpack = ring._unpack
+    return Polynomial(ring, tuple((unpack(m), c) for _, m, c in keyed))
 
 
 def _monic(keyed, field: PrimeField) -> list:
@@ -491,10 +566,10 @@ def _monic(keyed, field: PrimeField) -> list:
     if c0 == 1:
         return keyed
     inv, p = field.inv(c0), field.p
-    return [(k, e, c * inv % p) for k, e, c in keyed]
+    return [(k, m, c * inv % p) for k, m, c in keyed]
 
 
-def _reducer(keyed):
+def _reducer(ring: PolyRing, keyed):
     """Reducer entry (lead key, lead, excess, tail) of a monic polynomial
     given as keyed terms by descending key.
 
@@ -504,25 +579,26 @@ def _reducer(keyed):
     """
     lk, lm, _ = keyed[0]
     tail = tuple(keyed[1:])
-    excess = max((sum(e) for _, e, _ in tail), default=0) - sum(lm)
+    deg = ring._degree
+    excess = max((deg(m) for _, m, _ in tail), default=0) - deg(lm)
     return (lk, lm, excess, tail)
 
 
-def _subtract_shifted(pending: dict, heap: list, reducer, shift_key: int, shift: Mono, c: int) -> None:
+def _subtract_shifted(pending: dict, heap: list, reducer, shift_key: int, shift: int, c: int) -> None:
     """Subtract c * shift * (reducer's tail) from the pending terms, a dict
-    key -> [coefficient, monomial] whose keys the heap holds negated, once
-    each.  Coefficients are reduced mod p when the term is popped."""
-    for gk, ge, gc in reducer[3]:
+    key -> [coefficient, packed monomial] whose keys the heap holds negated,
+    once each.  Coefficients are reduced mod p when the term is popped."""
+    for gk, gm, gc in reducer[3]:
         k = shift_key + gk
         t = pending.get(k)
         if t is None:
-            pending[k] = [-c * gc, tuple(map(add, shift, ge))]
+            pending[k] = [-c * gc, shift + gm]
             heapq.heappush(heap, -k)
         else:
             t[0] -= c * gc
 
 
-def _reduce(pending: dict, heap: list, reducers, p: int) -> list:
+def _reduce(ring: PolyRing, pending: dict, heap: list, reducers) -> list:
     """Full normal form of the pending terms against monic reducer entries
     sorted by ascending lead key, as keyed terms by descending key.
 
@@ -530,6 +606,7 @@ def _reduce(pending: dict, heap: list, reducers, p: int) -> list:
     it, and otherwise replaced by the shifted reducer tail, whose terms are
     all smaller.  So the output comes out sorted.
     """
+    p, guard = ring.p, ring._guard
     out = []
     while heap:
         k = -heapq.heappop(heap)
@@ -539,25 +616,28 @@ def _reduce(pending: dict, heap: list, reducers, p: int) -> list:
             continue
         # a lead larger than m cannot divide it
         hit = None
+        mg = m | guard
         for r in reducers:
             if r[0] > k:
                 break
-            if all(map(le, r[1], m)):
+            if (mg - r[1]) & guard == guard:
                 hit = r
                 break
         if hit is None:
             out.append((k, m, c))
             continue
         lk, lm, excess, _ = hit
-        if excess > 0 and sum(m) + excess >= _DEGREE_BOUND:
-            raise _degree_error(sum(m) + excess)
-        _subtract_shifted(pending, heap, hit, k - lk, tuple(map(sub, m, lm)), c)
+        if excess > 0:
+            degree = ring._degree(m) + excess
+            if degree >= _DEGREE_BOUND:
+                raise _degree_error(degree)
+        _subtract_shifted(pending, heap, hit, k - lk, m - lm, c)
     return out
 
 
-def _pending(ring: PolyRing, terms) -> tuple[dict, list]:
-    """Pending terms and their heap for _reduce, from distinct terms."""
-    pending = {k: [c, e] for k, e, c in _keyed(ring, terms)}
+def _pending(keyed) -> tuple[dict, list]:
+    """Pending terms and their heap for _reduce, from distinct keyed terms."""
+    pending = {k: [c, m] for k, m, c in keyed}
     heap = [-k for k in pending]
     heapq.heapify(heap)
     return pending, heap
@@ -567,54 +647,71 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     """Remainder of f under full reduction by the given (Groebner) basis."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
     ring = f.ring
-    reducers = sorted((_reducer(_keyed(ring, g.monic().terms)) for g in polys if not g.is_zero()),
+    reducers = sorted((_reducer(ring, _keyed(ring, g.monic().terms)) for g in polys if not g.is_zero()),
                       key=itemgetter(0))
     if not reducers:
         return f
-    return _as_polynomial(ring, _reduce(*_pending(ring, f.terms), reducers, ring.p))
+    return _as_polynomial(ring, _reduce(ring, *_pending(_keyed(ring, f.terms)), reducers))
 
 
 # --- Buchberger ----------------------------------------------------------------
 
-def _autoreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list[Polynomial]:
-    """One reduction pass: polys, made monic and deduplicated, are taken by
-    ascending lead, and each is fully reduced by those kept before it and
-    kept, monic, if nonzero.
+def _lcm(a: int, b: int, guard: int) -> int:
+    """lcm of two packed monomials; guard holds the ring's guard bits."""
+    # the guard bits of the fields where a's exponent is at least b's
+    s = ((a | guard) - b) & guard
+    return b ^ ((a ^ b) & (s - (s >> _FIELD - 1)))
+
+
+def _lead_key(keyed) -> int:
+    return keyed[0][0]
+
+
+def _sorted_monic(ring: PolyRing, polys: Sequence[Polynomial]) -> list:
+    """The distinct nonzero polys, made monic, as keyed terms by ascending
+    lead; equal leads are taken in the order of their term tuples, so the
+    first pass does not depend on the order of the input."""
+    key = ring.key
+    items = sorted({g.monic().terms for g in polys if not g.is_zero()},
+                   key=lambda t: (key(t[0][0]), t))
+    return [_keyed(ring, t) for t in items]
+
+
+def _autoreduce(ring: PolyRing, items: list) -> list:
+    """One reduction pass: monic keyed polynomials, by ascending lead, are
+    each fully reduced by those kept before it and kept, monic, if nonzero.
 
     A term is divisible only by leads no larger than itself.  So on a
     Groebner basis the pass gives the reduced basis, by ascending lead: a
     redundant element reduces to 0.  On other input a reduction may lower a
-    lead below those kept before it.
+    lead below those kept before it.  Every kept lead is new, so the output
+    has distinct leads.
     """
-    key = ring.key
-    items = sorted({g.monic().terms for g in polys if not g.is_zero()},
-                   key=lambda t: (key(t[0][0]), t))
-    kept: list[Polynomial] = []
+    kept: list = []
     reducers: list = []
     for terms in items:
-        r = _reduce(*_pending(ring, terms), reducers, ring.p)
+        r = _reduce(ring, *_pending(terms), reducers)
         if not r:
             continue
         r = _monic(r, ring.field)
-        kept.append(_as_polynomial(ring, r))
+        kept.append(r)
         # r is reduced by every kept lead, so its lead is new
-        bisect.insort(reducers, _reducer(r), key=itemgetter(0))
+        bisect.insort(reducers, _reducer(ring, r), key=itemgetter(0))
     return kept
 
 
-def _interreduce(ring: PolyRing, polys: list[Polynomial]) -> list[Polynomial]:
-    """Monic basis with every element fully reduced against the others, by
-    ascending lead.
+def _interreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list:
+    """Monic keyed basis with every element fully reduced against the
+    others, by ascending lead.
 
     _autoreduce is repeated until its leads come out in ascending order.
     Then each element has been reduced by every smaller lead, and no larger
     lead can divide any of its terms.  Each repeat lowers or drops a lead,
     so the loop ends.
     """
-    key = ring.key
-    basis = _autoreduce(ring, polys)
-    while any(key(a.lm()) > key(b.lm()) for a, b in zip(basis, basis[1:])):
-        basis = _autoreduce(ring, basis)
+    basis = _autoreduce(ring, _sorted_monic(ring, polys))
+    while any(a[0][0] > b[0][0] for a, b in zip(basis, basis[1:])):
+        basis = _autoreduce(ring, sorted(basis, key=_lead_key))
     return basis
 
 
@@ -633,10 +730,10 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     """
     ring = I.ring
     pool = _pool.get() or [DEFAULT_PAIR_BUDGET, 0]
-    G = _interreduce(ring, list(I.gens))
+    G = _interreduce(ring, I.gens)
     if not G:
         return Ideal(ring, ())
-    if any(g.is_one() for g in G):
+    if any(g[0][1] == 0 for g in G):
         return Ideal(ring, (ring.one,))
 
     # Sugar is the degree a pair would have in the homogenised input.  On
@@ -644,22 +741,24 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     # it can drive lex and block runs to degrees far above the answer's, so
     # there every pair's sugar is 0.  Under grevlex, degree leads the order,
     # so on homogeneous input sugar ranks pairs as their lcms already do.
-    key = ring.key
-    lms = [g.lm() for g in G]
-    kept = [i for i, n in enumerate(ring.names) if n not in ring.order.drop]
+    deg, guard, mkey = ring._degree, ring._guard, ring._mkey
+    lms = [g[0][1] for g in G]
     by_sugar = ring.order.kind != "grevlex" and (
-        all(g.is_homogeneous() for g in G)
-        or all(len({sum(e[i] for i in kept) for e, _ in g.terms}) == 1 for g in G))
+        all(len({deg(m) for _, m, _ in g}) == 1 for g in G)
+        or all(len({ring._kept_degree(m) for _, m, _ in g}) == 1 for g in G))
     # each element's sugar minus the degree of its leading monomial
-    ecart = [g.total_degree() - sum(lm) if by_sugar else 0 for g, lm in zip(G, lms)]
+    ecart = [max(deg(m) for _, m, _ in g) - deg(g[0][1]) if by_sugar else 0 for g in G]
     heap: list = []
     active: set[tuple[int, int]] = set()
 
     def push_pairs(j: int) -> None:
         for i in range(j):
-            l = _mono_lcm(lms[i], lms[j])
-            sugar = max(ecart[i], ecart[j]) + sum(l) if by_sugar else 0
-            heapq.heappush(heap, (sugar, key(l), i, j, l))
+            l = _lcm(lms[i], lms[j], guard)
+            dl = deg(l)
+            if dl >= _DEGREE_BOUND:
+                raise _degree_error(dl)
+            sugar = max(ecart[i], ecart[j]) + dl if by_sugar else 0
+            heapq.heappush(heap, (sugar, mkey(l), i, j, l))
             active.add((i, j))
 
     for j in range(len(G)):
@@ -667,7 +766,7 @@ def buchberger_reduced(I: Ideal) -> Ideal:
 
     # reducer entries by basis index; G is interreduced, so its leads are
     # distinct and ascending
-    entries = [_reducer(_keyed(ring, g.terms)) for g in G]
+    entries = [_reducer(ring, g) for g in G]
     reducers = list(entries)
     while heap:
         sugar, kl, i, j, l = heapq.heappop(heap)
@@ -676,14 +775,15 @@ def buchberger_reduced(I: Ideal) -> Ideal:
         active.discard((i, j))
         # coprime criterion
         li, lj = lms[i], lms[j]
-        if all(x == a + b for x, a, b in zip(l, li, lj)):
+        if l == li + lj:
             continue
         # chain criterion
         skip = False
-        for h in range(len(G)):
+        lg = l | guard
+        for h, lh in enumerate(lms):
             if h == i or h == j:
                 continue
-            if _divides(lms[h], l):
+            if (lg - lh) & guard == guard:
                 ph = (min(h, i), max(h, i))
                 qh = (min(h, j), max(h, j))
                 if ph not in active and qh not in active:
@@ -700,29 +800,30 @@ def buchberger_reduced(I: Ideal) -> Ideal:
         # under grevlex no shifted term outgrows l's degree
         a, b = entries[i], entries[j]
         excess = max(a[2], b[2])
-        if excess > 0 and sum(l) + excess >= _DEGREE_BOUND:
-            raise _degree_error(sum(l) + excess)
+        if excess > 0 and deg(l) + excess >= _DEGREE_BOUND:
+            raise _degree_error(deg(l) + excess)
         pending: dict = {}
         pending_heap: list = []
-        _subtract_shifted(pending, pending_heap, a, kl - a[0], tuple(map(sub, l, li)), -1)
-        _subtract_shifted(pending, pending_heap, b, kl - b[0], tuple(map(sub, l, lj)), 1)
-        r = _reduce(pending, pending_heap, reducers, ring.p)
+        _subtract_shifted(pending, pending_heap, a, kl - a[0], l - li, -1)
+        _subtract_shifted(pending, pending_heap, b, kl - b[0], l - lj, 1)
+        r = _reduce(ring, pending, pending_heap, reducers)
         if not r:
             continue
         r = _monic(r, ring.field)
-        if not any(r[0][1]):
+        if r[0][1] == 0:
             return Ideal(ring, (ring.one,))
-        g = _as_polynomial(ring, r)
-        G.append(g)
-        lms.append(g.lm())
-        ecart.append(max(sugar, g.total_degree()) - sum(g.lm()))
-        entries.append(_reducer(r))
+        G.append(r)
+        lms.append(r[0][1])
+        if by_sugar:
+            ecart.append(max(sugar, max(deg(m) for _, m, _ in r)) - deg(r[0][1]))
+        entries.append(_reducer(ring, r))
         # r is reduced by every lead in G, so its lead is new
         bisect.insort(reducers, entries[-1], key=itemgetter(0))
         push_pairs(len(G) - 1)
 
     # G is a Groebner basis, so one ascending-lead pass reduces it
-    return Ideal(ring, tuple(_autoreduce(ring, G)[::-1]))
+    out = _autoreduce(ring, sorted(G, key=_lead_key))
+    return Ideal(ring, tuple(_as_polynomial(ring, g) for g in reversed(out)))
 
 
 # --- elimination-based operations ---------------------------------------------

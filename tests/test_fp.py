@@ -112,19 +112,6 @@ def _wide_matrices(p):
             yield (rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))) % p
 
 
-def _reference_kernel(a, p):
-    """The canonical kernel written entry by entry from the reduced form."""
-    n = a.shape[1]
-    red, pivots = _rref(a, p)
-    free = [j for j in range(n) if j not in set(pivots)]
-    k = np.zeros((n, len(free)), dtype=np.int64)
-    for idx, j in enumerate(free):
-        k[j, idx] = 1
-        for ri, pj in enumerate(pivots):
-            k[pj, idx] = (-red[ri, j]) % p
-    return k, free
-
-
 def test_gf2_pack_layout_and_round_trip_across_words():
     # entries up to 2, so the pack must keep only the low bit of each
     for a in _wide_matrices(3):
@@ -140,16 +127,22 @@ def test_gf2_pack_layout_and_round_trip_across_words():
         assert np.array_equal(bits, a % 2)
 
 
-def _sympy_rref(a, p):
-    """The reduced row echelon form of a over F_p and its pivot columns, by
-    sympy's DomainMatrix over GF(p), which shares no code with grassvar."""
+def _sympy_rref_dm(a, p):
+    """sympy's reduced row echelon form of a over F_p, as a DomainMatrix
+    over GF(p), and its pivot columns; sympy shares no code with grassvar."""
     K = GF(p)
     m, n = a.shape
     red, pivots = DomainMatrix([[K(int(v)) for v in row] for row in a.tolist()], (m, n), K).rref()
-    out = np.zeros((m, n), dtype=np.int64)
+    return red, list(pivots)
+
+
+def _sympy_rref(a, p):
+    """The reduced row echelon form of a over F_p and its pivot columns."""
+    red, pivots = _sympy_rref_dm(a, p)
+    out = np.zeros(a.shape, dtype=np.int64)
     for i, row in enumerate(red.to_list()):
         out[i] = [int(v) % p for v in row]
-    return out, list(pivots)
+    return out, pivots
 
 
 def test_rref_matches_sympy_domain_matrix():
@@ -177,13 +170,35 @@ def test_rref_and_kernel_read_entries_mod_p():
     assert k.tolist() == [[1], [0]] and free == [0]
 
 
+def _sympy_nullspace(a, p):
+    """A basis of the kernel of a over F_p, as columns, and the pivot
+    columns: the nullspace that sympy's DomainMatrix.nullspace builds from
+    its rref."""
+    red, pivots = _sympy_rref_dm(a, p)
+    basis = red.nullspace_from_rref(pivots).to_list()
+    return np.array([[int(v) % p for v in row] for row in basis], dtype=np.int64).reshape(-1, a.shape[1]).T, pivots
+
+
 def test_kernel_matches_entrywise_reference_across_words():
+    # A kernel basis with an identity block on given columns is unique, so
+    # spanning sympy's nullspace, with the identity block on the non-pivot
+    # columns of sympy's rref, makes k the canonical kernel entry by entry.
+    # Matrices up to 40 rows, as for the rref; the larger ones are checked
+    # against _rank_mod_p, which shares no code with fp either.
     for p in (2, 3, 5):
         for a in _wide_matrices(p):
+            n = a.shape[1]
             k, free = _kernel_free(a, p)
-            want, want_free = _reference_kernel(a, p)
-            assert free == want_free
-            assert k.dtype == want.dtype and np.array_equal(k, want)
+            assert k.dtype == np.int64 and k.shape == (n, len(free))
+            assert np.array_equal(k[free], np.eye(len(free), dtype=np.int64))
+            assert not np.any(a @ k % p)
+            if a.shape[0] > 40:
+                assert len(free) == n - _rank_mod_p(a, p)
+                continue
+            want, pivots = _sympy_nullspace(a, p)
+            assert free == [j for j in range(n) if j not in pivots]
+            assert want.shape == k.shape
+            assert _rank_mod_p(np.hstack([k, want]), p) == len(free)
 
 
 def test_rank_matches_rref_and_an_independent_elimination():

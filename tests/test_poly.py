@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,11 @@ from grassvar.poly import (
     Ideal,
     MonomialOrder,
     PolyRing,
+    _as_polynomial,
     _autoreduce,
     _interreduce,
+    _lcm,
+    _sorted_monic,
     buchberger_reduced,
     eliminate,
     groebner_budget,
@@ -134,6 +138,47 @@ def test_integer_keys_are_linear(drawn):
     half_b = tuple(x // 2 for x in b)
     total = tuple(x + y for x, y in zip(half_a, half_b))
     assert r.key(total) == r.key(half_a) + r.key(half_b)
+
+
+@PROPERTY
+@given(rings_and_monomials())
+def test_packed_monomials_agree_with_exponent_tuples(drawn):
+    # every drawn monomial, and every lcm of two, has degree below the bound
+    r, monos = drawn
+    guard = r._guard
+    kept = [n not in r.order.drop for n in r.names]
+    for a in monos:
+        pa = r._pack(a)
+        assert r._unpack(pa) == a
+        assert r._mkey(pa) == r.key(a)
+        assert r._degree(pa) == sum(a)
+        assert r._kept_degree(pa) == sum(x for x, k in zip(a, kept) if k)
+        half = tuple(x // 2 for x in a)
+        for b in monos:
+            pb = r._pack(b)
+            # the divisibility test that _reduce and the chain criterion inline
+            assert (((pb | guard) - pa) & guard == guard) == all(x <= y for x, y in zip(a, b))
+            lcm = tuple(map(max, a, b))
+            pl = _lcm(pa, pb, guard)
+            assert pl == r._pack(lcm)
+            assert r._degree(pl) == sum(lcm)
+            assert r._mkey(pl) == r.key(lcm)
+            assert (pl == pa + pb) == all(min(x, y) == 0 for x, y in zip(a, b))
+            # multiplying adds, and dividing by a divisor subtracts
+            assert pl - pa == r._pack(tuple(x - y for x, y in zip(lcm, a)))
+            product = tuple(x + y // 2 for x, y in zip(half, b))
+            assert r._pack(half) + r._pack(tuple(y // 2 for y in b)) == r._pack(product)
+
+
+def test_from_dict_rejects_bad_exponent_vectors():
+    r = PolyRing(F2, ["x", "y"])
+    for bad in [(-1, 2), (1, 0, 5), (1,), ()]:
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            r.from_dict({bad: 1, (1, 0): 1})
+    # a bad monomial is refused even when its coefficient vanishes
+    with pytest.raises(ValueError, match=re.escape("(0, -2)")):
+        r.from_dict({(0, -2): 2})
+    assert str(r.from_dict({(1, 0): 1, (0, 2): 3})) == "y^2 + x"
 
 
 def test_degree_bound_raises():
@@ -334,7 +379,8 @@ def test_autoreduce_of_a_groebner_basis_is_the_reduced_basis():
                 if smaller:
                     polys.append(g + rng.choice(smaller) * rng.randrange(1, field.p))
             rng.shuffle(polys)
-            assert _autoreduce(r, polys)[::-1] == list(G.gens)
+            out = _autoreduce(r, _sorted_monic(r, polys))
+            assert [_as_polynomial(r, g) for g in reversed(out)] == list(G.gens)
 
 
 def test_interreduce_repeats_the_pass_until_leads_ascend():
@@ -342,8 +388,9 @@ def test_interreduce_repeats_the_pass_until_leads_ascend():
     x, y, z = r.gens()
     gens = [x * y + z, x * y + y**2 + 1, y**2]
     # one pass lowers the last lead below the others
-    assert [str(g) for g in _autoreduce(r, gens)] == ["y^2", "x*y + z", "z + 2"]
-    out = _interreduce(r, gens)
+    once = _autoreduce(r, _sorted_monic(r, gens))
+    assert [str(_as_polynomial(r, g)) for g in once] == ["y^2", "x*y + z", "z + 2"]
+    out = [_as_polynomial(r, g) for g in _interreduce(r, gens)]
     assert [str(g) for g in out] == ["z + 2", "y^2", "x*y + 1"]
     for g in out:
         for h in out:

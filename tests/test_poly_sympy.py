@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+from grassvar import coordinate_ring
 from grassvar.fp import PrimeField
+from grassvar.grassmann import _set_to_one, incidence_ideal
 from grassvar.poly import MonomialOrder, PolyRing, buchberger_reduced, eliminate, ideal, normal_form
+from grassvar.rankvariety import VarietyIdeal1
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex  # noqa: E402
 
 
 def _random_terms(rng, p):
@@ -107,3 +111,52 @@ def test_block_elimination_matches_sympy(p):
         want = _basis_terms(_sympy_terms(g, "grevlex", p) for g in theirs.polys)
         assert len(ours.gens) == len(theirs.polys), ideal_terms
         assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
+
+
+def _chart_of_three_lines(p, seed, chart):
+    """The block-order chart ideal that project_incidence eliminates at
+    c = 4, d = 2, for a seeded cone Z in k^4: the product of the linear
+    equations of three seeded lines.  Its ring holds the six Pluecker
+    coordinates and the three point coordinates left when x_(chart+1) is
+    set to 1, so a packed monomial has ten fields, 200 bits."""
+    rng = random.Random(seed)
+    field = PrimeField(p)
+    ring = coordinate_ring(field, 4)
+    a = ring.gens()
+
+    def form():
+        return sum((a[j] * rng.randrange(p) for j in range(4)), ring.zero)
+
+    products = [ring.one]
+    for _ in range(3):
+        equations = [form() for _ in range(3)]
+        products = [f * g for f in products for g in equations]
+    gb = buchberger_reduced(ideal(ring, products))
+    inc = incidence_ideal(VarietyIdeal1(ring, gb, gb), 2)
+    names = inc.ring.names
+    i = 6 + chart
+    chart_ring = PolyRing(field, names[:i] + names[i + 1:])
+    return ideal(chart_ring, [_set_to_one(g, i, chart_ring) for g in inc.gens])
+
+
+@pytest.mark.parametrize("p, seed, chart", [(2, 4, 3), (3, 5, 0), (5, 2, 1)])
+def test_nine_variable_chart_elimination_matches_sympy(p, seed, chart):
+    # sympy's ProductOrder of two grevlex blocks is the block order, with
+    # the three point coordinates greatest; its reduced basis must be ours
+    # term for term, and the elements free of them are the elimination
+    chart_ideal = _chart_of_three_lines(p, seed, chart)
+    names = chart_ideal.ring.names
+    assert len(names) == 9
+    ring = PolyRing(chart_ideal.ring.field, names, MonomialOrder.block(names[6:]))
+    gens = [g.map_to(ring, range(9)) for g in chart_ideal.gens]
+    ours = buchberger_reduced(ideal(ring, gens))
+    symbols = sympy.symbols(names)
+    order = ProductOrder((grevlex, lambda m: m[6:]), (grevlex, lambda m: m[:6]))
+    exprs = [sum(c * sympy.prod([s**x for s, x in zip(symbols, e)]) for e, c in g.terms) for g in gens]
+    theirs = sympy.groebner(exprs, *symbols, order=order, modulus=p)
+    assert len(ours.gens) == len(theirs.polys) > 6
+    assert _basis_terms(g.terms for g in ours.gens) == _basis_terms(
+        _sympy_terms(g, order, p) for g in theirs.polys)
+    E = eliminate(chart_ideal, names[6:])
+    free = [tuple((e[:6], c) for e, c in g.terms) for g in ours.gens if not any(g.support() & {6, 7, 8})]
+    assert [g.terms for g in E.gens] == free
