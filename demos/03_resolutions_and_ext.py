@@ -42,8 +42,9 @@ for _ in range(3):
     dims.append(omega.n)
 print("syzygy dims:", dims)
 
-# the resolution object keeps the Betti numbers and each differential's
-# columns on generators; the full matrix of d_i is read off them
+# the resolution object keeps the Betti numbers and each differential as
+# the nonzero entries of a matrix over kE; the full matrix of d_i over k
+# is read off them
 res = resolve(k, 3)
 print("first differential:")
 print(res.differential(1))

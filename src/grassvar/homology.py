@@ -23,18 +23,21 @@ nonzeros per row, so only the cover of M, which is a product of arbitrary
 action arrays, and its kernel are built dense.
 
 resolve is memoised on (M, bound), so Ext tables of one source against many
-targets share one resolution.  Its generator columns, dense and read-only,
-are the whole record: the full differential d_i, which the library itself
-never needs, is the same gather run on the nonzeros of the columns of d_i
-with every row free.
+targets share one resolution.  It keeps each differential d_i as a
+b_(i-1) x b_i matrix over kE (Eisenbud 1980), by its nonzero entries, each
+a coefficient vector of length p^c; deep in a resolution nearly every entry
+is zero.  That is the whole record: the full matrix of d_i over k, which the
+library itself never needs, is the same gather run on the entries'
+nonzeros with every row free.
 
-Ext^i(M, N) is computed as cohomology of Hom(F_*, N), assembled from the
-generator columns of each differential.  Eventual vanishing of Ext needs no
-resolution: it is decided by Higman's criterion, Hom_k(M, N) being free
-exactly when p^c times the dimension of PHom(M, N), the maps that factor
-through a projective, is dim M * dim N.  PHom is spanned by the columns of
-one h x h product of monomial covers, h = dim M * dim N, so the test is one
-product and one rank on h^2 cells.
+Ext^i(M, N) is computed as cohomology of Hom(F_*, N): an entry
+sum_e a_e x^e of d_(i+1) at (t, s) adds sum_e a_e rho(x^e) times component t
+of a cochain to component s of its image, rho the action on N.  Eventual
+vanishing of Ext needs no resolution: it is decided by Higman's criterion,
+Hom_k(M, N) being free exactly when p^c times the dimension of PHom(M, N),
+the maps that factor through a projective, is dim M * dim N.  PHom is
+spanned by the columns of one h x h product of monomial covers,
+h = dim M * dim N, so the test is one product and one rank on h^2 cells.
 """
 
 from __future__ import annotations
@@ -54,11 +57,11 @@ from .modules import KEModule
 # covers of a module by all its basis vectors, which both PHom and the Ext
 # cochains are built from (p^c * dim^2 cells), are each refused past this
 # many cells (80 MB as dense int64).  Past the cover of M itself a
-# resolution holds its covers and kernels by their nonzeros, but the cap
-# still counts the cells they would have dense, so where a resolution is
-# refused does not depend on the route.  tracemalloc over resolve(k, 26) on
-# (p, c) = (2, 3) peaks at 50.5 MB, of which 50.2 MB are the generator
-# columns the result keeps.
+# resolution holds its covers, kernels and differentials by their nonzeros,
+# but the cap still counts the cells the covers and kernels would have
+# dense, so where a resolution is refused does not depend on the route.
+# tracemalloc over resolve(k, 26) on (p, c) = (2, 3) peaks at 2.7 MB and
+# the result keeps 0.8 MB.
 DEFAULT_CELL_CAP = 10_000_000
 
 
@@ -71,6 +74,9 @@ def _lowest_digit(e: int, p: int) -> int:
 
 
 Nonzeros = tuple[np.ndarray, np.ndarray, np.ndarray]
+# The nonzero entries (t, s, coef) of a matrix over kE: entry (t[k], s[k]) is
+# sum_e coef[k, e] x^e, the pairs (t, s) distinct and no coef row zero.
+KEEntries = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _nonzeros(a: np.ndarray) -> Nonzeros:
@@ -85,31 +91,35 @@ def _densify(entries: Nonzeros, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
+def _side_by_side(arrays: list[np.ndarray]) -> Nonzeros:
+    """The nonzeros of the c action arrays of a module side by side, the
+    form _syzygy returns: column g * c + j is column g of the array of
+    x_j."""
+    n, c = arrays[0].shape[0], len(arrays)
+    return _nonzeros(np.stack(arrays, axis=2).reshape(n, n * c))
+
+
 def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
     """Coordinate indices whose basis vectors span a complement of rad M,
     for M given by its action arrays: _generators on their nonzeros."""
-    return _generators([_nonzeros(a) for a in arrays], arrays[0].shape[0], p)
+    return _generators(_side_by_side(arrays), arrays[0].shape[0], len(arrays), p)
 
 
-def _generators(actions: list[Nonzeros], n: int, p: int) -> list[int]:
+def _generators(actions: Nonzeros, n: int, c: int, p: int) -> list[int]:
     """Coordinate indices whose basis vectors span a complement of rad M,
-    for the dimension-n module M whose action arrays have the nonzeros
-    `actions`.
+    for the dimension-n module M whose c action arrays, side by side, have
+    the nonzeros `actions`.
 
-    rad M is the row space of the stack [a_1^T; ..; a_c^T] of the
-    transposed action arrays, and the non-pivot columns of its echelon form
-    index a complement.  The stack is never built: row j * n + i of it is
-    column i of the array of x_j, so its nonzeros are those of the arrays,
-    and _pivot_columns reads them, as these matrices have about one nonzero
-    per row deep in a resolution.
+    rad M is the row space of the transposed action arrays stacked, and
+    the non-pivot columns of its echelon form index a complement.  Pivot
+    columns depend only on the row space, so the stack may take its rows in
+    any order: row g * c + j, column g of the array of x_j, is column
+    g * c + j of the arrays side by side, and the stack is their transpose.
+    It is never built: _pivot_columns reads its nonzeros, as these matrices
+    have about one nonzero per row deep in a resolution.
     """
-    piv = _pivot_columns(
-        np.concatenate([j * n + a_cols for j, (_, a_cols, _) in enumerate(actions)]),
-        np.concatenate([a_rows for a_rows, _, _ in actions]),
-        np.concatenate([a_vals for _, _, a_vals in actions]),
-        (len(actions) * n, n), p,
-    )
-    pivset = set(piv)
+    rows, cols, vals = actions
+    pivset = set(_pivot_columns(cols, rows, vals, (c * n, n), p))
     return [j for j in range(n) if j not in pivset]
 
 
@@ -121,11 +131,12 @@ class ResolutionData:
     Equality and hashing are by identity: generated ones would compare and
     hash the arrays of gen_columns, which raises.
 
-    betti[i] is the rank of the i-th free module.  gen_columns[i - 1]
-    records the differential d_i on generators: column s holds the image of
-    generator s of F_i in the monomial coordinates of F_{i-1}, an array of
-    shape (betti[i-1] * p**c, betti[i]), read-only because resolve's memo
-    shares it.
+    betti[i] is the rank of the i-th free module.  gen_columns[i - 1] is the
+    differential d_i as a betti[i-1] x betti[i] matrix over kE, by its
+    nonzero entries (t, s, coef): the image of generator s of F_i has
+    sum_e coef[k, e] x^e times generator t of F_{i-1} for each k with
+    s[k] = s.  t and s are intp and coef int64 of shape (len(t), p**c), all
+    read-only because resolve's memo shares them.
     """
 
     module: KEModule
@@ -138,16 +149,20 @@ class ResolutionData:
 
     def differential(self, i: int) -> np.ndarray:
         """The matrix of d_i: F_i -> F_{i-1} in monomial coordinates on both
-        sides, for 1 <= i <= depth.  Column t * p^c + e is x^e times
-        generator column t: the gather of resolve's covers, run on the
-        nonzeros of the generator columns with every row free."""
+        sides, for 1 <= i <= depth, dense int64.  Column s * p^c + e is x^e
+        times the image of generator s: the gather of resolve's covers, run
+        with every row free on the entries' nonzeros, coefficient e of entry
+        (t, s) sitting at row t * p^c + e."""
         if not 1 <= i <= self.depth:
             raise ValueError(f"need 1 <= i <= {self.depth}, got {i}")
-        H = self.gen_columns[i - 1]
+        t, s, coef = self.gen_columns[i - 1]
         p, c = self.module.p, self.module.c
-        rows = H.shape[0]
-        entries = _gather(_nonzeros(H), np.arange(rows), range(p**c), p, c)
-        return _densify(entries, (rows, H.shape[1] * p**c))
+        m_alg = p**c
+        rows = self.betti[i - 1] * m_alg
+        k, e = np.nonzero(coef)
+        nonzeros = t[k] * m_alg + e, s[k], coef[k, e]
+        entries = _gather(nonzeros, np.arange(rows), range(m_alg), p, c)
+        return _densify(entries, (rows, self.betti[i] * m_alg))
 
 
 def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
@@ -210,11 +225,11 @@ def _gather(
     (q, g, v) goes to (pos[q + e], g * len(exponents) + k, v) when there is
     no carry and q + e is a free row; a pivot row of K is determined by the
     free rows and read nowhere.  With e running over every monomial this is
-    the cover of the span by the free module on K's columns; with the one
-    exponent p^j it is the array of x_j on the span.
+    the cover of the span by the free module on K's columns; with the
+    exponents p^0 .. p^(c-1) it is the span's c action arrays side by side.
     """
     q, g, v = kernel
-    exps = np.asarray(exponents, dtype=np.intp).reshape(-1)
+    exps = np.asarray(exponents, dtype=np.intp)
     # every (nonzero, exponent) pair with no carry
     src, k = np.nonzero(_reach(p, c)[:, exps][q % p**c])
     rows = pos[q[src] + exps[k]]
@@ -224,34 +239,53 @@ def _gather(
 
 def _syzygy(
     kernel: Nonzeros, free: list[int], nrows: int, p: int, c: int
-) -> tuple[np.ndarray, list[Nonzeros]]:
+) -> tuple[np.ndarray, Nonzeros]:
     """For the syzygy spanned by a kernel basis K of nrows rows, given by
     its nonzeros and its free rows, on which K is the identity: the map pos
-    of _gather, and the nonzeros of the syzygy's action arrays on the basis
-    K.  Row r of x_j's array is row free[r] - p^j of K, or 0 where digit j
-    of free[r] is 0: x_j shifts the basis of kE^b, and the free rows read
-    the result off."""
+    of _gather, and the nonzeros of the syzygy's c action arrays on the
+    basis K, side by side (one gather, column g * c + j for column g of
+    x_j's array).  Row r of x_j's array is row free[r] - p^j of K, or 0
+    where digit j of free[r] is 0: x_j shifts the basis of kE^b, and the
+    free rows read the result off."""
     pos = np.full(nrows, -1, dtype=np.intp)
     pos[free] = np.arange(len(free))
-    return pos, [_gather(kernel, pos, p**j, p, c) for j in range(c)]
+    return pos, _gather(kernel, pos, [p**j for j in range(c)], p, c)
 
 
-# Each entry holds its generator columns, dense copies written from the
-# kernels' nonzeros; resolve(k, 21) over (2, 3) holds 17.5 MB of them, so
-# the memo holds a few dozen resolutions, not hundreds.  An ext-deep round
-# asks for 19 distinct (module, depth) keys.
+def _ke_entries(nonzeros: Nonzeros, ncols: int, m_alg: int) -> KEEntries:
+    """The matrix over kE, by its nonzero entries, of the matrix with ncols
+    columns whose nonzeros (q, s, v) are in the monomial coordinates of a
+    free module: q = t * m_alg + e is coefficient e of row t.  The entries
+    are sorted by (t, s) and made read-only; (q, s) must not repeat."""
+    q, s, v = nonzeros
+    t, e = np.divmod(q, m_alg)
+    key = t * ncols + s
+    # most degrees have a handful of nonzeros, where np.unique's overhead
+    # costs more than a Python set
+    pairs = np.array(sorted(set(key.tolist())), dtype=np.intp)
+    coef = np.zeros((pairs.size, m_alg), dtype=np.int64)
+    coef[np.searchsorted(pairs, key), e] = v
+    entries = (*np.divmod(pairs, ncols), coef)
+    for a in entries:
+        a.setflags(write=False)
+    return entries
+
+
+# Each entry holds the nonzero entries of its differentials; resolve(k, 21)
+# over (2, 3) holds 0.45 MB of them, so a few dozen resolutions are little
+# memory.  An ext-deep round asks for 19 distinct (module, depth) keys.
 @lru_cache(maxsize=32)
 def resolve(M: KEModule, bound: int) -> ResolutionData:
     """Minimal free resolution of M with Betti numbers through degree `bound`.
 
     Performs full syzygy steps up to degree bound - 1 and a final generator
     count at degree bound, so betti has bound + 1 entries and gen_columns has
-    bound entries (the differentials d_1 .. d_bound on generators).  The
-    cover of M is built dense from its action arrays, and its kernel is read
-    off by _kernel_free.  From then on no dense matrix is made but the
-    generator columns: each kernel, each syzygy's action arrays and each
-    later cover are nonzero arrays, the covers and actions gathered from the
-    previous kernel (_gather) and each kernel taken by sparse Gauss-Jordan
+    bound entries (the differentials d_1 .. d_bound over kE).  The cover of
+    M is built dense from its action arrays, and its kernel is read off by
+    _kernel_free.  From then on no dense matrix is made: each kernel, each
+    syzygy's action arrays, each later cover and each differential are
+    nonzero arrays, the covers and actions gathered from the previous
+    kernel (_gather) and each kernel taken by sparse Gauss-Jordan
     elimination (fp._kernel_sparse), whose reduced echelon form is the one
     _kernel_free reads.  SyzygyLimitError is raised at the first degree
     whose free cover or its kernel would have more than DEFAULT_CELL_CAP
@@ -265,14 +299,14 @@ def resolve(M: KEModule, bound: int) -> ResolutionData:
     m_alg = p**c
 
     betti: list[int] = []
-    gen_columns: list[np.ndarray] = []
+    gen_columns: list[KEEntries] = []
 
     n = M.n
-    actions = [_nonzeros(a.array) for a in M.actions]
+    actions = _side_by_side([a.array for a in M.actions])
     kernel = pos = None
 
     for i in range(bound + 1):
-        gens = _generators(actions, n, p)
+        gens = _generators(actions, n, c, p)
         betti.append(len(gens))
         if kernel is not None:
             # the kernel's nonzeros in the columns gens, renumbered 0..
@@ -281,9 +315,7 @@ def resolve(M: KEModule, bound: int) -> ResolutionData:
             q, g, v = kernel
             hit = col_of[g] >= 0
             chosen = q[hit], col_of[g[hit]], v[hit]
-            columns = _densify(chosen, (pos.size, len(gens)))
-            columns.setflags(write=False)
-            gen_columns.append(columns)
+            gen_columns.append(_ke_entries(chosen, len(gens), m_alg))
         if i == bound:
             break
 
@@ -312,9 +344,10 @@ def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     ncols = len(gens) * M.p**M.c
     _check_cover_cells(M.n, ncols, 0)
     kernel, free = _kernel_free(_product_cover(cur, gens, M.p), M.p)
-    _, arrays = _syzygy(_nonzeros(kernel), free, ncols, M.p, M.c)
+    _, stacked = _syzygy(_nonzeros(kernel), free, ncols, M.p, M.c)
     n = len(free)
-    actions = tuple(MatrixFp(M.field, _densify(a, (n, n))) for a in arrays)
+    arrays = _densify(stacked, (n, n * M.c)).reshape(n, n, M.c)
+    actions = tuple(MatrixFp(M.field, arrays[:, :, j]) for j in range(M.c))
     return len(gens), KEModule(M.field, M.c, n, actions)
 
 
@@ -371,9 +404,10 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
             f"over the cap of {DEFAULT_CELL_CAP}"
         )
     resolution = resolve(M, bound + 1)
-    # rho[e] is the matrix of x^e on N: its cover by all of its basis vectors
+    # row e of rho_flat is the matrix of x^e on N, flattened: its cover by
+    # all of its basis vectors
     cover = _product_cover([a.array for a in N.actions], list(range(n_t)), p)
-    rho = cover.reshape(n_t, n_t, m_alg).transpose(2, 0, 1)
+    rho_flat = cover.reshape(n_t * n_t, m_alg).T
 
     ranks: list[int] = []
     for i in range(bound + 1):
@@ -388,11 +422,13 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
                 f"Ext^{i} cochain matrix is {b_next * n_t}x{b_i * n_t}, {cells} "
                 f"cells, over the cap of {DEFAULT_CELL_CAP}"
             )
-        gen_cols = resolution.gen_columns[i].reshape(b_i, m_alg, b_next)
         # Hom(F_i, N) -> Hom(F_{i+1}, N) sends (v_t) to the tuple whose s-th
-        # entry is sum_t (sum_e alpha[t, e, s] rho[e]) v_t.
-        cochain = np.tensordot(gen_cols, rho, axes=([1], [0]))
-        mat = cochain.transpose(1, 2, 0, 3).reshape(b_next * n_t, b_i * n_t) % p
+        # entry is sum_t (sum_e coef[(t, s), e] rho[e]) v_t; each (t, s)
+        # occurs once, so its block is written, not added.
+        t, s, coef = resolution.gen_columns[i]
+        cochain = np.zeros((b_next, b_i, n_t, n_t), dtype=np.int64)
+        cochain[s, t] = (coef @ rho_flat).reshape(-1, n_t, n_t)
+        mat = cochain.transpose(0, 2, 1, 3).reshape(b_next * n_t, b_i * n_t) % p
         ranks.append(_rank(mat, p))
 
     dims = []

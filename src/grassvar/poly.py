@@ -383,7 +383,7 @@ class Polynomial:
     # arithmetic
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
         if isinstance(other, int):
@@ -526,7 +526,9 @@ class Ideal:
 
     def __post_init__(self) -> None:
         for g in self.gens:
-            if g.ring != self.ring:
+            # generators nearly always share the ideal's ring object, and
+            # identity is cheaper to test than PolyRing's structural ==
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise ValueError("generator ring mismatch")
 
     def is_zero_ideal(self) -> bool:
