@@ -25,7 +25,7 @@ class GroebnerBudgetError(ResourceLimitError):
 
 
 class MinorLimitError(ResourceLimitError):
-    """Determinantal-ideal size cap exceeded (matrix too large or minors too big)."""
+    """More minors than rankvariety.MAX_MINORS, counted on the independent rows and columns."""
 
 
 class SubspaceLimitError(ResourceLimitError):

@@ -375,7 +375,8 @@ class Polynomial:
         return frozenset(s)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.ring == other.ring and self.terms == other.terms
+        return isinstance(other, Polynomial) and self.terms == other.terms and (
+            self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self) -> int:
         return hash((self.ring, self.terms))

@@ -2,29 +2,46 @@
 
 A nonzero point u of k^c determines the element u1*x1 + .. + uc*xc of the
 algebra, and the module is free over the subalgebra it generates exactly when
-U(u)^(p-1) has rank n/p, the largest value its nilpotency allows.  The rank
-variety is the locus where that rank drops, cut out by the (n/p)-minors of
-the generic matrix U(a)^(p-1) with polynomial entries.  When p does not
-divide n no point is free and the variety is all of k^c (the zero ideal);
-the zero module has empty variety (the unit ideal).
+U(u)^(p-1) has rank r = n/p, the largest value its nilpotency allows.  The
+rank variety is the locus where that rank drops, cut out by the r-minors of
+the generic matrix A = U(a)^(p-1).  When p does not divide n no point is free
+and the variety is all of k^c (the zero ideal); the zero module has empty
+variety (the unit ideal).
+
+The X_i commute, so A = sum over |alpha| = p - 1 of a^alpha A_alpha with
+constant A_alpha = ((p-1)!/alpha!) X^alpha, a unit times X^alpha (for p = 2,
+the actions).  Let I be the rows whose coefficient rows, the A_alpha side by
+side, are independent over F_p.  Then A = C A[I, :] for a constant C with the
+identity in rows I, so by Cauchy-Binet each r-minor of A is a combination of
+those of A[I, :], which are r-minors of A.  The same holds on the right for
+the columns J of A[I, :] whose stacked coefficient columns are independent.
+So I_r(A) = I_r(A[I, J]), and its reduced Groebner basis, being unique, is
+unchanged.  The rows of A lie in rad^(p-1) M and its kernel holds the socle,
+so |I|, |J| <= n - 1; the one cap, MAX_MINORS, counts the C(|I|, r) C(|J|, r)
+minors before any is expanded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
+from functools import lru_cache, reduce
+from itertools import accumulate, combinations, combinations_with_replacement, product
+from math import comb, factorial, prod
+
+import numpy as np
 
 from .errors import MinorLimitError
+from .fp import _matmul, _rref
 from .modules import KEModule
 from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
 
-MAX_MINOR_MATRIX = 12
-MAX_MINOR_SIZE = 6
+MAX_MINORS = 250_000
 
 
+@lru_cache(maxsize=None)
 def coordinate_ring(field, c: int) -> PolyRing:
-    """F_p[a1..ac] with the graded reverse lexicographic order."""
+    """F_p[a1..ac] with the graded reverse lexicographic order, one object
+    per (p, c), so that ideals of different modules share it."""
     return PolyRing(field, [f"a{i + 1}" for i in range(c)])
 
 
@@ -48,47 +65,21 @@ class VarietyIdeal1:
         return self.gb.is_zero_ideal()
 
 
-def _generic_action(M: KEModule, ring: PolyRing) -> list[list[Polynomial]]:
-    """The matrix of a1*X1 + .. + ac*Xc with entries in F_p[a1..ac]."""
-    gens = ring.gens()
-    arrays = [a.array for a in M.actions]
-    rows = []
-    for r in range(M.n):
-        row = []
-        for s in range(M.n):
-            f = ring.zero
-            for i in range(M.c):
-                coef = int(arrays[i][r, s])
-                if coef:
-                    f = f + gens[i] * coef
-            row.append(f)
-        rows.append(row)
-    return rows
-
-
-def _poly_matmul(
-    a: list[list[Polynomial]], b: list[list[Polynomial]], ring: PolyRing
-) -> list[list[Polynomial]]:
-    n = len(a)
-    out = []
-    for r in range(n):
-        row = []
-        for s in range(n):
-            f = ring.zero
-            for t in range(n):
-                if not (a[r][t].is_zero() or b[t][s].is_zero()):
-                    f = f + a[r][t] * b[t][s]
-            row.append(f)
-        out.append(row)
-    return out
-
-
-def _matrix_power(rows: list[list[Polynomial]], e: int, ring: PolyRing):
-    n = len(rows)
-    out = [[ring.one if r == s else ring.zero for s in range(n)] for r in range(n)]
-    for _ in range(e):
-        out = _poly_matmul(out, rows, ring)
-    return out
+def _power_coefficients(M: KEModule) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The alpha with |alpha| = p - 1, and the A_alpha = ((p-1)!/alpha!) X^alpha
+    stacked on a last axis, so that U(a)^(p-1) = sum a^alpha A_alpha."""
+    p, c = M.p, M.c
+    mul = lambda x, y: _matmul(x, y, p)
+    # powers[i][k - 1] = X_i^k for 0 < k < p
+    powers = [list(accumulate([X.array] * (p - 1), mul)) for X in M.actions]
+    exps, mats = [], []
+    for combo in combinations_with_replacement(range(c), p - 1):
+        alpha = tuple(combo.count(i) for i in range(c))
+        A = reduce(mul, [powers[i][k - 1] for i, k in enumerate(alpha) if k])
+        coef = factorial(p - 1) // prod(map(factorial, alpha)) % p
+        exps.append(alpha)
+        mats.append(A if coef == 1 else A * coef % p)
+    return exps, np.stack(mats, axis=-1)
 
 
 def _minor(
@@ -121,11 +112,12 @@ def _minor(
 
 
 def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
-    n = len(rows)
+    """The nonzero size-minors of a matrix of polynomials of any shape."""
     memo: dict = {}
     gens = []
-    for row_idx in combinations(range(n), size):
-        for col_idx in combinations(range(n), size):
+    cols = range(len(rows[0]) if rows else 0)
+    for row_idx in combinations(range(len(rows)), size):
+        for col_idx in combinations(cols, size):
             g = _minor(rows, row_idx, col_idx, ring, memo)
             if not g.is_zero():
                 gens.append(g)
@@ -149,15 +141,21 @@ def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
         raw = ideal(ring, [])
         return VarietyIdeal1(ring, raw, raw)
     size = M.n // p
-    if M.n > MAX_MINOR_MATRIX or size > MAX_MINOR_SIZE:
+    exps, A = _power_coefficients(M)
+    # the module docstring's I and J, the pivots of one row reduction each:
+    # rows with independent coefficients A[r], then columns with A[I][:, s]
+    I = _rref(A.reshape(M.n, -1).T, p)[1]
+    J = _rref(A[I].transpose(0, 2, 1).reshape(-1, M.n), p)[1]
+    count = comb(len(I), size) * comb(len(J), size)
+    if count > MAX_MINORS:
         raise MinorLimitError(
-            f"rank variety of a dimension-{M.n} module needs {size}-minors of a "
-            f"{M.n}x{M.n} matrix, over the caps {MAX_MINOR_SIZE} and "
-            f"{MAX_MINOR_MATRIX}"
+            f"rank variety of a dimension-{M.n} module needs {count} {size}-minors "
+            f"of a {len(I)}x{len(J)} matrix, over the cap {MAX_MINORS}"
         )
-    generic = _generic_action(M, ring)
-    power = _matrix_power(generic, p - 1, ring)
-    raw = ideal(ring, _minor_generators(power, size, ring))
+    # entry (i, j) of A[I, J] from the coefficients of its monomials a^alpha
+    coefs = A[I][:, J].tolist()
+    rows = [[ring._from_valid_dict(dict(zip(exps, entry))) for entry in row] for row in coefs]
+    raw = ideal(ring, _minor_generators(rows, size, ring))
     return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
 
 

@@ -10,9 +10,9 @@ from grassvar import (
 )
 from grassvar import grassmann, homology, rankvariety
 
-# Contexts keep every computation inside the library's resource caps: the
-# (3,3) combination would need minors of a 27x27 matrix, far past the
-# documented limits.
+# Contexts keep every computation inside the library's resource caps: over
+# (3,3) kE alone would need C(23, 9)^2 9-minors of its independent rows and
+# columns, far past rankvariety.MAX_MINORS.
 CONTEXTS = [(2, 2), (3, 2), (2, 3)]
 
 

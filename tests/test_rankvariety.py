@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from math import comb
 
 import pytest
 
@@ -13,8 +15,9 @@ from grassvar.modules import (
     zero_module,
 )
 from grassvar.homology import syzygy_step
-from grassvar.poly import groebner_budget, ideal, radical_contains, radical_equal
+from grassvar.poly import groebner_budget, ideal, ideal_intersect, radical_contains, radical_equal
 from grassvar.rankvariety import (
+    MAX_MINORS,
     coordinate_ring,
     pair_variety_ideal,
     point_in_rank_variety,
@@ -24,6 +27,7 @@ from grassvar.rankvariety import (
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+F7 = PrimeField(7)
 
 
 def test_frozen_ideals_p2_c2(catalog):
@@ -176,15 +180,41 @@ def test_pair_variety_with_self_and_symmetry(catalog):
     assert radical_equal(pair_variety_ideal(M, cat["k"]).gb, rank_variety_ideal(M).gb)
 
 
+def _product(ideals):
+    ring = ideals[0].ring
+    return reduce(lambda I, J: ideal(ring, [f * g for f in I.gens for g in J.gens]), ideals)
+
+
 def test_direct_sum_is_union(catalog):
     for (p, c) in [(2, 2), (3, 2)]:
         cat = catalog[(p, c)]
         M, N = cat["R/x1"], cat["R/x2"]
         V_sum = rank_variety_ideal(direct_sum(M, N))
-        from grassvar.poly import ideal_intersect
-
         both = ideal_intersect(rank_variety_ideal(M).gb, rank_variety_ideal(N).gb)
         assert radical_equal(V_sum.gb, both)
+    # three dimension-12 sums, where every module is under the cap:
+    # V(M + N) = V(M) u V(N) is cut out by the product of the factor ideals
+    q = quotient_by_linear_forms
+    sums = [
+        [q(F2, 3, [(1, 0, 0)]), q(F2, 3, [(0, 1, 0)]), q(F2, 3, [(1, 1, 0)])],
+        [regular_module(F2, 2), regular_module(F2, 2), q(F2, 2, [(1, 0)]), q(F2, 2, [(0, 1)])],
+        [q(F3, 2, [(1, 0)]), q(F3, 2, [(0, 1)]), q(F3, 2, [(1, 1)]), q(F3, 2, [(1, 2)])],
+    ]
+    for parts in sums:
+        S = reduce(direct_sum, parts)
+        assert S.n == 12
+        factors = [rank_variety_ideal(P).gb for P in parts]
+        assert radical_equal(rank_variety_ideal(S).gb, _product(factors)), S.p
+
+
+def test_dimension_14_sum_takes_one_minor():
+    # U(a)^6 has two independent rows, rad^6 of each summand, and two
+    # independent columns, so one 2-minor
+    M = direct_sum(quotient_by_linear_forms(F7, 2, [(1, 0)]), quotient_by_linear_forms(F7, 2, [(0, 1)]))
+    assert M.n == 14
+    V = rank_variety_ideal(M)
+    assert len(V.raw.gens) == 1
+    assert str(V.gb) == "ideal(a1^6*a2^6)"
 
 
 def test_syzygy_invariance(catalog):
@@ -222,6 +252,18 @@ def test_coordinate_ring_shape():
     assert ring.field.p == 3
 
 
+def test_rank_ideals_of_different_modules_share_one_ring(cold_memos):
+    # one ring object per (p, c), so ideals that meet compare rings by identity
+    M = quotient_by_linear_forms(F3, 2, [(1, 0)])
+    N = quotient_by_linear_forms(F3, 2, [(1, 1)])
+    assert M != N
+    ring = rank_variety_ideal(M).ring
+    assert rank_variety_ideal(N).ring is ring
+    assert pair_variety_ideal(M, N).ring is ring
+    assert coordinate_ring(PrimeField(3), 2) is ring
+    assert coordinate_ring(F3, 3) is not ring
+
+
 def test_pair_variety_rejects_mismatched_contexts():
     M2 = quotient_by_linear_forms(F2, 2, [(1, 0)])
     M3 = quotient_by_linear_forms(F3, 2, [(1, 0)])
@@ -233,8 +275,21 @@ def test_pair_variety_rejects_mismatched_contexts():
 
 
 def test_minor_limits_enforced():
-    with pytest.raises(MinorLimitError):
+    # kE over (2,4) has 15 independent rows (its radical) and 15 independent
+    # columns (all but its socle): C(15, 8)^2 8-minors, over the cap
+    with pytest.raises(MinorLimitError, match="41409225 8-minors of a 15x15 matrix"):
         rank_variety_ideal(regular_module(F2, 4))
+
+
+def test_minor_cap_admits_every_module_the_former_caps_did():
+    # the former caps took n <= 12 and minors of size n/p <= 6; a nonzero
+    # module has at most dim rad^(p-1) M <= n - 1 independent rows and
+    # n - dim soc M <= n - 1 independent columns, so it needs at most
+    # C(n - 1, n/p)^2 minors
+    admitted = [(n, p) for p in (2, 3, 5, 7, 11) for n in range(p, 13, p) if n // p <= 6]
+    assert (12, 2) in admitted and (11, 11) in admitted
+    assert max(comb(n - 1, n // p) ** 2 for n, p in admitted) == comb(11, 6) ** 2 == 213_444
+    assert all(comb(n - 1, n // p) ** 2 <= MAX_MINORS for n, p in admitted)
 
 
 def test_ideal_radical_containment_order_one(catalog):
