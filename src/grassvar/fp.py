@@ -17,14 +17,17 @@ its pivot rows.  A matrix held by its nonzeros, as the covers of a
 resolution are, gets the same kernel as nonzeros from _kernel_sparse,
 Gauss-Jordan elimination over rows held as dicts.  When only the pivot
 columns are needed, _pivot_columns finds them from a matrix's nonzeros,
-reducing densely only what singleton pruning leaves.
+reducing densely only what singleton pruning leaves.  _minors expands
+determinants of matrices whose entries are polynomials held as dicts of
+packed monomials, the Pluecker coordinates of a subspace (constants) and
+the minors of a rank variety alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -371,6 +374,44 @@ def _kernel_sparse(
         np.array(out_cols, dtype=np.intp),
         np.array(out_vals, dtype=np.int64),
     ), free
+
+
+def _minors(rows: list[list[dict[int, int]]], p: int) -> Callable[[tuple, tuple], dict[int, int]]:
+    """minor(R, S), the determinant over F_p of the submatrix of `rows` on
+    nonempty increasing row and column tuples R and S of equal length,
+    memoised across every minor asked for.
+
+    An entry is a dict {monomial: coefficient in 1..p-1}, {} for zero, whose
+    monomials multiply by adding: packed exponent vectors, or 0 alone for a
+    constant.  So is a minor; a 1 x 1 minor is the entry itself, and none is
+    to be mutated.  Laplace expansion along the first row of R: minor(R, S)
+    is the alternating sum over the j-th s in S of entry (R[0], s) times
+    minor(R[1:], S - s), skipping zero entries, summed into one dict.
+    """
+    memo: dict[tuple, dict[int, int]] = {}
+
+    def minor(R: tuple, S: tuple) -> dict[int, int]:
+        if len(R) == 1:
+            return rows[R[0]][S[0]]
+        key = (R, S)
+        total = memo.get(key)
+        if total is None:
+            row, rest = rows[R[0]], R[1:]
+            acc: dict[int, int] = {}
+            for j, s in enumerate(S):
+                entry = row[s]
+                if not entry:
+                    continue
+                sub = minor(rest, S[:j] + S[j + 1 :])
+                for m, a in entry.items():
+                    if j & 1:
+                        a = -a
+                    for n, b in sub.items():
+                        acc[m + n] = acc.get(m + n, 0) + a * b
+            total = memo[key] = {m: r for m, v in acc.items() if (r := v % p)}
+        return total
+
+    return minor
 
 
 class MatrixFp:

@@ -39,9 +39,10 @@ them, for the last 16 (field, c, d): no workload or command scans more than
 six.  pluecker_embed is memoised on W for the last 10,000 subspaces, the
 default subspace cap, so a second scan of any Grassmannian within that cap
 hits on every point; each point is taken from all the maximal minors of W's
-basis at once.  The Pluecker and wedge relations of the incidence ideal are
-built once per (field, c, d) as well, and each projection maps only Z's
-generators into their ring.
+basis at once, by fp._minors, the Laplace expansion that also gives the
+minors of a rank variety, here on constant entries.  The Pluecker and wedge
+relations of the incidence ideal are built once per (field, c, d) as well,
+and each projection maps only Z's generators into their ring.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from math import comb
 import numpy as np
 
 from .errors import SubspaceLimitError
-from .fp import MatrixFp, PrimeField, _as_array, _rref
+from .fp import MatrixFp, PrimeField, _as_array, _minors, _rref
 from .homology import _hom_projective
 from .modules import KEModule, _restricted_arrays
 from .poly import (
@@ -138,19 +139,18 @@ def subspace_from_rows(field: PrimeField, rows) -> Subspace:
     return Subspace(field, c, d, MatrixFp(field, red[: len(piv)]))
 
 
-def enumerate_subspaces(
-    field: PrimeField, c: int, d: int, cap: int = DEFAULT_SUBSPACE_CAP
-) -> list[Subspace]:
+def enumerate_subspaces(field: PrimeField, c: int, d: int) -> list[Subspace]:
     """All d-subspaces of F_p^c, by pivot pattern then free entries.
 
-    The cap is checked on every call; the subspaces themselves are built
-    once per (field, c, d) and shared, which is safe because a Subspace is
-    frozen and its basis array is read-only.  The caller gets a fresh list.
+    The cap DEFAULT_SUBSPACE_CAP is read and checked on every call; the
+    subspaces themselves are built once per (field, c, d) and shared, which
+    is safe because a Subspace is frozen and its basis array is read-only.
+    The caller gets a fresh list.
     """
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
     p = field.p
-    count = gaussian_binomial(c, d, p)
+    count, cap = gaussian_binomial(c, d, p), DEFAULT_SUBSPACE_CAP
     if count > cap:
         raise SubspaceLimitError(
             f"{count} subspaces of dimension {d} in F_{p}^{c}, over the cap {cap}"
@@ -160,7 +160,7 @@ def enumerate_subspaces(
 
 # 16 Grassmannians: each workload and CLI command scans at most six distinct
 # (field, c, d).  An entry holds every subspace of its Grassmannian, at most
-# the cap its first caller passed: 10,000 at the default take about 4 MB.
+# the cap at its first call: 10,000, the default, take about 4 MB.
 @lru_cache(maxsize=16)
 def _subspaces(field: PrimeField, c: int, d: int) -> tuple[Subspace, ...]:
     p = field.p
@@ -208,43 +208,16 @@ class PlueckerPoint:
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 
 
-def _maximal_minors(rows: list[list[int]], p: int) -> list[int]:
-    """The d x d minors of a d x c matrix over F_p, one per d-subset of
-    columns in lexicographic order.
-
-    Laplace expansion along the rows, bottom row first: the minor of the
-    last k rows on a k-subset S of columns is the alternating sum over
-    j in S of entry (d - k, j) times the minor of the last k - 1 rows on
-    S - j.  Each of those smaller minors is formed once, in a dict keyed by
-    its column subset, so all C(c, d) minors cost about sum_k k C(c, k)
-    products of Python ints.
-    """
-    d = len(rows)
-    c = len(rows[0]) if d else 0
-    minors = {(): 1}
-    for k in range(1, d + 1):
-        row = rows[d - k]
-        below = minors
-        minors = {}
-        for S in combinations(range(c), k):
-            total = 0
-            for i, j in enumerate(S):
-                if row[j]:
-                    term = row[j] * below[S[:i] + S[i + 1 :]]
-                    total += -term if i & 1 else term
-            minors[S] = total % p
-    return list(minors.values())
-
-
 # One entry per rational subspace: 10,000, the default subspace cap, lets a
-# second scan of any Grassmannian that enumerate_subspaces yields by default
+# second scan of any Grassmannian that enumerate_subspaces yields within the cap
 # hit on every point, where a smaller LRU would evict each point before its
 # next use.  An entry is a few hundred bytes.
 @lru_cache(maxsize=DEFAULT_SUBSPACE_CAP)
 def pluecker_embed(W: Subspace) -> PlueckerPoint:
     """The point of P^(C(c,d)-1) whose coordinates are the d-minors of a basis."""
-    coords = _maximal_minors(W.basis.tolist(), W.field.p)
-    return PlueckerPoint(W.field, W.c, W.d, tuple(coords))
+    minor = _minors([[{0: x} if x else {} for x in row] for row in W.basis.tolist()], W.field.p)
+    rows = tuple(range(W.d))
+    return PlueckerPoint(W.field, W.c, W.d, tuple(minor(rows, S).get(0, 0) for S in _subsets(W.c, W.d)))
 
 
 def pluecker_relations(ring: PolyRing, c: int, d: int) -> list[Polynomial]:
@@ -429,14 +402,11 @@ def variety_dim_projective(V: VarietyIdealD) -> int:
     return dim - 1 if dim > 0 else -1
 
 
-def subspaces_on_variety(
-    V: VarietyIdealD, cap: int = DEFAULT_SUBSPACE_CAP
-) -> list[Subspace]:
+def subspaces_on_variety(V: VarietyIdealD) -> list[Subspace]:
     """All rational d-subspaces whose Pluecker point lies on the variety."""
-    field = V.ring.field
     return [
         W
-        for W in enumerate_subspaces(field, V.c, V.d, cap)
+        for W in enumerate_subspaces(V.ring.field, V.c, V.d)
         if point_on_variety(V, pluecker_embed(W))
     ]
 

@@ -647,9 +647,13 @@ def _pending(keyed) -> tuple[dict, list]:
 
 
 def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomial:
-    """Remainder of f under full reduction by the given (Groebner) basis."""
+    """Remainder of f under full reduction by the given (Groebner) basis;
+    ValueError when a basis element lies in another ring than f."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
     ring = f.ring
+    # identity first, as in Ideal.__post_init__; separate eliminations build equal rings
+    if any(g.ring is not ring and g.ring != ring for g in polys):
+        raise ValueError("normal form needs a basis over the polynomial's ring")
     reducers = sorted((_reducer(ring, _keyed(ring, g.monic().terms)) for g in polys if not g.is_zero()),
                       key=itemgetter(0))
     if not reducers:
@@ -835,7 +839,9 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersection of I with the subring that omits the `drop` variables.
 
     Returns the reduced Groebner basis of that intersection, as an ideal over
-    the smaller ring carrying the induced order.
+    the smaller ring carrying the induced order.  The block basis's elements
+    free of the dropped variables are that basis under grevlex, so under
+    any other induced order they are reduced once more.
     """
     ring = I.ring
     drop_set = frozenset(drop)
@@ -859,8 +865,8 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
         else:
             index_map.append(k)
             k += 1
-    out = [g.map_to(small, index_map) for g in G.gens if not (g.support() & drop_idx)]
-    return Ideal(small, tuple(out))
+    out = Ideal(small, tuple(g.map_to(small, index_map) for g in G.gens if not (g.support() & drop_idx)))
+    return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 
 
 def _extend_with_aux(I: Ideal, base: str = "t") -> tuple[Ideal, Polynomial, str]:

@@ -18,7 +18,10 @@ the columns J of A[I, :] whose stacked coefficient columns are independent.
 So I_r(A) = I_r(A[I, J]), and its reduced Groebner basis, being unique, is
 unchanged.  The rows of A lie in rad^(p-1) M and its kernel holds the socle,
 so |I|, |J| <= n - 1; the one cap, MAX_MINORS, counts the C(|I|, r) C(|J|, r)
-minors before any is expanded.
+minors before any is expanded.  fp._minors, the Laplace expansion that also
+gives Pluecker points, expands them on entries held as dicts of packed
+monomials.  A minor has degree r(p - 1) < n, far below the packed fields'
+bound 2^19, so adding packed monomials multiplies them exactly.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import MinorLimitError
-from .fp import _matmul, _rref
+from .fp import _matmul, _minors, _rref
 from .modules import KEModule
-from .poly import Ideal, Polynomial, PolyRing, buchberger_reduced, ideal
+from .poly import Ideal, PolyRing, buchberger_reduced, ideal
 
 MAX_MINORS = 250_000
 
@@ -82,48 +85,6 @@ def _power_coefficients(M: KEModule) -> tuple[list[tuple[int, ...]], np.ndarray]
     return exps, np.stack(mats, axis=-1)
 
 
-def _minor(
-    rows: list[list[Polynomial]],
-    row_idx: tuple[int, ...],
-    col_idx: tuple[int, ...],
-    ring: PolyRing,
-    memo: dict,
-) -> Polynomial:
-    """Determinant of the indexed submatrix, memoized across overlapping
-    minors by Laplace expansion along the first row."""
-    if not row_idx:
-        return ring.one
-    key = (row_idx, col_idx)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    r0 = row_idx[0]
-    rest = row_idx[1:]
-    total = ring.zero
-    for j, cj in enumerate(col_idx):
-        entry = rows[r0][cj]
-        if entry.is_zero():
-            continue
-        sub = _minor(rows, rest, col_idx[:j] + col_idx[j + 1 :], ring, memo)
-        term = entry * sub
-        total = total + term if j % 2 == 0 else total - term
-    memo[key] = total
-    return total
-
-
-def _minor_generators(rows: list[list[Polynomial]], size: int, ring: PolyRing):
-    """The nonzero size-minors of a matrix of polynomials of any shape."""
-    memo: dict = {}
-    gens = []
-    cols = range(len(rows[0]) if rows else 0)
-    for row_idx in combinations(range(len(rows)), size):
-        for col_idx in combinations(cols, size):
-            g = _minor(rows, row_idx, col_idx, ring, memo)
-            if not g.is_zero():
-                gens.append(g)
-    return gens
-
-
 @lru_cache(maxsize=256)
 def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
     """The ideal of the rank variety of M in F_p[a1..ac].
@@ -152,10 +113,16 @@ def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
             f"rank variety of a dimension-{M.n} module needs {count} {size}-minors "
             f"of a {len(I)}x{len(J)} matrix, over the cap {MAX_MINORS}"
         )
-    # entry (i, j) of A[I, J] from the coefficients of its monomials a^alpha
-    coefs = A[I][:, J].tolist()
-    rows = [[ring._from_valid_dict(dict(zip(exps, entry))) for entry in row] for row in coefs]
-    raw = ideal(ring, _minor_generators(rows, size, ring))
+    # entry (i, j) of A[I, J] as {packed a^alpha: coefficient}; only the
+    # nonzero minors, in row-then-column order, become Polynomials
+    monos = [ring._pack(alpha) for alpha in exps]
+    minor = _minors([[{m: a for m, a in zip(monos, e) if a} for e in row] for row in A[I][:, J].tolist()], p)
+    gens = []
+    for R in combinations(range(len(I)), size):
+        for S in combinations(range(len(J)), size):
+            if g := minor(R, S):
+                gens.append(ring._from_valid_dict({ring._unpack(m): a for m, a in g.items()}))
+    raw = ideal(ring, gens)
     return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
 
 

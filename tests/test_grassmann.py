@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from grassvar import grassmann, poly
 from grassvar.cli import parse_polynomial
 from grassvar.errors import GroebnerBudgetError, SubspaceLimitError
-from grassvar.fp import MatrixFp, PrimeField, _rref
+from grassvar.fp import MatrixFp, PrimeField, _minors, _rref
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
@@ -63,14 +63,15 @@ def test_gaussian_binomial_counts():
     assert gaussian_binomial(2, 2, 5) == 1
 
 
-def test_enumerate_subspaces_counts_and_cap():
+def test_enumerate_subspaces_counts_and_cap(monkeypatch):
     for (c, d, p) in [(3, 1, 2), (3, 2, 2), (4, 2, 2), (3, 1, 3)]:
         field = PrimeField(p)
         subs = enumerate_subspaces(field, c, d)
         assert len(subs) == gaussian_binomial(c, d, p)
         assert len(set(subs)) == len(subs)
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 10)
     with pytest.raises(SubspaceLimitError):
-        enumerate_subspaces(F2, 4, 2, cap=10)
+        enumerate_subspaces(F2, 4, 2)
 
 
 def test_subspace_canonical_form():
@@ -115,6 +116,7 @@ def wide_matrices(draw):
 @PROPERTY
 @given(wide_matrices())
 def test_maximal_minors_match_determinants(drawn):
+    # the maximal minors as pluecker_embed takes them, on constant entries
     p, rows = drawn
     field = PrimeField(p)
     a = np.array(rows, dtype=np.int64)
@@ -122,7 +124,9 @@ def test_maximal_minors_match_determinants(drawn):
     expected = [
         MatrixFp(field, a[:, list(S)]).det() for S in itertools.combinations(range(c), d)
     ]
-    assert grassmann._maximal_minors(rows, p) == expected
+    minor = _minors([[{0: x % p} if x % p else {} for x in row] for row in rows], p)
+    got = [minor(tuple(range(d)), S).get(0, 0) for S in itertools.combinations(range(c), d)]
+    assert got == expected
 
 
 def test_pluecker_embed_of_an_equal_subspace_is_an_equal_point():
@@ -148,11 +152,13 @@ def test_enumerated_lists_are_the_callers_own():
     assert enumerate_subspaces(F2, 3, 2) == kept
 
 
-def test_cap_is_checked_after_a_cached_enumeration():
+def test_cap_is_checked_after_a_cached_enumeration(monkeypatch):
     assert len(enumerate_subspaces(F2, 4, 2)) == 35
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 34)
     with pytest.raises(SubspaceLimitError, match="35 subspaces"):
-        enumerate_subspaces(F2, 4, 2, cap=34)
-    assert len(enumerate_subspaces(F2, 4, 2, cap=35)) == 35
+        enumerate_subspaces(F2, 4, 2)
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 35)
+    assert len(enumerate_subspaces(F2, 4, 2)) == 35
 
 
 def test_pluecker_embed_injective_on_grassmannian():

@@ -301,6 +301,20 @@ def test_normal_form_drops_divisible_leads():
     assert normal_form(g, scaled) == normal_form(g, G) == 3 * x * y + y
 
 
+def test_normal_form_rejects_a_basis_from_another_ring():
+    r = ring(F3, ("x", "y"))
+    x, y = r.gens()
+    other = ring(F3, ("u", "v", "w"))
+    G = buchberger_reduced(ideal(other, [other.var(0) * other.var(1) - other.var(2)]))
+    with pytest.raises(ValueError, match="ring"):
+        normal_form(x * y, G)
+    lex = ring(F3, ("x", "y"), MonomialOrder.lex())
+    with pytest.raises(ValueError, match="ring"):
+        normal_form(x * y, [lex.var(0)])
+    # an equal ring built apart is the same ring
+    assert normal_form(x * y, [ring(F3, ("x", "y")).var(0)]).is_zero()
+
+
 def test_buchberger_hand_checked_f3():
     # x^2 + y^2 and x*y: the s-pair reduces to y^3 and everything then closes
     r = ring(F3, ("x", "y"))
@@ -487,6 +501,13 @@ def test_eliminate_keeps_induced_order_and_validates():
     assert E.is_zero_ideal()
     with pytest.raises(ValueError):
         eliminate(I, {"w"})
+    # under lex the block basis's kept elements, a grevlex basis, need
+    # reducing again
+    r = ring(F5, ("x", "y", "z"), MonomialOrder.lex())
+    x, y, z = r.gens()
+    E = eliminate(ideal(r, [x - z**2, y**3 - z**3 + x * y, x**2 * y + z]), ["z"])
+    assert E.ring.order.kind == "lex"
+    assert str(E) == "ideal(x + 3*y^14 + 3*y^10 + 4*y^6, y^15 + 3*y^11 + 4*y^7 + y^3)"
 
 
 def test_eliminate_output_is_contained_in_source():

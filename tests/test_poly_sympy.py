@@ -91,26 +91,28 @@ def test_reduced_lex_basis_matches_sympy(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_block_elimination_matches_sympy(p):
-    # a lex basis eliminates every leading variable; sympy's grevlex basis of
-    # the elements free of the dropped ones is the reduced basis that
-    # eliminate() computes under a block order
+    # a lex basis eliminates every leading variable; sympy's basis of the
+    # elements free of the dropped ones, under the input ring's order, is
+    # the reduced basis that eliminate() returns in the smaller ring
     rng = random.Random(400 + p)
-    ring = PolyRing(PrimeField(p), ["x", "y", "z"])
     symbols = sympy.symbols("x y z")
-    for drop in (["x"], ["x", "y"]) * 5:
-        ideal_terms = [_random_terms(rng, p) for _ in range(rng.randint(2, 3))]
-        ours = eliminate(ideal(ring, [_ours(ring, t) for t in ideal_terms]), drop)
-        lex = sympy.groebner([_theirs(symbols, t) for t in ideal_terms], *symbols,
-                             modulus=p, order="lex")
-        kept = symbols[len(drop):]
-        free = [g for g in lex.exprs if not (g.free_symbols & set(symbols[:len(drop)]))]
-        if not free:
-            assert ours.gens == (), ideal_terms
-            continue
-        theirs = sympy.groebner(free, *kept, modulus=p, order="grevlex")
-        want = _basis_terms(_sympy_terms(g, "grevlex", p) for g in theirs.polys)
-        assert len(ours.gens) == len(theirs.polys), ideal_terms
-        assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
+    for order in ("grevlex", "lex"):
+        ring = PolyRing(PrimeField(p), ["x", "y", "z"], MonomialOrder(order))
+        for drop in (["x"], ["x", "y"]) * 5:
+            ideal_terms = [_random_terms(rng, p) for _ in range(rng.randint(2, 3))]
+            ours = eliminate(ideal(ring, [_ours(ring, t) for t in ideal_terms]), drop)
+            assert ours.ring.order.kind == order
+            lex = sympy.groebner([_theirs(symbols, t) for t in ideal_terms], *symbols,
+                                 modulus=p, order="lex")
+            kept = symbols[len(drop):]
+            free = [g for g in lex.exprs if not (g.free_symbols & set(symbols[:len(drop)]))]
+            if not free:
+                assert ours.gens == (), ideal_terms
+                continue
+            theirs = sympy.groebner(free, *kept, modulus=p, order=order)
+            want = _basis_terms(_sympy_terms(g, order, p) for g in theirs.polys)
+            assert len(ours.gens) == len(theirs.polys), ideal_terms
+            assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
 
 
 def _chart_of_three_lines(p, seed, chart):

@@ -205,6 +205,12 @@ def test_direct_sum_is_union(catalog):
         assert S.n == 12
         factors = [rank_variety_ideal(P).gb for P in parts]
         assert radical_equal(rank_variety_ideal(S).gb, _product(factors)), S.p
+    # kE + R/x1 over (2,3), the largest of these: 44,100 six-minors of a
+    # 10 x 10 matrix, 324 of them nonzero
+    parts = [catalog[(2, 3)]["kE"], catalog[(2, 3)]["R/x1"]]
+    V = rank_variety_ideal(direct_sum(*parts))
+    assert len(V.raw.gens) == 324
+    assert radical_equal(V.gb, _product([rank_variety_ideal(P).gb for P in parts]))
 
 
 def test_dimension_14_sum_takes_one_minor():

@@ -12,9 +12,9 @@ from itertools import combinations
 
 import pytest
 
-from grassvar.fp import MatrixFp, PrimeField
+from grassvar.fp import MatrixFp, PrimeField, _minors
 from grassvar.modules import KEModule, direct_sum, quotient_by_linear_forms
-from grassvar.rankvariety import rank_variety_ideal
+from grassvar.rankvariety import coordinate_ring, rank_variety_ideal
 
 sympy = pytest.importorskip("sympy")
 
@@ -88,3 +88,40 @@ def test_dense_basis_change_matches_sympy_minors(seed):
     # the route took fewer minors than the whole matrix has nonzero ones
     assert len(rank_variety_ideal(N).raw.gens) < len(minors)
     assert str(rank_variety_ideal(N).gb) == "ideal(a1^2*a2^2)"
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shared_minors_match_sympy_determinants(p):
+    # fp._minors, which expands every rank-variety minor and Pluecker
+    # coordinate, on small random matrices of polynomials in F_p[a1, a2, a3]
+    rng = random.Random(700 + p)
+    ring = coordinate_ring(PrimeField(p), 3)
+    a = sympy.symbols("a1:4")
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        entries = [
+            [
+                {
+                    tuple(rng.randrange(3) for _ in range(3)): rng.randrange(1, p)
+                    for _ in range(rng.choice([0, 1, 1, 2]))
+                }
+                for _ in range(n)
+            ]
+            for _ in range(n)
+        ]
+        minor = _minors([[{ring._pack(e): k for e, k in f.items()} for f in row] for row in entries], p)
+        mat = sympy.Matrix(n, n, lambda i, j: sum(
+            (k * sympy.Mul(*(x**e for x, e in zip(a, mono))) for mono, k in entries[i][j].items()),
+            sympy.Integer(0),
+        ))
+        for size in range(1, n + 1):
+            for R in combinations(range(n), size):
+                for S in combinations(range(n), size):
+                    det = mat.extract(list(R), list(S)).det(method="berkowitz")
+                    want = {
+                        e: int(k) % p
+                        for e, k in sympy.Poly(det, *a, modulus=p).terms()
+                        if int(k) % p
+                    }
+                    got = {ring._unpack(m): k for m, k in minor(R, S).items()}
+                    assert got == want, (entries, R, S)
