@@ -17,7 +17,8 @@ chained ^ applies left to right.  Several generators may share one -z
 argument separated by semicolons.
 
 Exit status: 0 on success, 1 for input errors, 2 when a computation hits a
-resource cap.
+resource cap.  Every ValueError, the library's signal of invalid input, is
+reported at one place, run_command, as an "error:" line.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from .rankvariety import (
 MAX_PARSED_EXPONENT = 1024
 
 
-class CliInputError(Exception):
-    """Bad user input: malformed files, unparsable arguments, invalid data."""
+class CliInputError(ValueError):
+    """Bad user input found by the CLI itself: malformed files, unparsable
+    arguments."""
 
 
 # --- polynomial parsing -----------------------------------------------------------
@@ -233,8 +235,9 @@ def _read_json(path: str):
 
 
 def _load_module(path: str) -> KEModule:
+    data = _read_json(path)
     try:
-        return module_from_dict(_read_json(path))
+        return module_from_dict(data)
     except ValueError as exc:
         raise CliInputError(f"{path}: {exc}") from None
 
@@ -261,10 +264,7 @@ def _subspace_arg(field: PrimeField, text: str, c: int, d: int):
             f"subspace must have {d} rows of length {c}, got "
             f"{len(rows)} of length {len(rows[0])}"
         )
-    try:
-        return subspace_from_rows(field, rows)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    return subspace_from_rows(field, rows)
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -330,10 +330,7 @@ def _cmd_rank_ideal(args) -> int:
 def _cmd_pair_ideal(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
-    try:
-        V = pair_variety_ideal(M, N)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    V = pair_variety_ideal(M, N)
     _emit_cone_ideal(args, V.gb)
     return 0
 
@@ -348,18 +345,14 @@ def _emit_projective_ideal(args, V) -> None:
 def _cmd_higher_ideal(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
-    try:
-        V = higher_variety_ideal(M, N, args.dim)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    V = higher_variety_ideal(M, N, args.dim)
     _emit_projective_ideal(args, V)
     return 0
 
 
 def _cmd_project_gamma(args) -> int:
     _check_dims(args)
-    field = _field_arg(args)
-    ring = coordinate_ring(field, args.c)
+    ring = coordinate_ring(PrimeField(args.prime), args.c)
     gens = [
         parse_polynomial(ring, piece)
         for z in args.z or []
@@ -368,21 +361,14 @@ def _cmd_project_gamma(args) -> int:
     ]
     raw = ideal(ring, gens)
     gb = buchberger_reduced(raw)
-    Z = VarietyIdeal1(ring, raw, gb)
-    try:
-        V = project_incidence(Z, args.dim)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    V = project_incidence(VarietyIdeal1(ring, raw, gb), args.dim)
     _emit_projective_ideal(args, V)
     return 0
 
 
 def _cmd_betti(args) -> int:
     M = _load_module(args.module)
-    try:
-        bs = betti_numbers(M, args.bound)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    bs = betti_numbers(M, args.bound)
     _emit(args, {"betti": bs}, " ".join(str(b) for b in bs))
     return 0
 
@@ -390,10 +376,7 @@ def _cmd_betti(args) -> int:
 def _cmd_ext(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
-    try:
-        table = ext_dims(M, N, args.bound)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    table = ext_dims(M, N, args.bound)
     _emit(args, {"ext": list(table.dims)}, " ".join(str(d) for d in table.dims))
     return 0
 
@@ -401,20 +384,17 @@ def _cmd_ext(args) -> int:
 def _cmd_oracle(args) -> int:
     M = _load_module(args.module)
     N = _load_module(args.other)
-    try:
-        if args.subspace is not None:
-            targets = [_subspace_arg(M.field, args.subspace, M.c, args.dim)]
-        else:
-            targets = enumerate_subspaces(M.field, M.c, args.dim)
-        pair = pair_variety_ideal(M, N)
-        variety = higher_variety_ideal(M, N, args.dim)
-        rows = []
-        for W in targets:
-            geometric, homological = oracle_membership(M, N, args.dim, W, pair_ideal=pair)
-            member = point_on_variety(variety, pluecker_embed(W))
-            rows.append((W, geometric, homological, member))
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    if args.subspace is not None:
+        targets = [_subspace_arg(M.field, args.subspace, M.c, args.dim)]
+    else:
+        targets = enumerate_subspaces(M.field, M.c, args.dim)
+    pair = pair_variety_ideal(M, N)
+    variety = higher_variety_ideal(M, N, args.dim)
+    rows = []
+    for W in targets:
+        geometric, homological = oracle_membership(M, N, args.dim, W, pair_ideal=pair)
+        member = point_on_variety(variety, pluecker_embed(W))
+        rows.append((W, geometric, homological, member))
 
     def flag(v):
         return "yes" if v else "no"
@@ -444,13 +424,9 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_embed(args) -> int:
     _check_dims(args)
-    field = _field_arg(args)
-    W = _subspace_arg(field, args.rows, args.c, args.dim)
-    pt = pluecker_embed(W)
-    try:
-        names = pluecker_ring(field, args.c, args.dim).names
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
+    field = PrimeField(args.prime)
+    pt = pluecker_embed(_subspace_arg(field, args.rows, args.c, args.dim))
+    names = pluecker_ring(field, args.c, args.dim).names
     payload = {"names": list(names), "coords": list(pt.coords)}
     _emit(args, payload, str(pt))
     return 0
@@ -462,13 +438,6 @@ def _check_dims(args) -> None:
         raise CliInputError(f"need c >= 1, got c={args.c}")
     if not 1 <= args.dim <= args.c:
         raise CliInputError(f"need 1 <= d <= c, got d={args.dim}, c={args.c}")
-
-
-def _field_arg(args) -> PrimeField:
-    try:
-        return PrimeField(args.prime)
-    except ValueError as exc:
-        raise CliInputError(str(exc)) from None
 
 
 # --- parser -----------------------------------------------------------------------
@@ -578,7 +547,7 @@ def run_command(argv) -> int:
             raise CliInputError(f"need --budget >= 0, got {args.budget}")
         with groebner_budget(args.budget):
             return args.func(args)
-    except CliInputError as exc:
+    except ValueError as exc:  # a CliInputError, or invalid input found by the library
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceLimitError as exc:

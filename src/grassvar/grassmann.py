@@ -341,11 +341,7 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
 
 def _set_to_one(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
     """f with its variable i set to 1, read in `ring`, which omits it."""
-    terms: dict[tuple[int, ...], int] = {}
-    for e, a in f.terms:
-        e = e[:i] + e[i + 1 :]
-        terms[e] = terms.get(e, 0) + a
-    return ring._from_valid_dict(terms)
+    return f._relabelled(ring, [*range(i), None, *range(i, f.ring.nvars - 1)])
 
 
 def _contains(I: Ideal, J: Ideal) -> bool:

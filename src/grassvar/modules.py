@@ -130,21 +130,17 @@ def regular_module(field: PrimeField, c: int) -> KEModule:
 
 
 def _coerce_form(field: PrimeField, c: int, form) -> LinearForm:
-    if isinstance(form, LinearForm):
-        if form.field != field or form.c != c:
-            raise ValueError("linear form has wrong field or arity")
-        return form
-    return LinearForm(field, tuple(form))
+    if not isinstance(form, LinearForm):
+        form = LinearForm(field, tuple(form))
+    if form.field != field or form.c != c:
+        raise ValueError("linear form has wrong field or arity")
+    return form
 
 
 def action_of(M: KEModule, u) -> MatrixFp:
     """The matrix of sum(u_i * X_i) acting on M."""
     u = _coerce_form(M.field, M.c, u)
-    out = np.zeros((M.n, M.n), dtype=np.int64)
-    for a, X in zip(u.coeffs, M.actions):
-        if a:
-            out = (out + a * X.array) % M.p
-    return MatrixFp(M.field, out)
+    return MatrixFp(M.field, _restricted_arrays(M, np.array([u.coeffs], dtype=np.int64))[0])
 
 
 def quotient_by_linear_forms(field: PrimeField, c: int, forms: Sequence) -> KEModule:

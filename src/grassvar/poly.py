@@ -1,8 +1,10 @@
 """Exact multivariate polynomial arithmetic and Groebner bases over F_p.
 
-Monomials are exponent tuples, polynomials are sorted term tuples over a ring
-descriptor, and all Groebner computation is Buchberger's algorithm with the
-coprime and chain criteria.  Pairs are selected by sugar degree, ties by
+A polynomial is a tuple of terms over a ring descriptor, each term held as
+(order key, packed monomial, coefficient) and strictly descending by key,
+the one form every routine reads, from construction to the reduced basis.
+All Groebner computation is Buchberger's algorithm with the coprime and
+chain criteria.  Pairs are selected by sugar degree, ties by
 smallest lcm, when the input is homogeneous in all variables or in those a
 block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
@@ -19,11 +21,11 @@ degree stays below B/2 = 524288.  The degree is checked wherever a key is
 formed or extended, and a monomial that reaches the bound raises ValueError.
 The same bound keeps every field of a packed monomial below its guard bit.
 
-`Polynomial.terms` hold exponent tuples, but division and Buchberger's
-algorithm hold each term as (key, packed monomial, coefficient), from the
-first key to the reduced basis.  A packed monomial is one int with a field of
-20 bits per variable, at bit 20 * f(i) for variable i: 19 value bits and a
-guard bit above them (Monagan and Pearce 2011 pack exponents the same way).
+`Polynomial.terms` is a read-only view of (exponent tuple, coefficient)
+pairs for printing and tests; nothing in the engine reads it.  A packed
+monomial is one int with a field of 20 bits per variable, at bit 20 * f(i)
+for variable i: 19 value bits and a guard bit above them (Monagan and
+Pearce 2011 pack exponents the same way).
 The fields sit on the key's own base-B digits, so the key is a cheap function
 of the packed int m:
 - lex: f(i) = n - 1 - i.  Digit n - 1 - i of the key is e_i, so key == m.
@@ -36,8 +38,12 @@ of the packed int m:
 Every exponent is below the degree bound 2^19, so each field holds its
 exponent with the guard bit clear, and with G the guard bits:
 - multiplying by a monomial adds packed ints and dividing by a divisor
-  subtracts them; no field passes 2^19 - 1 while the result's degree is
-  below the bound, which is checked as for keys;
+  subtracts them; the product of two stored monomials has degree below
+  2^20 = B, so no field carries into the next, its degree is read exactly
+  (below) and checked before its key is formed, and once it is below the
+  bound every field is below its guard bit again;
+- renaming variables (map_to) moves each field to its image's, and an
+  image's degree is its preimage's, so it stays below the bound;
 - a divides m iff ((m | G) - a) & G == G: field i of the difference is
   2^19 + m_i - a_i, which lies in [1, 2^20), so no field borrows from the
   next and its guard bit is set exactly when a_i <= m_i;
@@ -65,8 +71,8 @@ reduced by the monic ones kept before it.  A term is divisible only by leads
 no larger than itself, so a pass whose leads stay ascending leaves every
 element reduced by all the others.  Buchberger's input repeats the pass until
 that holds; its output, a Groebner basis, needs one pass, in which redundant
-elements reduce to 0.  The passes, the reducers and the basis all stay in
-keyed form; only the returned basis is unpacked into Polynomials.
+elements reduce to 0.  The passes, the reducers and the returned basis all
+hold the Polynomials' own terms, so nothing is converted on the way.
 
 Groebner work is bounded by a pool of S-pair reductions.  Inside a
 `with groebner_budget(n):` block every Buchberger run draws on one pool of n,
@@ -269,26 +275,35 @@ class PolyRing:
     # construction
     def from_dict(self, d: dict[Mono, int]) -> "Polynomial":
         """The polynomial sum(c * x^e); ValueError on an exponent vector of
-        the wrong length or with a negative entry."""
-        n = len(self.names)
+        the wrong length or with a negative entry, or on a term with a
+        nonzero coefficient whose degree reaches the bound."""
+        n, p = len(self.names), self.p
         for e in d:
             if len(e) != n or (e and min(e) < 0):
                 raise ValueError(f"monomial {e} of {self} needs {n} nonnegative exponents")
-        return self._from_valid_dict(d)
-
-    def _from_valid_dict(self, d: dict[Mono, int]) -> "Polynomial":
-        """from_dict for exponent vectors built from a ring's own by
-        arithmetic, substitution or renaming, which cannot be malformed.
-        Nearly every polynomial a projection builds is one of these, so
-        they skip from_dict's check."""
-        p = self.p
-        clean = {}
+        packed = {}
         for e, c in d.items():
+            if c % p:
+                if sum(e) >= _DEGREE_BOUND:
+                    raise _degree_error(sum(e))
+                packed[self._pack(e)] = c
+        return self._from_packed(packed)
+
+    def _from_packed(self, d: dict[int, int]) -> "Polynomial":
+        """The polynomial sum(c * x^m) over packed monomials m of degree
+        below _BASE, such as the sum of two stored ones; ValueError once a
+        term with a nonzero coefficient reaches the degree bound."""
+        p, deg, mkey = self.p, self._degree, self._mkey
+        terms = []
+        for m, c in d.items():
             c %= p
             if c:
-                clean[e] = c
-        terms = tuple(sorted(clean.items(), key=lambda t: self.key(t[0]), reverse=True))
-        return Polynomial(self, terms)
+                dm = deg(m)
+                if dm >= _DEGREE_BOUND:
+                    raise _degree_error(dm)
+                terms.append((mkey(m), m, c))
+        terms.sort(key=itemgetter(0), reverse=True)
+        return Polynomial(self, tuple(terms))
 
     @property
     def zero(self) -> "Polynomial":
@@ -302,12 +317,13 @@ class PolyRing:
         a %= self.p
         if a == 0:
             return self.zero
-        return Polynomial(self, (((0,) * self.nvars, a),))
+        # the monomial 1 packs to 0, whose key is 0 under every order
+        return Polynomial(self, ((0, 0, a),))
 
     def var(self, name_or_index) -> "Polynomial":
         i = name_or_index if isinstance(name_or_index, int) else self._pos[name_or_index]
-        e = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return Polynomial(self, ((e, 1),))
+        m = 1 << self._shifts[i]
+        return Polynomial(self, ((self._mkey(m), m, 1),))
 
     def gens(self) -> list["Polynomial"]:
         return [self.var(i) for i in range(self.nvars)]
@@ -329,57 +345,62 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable polynomial: term tuple strictly descending in the ring order."""
+    """Immutable polynomial: (key, packed monomial, coefficient) terms,
+    strictly descending by key, with coefficients in 1..p-1."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "_terms")
 
     def __init__(self, ring: PolyRing, terms: tuple) -> None:
         self.ring = ring
-        self.terms = terms
+        self._terms = terms
 
     # predicates and views
+    @property
+    def terms(self) -> tuple:
+        """(exponent tuple, coefficient) of each term, in descending order."""
+        unpack = self.ring._unpack
+        return tuple((unpack(m), c) for _, m, c in self._terms)
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        return not self.terms or not any(self.terms[0][0])
+        # 1 is the least monomial, so only a constant has it as its lead
+        return not self._terms or self._terms[0][1] == 0
 
     def lm(self) -> Mono:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring._unpack(self._terms[0][1])
 
     def lc(self) -> int:
-        if not self.terms:
+        if not self._terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self._terms[0][2]
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e, _ in self.terms)
+        deg = self.ring._degree
+        return max((deg(m) for _, m, _ in self._terms), default=-1)
 
     def is_homogeneous(self) -> bool:
-        if not self.terms:
-            return True
-        degs = {sum(e) for e, _ in self.terms}
-        return len(degs) == 1
+        deg = self.ring._degree
+        return len({deg(m) for _, m, _ in self._terms}) <= 1
 
     def support(self) -> frozenset:
         """Indices of variables that occur in some term."""
-        s = set()
-        for e, _ in self.terms:
-            for i, x in enumerate(e):
-                if x:
-                    s.add(i)
-        return frozenset(s)
+        # fields never carry, so a field of the OR is nonzero exactly when
+        # it is nonzero in some term
+        union = 0
+        for _, m, _ in self._terms:
+            union |= m
+        return frozenset(i for i, s in enumerate(self.ring._shifts) if union >> s & _FIELD_MASK)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.terms == other.terms and (
+        return isinstance(other, Polynomial) and self._terms == other._terms and (
             self.ring is other.ring or self.ring == other.ring)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+        return hash((self.ring, self._terms))
 
     # arithmetic
     def _coerce(self, other) -> "Polynomial":
@@ -393,21 +414,21 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        d = dict(self.terms)
         p = self.ring.p
-        for e, c in other.terms:
-            v = (d.get(e, 0) + c) % p
-            if v:
-                d[e] = v
-            elif e in d:
-                del d[e]
-        return self.ring._from_valid_dict(d)
+        d = {k: (m, c) for k, m, c in self._terms}
+        for k, m, c in other._terms:
+            if k in d:
+                c = (d.pop(k)[1] + c) % p
+                if not c:
+                    continue
+            d[k] = (m, c)
+        return Polynomial(self.ring, tuple((k, m, c) for k, (m, c) in sorted(d.items(), reverse=True)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
         p = self.ring.p
-        return Polynomial(self.ring, tuple((e, (-c) % p) for e, c in self.terms))
+        return Polynomial(self.ring, tuple((k, m, (-c) % p) for k, m, c in self._terms))
 
     def __sub__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -422,19 +443,16 @@ class Polynomial:
             c0 = other % p
             if c0 == 0:
                 return self.ring.zero
-            return Polynomial(self.ring, tuple((e, (c * c0) % p) for e, c in self.terms))
+            return Polynomial(self.ring, tuple((k, m, (c * c0) % p) for k, m, c in self._terms))
         other = self._coerce(other)
-        p = self.ring.p
-        d: dict[Mono, int] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (d.get(e, 0) + c1 * c2) % p
-                if v:
-                    d[e] = v
-                elif e in d:
-                    del d[e]
-        return self.ring._from_valid_dict(d)
+        # packed monomials multiply by adding; the keys are formed, and the
+        # degrees checked, only for the terms that do not cancel
+        d: dict[int, int] = {}
+        for _, m1, c1 in self._terms:
+            for _, m2, c2 in other._terms:
+                m = m1 + m2
+                d[m] = d.get(m, 0) + c1 * c2
+        return self.ring._from_packed(d)
 
     __rmul__ = __mul__
 
@@ -452,9 +470,9 @@ class Polynomial:
         return out
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self._terms:
             return self
-        c = self.terms[0][1]
+        c = self._terms[0][2]
         if c == 1:
             return self
         inv = self.ring.field.inv(c)
@@ -465,36 +483,51 @@ class Polynomial:
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of coordinates")
         p = self.ring.p
-        vals = [v % p for v in values]
+        # a term with a variable that is 0 at the point vanishes, and a
+        # variable that is 1 leaves it unchanged: only the others are read
+        zeros, fields = 0, []
+        for s, v in zip(self.ring._shifts, values):
+            v %= p
+            if v == 0:
+                zeros |= _FIELD_MASK << s
+            elif v != 1:
+                fields.append((s, v))
         total = 0
-        for e, c in self.terms:
-            t = c
-            for i, x in enumerate(e):
+        for _, m, c in self._terms:
+            if m & zeros:
+                continue
+            for s, v in fields:
+                x = m >> s & _FIELD_MASK
                 if x:
-                    t = (t * pow(vals[i], x, p)) % p
-            total = (total + t) % p
-        return total
+                    c = c * pow(v, x, p) % p
+            total += c
+        return total % p
 
     def map_to(self, ring: PolyRing, index_map: Sequence[int | None]) -> "Polynomial":
         """Reinterpret in `ring`; index_map[i] is the target slot of variable i
         (None requires exponent 0)."""
-        d: dict[Mono, int] = {}
-        n = ring.nvars
-        for e, c in self.terms:
-            out = [0] * n
-            for i, x in enumerate(e):
-                if not x:
-                    continue
-                j = index_map[i]
-                if j is None:
+        if len(index_map) != self.ring.nvars:
+            raise ValueError(f"index map of length {len(index_map)} for {self.ring.nvars} variables")
+        if None in index_map:
+            support = self.support()
+            for i, j in enumerate(index_map):
+                if j is None and i in support:
                     raise ValueError(f"variable {self.ring.names[i]} has no image")
-                out[j] += x
-            key = tuple(out)
-            d[key] = (d.get(key, 0) + c) % ring.p
-        return ring._from_valid_dict(d)
+        return self._relabelled(ring, index_map)
+
+    def _relabelled(self, ring: PolyRing, index_map: Sequence[int | None]) -> "Polynomial":
+        """map_to with every variable whose index_map entry is None set to 1."""
+        moves = [(s, ring._shifts[j]) for s, j in zip(self.ring._shifts, index_map) if j is not None]
+        d: dict[int, int] = {}
+        for _, m, c in self._terms:
+            out = 0
+            for s, t in moves:
+                out += (m >> s & _FIELD_MASK) << t
+            d[out] = d.get(out, 0) + c
+        return ring._from_packed(d)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         names = self.ring.names
         bits = []
@@ -551,18 +584,6 @@ def ideal(ring: PolyRing, gens: Iterable[Polynomial]) -> Ideal:
 
 
 # --- division ----------------------------------------------------------------
-
-def _keyed(ring: PolyRing, terms) -> list:
-    """(key, packed monomial, coefficient) of each term."""
-    key, pack = ring.key, ring._pack
-    return [(key(e), pack(e), c) for e, c in terms]
-
-
-def _as_polynomial(ring: PolyRing, keyed) -> Polynomial:
-    """The polynomial of keyed terms given by descending key."""
-    unpack = ring._unpack
-    return Polynomial(ring, tuple((unpack(m), c) for _, m, c in keyed))
-
 
 def _monic(keyed, field: PrimeField) -> list:
     c0 = keyed[0][2]
@@ -654,11 +675,10 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     # identity first, as in Ideal.__post_init__; separate eliminations build equal rings
     if any(g.ring is not ring and g.ring != ring for g in polys):
         raise ValueError("normal form needs a basis over the polynomial's ring")
-    reducers = sorted((_reducer(ring, _keyed(ring, g.monic().terms)) for g in polys if not g.is_zero()),
-                      key=itemgetter(0))
+    reducers = sorted((_reducer(ring, g.monic()._terms) for g in polys if g._terms), key=itemgetter(0))
     if not reducers:
         return f
-    return _as_polynomial(ring, _reduce(ring, *_pending(_keyed(ring, f.terms)), reducers))
+    return Polynomial(ring, tuple(_reduce(ring, *_pending(f._terms), reducers)))
 
 
 # --- Buchberger ----------------------------------------------------------------
@@ -674,14 +694,11 @@ def _lead_key(keyed) -> int:
     return keyed[0][0]
 
 
-def _sorted_monic(ring: PolyRing, polys: Sequence[Polynomial]) -> list:
-    """The distinct nonzero polys, made monic, as keyed terms by ascending
+def _sorted_monic(polys: Sequence[Polynomial]) -> list:
+    """The terms of the distinct nonzero polys, made monic, by ascending
     lead; equal leads are taken in the order of their term tuples, so the
     first pass does not depend on the order of the input."""
-    key = ring.key
-    items = sorted({g.monic().terms for g in polys if not g.is_zero()},
-                   key=lambda t: (key(t[0][0]), t))
-    return [_keyed(ring, t) for t in items]
+    return sorted({g.monic()._terms for g in polys if g._terms})
 
 
 def _autoreduce(ring: PolyRing, items: list) -> list:
@@ -716,7 +733,7 @@ def _interreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list:
     lead can divide any of its terms.  Each repeat lowers or drops a lead,
     so the loop ends.
     """
-    basis = _autoreduce(ring, _sorted_monic(ring, polys))
+    basis = _autoreduce(ring, _sorted_monic(polys))
     while any(a[0][0] > b[0][0] for a, b in zip(basis, basis[1:])):
         basis = _autoreduce(ring, sorted(basis, key=_lead_key))
     return basis
@@ -830,7 +847,7 @@ def buchberger_reduced(I: Ideal) -> Ideal:
 
     # G is a Groebner basis, so one ascending-lead pass reduces it
     out = _autoreduce(ring, sorted(G, key=_lead_key))
-    return Ideal(ring, tuple(_as_polynomial(ring, g) for g in reversed(out)))
+    return Ideal(ring, tuple(Polynomial(ring, tuple(g)) for g in reversed(out)))
 
 
 # --- elimination-based operations ---------------------------------------------

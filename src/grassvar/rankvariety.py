@@ -113,15 +113,16 @@ def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
             f"rank variety of a dimension-{M.n} module needs {count} {size}-minors "
             f"of a {len(I)}x{len(J)} matrix, over the cap {MAX_MINORS}"
         )
-    # entry (i, j) of A[I, J] as {packed a^alpha: coefficient}; only the
-    # nonzero minors, in row-then-column order, become Polynomials
+    # entry (i, j) of A[I, J] as {packed a^alpha: coefficient}, the ring's
+    # own monomials; only the nonzero minors, in row-then-column order,
+    # become Polynomials
     monos = [ring._pack(alpha) for alpha in exps]
     minor = _minors([[{m: a for m, a in zip(monos, e) if a} for e in row] for row in A[I][:, J].tolist()], p)
     gens = []
     for R in combinations(range(len(I)), size):
         for S in combinations(range(len(J)), size):
             if g := minor(R, S):
-                gens.append(ring._from_valid_dict({ring._unpack(m): a for m, a in g.items()}))
+                gens.append(ring._from_packed(g))
     raw = ideal(ring, gens)
     return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
 

@@ -332,12 +332,25 @@ def test_missing_file_is_input_error(capsys, tmp_path):
     assert err.startswith("error: cannot read")
 
 
-def test_mismatched_pair_is_input_error(capsys, module_files):
-    status, _, err = _run(
-        capsys, "pair-ideal", module_files["rx3"], module_files["rx2"]
-    )
-    assert status == 1
+@pytest.mark.parametrize(
+    "command",
+    [["pair-ideal"], ["higher-ideal", "-d", "1"], ["ext", "-n", "2"], ["oracle", "-d", "1"]],
+    ids=lambda command: command[0],
+)
+def test_mismatched_pair_is_input_error(capsys, module_files, command):
+    status, out, err = _run(capsys, *command, module_files["rx3"], module_files["rx2"])
+    assert (status, out) == (1, "")
     assert err == "error: modules must share the same p and c\n"
+
+
+def test_degree_bound_while_parsing_is_input_error(capsys):
+    # the parser's own ValueError, raised by a power past the degree bound
+    status, out, err = _run(
+        capsys, "project-gamma", "-c", "2", "-d", "1", "-z", "(a1^1024)^1024"
+    )
+    assert (status, out) == (1, "")
+    assert err.startswith("error:") and "524288" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_bad_subspace_shape(capsys):

@@ -181,6 +181,12 @@ def test_action_of_mixes_generators():
     assert U == kE.actions[0] + kE.actions[1]
     with pytest.raises(ValueError):
         action_of(kE, (0, 0))
+    # a form with the wrong number of coefficients is refused, not truncated
+    for bad in [(1, 0, 1), (1,)]:
+        with pytest.raises(ValueError, match="arity"):
+            action_of(kE, bad)
+        with pytest.raises(ValueError, match="arity"):
+            restrict_to_subspace(kE, [bad])
 
 
 def test_direct_sum_blocks():

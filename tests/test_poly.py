@@ -1,5 +1,7 @@
 import random
 import re
+from math import prod
+from operator import add
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,8 @@ from grassvar.poly import (
     _DEGREE_BOUND,
     Ideal,
     MonomialOrder,
+    Polynomial,
     PolyRing,
-    _as_polynomial,
     _autoreduce,
     _interreduce,
     _lcm,
@@ -103,9 +105,9 @@ PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=
 
 
 @st.composite
-def rings_and_monomials(draw):
-    """A lex, grevlex or block ring in up to 12 variables and a few of its
-    monomials, each below the degree bound, some of them near it."""
+def rings_and_monomials(draw, field=F2):
+    """A lex, grevlex or block ring over `field` in up to 12 variables and a
+    few of its monomials, each below the degree bound, some of them near it."""
     n = draw(st.integers(1, 12))
     names = [f"x{i}" for i in range(n)]
     kind = draw(st.sampled_from(["lex", "grevlex", "block"]))
@@ -116,7 +118,7 @@ def rings_and_monomials(draw):
     top = (_DEGREE_BOUND - 1) // n
     exponent = st.one_of(st.integers(0, 3), st.integers(0, top), st.just(top))
     monos = draw(st.lists(st.tuples(*[exponent] * n), min_size=2, max_size=8))
-    return PolyRing(F2, names, order), monos
+    return PolyRing(field, names, order), monos
 
 
 @PROPERTY
@@ -168,6 +170,64 @@ def test_packed_monomials_agree_with_exponent_tuples(drawn):
             assert pl - pa == r._pack(tuple(x - y for x, y in zip(lcm, a)))
             product = tuple(x + y // 2 for x, y in zip(half, b))
             assert r._pack(half) + r._pack(tuple(y // 2 for y in b)) == r._pack(product)
+
+
+def _other_order(r):
+    """r's variables in reverse, under another order kind."""
+    names = r.names[::-1]
+    if r.order.kind == "lex":
+        return PolyRing(r.field, names, MonomialOrder.grevlex())
+    if r.order.kind == "grevlex":
+        return PolyRing(r.field, names, MonomialOrder.block(names[:1]))
+    return PolyRing(r.field, names, MonomialOrder.lex())
+
+
+@PROPERTY
+@given(rings_and_monomials(F5), st.data())
+def test_packed_polynomials_agree_with_exponent_tuples(drawn, data):
+    r, monos = drawn
+    n = r.nvars
+    d = {e: data.draw(st.integers(1, 4)) for e in monos}
+    f = r.from_dict(d)
+    by_order = sorted(d.items(), key=lambda t: _tuple_key(r, t[0]), reverse=True)
+    assert f.terms == tuple(by_order)
+    assert r.from_dict(dict(f.terms)) == f
+    assert f.lm() == by_order[0][0] and f.lc() == by_order[0][1]
+    assert f.support() == {i for e in d for i in range(n) if e[i]}
+    assert f.total_degree() == max(map(sum, d))
+    assert f.is_homogeneous() == (len(set(map(sum, d))) == 1)
+    assert f.is_constant() == (set(d) == {(0,) * n})
+    point = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    want = sum(c * prod(pow(v, x, 5) for v, x in zip(point, e)) for e, c in d.items()) % 5
+    assert f.evaluate(point) == want
+    # into the reversed variables under another order, and back
+    other = _other_order(r)
+    g = f.map_to(other, range(n - 1, -1, -1))
+    assert dict(g.terms) == {e[::-1]: c for e, c in d.items()}
+    assert g.map_to(r, range(n - 1, -1, -1)) == f
+    with pytest.raises(ValueError, match="index map"):
+        f.map_to(other, range(n - 1))
+
+
+@PROPERTY
+@given(rings_and_monomials())
+def test_products_and_powers_check_the_degree_bound(drawn):
+    r, monos = drawn
+    a, b = monos[0], monos[1]
+    f, g = r.from_dict({a: 1}), r.from_dict({b: 1})
+    if sum(a) + sum(b) >= _DEGREE_BOUND:
+        with pytest.raises(ValueError, match=str(sum(a) + sum(b))):
+            f * g
+    else:
+        assert (f * g).terms == ((tuple(map(add, a, b)), 1),)
+    # the first power whose degree reaches the bound raises, the one before
+    # it does not
+    s = sum(a) or 1
+    f = r.from_dict({a if sum(a) else (1,) + a[1:]: 1})
+    k = -(-_DEGREE_BOUND // s)
+    assert (f ** (k - 1)).total_degree() == (k - 1) * s
+    with pytest.raises(ValueError, match=str(_DEGREE_BOUND)):
+        f**k
 
 
 def test_from_dict_rejects_bad_exponent_vectors():
@@ -393,8 +453,8 @@ def test_autoreduce_of_a_groebner_basis_is_the_reduced_basis():
                 if smaller:
                     polys.append(g + rng.choice(smaller) * rng.randrange(1, field.p))
             rng.shuffle(polys)
-            out = _autoreduce(r, _sorted_monic(r, polys))
-            assert [_as_polynomial(r, g) for g in reversed(out)] == list(G.gens)
+            out = _autoreduce(r, _sorted_monic(polys))
+            assert [Polynomial(r, tuple(g)) for g in reversed(out)] == list(G.gens)
 
 
 def test_interreduce_repeats_the_pass_until_leads_ascend():
@@ -402,9 +462,9 @@ def test_interreduce_repeats_the_pass_until_leads_ascend():
     x, y, z = r.gens()
     gens = [x * y + z, x * y + y**2 + 1, y**2]
     # one pass lowers the last lead below the others
-    once = _autoreduce(r, _sorted_monic(r, gens))
-    assert [str(_as_polynomial(r, g)) for g in once] == ["y^2", "x*y + z", "z + 2"]
-    out = [_as_polynomial(r, g) for g in _interreduce(r, gens)]
+    once = _autoreduce(r, _sorted_monic(gens))
+    assert [str(Polynomial(r, tuple(g))) for g in once] == ["y^2", "x*y + z", "z + 2"]
+    out = [Polynomial(r, tuple(g)) for g in _interreduce(r, gens)]
     assert [str(g) for g in out] == ["z + 2", "y^2", "x*y + 1"]
     for g in out:
         for h in out:
