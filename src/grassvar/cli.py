@@ -47,10 +47,10 @@ from .poly import (
     Ideal,
     Polynomial,
     PolyRing,
+    _basis_dimension,
     buchberger_reduced,
     groebner_budget,
     ideal,
-    ideal_dimension,
 )
 from .rankvariety import (
     VarietyIdeal1,
@@ -304,14 +304,11 @@ def _cmd_validate(args) -> int:
     return 1 if problems else 0
 
 
-def _projectively_empty(gb: Ideal) -> bool:
-    # the cone ideals here are homogeneous, so affine dimension 0 means the
-    # origin is the only point and the projective variety is empty
-    return gb.is_unit_ideal() or ideal_dimension(gb) == 0
-
-
 def _emit_cone_ideal(args, gb: Ideal) -> None:
-    empty = _projectively_empty(gb)
+    # the cone ideals here are homogeneous reduced bases, so affine
+    # dimension 0 means the origin is the only point and the projective
+    # variety is empty, as it is for the unit ideal, of dimension -1
+    empty = _basis_dimension(gb) <= 0
     payload = _ideal_payload(gb)
     payload["projectively_empty"] = empty
     text = render_ideal(gb)

@@ -1,8 +1,8 @@
 """Exact linear algebra over prime fields F_p, dense and on nonzeros.
 
 Matrices are immutable wrappers around integer numpy arrays with all entries
-reduced mod p.  Every operation is exact: products route through float64 BLAS
-only when the intermediate values provably fit in the 53-bit mantissa.  Dense
+reduced mod p.  Every operation is exact: products route through float64 BLAS,
+whose sums fit in the 53-bit mantissa at every size that fits in memory.  Dense
 row reduction is one packed Gauss-Jordan elimination for every p: _echelon
 packs each row into one Python int of w-bit fields, one per column with the
 first column on top (w = 1 over F_2; 8, 16 or 32 over odd p), and reduces it
@@ -69,28 +69,13 @@ def _as_array(entries, p: int) -> np.ndarray:
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact modular product; uses BLAS when values fit in float64 exactly."""
-    inner = a.shape[1]
-    if inner == 0:
-        return np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    if (p - 1) * (p - 1) * inner < 2**53:
-        c = a.astype(np.float64) @ b.astype(np.float64)
-        return np.rint(c).astype(np.int64) % p
-    return (a @ b) % p
+    """Exact modular product of reduced operands by float64 BLAS: for p <= 97
+    every sum, at most (p - 1)^2 * inner, is below 2^53 while inner < 9.7e11."""
+    c = a.astype(np.float64) @ b.astype(np.float64)
+    return np.rint(c).astype(np.int64) % p
 
 
 # --- packed Gauss-Jordan elimination, for every p --------------------------
-
-def _gf2_pack(a: np.ndarray) -> np.ndarray:
-    """The low bits of the rows of a as little-endian 64-bit words: bit j of
-    a row is bit j & 63 of word j >> 6, zero-padded past the last column."""
-    m, n = a.shape
-    words = max(1, (n + 63) // 64)
-    buf = np.zeros((m, 8 * words), dtype=np.uint8)
-    bits = np.packbits((a & 1).astype(np.uint8), axis=1, bitorder="little")
-    buf[:, : bits.shape[1]] = bits
-    return buf.view("<u8")
-
 
 @lru_cache(maxsize=None)
 def _packed_fields(p: int) -> tuple[int, int, int]:
@@ -119,7 +104,7 @@ def _echelon(a: np.ndarray, p: int) -> tuple[dict[int, int], int, int, int, int]
 
     Each row is one little-endian Python int of w-bit fields with the
     columns reversed, field n - 1 - j for column j, so that the top field
-    is the first nonzero column: over F_2 the 1-bit fields of _gf2_pack,
+    is the first nonzero column: over F_2 the bits of np.packbits(a & 1),
     over odd p the bytes of a.astype(<u1|u2|u4>) with (w, shift, mul) from
     _packed_fields.  Entries are read mod p.  A row is reduced against the
     pivot rows kept so far, keyed by their top field
@@ -149,9 +134,9 @@ def _echelon(a: np.ndarray, p: int) -> tuple[dict[int, int], int, int, int, int]
     """
     m, n = a.shape
     if p == 2:
-        words = _gf2_pack(a[:, ::-1])
+        bits = np.packbits((a[:, ::-1] & 1).astype(np.uint8), axis=1, bitorder="little")
         w, shift, mul, low = 1, 0, 0, 0
-        width, packed = 8 * words.shape[1], words.tobytes()
+        width, packed = bits.shape[1], bits.tobytes()
     else:
         # a % p costs ten times the range check, and the library's own
         # callers pass reduced arrays

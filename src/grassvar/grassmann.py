@@ -33,20 +33,21 @@ normal forms decide.  Reduced bases are unique, so neither step changes the
 answer.
 
 Checking a variety at its rational points, and projecting one, repeats
-work that depends only on (p, c, d), so three memos hold it.
+work that depends only on (p, c, d), so two memos hold it.
 enumerate_subspaces builds the subspaces of a Grassmannian once and shares
 them, for the last 16 (field, c, d): no workload or command scans more than
-six.  pluecker_embed is memoised on W for the last 10,000 subspaces, the
-default subspace cap, so a second scan of any Grassmannian within that cap
-hits on every point; each point is taken from all the maximal minors of W's
-basis at once, by fp._minors, the Laplace expansion that also gives the
-minors of a rank variety, here on constant entries.  The Pluecker and wedge
-relations of the incidence ideal are built once per (field, c, d) as well,
-and each projection maps only Z's generators into their ring.
+six.  Each Subspace takes its Pluecker point when it is built, so a shared
+subspace carries its point to every later scan; the point is taken from all
+the maximal minors of W's basis at once, by fp._minors, the Laplace
+expansion that also gives the minors of a rank variety, here on constant
+entries.  The Pluecker and wedge relations of the incidence ideal are built
+once per (field, c, d) as well, and each projection maps only Z's
+generators into their ring.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
@@ -62,9 +63,9 @@ from .poly import (
     Ideal,
     Polynomial,
     PolyRing,
+    _basis_dimension,
     eliminate,
     ideal,
-    ideal_dimension,
     ideal_intersect,
     normal_form,
 )
@@ -106,12 +107,14 @@ def gaussian_binomial(c: int, d: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A d-dimensional subspace of k^c with its canonical echelon basis."""
+    """A d-dimensional subspace of k^c with its canonical echelon basis and
+    its Pluecker point, computed once on construction."""
 
     field: PrimeField
     c: int
     d: int
     basis: MatrixFp
+    _point: PlueckerPoint = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.basis.rows != self.d or self.basis.cols != self.c:
@@ -121,6 +124,10 @@ class Subspace:
         red, piv = _rref(self.basis.array, self.field.p)
         if len(piv) != self.d or not np.array_equal(red, self.basis.array):
             raise ValueError("basis must be a full-rank reduced echelon matrix")
+        minor = _minors([[{0: x} if x else {} for x in row] for row in self.basis.tolist()], self.field.p)
+        rows = tuple(range(self.d))
+        coords = tuple(minor(rows, S).get(0, 0) for S in _subsets(self.c, self.d))
+        object.__setattr__(self, "_point", PlueckerPoint(self.field, self.c, self.d, coords))
 
     def rows(self) -> list[tuple[int, ...]]:
         return [tuple(int(x) for x in row) for row in self.basis.array]
@@ -208,16 +215,10 @@ class PlueckerPoint:
         return "(" + " : ".join(str(x) for x in self.coords) + ")"
 
 
-# One entry per rational subspace: 10,000, the default subspace cap, lets a
-# second scan of any Grassmannian that enumerate_subspaces yields within the cap
-# hit on every point, where a smaller LRU would evict each point before its
-# next use.  An entry is a few hundred bytes.
-@lru_cache(maxsize=DEFAULT_SUBSPACE_CAP)
 def pluecker_embed(W: Subspace) -> PlueckerPoint:
-    """The point of P^(C(c,d)-1) whose coordinates are the d-minors of a basis."""
-    minor = _minors([[{0: x} if x else {} for x in row] for row in W.basis.tolist()], W.field.p)
-    rows = tuple(range(W.d))
-    return PlueckerPoint(W.field, W.c, W.d, tuple(minor(rows, S).get(0, 0) for S in _subsets(W.c, W.d)))
+    """The point of P^(C(c,d)-1) whose coordinates are the d-minors of a
+    basis, taken when W was built."""
+    return W._point
 
 
 def pluecker_relations(ring: PolyRing, c: int, d: int) -> list[Polynomial]:
@@ -394,7 +395,7 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
 
 def variety_dim_projective(V: VarietyIdealD) -> int:
     """Projective dimension of the variety; -1 when it is empty."""
-    dim = ideal_dimension(V.gb)
+    dim = _basis_dimension(V.gb)
     return dim - 1 if dim > 0 else -1
 
 

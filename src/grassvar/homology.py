@@ -165,6 +165,13 @@ class ResolutionData:
         return _densify(entries, (rows, self.betti[i] * m_alg))
 
 
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse `what`, before it is built, if it has more than
+    DEFAULT_CELL_CAP cells."""
+    if cells > DEFAULT_CELL_CAP:
+        raise SyzygyLimitError(f"{what} {cells} cells, over the cap of {DEFAULT_CELL_CAP}")
+
+
 def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
     """Refuse a cover of a dimension-n module by ncols columns, before it is
     built, if it or its kernel would have more than DEFAULT_CELL_CAP cells
@@ -176,13 +183,8 @@ def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
     the cap still counts the cells a dense one would have, so the deepest
     resolution a module allows does not depend on the route.
     """
-    cells = ncols * max(n, ncols - n)
-    if cells > DEFAULT_CELL_CAP:
-        raise SyzygyLimitError(
-            f"free cover of a dimension-{n} module by {ncols} columns at degree "
-            f"{degree} counts as a dense matrix of {cells} cells, over the cap of "
-            f"{DEFAULT_CELL_CAP}"
-        )
+    _check_cells(ncols * max(n, ncols - n), f"free cover of a dimension-{n} module by {ncols} "
+                 f"columns at degree {degree} counts as a dense matrix of")
 
 
 def _product_cover(actions: list[np.ndarray], gens: list[int], p: int) -> np.ndarray:
@@ -397,12 +399,7 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
         return ExtTable(M, N, tuple([0] * (bound + 1)))
 
     n_t = N.n
-    cells = m_alg * n_t * n_t
-    if cells > DEFAULT_CELL_CAP:
-        raise SyzygyLimitError(
-            f"monomial cover of the dimension-{n_t} target needs {cells} cells, "
-            f"over the cap of {DEFAULT_CELL_CAP}"
-        )
+    _check_cells(m_alg * n_t * n_t, f"monomial cover of the dimension-{n_t} target needs")
     resolution = resolve(M, bound + 1)
     # row e of rho_flat is the matrix of x^e on N, flattened: its cover by
     # all of its basis vectors
@@ -416,12 +413,7 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
         if b_i == 0 or b_next == 0:
             ranks.append(0)
             continue
-        cells = b_next * n_t * b_i * n_t
-        if cells > DEFAULT_CELL_CAP:
-            raise SyzygyLimitError(
-                f"Ext^{i} cochain matrix is {b_next * n_t}x{b_i * n_t}, {cells} "
-                f"cells, over the cap of {DEFAULT_CELL_CAP}"
-            )
+        _check_cells(b_next * n_t * b_i * n_t, f"Ext^{i} cochain matrix is {b_next * n_t}x{b_i * n_t},")
         # Hom(F_i, N) -> Hom(F_{i+1}, N) sends (v_t) to the tuple whose s-th
         # entry is sum_t (sum_e coef[(t, s), e] rho[e]) v_t; each (t, s)
         # occurs once, so its block is written, not added.
@@ -463,12 +455,7 @@ def _hom_projective(XM: list[np.ndarray], XN: list[np.ndarray], p: int) -> bool:
         return False
     if h == 0:
         return True
-    cells = max(h * h, q * m * m, q * n * n)
-    if cells > DEFAULT_CELL_CAP:
-        raise SyzygyLimitError(
-            f"PHom matrix of a dimension-{h} Hom space and its covers need "
-            f"{cells} cells, over the cap of {DEFAULT_CELL_CAP}"
-        )
+    _check_cells(max(h * h, q * m * m, q * n * n), f"PHom matrix of a dimension-{h} Hom space and its covers need")
     # left[(i, t), e] = (x^e n_t)_i and right[e, (j, lam)] = (x^(q-1-e))_{lam j}
     left = _product_cover(XN, list(range(n)), p).reshape(n * n, q)
     right = _product_cover(XM, list(range(m)), p).reshape(m, m, q)[:, :, ::-1]

@@ -99,14 +99,6 @@ def zero_module(field: PrimeField, c: int) -> KEModule:
     return KEModule(field, c, 0, tuple(z for _ in range(c)))
 
 
-def _exponent_of_index(idx: int, p: int, c: int) -> tuple:
-    out = []
-    for _ in range(c):
-        out.append(idx % p)
-        idx //= p
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def regular_module(field: PrimeField, c: int) -> KEModule:
     """kE as a module over itself, on the monomial basis; immutable, so built
@@ -117,14 +109,14 @@ def regular_module(field: PrimeField, c: int) -> KEModule:
         raise ResourceLimitError(
             f"regular module dimension {n} exceeds cap {DEFAULT_DIM_CAP}"
         )
+    # x_i sends x^e to x^(e + e_i), index j to j + p^i, unless digit i of j
+    # is already p - 1
+    digits = np.arange(n)[:, None] // p ** np.arange(c) % p
     acts = []
     for i in range(c):
-        step = p**i
+        j = np.flatnonzero(digits[:, i] < p - 1)
         a = np.zeros((n, n), dtype=np.int64)
-        for j in range(n):
-            e = _exponent_of_index(j, p, c)
-            if e[i] < p - 1:
-                a[j + step, j] = 1
+        a[j + p**i, j] = 1
         acts.append(MatrixFp(field, a))
     return KEModule(field, c, n, tuple(acts))
 

@@ -328,16 +328,14 @@ class PolyRing:
     def gens(self) -> list["Polynomial"]:
         return [self.var(i) for i in range(self.nvars)]
 
-    def index(self, name: str) -> int:
-        return self._pos[name]
-
-    def fresh_name(self, base: str = "t") -> str:
-        if base not in self._pos:
-            return base
+    def fresh_name(self) -> str:
+        """t, or else the first of t0, t1, .. that is not a variable name."""
+        if "t" not in self._pos:
+            return "t"
         i = 0
-        while f"{base}{i}" in self._pos:
+        while f"t{i}" in self._pos:
             i += 1
-        return f"{base}{i}"
+        return f"t{i}"
 
     def extend(self, new_names: Sequence[str]) -> "PolyRing":
         """Append variables; keeps the order kind (and block drop set)."""
@@ -410,7 +408,7 @@ class Polynomial:
             return other
         if isinstance(other, int):
             return self.ring.const(other)
-        return NotImplemented  # type: ignore[return-value]
+        raise TypeError(f"unsupported operand for a Polynomial: {type(other).__name__}")
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -470,13 +468,7 @@ class Polynomial:
         return out
 
     def monic(self) -> "Polynomial":
-        if not self._terms:
-            return self
-        c = self._terms[0][2]
-        if c == 1:
-            return self
-        inv = self.ring.field.inv(c)
-        return self * inv
+        return Polynomial(self.ring, tuple(_monic(self._terms, self.ring.field))) if self._terms else self
 
     def evaluate(self, values: Sequence[int]) -> int:
         """Value at a point of F_p^nvars."""
@@ -886,11 +878,11 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 
 
-def _extend_with_aux(I: Ideal, base: str = "t") -> tuple[Ideal, Polynomial, str]:
+def _extend_with_aux(I: Ideal) -> tuple[Ideal, Polynomial, str]:
     ring = I.ring
     if ring.order.kind == "block":
         raise ValueError("auxiliary-variable constructions need lex or grevlex rings")
-    t = ring.fresh_name(base)
+    t = ring.fresh_name()
     big = ring.extend((t,))
     ident = list(range(ring.nvars))
     gens = tuple(g.map_to(big, ident) for g in I.gens)
@@ -945,10 +937,15 @@ def ideal_dimension(I: Ideal) -> int:
     Groebner basis: the dimension is the largest size of a variable subset S
     such that no leading monomial is supported inside S.
     """
-    G = buchberger_reduced(I)
+    return _basis_dimension(buchberger_reduced(I))
+
+
+def _basis_dimension(G: Ideal) -> int:
+    """ideal_dimension of the ideal generated by G, a Groebner basis, read
+    off G's leading monomials with no Groebner work."""
     if G.is_unit_ideal():
         return -1
-    n = I.ring.nvars
+    n = G.ring.nvars
     if not G.gens:
         return n
     supports = [frozenset(i for i, e in enumerate(g.lm()) if e) for g in G.gens]

@@ -13,7 +13,6 @@ from grassvar import fp
 from grassvar.fp import (
     MatrixFp,
     PrimeField,
-    _gf2_pack,
     _kernel_free,
     _kernel_sparse,
     _matmul,
@@ -94,7 +93,7 @@ def test_kernel_annihilates_and_has_identity_block():
             assert len(free) + len(_rref(a, p)[1]) == a.shape[1]
 
 
-# Widths on both sides of the 64-bit word boundaries of the packed F_2 rows.
+# Widths on both sides of 64-bit word boundaries.
 WORD_WIDTHS = (63, 64, 65, 127, 128, 129, 200)
 WIDE_ROWS = (0, 1, 40, 64, 150)
 
@@ -110,21 +109,6 @@ def _wide_matrices(p):
             yield rng.integers(0, p, (m, n)) * (rng.random((m, n)) < 0.05)
             r = min(30, m)
             yield (rng.integers(0, p, (m, r)) @ rng.integers(0, p, (r, n))) % p
-
-
-def test_gf2_pack_layout_and_round_trip_across_words():
-    # entries up to 2, so the pack must keep only the low bit of each
-    for a in _wide_matrices(3):
-        m, n = a.shape
-        packed = _gf2_pack(a)
-        assert packed.shape == (m, (n + 63) // 64)
-        # bit j of a row is bit j & 63 of word j >> 6
-        for j in (0, 1, 62, 63, 64, 65, n - 1):
-            if j < n:
-                bit = (packed[:, j >> 6] >> np.uint64(j & 63)) & np.uint64(1)
-                assert np.array_equal(bit.astype(np.int64), a[:, j] % 2)
-        bits = np.unpackbits(packed.view(np.uint8), axis=1, count=n, bitorder="little")
-        assert np.array_equal(bits, a % 2)
 
 
 def _sympy_rref_dm(a, p):

@@ -127,6 +127,11 @@ def test_maximal_minors_match_determinants(drawn):
     minor = _minors([[{0: x % p} if x % p else {} for x in row] for row in rows], p)
     got = [minor(tuple(range(d)), S).get(0, 0) for S in itertools.combinations(range(c), d)]
     assert got == expected
+    # independent rows span a d-plane, whose point is those minors up to
+    # the scale that its echelon basis divides out
+    if any(expected):
+        W = subspace_from_rows(field, rows)
+        assert pluecker_embed(W) == PlueckerPoint(field, c, d, tuple(expected))
 
 
 def test_pluecker_embed_of_an_equal_subspace_is_an_equal_point():
@@ -569,6 +574,9 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch):
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
         if d == 1:
             assert str(V.gb) == "ideal(p_2*p_3 + 2*p_3^2, p_2*p_4, p_3*p_4, p_1)"
+            # the dimension is read off the reduced basis V holds
+            with groebner_budget(0):
+                assert variety_dim_projective(V) == 0
 
 
 def test_projection_with_unit_charts_matches_the_adjoining_route():

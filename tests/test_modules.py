@@ -66,6 +66,25 @@ def test_regular_module_shifts_basis_exponents():
             assert list(col0) == [p**i]
 
 
+def test_regular_module_matches_a_loop_over_exponents():
+    # every kE the dimension cap admits, against x_i x^e = x^(e + e_i) taken
+    # one basis monomial at a time
+    for p in (2, 3, 5, 7, 11, 13):
+        for c in range(1, 9):
+            n = p**c
+            if n > 256:
+                break
+            want = np.zeros((c, n, n), dtype=np.int64)
+            for j in range(n):
+                rest = j
+                for i in range(c):
+                    rest, digit = divmod(rest, p)
+                    if digit < p - 1:
+                        want[i, j + p**i, j] = 1
+            kE = regular_module(PrimeField(p), c)
+            assert [X.tolist() for X in kE.actions] == want.tolist(), (p, c)
+
+
 def test_regular_module_dim_cap():
     with pytest.raises(ResourceLimitError):
         regular_module(F2, 9)

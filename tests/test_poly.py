@@ -595,6 +595,10 @@ def test_intersection():
         "x^2*y"
     ]
     assert ideal_intersect(ideal(r, []), ideal(r, [x])).is_zero_ideal()
+    # the auxiliary variable is named past the ring's own t and t0
+    r = ring(F5, ("t", "t0", "x"))
+    t, t0, x = r.gens()
+    assert [str(g) for g in ideal_intersect(ideal(r, [t, x]), ideal(r, [t0])).gens] == ["t*t0", "t0*x"]
 
 
 def test_radical_membership():
@@ -607,6 +611,12 @@ def test_radical_membership():
     assert radical_equal(ideal(r, [x**2, y**3]), ideal(r, [x, y]))
     assert not radical_equal(ideal(r, [x]), ideal(r, [y]))
     assert radical_contains(ideal(r, [x]), ideal(r, [x**4]))
+    # with the ring's own t and t0, the auxiliary variable is t1
+    r = ring(F5, ("t", "t0", "x"))
+    t, t0, x = r.gens()
+    assert radical_member(t * t0, ideal(r, [t**2]))
+    assert not radical_member(t0 + x, ideal(r, [t**2, x**3]))
+    assert radical_member(t0 + x, ideal(r, [t0**2, x**3]))
 
 
 def test_ideal_dimension():
@@ -645,3 +655,9 @@ def test_mixed_ring_operations_rejected():
         Ideal(r1, (r2.var("x"),))
     with pytest.raises(ValueError):
         ideal_intersect(ideal(r1, [r1.var("x")]), ideal(r2, [r2.var("x")]))
+    # operands that are neither polynomials nor ints
+    x = r1.var("x")
+    for op in (lambda: x + 1.5, lambda: 1.5 + x, lambda: x - 1.5, lambda: 1.5 - x,
+               lambda: x * "a", lambda: "a" * x, lambda: x * 1.5):
+        with pytest.raises(TypeError):
+            op()
