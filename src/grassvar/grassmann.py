@@ -20,17 +20,19 @@ if f in k[p] equals g + h (xi - 1) with g in I, put xi = 1 in each
 u-homogeneous part of g (each lies in I) and homogenise again; that shows
 xi^N f in I for large N.  On a Z that is not a cone the identity fails,
 which is why project_incidence accepts only homogeneous Z.  Setting xi = 1
-identifies k[p, x]/(xi - 1) with the ring without xi, so
+identifies k[p, x]/(xi - 1) with the subring without xi, so
 
     (I + (xi - 1)) n k[p] = phi_i(I) n k[p],
 
-where phi_i substitutes xi = 1.  So each chart substitutes xi = 1 in the
-generators of I and eliminates the other c - 1 point coordinates, in a ring
-without xi and with no auxiliary variable.  The charts' projections are
-reduced bases in one grevlex ring, and I n J = I whenever I lies in J, so
-two of them are intersected only when neither contains the other, which
-normal forms decide.  Reduced bases are unique, so neither step changes the
-answer.
+where phi_i substitutes xi = 1.  The incidence ring carries the block order
+that eliminates x1..xc, which on monomials free of xi is the block order of
+the ring without xi.  So each chart substitutes xi = 1 in the generators of
+I and eliminates the point coordinates in the incidence ring itself, with
+no chart ring, no copy and no auxiliary variable, doing the Groebner work of
+the ring without xi.  The charts' projections are reduced bases in one
+grevlex ring, and I n J = I whenever I lies in J, so two of them are
+intersected only when neither contains the other, which normal forms decide.
+Reduced bases are unique, so neither step changes the answer.
 
 Checking a variety at its rational points, and projecting one, repeats
 work that depends only on (p, c, d), so two memos hold it.
@@ -61,6 +63,7 @@ from .homology import _hom_projective
 from .modules import KEModule, _restricted_arrays
 from .poly import (
     Ideal,
+    MonomialOrder,
     Polynomial,
     PolyRing,
     _basis_dimension,
@@ -250,9 +253,10 @@ def pluecker_relations(ring: PolyRing, c: int, d: int) -> list[Polynomial]:
 
 
 def incidence_ring(field: PrimeField, c: int, d: int) -> PolyRing:
-    """Pluecker coordinates followed by the point coordinates x1..xc."""
-    base = pluecker_ring(field, c, d)
-    return base.extend([f"x{i + 1}" for i in range(c)])
+    """Pluecker coordinates followed by the point coordinates x1..xc, under
+    the block order that eliminates x1..xc."""
+    points = [f"x{i + 1}" for i in range(c)]
+    return PolyRing(field, pluecker_ring(field, c, d).names + tuple(points), MonomialOrder.block(points))
 
 
 @lru_cache(maxsize=16)
@@ -321,10 +325,11 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     intersection equals the projection of the saturation with respect to
     the whole irrelevant ideal (x1, .., xc).  So a Z whose reduced basis
     has an inhomogeneous element raises ValueError.  Each chart substitutes
-    xi = 1 in the incidence generators, in a ring without xi, which gives
-    the same ideal as adjoining xi - 1; and the intersection skips a chart
-    whose projection contains the running result (I n J = I when I lies in
-    J), or takes it in place of the result when it lies inside.
+    xi = 1 in the incidence generators, the same ideal as adjoining xi - 1,
+    and is eliminated in the incidence ring, whose block order is that of
+    the ring without xi on the chart's monomials.  The intersection skips a
+    chart whose projection contains the running result (I n J = I when I
+    lies in J), or takes it in place of the result when it lies inside.
 
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
@@ -340,9 +345,9 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     return _project_incidence(Z.gb, d)
 
 
-def _set_to_one(f: Polynomial, i: int, ring: PolyRing) -> Polynomial:
-    """f with its variable i set to 1, read in `ring`, which omits it."""
-    return f._relabelled(ring, [*range(i), None, *range(i, f.ring.nvars - 1)])
+def _set_to_one(f: Polynomial, i: int) -> Polynomial:
+    """f with its variable i set to 1, in f's ring."""
+    return f._relabelled(f.ring, [None if j == i else j for j in range(f.ring.nvars)])
 
 
 def _contains(I: Ideal, J: Ideal) -> bool:
@@ -355,15 +360,14 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     c = gb.ring.nvars
     field = gb.ring.field
     inc = incidence_ideal(VarietyIdeal1(gb.ring, gb, gb), d)
-    names = inc.ring.names
     npl = comb(c, d)
+    points = inc.ring.names[npl:]
     small = pluecker_ring(field, c, d)
 
     factors = []
     for i in range(npl, npl + c):
-        chart_ring = PolyRing(field, names[:i] + names[i + 1 :])
-        chart = ideal(chart_ring, (_set_to_one(g, i, chart_ring) for g in inc.gens))
-        part = eliminate(chart, chart_ring.names[npl:])
+        chart = ideal(inc.ring, (_set_to_one(g, i) for g in inc.gens))
+        part = eliminate(chart, points)
         if not part.is_unit_ideal():
             factors.append(part)
     if not factors:

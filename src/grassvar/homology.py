@@ -99,12 +99,6 @@ def _side_by_side(arrays: list[np.ndarray]) -> Nonzeros:
     return _nonzeros(np.stack(arrays, axis=2).reshape(n, n * c))
 
 
-def _generator_indices(arrays: list[np.ndarray], p: int) -> list[int]:
-    """Coordinate indices whose basis vectors span a complement of rad M,
-    for M given by its action arrays: _generators on their nonzeros."""
-    return _generators(_side_by_side(arrays), arrays[0].shape[0], len(arrays), p)
-
-
 def _generators(actions: Nonzeros, n: int, c: int, p: int) -> list[int]:
     """Coordinate indices whose basis vectors span a complement of rad M,
     for the dimension-n module M whose c action arrays, side by side, have
@@ -273,6 +267,23 @@ def _ke_entries(nonzeros: Nonzeros, ncols: int, m_alg: int) -> KEEntries:
     return entries
 
 
+def _first_syzygy(M: KEModule) -> tuple[list[int], Nonzeros, list[int], np.ndarray, Nonzeros]:
+    """The first step of M's minimal resolution: M's generators, then the
+    kernel of M's cover by the free module on them, by its nonzeros and its
+    free rows, then _syzygy's map pos and action nonzeros of that kernel.
+    M's actions may be dense, so its cover is a product and its kernel's
+    nonzeros are read once off _kernel_free."""
+    p, c = M.p, M.c
+    arrays = [a.array for a in M.actions]
+    gens = _generators(_side_by_side(arrays), M.n, c, p)
+    ncols = len(gens) * p**c
+    _check_cover_cells(M.n, ncols, 0)
+    dense, free = _kernel_free(_product_cover(arrays, gens, p), p)
+    kernel = _nonzeros(dense)
+    del dense
+    return gens, kernel, free, *_syzygy(kernel, free, ncols, p, c)
+
+
 # Each entry holds the nonzero entries of its differentials; resolve(k, 21)
 # over (2, 3) holds 0.45 MB of them, so a few dozen resolutions are little
 # memory.  An ext-deep round asks for 19 distinct (module, depth) keys.
@@ -300,53 +311,38 @@ def resolve(M: KEModule, bound: int) -> ResolutionData:
     p, c = M.p, M.c
     m_alg = p**c
 
-    betti: list[int] = []
+    if bound == 0:
+        gens = _generators(_side_by_side([a.array for a in M.actions]), M.n, c, p)
+        return ResolutionData(M, (len(gens),), ())
+    gens, kernel, free, pos, actions = _first_syzygy(M)
+    betti = [len(gens)]
     gen_columns: list[KEEntries] = []
 
-    n = M.n
-    actions = _side_by_side([a.array for a in M.actions])
-    kernel = pos = None
-
-    for i in range(bound + 1):
+    for i in range(1, bound + 1):
+        n = len(free)
         gens = _generators(actions, n, c, p)
         betti.append(len(gens))
-        if kernel is not None:
-            # the kernel's nonzeros in the columns gens, renumbered 0..
-            col_of = np.full(n, -1, dtype=np.intp)
-            col_of[gens] = np.arange(len(gens))
-            q, g, v = kernel
-            hit = col_of[g] >= 0
-            chosen = q[hit], col_of[g[hit]], v[hit]
-            gen_columns.append(_ke_entries(chosen, len(gens), m_alg))
+        # the kernel's nonzeros in the columns gens, renumbered 0..
+        col_of = np.full(n, -1, dtype=np.intp)
+        col_of[gens] = np.arange(len(gens))
+        q, g, v = kernel
+        hit = col_of[g] >= 0
+        chosen = q[hit], col_of[g[hit]], v[hit]
+        gen_columns.append(_ke_entries(chosen, len(gens), m_alg))
         if i == bound:
             break
-
         ncols = len(gens) * m_alg
         _check_cover_cells(n, ncols, i)
-        if kernel is None:
-            # M's actions may be dense, so its cover is a product and its
-            # kernel's nonzeros are read once off _kernel_free
-            cover = _product_cover([a.array for a in M.actions], gens, p)
-            dense, free = _kernel_free(cover, p)
-            kernel = _nonzeros(dense)
-            del cover, dense
-        else:
-            cover = _gather(chosen, pos, range(m_alg), p, c)
-            kernel, free = _kernel_sparse(*cover, (n, ncols), p)
+        cover = _gather(chosen, pos, range(m_alg), p, c)
+        kernel, free = _kernel_sparse(*cover, (n, ncols), p)
         pos, actions = _syzygy(kernel, free, ncols, p, c)
-        n = len(free)
 
     return ResolutionData(M, tuple(betti), tuple(gen_columns))
 
 
 def syzygy_step(M: KEModule) -> tuple[int, KEModule]:
     """One step of the minimal resolution: (number of generators, syzygy module)."""
-    cur = [a.array for a in M.actions]
-    gens = _generator_indices(cur, M.p)
-    ncols = len(gens) * M.p**M.c
-    _check_cover_cells(M.n, ncols, 0)
-    kernel, free = _kernel_free(_product_cover(cur, gens, M.p), M.p)
-    _, stacked = _syzygy(_nonzeros(kernel), free, ncols, M.p, M.c)
+    gens, _, free, _, stacked = _first_syzygy(M)
     n = len(free)
     arrays = _densify(stacked, (n, n * M.c)).reshape(n, n, M.c)
     actions = tuple(MatrixFp(M.field, arrays[:, :, j]) for j in range(M.c))

@@ -88,12 +88,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from operator import itemgetter, lshift, mul
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
 from .fp import PrimeField
@@ -336,10 +335,6 @@ class PolyRing:
         while f"t{i}" in self._pos:
             i += 1
         return f"t{i}"
-
-    def extend(self, new_names: Sequence[str]) -> "PolyRing":
-        """Append variables; keeps the order kind (and block drop set)."""
-        return PolyRing(self.field, self.names + tuple(new_names), self.order)
 
 
 class Polynomial:
@@ -848,9 +843,12 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersection of I with the subring that omits the `drop` variables.
 
     Returns the reduced Groebner basis of that intersection, as an ideal over
-    the smaller ring carrying the induced order.  The block basis's elements
-    free of the dropped variables are that basis under grevlex, so under
-    any other induced order they are reduced once more.
+    the smaller ring carrying the induced order.  It is read off the basis
+    under the block order that drops them: an I whose ring has that order
+    is used as it is, any other is first copied into a ring with it.  The
+    block basis's elements free of the dropped variables are that basis
+    under grevlex, so under any other induced order they are reduced once
+    more.
     """
     ring = I.ring
     drop_set = frozenset(drop)
@@ -859,65 +857,51 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
         raise ValueError(f"cannot eliminate unknown variables {sorted(unknown)}")
     if not drop_set:
         return buchberger_reduced(I)
-    elim_ring = PolyRing(ring.field, ring.names, MonomialOrder.block(drop_set))
-    ident = list(range(ring.nvars))
-    gens = [g.map_to(elim_ring, ident) for g in I.gens]
-    G = buchberger_reduced(Ideal(elim_ring, tuple(gens)))
+    order = MonomialOrder.block(drop_set)
+    if ring.order != order:
+        elim_ring = PolyRing(ring.field, ring.names, order)
+        ident = list(range(ring.nvars))
+        I = Ideal(elim_ring, tuple(g.map_to(elim_ring, ident) for g in I.gens))
+    G = buchberger_reduced(I)
     drop_idx = {i for i, n in enumerate(ring.names) if n in drop_set}
     kept_names = tuple(n for n in ring.names if n not in drop_set)
     small = PolyRing(ring.field, kept_names, ring.order.restrict(kept_names))
-    index_map: list[int | None] = []
-    k = 0
-    for i, n in enumerate(ring.names):
-        if n in drop_set:
-            index_map.append(None)
-        else:
-            index_map.append(k)
-            k += 1
+    pos = {n: k for k, n in enumerate(kept_names)}
+    index_map = [pos.get(n) for n in ring.names]
     out = Ideal(small, tuple(g.map_to(small, index_map) for g in G.gens if not (g.support() & drop_idx)))
     return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 
 
-def _extend_with_aux(I: Ideal) -> tuple[Ideal, Polynomial, str]:
-    ring = I.ring
+def _extend_with_aux(ring: PolyRing) -> tuple[PolyRing, Polynomial, Callable[[Polynomial], Polynomial]]:
+    """ring with a fresh variable t appended, t, and the copy of ring's
+    polynomials into it."""
     if ring.order.kind == "block":
         raise ValueError("auxiliary-variable constructions need lex or grevlex rings")
-    t = ring.fresh_name()
-    big = ring.extend((t,))
+    big = PolyRing(ring.field, ring.names + (ring.fresh_name(),), ring.order)
     ident = list(range(ring.nvars))
-    gens = tuple(g.map_to(big, ident) for g in I.gens)
-    return Ideal(big, gens), big.var(t), t
+    return big, big.var(ring.nvars), lambda g: g.map_to(big, ident)
 
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I n J via t*I + (1-t)*J and elimination of t."""
     if I.ring != J.ring:
         raise ValueError("ideal intersection needs a common ring")
-    ring = I.ring
     if I.is_zero_ideal() or J.is_zero_ideal():
-        return Ideal(ring, ())
-    big_I, t, tname = _extend_with_aux(I)
-    ident = list(range(ring.nvars))
-    gens = [t * g for g in big_I.gens]
-    one_minus_t = big_I.ring.one - t
-    for h in J.gens:
-        gens.append(one_minus_t * h.map_to(big_I.ring, ident))
-    return eliminate(Ideal(big_I.ring, tuple(gens)), {tname})
+        return Ideal(I.ring, ())
+    big, t, lift = _extend_with_aux(I.ring)
+    gens = [t * lift(g) for g in I.gens] + [(1 - t) * lift(h) for h in J.gens]
+    return eliminate(Ideal(big, tuple(gens)), {big.names[-1]})
 
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical of I."""
-    ring = I.ring
-    if f.ring != ring:
+    if f.ring != I.ring:
         raise ValueError("radical membership needs a common ring")
     if f.is_zero():
         return True
-    big_I, t, tname = _extend_with_aux(I)
-    ident = list(range(ring.nvars))
-    f_big = f.map_to(big_I.ring, ident)
-    gens = big_I.gens + (big_I.ring.one - t * f_big,)
-    G = buchberger_reduced(Ideal(big_I.ring, gens))
-    return G.is_unit_ideal()
+    big, t, lift = _extend_with_aux(I.ring)
+    gens = tuple(map(lift, I.gens)) + (1 - t * lift(f),)
+    return buchberger_reduced(Ideal(big, gens)).is_unit_ideal()
 
 
 def radical_contains(I: Ideal, J: Ideal) -> bool:
@@ -942,16 +926,26 @@ def ideal_dimension(I: Ideal) -> int:
 
 def _basis_dimension(G: Ideal) -> int:
     """ideal_dimension of the ideal generated by G, a Groebner basis, read
-    off G's leading monomials with no Groebner work."""
+    off G's leading monomials with no Groebner work.
+
+    Sets of variables, leading supports among them, are int bitmasks.  A
+    set with no support inside leaves out a variable of each, so the largest
+    such set in `free` branches over the variables of the first support in
+    `free`, smallest first and of those the ones meeting the most supports;
+    each set is solved once.
+    """
     if G.is_unit_ideal():
         return -1
-    n = G.ring.nvars
-    if not G.gens:
-        return n
-    supports = [frozenset(i for i, e in enumerate(g.lm()) if e) for g in G.gens]
-    for size in range(n, -1, -1):
-        for S in itertools.combinations(range(n), size):
-            sset = frozenset(S)
-            if not any(supp <= sset for supp in supports):
-                return size
-    return -1
+    supports = {sum(1 << i for i, e in enumerate(g.lm()) if e) for g in G.gens}
+    supports = sorted(supports, key=lambda s: (s.bit_count(), -sum(s & t != 0 for t in supports), s))
+
+    memo: dict[int, int] = {}
+
+    def largest(free: int) -> int:
+        if free not in memo:
+            s = next((s for s in supports if s & free == s), None)
+            memo[free] = free.bit_count() if s is None else max(
+                largest(free & ~(1 << i)) for i in range(s.bit_length()) if s >> i & 1)
+        return memo[free]
+
+    return largest((1 << G.ring.nvars) - 1)

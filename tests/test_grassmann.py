@@ -30,6 +30,8 @@ from grassvar.grassmann import (
 )
 from grassvar.poly import (
     Ideal,
+    MonomialOrder,
+    PolyRing,
     buchberger_reduced,
     eliminate,
     groebner_budget,
@@ -204,6 +206,8 @@ def test_pluecker_relations_vanish_on_embedded_points():
 def test_incidence_ring_layout():
     ring = incidence_ring(F2, 3, 2)
     assert ring.names == ("p_12", "p_13", "p_23", "x1", "x2", "x3")
+    # the incidence ideal is born in the order that eliminates the points
+    assert ring.order == MonomialOrder.block(["x1", "x2", "x3"])
 
 
 def test_incidence_ideal_vanishes_on_true_pairs():
@@ -383,6 +387,65 @@ def test_grassmannian_dimension_from_full_ideal():
         V.gb, ideal(V.ring, pluecker_relations(V.ring, 4, 2))
     )
     assert variety_dim_projective(V) == 4
+
+
+def _dimension_by_subsets(G):
+    """The dimension read off G's leading monomials by trying every variable
+    subset, largest first, for one that contains no leading support."""
+    if G.is_unit_ideal():
+        return -1
+    n = G.ring.nvars
+    supports = [{i for i, e in enumerate(g.lm()) if e} for g in G.gens]
+    return next(size for size in range(n, -1, -1) for S in itertools.combinations(range(n), size)
+                if not any(s <= set(S) for s in supports))
+
+
+@PROPERTY
+@given(st.integers(1, 8).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.sets(st.integers(0, n - 1), min_size=1), max_size=12))))
+def test_basis_dimension_matches_the_subset_loop(drawn):
+    # any set of monomials is a Groebner basis of the ideal they generate
+    n, supports = drawn
+    ring = PolyRing(F2, [f"y{i}" for i in range(n)])
+    G = ideal(ring, [ring.from_dict({tuple(int(i in s) for i in range(n)): 1}) for s in supports])
+    assert poly._basis_dimension(G) == _dimension_by_subsets(G)
+
+
+def _subspace_equations(ring, W):
+    """The linear forms vanishing on W, one per non-pivot column of its
+    reduced echelon basis."""
+    x, p = ring.gens(), W.field.p
+    piv = [row.index(next(a for a in row if a)) for row in W.rows()]
+    forms = []
+    for f in (j for j in range(W.c) if j not in piv):
+        v = {f: 1, **{pj: -row[f] % p for row, pj in zip(W.rows(), piv)}}
+        forms.append(sum((x[j] * a for j, a in v.items()), ring.zero))
+    return forms
+
+
+def test_basis_dimension_matches_the_subset_loop_on_catalog_and_cones(catalog):
+    # every catalog pair's rank and higher ideals, and seeded unions of
+    # subspaces of k^4 over F_2 and F_3 with their projections, as the
+    # benchmark's projection workload draws them
+    bases = []
+    for (p, c), cat in catalog.items():
+        for M, N in itertools.product(cat.values(), repeat=2):
+            bases.append(pair_variety_ideal(M, N).gb)
+            bases += [higher_variety_ideal(M, N, d).gb for d in range(1, c + 1)]
+    rng = random.Random(11)
+    for field in (F2, F3):
+        ring = coordinate_ring(field, 4)
+        for shape in [(1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 3), (2, 2), (1, 1, 1)]:
+            products = [ring.one]
+            for r in shape:
+                eqs = _subspace_equations(ring, rng.choice(enumerate_subspaces(field, 4, r)))
+                products = [f * g for f in products for g in eqs]
+            Z = _lines(ring, products)
+            bases.append(Z.gb)
+            bases += [project_incidence(Z, d).gb for d in range(1, 5)]
+    assert len(bases) == 64 * (3 + 3 + 4) + 2 * 9 * 5
+    for G in bases:
+        assert poly._basis_dimension(G) == _dimension_by_subsets(G)
 
 
 def test_higher_variety_ideal_and_membership(catalog):

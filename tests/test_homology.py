@@ -109,13 +109,18 @@ def test_gathered_covers_match_product_covers(catalog):
                 assert x.dtype == y.dtype and np.array_equal(x, y)
 
 
+def _generator_indices(arrays, p):
+    """homology._generators on a module given by dense action arrays."""
+    return homology._generators(homology._side_by_side(arrays), arrays[0].shape[0], len(arrays), p)
+
+
 def _product_actions(M):
     """The syzygy's action arrays by products: x_j acts on each generator
     block of the kernel by regular_module's matrix, and the kernel's free
     rows, where it is the identity, read the result off."""
     p, m_alg = M.p, M.p**M.c
     cur = [a.array for a in M.actions]
-    gens = homology._generator_indices(cur, p)
+    gens = _generator_indices(cur, p)
     kernel, free = _kernel_free(homology._product_cover(cur, gens, p), p)
     blocks = kernel.reshape(len(gens), m_alg, kernel.shape[1])
     out = []
@@ -413,7 +418,7 @@ def test_generators_of_a_dense_basis_match_the_stacked_rref(catalog, monkeypatch
             arrays = [X.array for X in C.actions]
             piv = set(_rref(np.concatenate([a.T for a in arrays]), p)[1])
             calls.clear()
-            assert homology._generator_indices(arrays, p) == [j for j in range(C.n) if j not in piv]
+            assert _generator_indices(arrays, p) == [j for j in range(C.n) if j not in piv]
             through_remainder += bool(calls)
             assert betti_numbers(C, 4) == betti_numbers(M, 4)
     assert through_remainder >= 8
@@ -467,7 +472,7 @@ def _dense_resolve(M, bound):
     cur = [a.array for a in M.actions]
     kernel = free = None
     for i in range(bound + 1):
-        gens = homology._generator_indices(cur, p)
+        gens = _generator_indices(cur, p)
         betti.append(len(gens))
         if kernel is not None:
             columns = kernel[:, gens]

@@ -550,6 +550,12 @@ def test_eliminate_twisted_cubic():
     E = eliminate(I, {"x"})
     assert E.ring.names == ("y", "z")
     assert [str(g) for g in E.gens] == ["y^3 + 4*z^2"]
+    # the same ideal in a ring that already has the block order dropping x
+    # is eliminated as it is, to the same basis
+    b = ring(F5, ("x", "y", "z"), MonomialOrder.block({"x"}))
+    x, y, z = b.gens()
+    B = eliminate(ideal(b, [y - x**2, z - x**3]), {"x"})
+    assert B.ring == E.ring and B.gens == E.gens
 
 
 def test_eliminate_keeps_induced_order_and_validates():

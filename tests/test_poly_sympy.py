@@ -116,11 +116,12 @@ def test_block_elimination_matches_sympy(p):
 
 
 def _chart_of_three_lines(p, seed, chart):
-    """The block-order chart ideal that project_incidence eliminates at
-    c = 4, d = 2, for a seeded cone Z in k^4: the product of the linear
-    equations of three seeded lines.  Its ring holds the six Pluecker
-    coordinates and the three point coordinates left when x_(chart+1) is
-    set to 1, so a packed monomial has ten fields, 200 bits."""
+    """The chart ideal that project_incidence eliminates at c = 4, d = 2,
+    for a seeded cone Z in k^4: the product of the linear equations of three
+    seeded lines.  It lies in the incidence ring, whose block order drops
+    the four point coordinates, with x_(chart+1) set to 1, so its
+    generators lie in the other nine variables.  A packed monomial of the
+    ring has eleven fields, 220 bits."""
     rng = random.Random(seed)
     field = PrimeField(p)
     ring = coordinate_ring(field, 4)
@@ -135,30 +136,34 @@ def _chart_of_three_lines(p, seed, chart):
         products = [f * g for f in products for g in equations]
     gb = buchberger_reduced(ideal(ring, products))
     inc = incidence_ideal(VarietyIdeal1(ring, gb, gb), 2)
-    names = inc.ring.names
-    i = 6 + chart
-    chart_ring = PolyRing(field, names[:i] + names[i + 1:])
-    return ideal(chart_ring, [_set_to_one(g, i, chart_ring) for g in inc.gens])
+    return ideal(inc.ring, [_set_to_one(g, 6 + chart) for g in inc.gens])
 
 
 @pytest.mark.parametrize("p, seed, chart", [(2, 4, 3), (3, 5, 0), (5, 2, 1)])
 def test_nine_variable_chart_elimination_matches_sympy(p, seed, chart):
-    # sympy's ProductOrder of two grevlex blocks is the block order, with
-    # the three point coordinates greatest; its reduced basis must be ours
-    # term for term, and the elements free of them are the elimination
+    # sympy's ProductOrder of two grevlex blocks on the nine variables other
+    # than x_i is the block order, with the three point coordinates
+    # greatest.  Its reduced basis must be ours term for term, taken in the
+    # incidence ring and in a ring of the nine alike, and the elements free
+    # of the point coordinates are the elimination
     chart_ideal = _chart_of_three_lines(p, seed, chart)
-    names = chart_ideal.ring.names
-    assert len(names) == 9
-    ring = PolyRing(chart_ideal.ring.field, names, MonomialOrder.block(names[6:]))
-    gens = [g.map_to(ring, range(9)) for g in chart_ideal.gens]
-    ours = buchberger_reduced(ideal(ring, gens))
+    ring, i = chart_ideal.ring, 6 + chart
+    assert ring.order == MonomialOrder.block(ring.names[6:])
+    assert not any(i in g.support() for g in chart_ideal.gens)
+    names = ring.names[:i] + ring.names[i + 1:]
+    nine = PolyRing(ring.field, names, MonomialOrder.block(names[6:]))
+    index_map = [*range(i), None, *range(i, 9)]
+    gens = [g.map_to(nine, index_map) for g in chart_ideal.gens]
+    ours = buchberger_reduced(chart_ideal)
+    ours_nine = buchberger_reduced(ideal(nine, gens))
+    assert [g.map_to(nine, index_map) for g in ours.gens] == list(ours_nine.gens)
     symbols = sympy.symbols(names)
     order = ProductOrder((grevlex, lambda m: m[6:]), (grevlex, lambda m: m[:6]))
     exprs = [sum(c * sympy.prod([s**x for s, x in zip(symbols, e)]) for e, c in g.terms) for g in gens]
     theirs = sympy.groebner(exprs, *symbols, order=order, modulus=p)
-    assert len(ours.gens) == len(theirs.polys) > 6
-    assert _basis_terms(g.terms for g in ours.gens) == _basis_terms(
+    assert len(ours_nine.gens) == len(theirs.polys) > 6
+    assert _basis_terms(g.terms for g in ours_nine.gens) == _basis_terms(
         _sympy_terms(g, order, p) for g in theirs.polys)
-    E = eliminate(chart_ideal, names[6:])
-    free = [tuple((e[:6], c) for e, c in g.terms) for g in ours.gens if not any(g.support() & {6, 7, 8})]
+    E = eliminate(chart_ideal, ring.names[6:])
+    free = [tuple((e[:6], c) for e, c in g.terms) for g in ours.gens if not any(g.support() & {6, 7, 8, 9})]
     assert [g.terms for g in E.gens] == free
