@@ -34,17 +34,22 @@ grevlex ring, and I n J = I whenever I lies in J, so two of them are
 intersected only when neither contains the other, which normal forms decide.
 Reduced bases are unique, so neither step changes the answer.
 
-Checking a variety at its rational points, and projecting one, repeats
-work that depends only on (p, c, d), so two memos hold it.
-enumerate_subspaces builds the subspaces of a Grassmannian once and shares
-them, for the last 16 (field, c, d): no workload or command scans more than
-six.  Each Subspace takes its Pluecker point when it is built, so a shared
-subspace carries its point to every later scan; the point is taken from all
-the maximal minors of W's basis at once, by fp._minors, the Laplace
-expansion that also gives the minors of a rank variety, here on constant
-entries.  The Pluecker and wedge relations of the incidence ideal are built
-once per (field, c, d) as well, and each projection maps only Z's
-generators into their ring.
+Checking a variety at its rational points, projecting one, and asking the
+oracle about each point repeat work that depends on less than the whole
+question, so three memos hold it.  enumerate_subspaces builds the subspaces
+of a Grassmannian once and shares them, for the last 16 (field, c, d): no
+workload or command scans more than six.  Each Subspace takes its Pluecker
+point when it is built, so a shared subspace carries its point to every
+later scan; the point is taken from all the maximal minors of W's basis at
+once, by fp._minors, the Laplace expansion that also gives the minors of a
+rank variety, here on constant entries.  The Pluecker and wedge relations
+of the incidence ideal, and each chart's wedge relations with xi = 1, are
+built once per (field, c, d) as well, so each projection maps only Z's
+generators into their ring and substitutes xi = 1 only in those.  The
+oracle's homological route multiplies two monomial covers, each of one
+module restricted to the subalgebra on W, which depends on nothing but
+(module, W); _restricted_cover builds each once, so a module asked about
+again on the same W, in another pair or on both sides of one, builds none.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ import numpy as np
 
 from .errors import SubspaceLimitError
 from .fp import MatrixFp, PrimeField, _as_array, _minors, _rref
-from .homology import _hom_projective
+from .homology import _hom_projective, _product_cover
 from .modules import KEModule, _restricted_arrays
 from .poly import (
     Ideal,
@@ -133,7 +138,7 @@ class Subspace:
         object.__setattr__(self, "_point", PlueckerPoint(self.field, self.c, self.d, coords))
 
     def rows(self) -> list[tuple[int, ...]]:
-        return [tuple(int(x) for x in row) for row in self.basis.array]
+        return [tuple(row) for row in self.basis.tolist()]
 
     def __str__(self) -> str:
         return "span" + str(tuple(self.rows()))
@@ -260,14 +265,16 @@ def incidence_ring(field: PrimeField, c: int, d: int) -> PolyRing:
 
 
 @lru_cache(maxsize=16)
-def _incidence_relations(
-    field: PrimeField, c: int, d: int
-) -> tuple[PolyRing, tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+def _incidence_relations(field: PrimeField, c: int, d: int) -> tuple[
+    PolyRing, tuple[Polynomial, ...], tuple[Polynomial, ...], tuple[tuple[Polynomial, ...], ...]
+]:
     """The incidence ring and the two parts of the incidence ideal that
     depend only on (p, c, d): the Pluecker relations, and the wedge
     relations, one per (d+1)-subset J, the alternating sum of
-    x_j * p_(J-j) over j in J.  Built once per (field, c, d), the last 16
-    kept, as for _subspaces."""
+    x_j * p_(J-j) over j in J; then, for each chart i, the wedge relations
+    with x_(i+1) = 1 (the Pluecker relations are free of the points, so
+    they are the same in every chart).  Built once per (field, c, d), the
+    last 16 kept, as for _subspaces."""
     ring = incidence_ring(field, c, d)
     pos = {S: i for i, S in enumerate(_subsets(c, d))}
     wedge = []
@@ -279,7 +286,9 @@ def _incidence_relations(
             term = x_j * p_rest
             rel = rel + term * ((-1) ** k)
         wedge.append(rel)
-    return ring, tuple(pluecker_relations(ring, c, d)), tuple(wedge)
+    npl = comb(c, d)
+    charts = tuple(tuple(_set_to_one(g, npl + i) for g in wedge) for i in range(c))
+    return ring, tuple(pluecker_relations(ring, c, d)), tuple(wedge), charts
 
 
 def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
@@ -291,10 +300,15 @@ def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
     wedge relations; only Z's are mapped here, the rest are memoised on
     (field, c, d) by _incidence_relations.
     """
-    c = Z.c
-    ring, pluecker, wedge = _incidence_relations(Z.ring.field, c, d)
-    z_map = [comb(c, d) + i for i in range(c)]
-    return ideal(ring, [*pluecker, *(g.map_to(ring, z_map) for g in Z.gb.gens), *wedge])
+    ring, pluecker, wedge, _ = _incidence_relations(Z.ring.field, Z.c, d)
+    return ideal(ring, [*pluecker, *_in_incidence_ring(ring, Z.gb), *wedge])
+
+
+def _in_incidence_ring(ring: PolyRing, gb: Ideal) -> list[Polynomial]:
+    """The generators of gb, an ideal of k[a1..ac], in the incidence ring
+    `ring`, whose last c variables are x1..xc."""
+    c = gb.ring.nvars
+    return [g.map_to(ring, range(ring.nvars - c, ring.nvars)) for g in gb.gens]
 
 
 @dataclass(frozen=True)
@@ -359,14 +373,15 @@ def _contains(I: Ideal, J: Ideal) -> bool:
 def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     c = gb.ring.nvars
     field = gb.ring.field
-    inc = incidence_ideal(VarietyIdeal1(gb.ring, gb, gb), d)
+    ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
-    points = inc.ring.names[npl:]
+    points = ring.names[npl:]
+    z_gens = _in_incidence_ring(ring, gb)
     small = pluecker_ring(field, c, d)
 
     factors = []
-    for i in range(npl, npl + c):
-        chart = ideal(inc.ring, (_set_to_one(g, i) for g in inc.gens))
+    for i, wedge in enumerate(charts):
+        chart = ideal(ring, [*pluecker, *(_set_to_one(g, npl + i) for g in z_gens), *wedge])
         part = eliminate(chart, points)
         if not part.is_unit_ideal():
             factors.append(part)
@@ -425,12 +440,17 @@ def oracle_membership(
     rational points of W for one lying on the order-one variety of the pair;
     the homological answer restricts both modules to the subalgebra on the
     echelon basis of W and asks whether Ext fails to vanish eventually,
-    decided exactly, as in ext_eventually_zero, by Higman's criterion: the
-    restricted Hom_k(M, N) is projective exactly when p^d times the rank of
-    its h x h PHom matrix is h = dim M * dim N.  The restricted action
-    arrays are read straight off W's basis, with no KEModule built: W is
-    already a validated Subspace, and combinations of M's actions satisfy the
-    module axioms.  The homological answer is exact; a geometric hit is
+    decided exactly, as in ext_eventually_zero, by Higman's criterion
+    (homology._hom_projective): the restricted Hom_k(M, N) is projective
+    exactly when p^d times the rank of its h x h PHom matrix is
+    h = dim M * dim N.  That matrix is one product of the two modules'
+    restricted monomial covers, which _restricted_cover memoises on
+    (module, W); their action arrays are read straight off W's basis, with
+    no KEModule built: W is already a validated Subspace, and combinations
+    of M's actions satisfy the module axioms.  When p^d does not divide h
+    or h = 0 the answer, and past the cell cap the SyzygyLimitError, comes
+    before any cover is built or fetched, as in ext_eventually_zero.  The
+    homological answer is exact; a geometric hit is
     always definitive, but a miss can be a field-size artifact when the
     order-one variety has no rational points on W, so equality of the two
     flags is guaranteed only when that variety is a union of subspaces
@@ -456,8 +476,20 @@ def oracle_membership(
         if point_in_rank_variety(pair_ideal, u):
             geometric = True
             break
-    forms = W.basis.array
     homological = not _hom_projective(
-        _restricted_arrays(M, forms), _restricted_arrays(N, forms), p
+        M.n, N.n, d, p, lambda: (_restricted_cover(M, W), _restricted_cover(N, W))
     )
     return geometric, homological
+
+
+# One avrunin-scott round asks 168 distinct (module, subspace) keys: 8
+# modules times the 3, 4 and 14 proper subspaces over (2,2), (3,2) and
+# (2,3).  An entry holds p^d * dim M^2 cells, at most the cell cap, which
+# _hom_projective checks before it asks for a cover.
+@lru_cache(maxsize=256)
+def _restricted_cover(M: KEModule, W: Subspace) -> np.ndarray:
+    """The monomial cover of M, restricted to the subalgebra on W's echelon
+    basis, by all of M's basis vectors; read-only, as the memo shares it."""
+    cover = _product_cover(_restricted_arrays(M, W.basis.array), range(M.n), M.p)
+    cover.setflags(write=False)
+    return cover

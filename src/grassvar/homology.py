@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -181,7 +182,7 @@ def _check_cover_cells(n: int, ncols: int, degree: int) -> None:
                  f"columns at degree {degree} counts as a dense matrix of")
 
 
-def _product_cover(actions: list[np.ndarray], gens: list[int], p: int) -> np.ndarray:
+def _product_cover(actions: list[np.ndarray], gens: Sequence[int], p: int) -> np.ndarray:
     """Cover a module given by its action arrays by the free module on `gens`:
     column t * p^c + e is x^e applied to basis vector gens[t], one product
     per monomial."""
@@ -426,36 +427,41 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
     return ExtTable(M, N, tuple(dims))
 
 
-def _hom_projective(XM: list[np.ndarray], XN: list[np.ndarray], p: int) -> bool:
-    """Whether Hom_k(M, N) is projective over kE, for modules M and N given
-    by their action arrays XM and XN over the same c generators.
+def _hom_projective(
+    m: int, n: int, c: int, p: int, covers: Callable[[], tuple[np.ndarray, np.ndarray]]
+) -> bool:
+    """Whether Hom_k(M, N) is projective over kE = F_p[x1..xc]/(xi^p), for
+    modules M and N of dimensions m and n; covers() returns their monomial
+    covers by all their basis vectors (_product_cover), M's first.
 
     H = Hom_k(M, N) is free exactly when p^c * dim PHom(M, N) = dim H
     (Higman's criterion): PHom is the image of the norm element
     prod_i x_i^(p-1) on H, whose rank counts the free summands of H.  So the
-    answer is False at once when p^c does not divide h = dim H.  Otherwise
-    PHom is spanned by the maps that factor through the cover kE^n -> N
-    sending e_t to basis vector n_t.  kE is a Frobenius algebra, so every map
-    M -> kE is m -> sum_e lambda(x^(e^ - e) m) x^e for a functional lambda,
-    with e^ the top monomial; one spanning map per (n_t, basis functional
-    lambda) has entry (i, j) equal to sum_e (x^e n_t)_i (x^(e^ - e))_{lambda j}.
-    Digit-wise subtraction from e^ never borrows, so x^(e^ - e) is monomial
-    index q - 1 - e for q = p^c, and the h x h spanning matrix is one product
-    of the two modules' monomial covers.  SyzygyLimitError is raised before
-    it is built if it, or either cover, has more than DEFAULT_CELL_CAP cells.
+    answer is False at once when p^c does not divide h = dim H, and True
+    when h = 0.  Otherwise PHom is spanned by the maps that factor through
+    the cover kE^n -> N sending e_t to basis vector n_t.  kE is a Frobenius
+    algebra, so every map M -> kE is m -> sum_e lambda(x^(e^ - e) m) x^e for
+    a functional lambda, with e^ the top monomial; one spanning map per
+    (n_t, basis functional lambda) has entry (i, j) equal to
+    sum_e (x^e n_t)_i (x^(e^ - e))_{lambda j}.  Digit-wise subtraction from
+    e^ never borrows, so x^(e^ - e) is monomial index q - 1 - e for
+    q = p^c, and the h x h spanning matrix is one product of the two
+    covers.  SyzygyLimitError is raised if it, or either cover, has more
+    than DEFAULT_CELL_CAP cells.  Both early answers and the refusal come
+    before covers() is called, so no cover is built, or fetched from a
+    memo, for a pair they decide.
     """
-    q = p ** len(XM)
-    m, n = XM[0].shape[0], XN[0].shape[0]
+    q = p**c
     h = m * n
     if h % q:
         return False
     if h == 0:
         return True
     _check_cells(max(h * h, q * m * m, q * n * n), f"PHom matrix of a dimension-{h} Hom space and its covers need")
+    cover_m, cover_n = covers()
     # left[(i, t), e] = (x^e n_t)_i and right[e, (j, lam)] = (x^(q-1-e))_{lam j}
-    left = _product_cover(XN, list(range(n)), p).reshape(n * n, q)
-    right = _product_cover(XM, list(range(m)), p).reshape(m, m, q)[:, :, ::-1]
-    right = right.transpose(2, 1, 0).reshape(q, m * m)
+    left = cover_n.reshape(n * n, q)
+    right = cover_m.reshape(m, m, q)[:, :, ::-1].transpose(2, 1, 0).reshape(q, m * m)
     phom = _matmul(left, right, p).reshape(n, n, m, m).transpose(0, 2, 1, 3)
     return q * _rank(phom.reshape(h, h), p) == h
 
@@ -476,6 +482,8 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    return _hom_projective(
-        [a.array for a in M.actions], [a.array for a in N.actions], M.p
-    )
+    p = M.p
+    return _hom_projective(M.n, N.n, M.c, p, lambda: (
+        _product_cover([a.array for a in M.actions], range(M.n), p),
+        _product_cover([a.array for a in N.actions], range(N.n), p),
+    ))

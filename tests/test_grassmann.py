@@ -6,9 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grassvar import grassmann, poly
+from grassvar import grassmann, homology, poly
 from grassvar.cli import parse_polynomial
-from grassvar.errors import GroebnerBudgetError, SubspaceLimitError
+from grassvar.errors import GroebnerBudgetError, SubspaceLimitError, SyzygyLimitError
 from grassvar.fp import MatrixFp, PrimeField, _minors, _rref
 from grassvar.grassmann import (
     PlueckerPoint,
@@ -28,6 +28,8 @@ from grassvar.grassmann import (
     subspaces_on_variety,
     variety_dim_projective,
 )
+from grassvar.homology import _product_cover, ext_eventually_zero
+from grassvar.modules import KEModule, restrict_to_subspace
 from grassvar.poly import (
     Ideal,
     MonomialOrder,
@@ -208,6 +210,17 @@ def test_incidence_ring_layout():
     assert ring.names == ("p_12", "p_13", "p_23", "x1", "x2", "x3")
     # the incidence ideal is born in the order that eliminates the points
     assert ring.order == MonomialOrder.block(["x1", "x2", "x3"])
+    # each chart's memoised relations are the wedge relations with x_i = 1;
+    # the Pluecker relations are free of the points, so every chart shares
+    # them (G_2(k^4) has one, G_2(k^3) none)
+    for field, c, d, relations in [(F2, 3, 2, 0), (F3, 4, 2, 1), (F2, 4, 1, 0)]:
+        ring, pluecker, wedge, charts = grassmann._incidence_relations(field, c, d)
+        npl = len(pluecker_ring(field, c, d).names)
+        assert ring == incidence_ring(field, c, d)
+        assert len(pluecker) == relations and len(charts) == c
+        for i, chart in enumerate(charts):
+            assert chart == tuple(grassmann._set_to_one(g, npl + i) for g in wedge)
+            assert all(grassmann._set_to_one(g, npl + i) == g for g in pluecker)
 
 
 def test_incidence_ideal_vanishes_on_true_pairs():
@@ -470,6 +483,66 @@ def test_oracle_membership_agreement(catalog):
             geo, hom = oracle_membership(M, N, d, W, pair_ideal=pair)
             member = point_on_variety(V, pluecker_embed(W))
             assert geo == hom == member, (d, W.rows())
+
+
+def test_oracle_homological_flag_matches_restriction_and_the_cover_memo(catalog):
+    # every catalog pair over each context, every proper subspace: the
+    # oracle's flag, from memoised covers, equals Ext's eventual vanishing on
+    # the restricted KEModules, which uses no memo; each (module, W) cover is
+    # built once, on its first lookup, and every later lookup hits
+    memo = grassmann._restricted_cover
+    for (p, c), cat in catalog.items():
+        memo.cache_clear()
+        field = PrimeField(p)
+        lookups = []
+        for d in range(1, c):
+            for W in enumerate_subspaces(field, c, d):
+                for M, N in itertools.product(cat.values(), repeat=2):
+                    _, homological = oracle_membership(M, N, d, W)
+                    MW, NW = (restrict_to_subspace(X, W.rows()) for X in (M, N))
+                    assert homological == (not ext_eventually_zero(MW, NW)), (p, c, W.rows())
+                    # no cover is asked for when p^d does not divide h
+                    if M.n * N.n % p**d == 0:
+                        lookups += [(M, W), (N, W)]
+        info = memo.cache_info()
+        assert info.misses == info.currsize == len(set(lookups)) > 0, (p, c)
+        assert info.hits == len(lookups) - info.misses > 0, (p, c)
+
+
+def test_restricted_cover_is_shared_read_only(catalog):
+    M = catalog[(2, 3)]["R/x1+R/x2"]
+    W = subspace_from_rows(F2, [(1, 1, 0), (0, 0, 1)])
+    cover = grassmann._restricted_cover(M, W)
+    assert grassmann._restricted_cover(M, W) is cover
+    MW = restrict_to_subspace(M, W.rows())
+    expected = _product_cover([a.array for a in MW.actions], range(M.n), 2)
+    assert np.array_equal(cover, expected)
+    with pytest.raises(ValueError):
+        cover[0, 0] = 1
+
+
+def test_oracle_refuses_or_decides_before_any_cover(monkeypatch, catalog):
+    # trivial actions on k^64 over (2,3): restricted to a line, the PHom
+    # matrix of the 4096-dimensional Hom space has 4096^2 cells, over the cap,
+    # and the refusal reads as ext_eventually_zero's
+    k = catalog[(2, 3)]["k"]
+    memo = grassmann._restricted_cover
+    memo.cache_clear()
+    line = subspace_from_rows(F2, [(1, 0, 0)])
+    big = KEModule(F2, 3, 64, (MatrixFp.zeros(F2, 64, 64),) * 3)
+    with pytest.raises(SyzygyLimitError) as refused:
+        oracle_membership(big, big, 1, line, pair_ideal=pair_variety_ideal(k, k))
+    assert str(refused.value) == (
+        "PHom matrix of a dimension-4096 Hom space and its covers need 16777216 "
+        "cells, over the cap of 10000000"
+    )
+    assert memo.cache_info().currsize == 0
+    # on k^55 the odd h = 3025 decides the answer with no cover, whatever
+    # the cap
+    odd = KEModule(F2, 3, 55, (MatrixFp.zeros(F2, 55, 55),) * 3)
+    monkeypatch.setattr(homology, "DEFAULT_CELL_CAP", 0)
+    assert oracle_membership(odd, odd, 1, line, pair_ideal=pair_variety_ideal(k, k)) == (True, True)
+    assert memo.cache_info().currsize == 0
 
 
 def test_oracle_geometric_route_is_sound(catalog):
