@@ -25,6 +25,7 @@ the minors of a rank variety alike.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -39,13 +40,18 @@ _PRIMES_TO_97 = frozenset(
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The field F_p for a prime 2 <= p <= 97."""
+    """The field F_p for a prime 2 <= p <= 97, held as an int (a float is refused)."""
 
     p: int
 
     def __post_init__(self) -> None:
-        if self.p not in _PRIMES_TO_97:
-            raise ValueError(f"p must be a prime in [2, 97], got {self.p}")
+        try:
+            p = operator.index(self.p)
+        except TypeError:
+            raise ValueError(f"p must be an integer, got {self.p!r}") from None
+        if p not in _PRIMES_TO_97:
+            raise ValueError(f"p must be a prime in [2, 97], got {p}")
+        object.__setattr__(self, "p", p)
 
     def inv(self, a: int) -> int:
         a %= self.p

@@ -44,8 +44,9 @@ later scan; the point is taken from all the maximal minors of W's basis at
 once, by fp._minors, the Laplace expansion that also gives the minors of a
 rank variety, here on constant entries.  The Pluecker and wedge relations
 of the incidence ideal, and each chart's wedge relations with xi = 1, are
-built once per (field, c, d) as well, so each projection maps only Z's
-generators into their ring and substitutes xi = 1 only in those.  The
+built once per (field, c, d) as well, so each chart relabels only Z's
+generators, in one step from Z's ring into the incidence ring with xi = 1,
+the one ring object that every chart over (field, c, d) shares.  The
 oracle's homological route multiplies two monomial covers, each of one
 module restricted to the subalgebra on W, which depends on nothing but
 (module, W); _restricted_cover builds each once, so a module asked about
@@ -301,14 +302,8 @@ def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
     (field, c, d) by _incidence_relations.
     """
     ring, pluecker, wedge, _ = _incidence_relations(Z.ring.field, Z.c, d)
-    return ideal(ring, [*pluecker, *_in_incidence_ring(ring, Z.gb), *wedge])
-
-
-def _in_incidence_ring(ring: PolyRing, gb: Ideal) -> list[Polynomial]:
-    """The generators of gb, an ideal of k[a1..ac], in the incidence ring
-    `ring`, whose last c variables are x1..xc."""
-    c = gb.ring.nvars
-    return [g.map_to(ring, range(ring.nvars - c, ring.nvars)) for g in gb.gens]
+    points = range(ring.nvars - Z.c, ring.nvars)
+    return ideal(ring, [*pluecker, *(g.map_to(ring, points) for g in Z.gb.gens), *wedge])
 
 
 @dataclass(frozen=True)
@@ -376,12 +371,13 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]
-    z_gens = _in_incidence_ring(ring, gb)
     small = pluecker_ring(field, c, d)
 
     factors = []
     for i, wedge in enumerate(charts):
-        chart = ideal(ring, [*pluecker, *(_set_to_one(g, npl + i) for g in z_gens), *wedge])
+        # Z's generators with a_(i+1) = 1, each a_j moved to x_j
+        index_map = [None if j == i else npl + j for j in range(c)]
+        chart = ideal(ring, [*pluecker, *(g._relabelled(ring, index_map) for g in gb.gens), *wedge])
         part = eliminate(chart, points)
         if not part.is_unit_ideal():
             factors.append(part)

@@ -1,8 +1,10 @@
 """Exact multivariate polynomial arithmetic and Groebner bases over F_p.
 
-A polynomial is a tuple of terms over a ring descriptor, each term held as
+A polynomial is a tuple of terms over its ring, each term held as
 (order key, packed monomial, coefficient) and strictly descending by key,
 the one form every routine reads, from construction to the reduced basis.
+A ring is one object per (field, names, order), so two rings are equal
+exactly when they are the same object, and every ring test is one of identity.
 All Groebner computation is Buchberger's algorithm with the coprime and
 chain criteria.  Pairs are selected by sugar degree, ties by
 smallest lcm, when the input is homogeneous in all variables or in those a
@@ -10,10 +12,12 @@ block order keeps; on other inhomogeneous input, by smallest lcm alone.
 Elimination runs under a block order; ideal intersection and radical
 membership are built on elimination with a fresh auxiliary variable.
 
-Every monomial order is one integer weight vector: a monomial's key is
-sum(w_i * e_i), the order's digits read in base B = 2^20.  Grevlex digits are
-(deg, -e_n, ..., -e_1), lex digits are e_1, ..., e_n, and a block order stacks
-the grevlex digits of the dropped variables above those of the kept ones.
+Every monomial order is defined by one integer weight vector: a monomial's
+key is sum(w_i * e_i), the order's digits read in base B = 2^20.  Grevlex
+digits are (deg, -e_n, ..., -e_1), lex digits are e_1, ..., e_n, and a block
+order stacks the grevlex digits of the dropped variables above those of the
+kept ones.  The weights are never multiplied out: the key is read off the
+packed monomial's fields (below), the one route by which a key is formed.
 Comparing monomials is comparing ints, and the key is linear, so a shifted
 term's key is key(shift) + key(term).  The key is exact while every digit
 lies strictly between -B/2 and B/2, which holds while a monomial's total
@@ -88,10 +92,12 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import threading
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import itemgetter, lshift, mul
+from operator import itemgetter, lshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
@@ -164,36 +170,49 @@ def _degree_error(degree: int) -> ValueError:
         f"monomial of total degree {degree} reaches the order key's bound {_DEGREE_BOUND}")
 
 
+# the live ring of each (field, names, order); weak, so that a ring nothing
+# holds is freed, and an equal one built later is again the only one; the
+# lock keeps two threads from building two rings for one key
+_rings: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_rings_lock = threading.Lock()
+
+
 class PolyRing:
-    """F_p[names] with a fixed monomial order."""
+    """F_p[names] with a fixed monomial order; one object per (field, names, order)."""
 
-    __slots__ = ("field", "names", "order", "_pos", "_weights", "_shifts", "_ones", "_top", "_kept",
-                 "_guard")
+    __slots__ = ("field", "names", "order", "_pos", "_shifts", "_ones", "_top", "_kept", "_guard",
+                 "__weakref__")
 
-    def __init__(self, field: PrimeField, names: Sequence[str], order: MonomialOrder | None = None) -> None:
+    def __new__(cls, field: PrimeField, names: Sequence[str], order: MonomialOrder | None = None) -> "PolyRing":
         names = tuple(names)
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate variable names")
         order = order or MonomialOrder.grevlex()
-        self.field = field
-        self.names = names
-        self.order = order
-        self._pos = {n: i for i, n in enumerate(names)}
-        self._build_layout()
+        key = (field, names, order)
+        with _rings_lock:
+            ring = _rings.get(key)
+            if ring is None:
+                if len(set(names)) != len(names):
+                    raise ValueError("duplicate variable names")
+                ring = super().__new__(cls)
+                ring.field, ring.names, ring.order = field, names, order
+                ring._pos = {n: i for i, n in enumerate(names)}
+                ring._build_layout()
+                _rings[key] = ring
+        return ring
+
+    def __reduce__(self):
+        return PolyRing, (self.field, self.names, self.order)
 
     def _build_layout(self) -> None:
-        """Each variable's packed field f(i) and the order's weights, which
-        the module docstring derives from the fields; a block order's kept
-        degree is the sum of its first |K| fields."""
+        """Each variable's packed field f(i), as the module docstring lays
+        them out; a block order's kept degree is the sum of its first |K|
+        fields."""
         n = len(self.names)
         kind = self.order.kind
         if kind == "lex":
             fields = [n - 1 - i for i in range(n)]
-            weights = [_BASE**f for f in fields]
             width = nk = n
         elif kind == "grevlex":
             fields = list(range(n))
-            weights = [_BASE**n - _BASE**f for f in fields]
             width = nk = n
         else:
             missing = self.order.drop - set(self.names)
@@ -203,9 +222,7 @@ class PolyRing:
             nk = dropped.count(False)
             kept_fields, drop_fields = iter(range(nk)), iter(range(nk + 1, n + 1))
             fields = [next(drop_fields) if d else next(kept_fields) for d in dropped]
-            weights = [(_BASE ** (n + 1) if d else _BASE**nk) - _BASE**f for d, f in zip(dropped, fields)]
             width = n + 1
-        self._weights = tuple(weights)
         self._shifts = tuple(_FIELD * f for f in fields)
         ones = sum(1 << _FIELD * f for f in range(width))
         self._guard = ones << (_FIELD - 1)
@@ -222,26 +239,8 @@ class PolyRing:
     def nvars(self) -> int:
         return len(self.names)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyRing)
-            and self.p == other.p
-            and self.names == other.names
-            and self.order == other.order
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.names, self.order))
-
     def __repr__(self) -> str:
         return f"PolyRing(F_{self.p}[{', '.join(self.names)}], {self.order.kind})"
-
-    def key(self, e: Mono) -> int:
-        """The order's integer key of e; ValueError once its degree reaches
-        the key's bound."""
-        if sum(e) >= _DEGREE_BOUND:
-            raise _degree_error(sum(e))
-        return sum(map(mul, self._weights, e))
 
     # packed monomials, laid out and proved exact in the module docstring
     def _pack(self, e: Mono) -> int:
@@ -389,8 +388,7 @@ class Polynomial:
         return frozenset(i for i, s in enumerate(self.ring._shifts) if union >> s & _FIELD_MASK)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self._terms == other._terms and (
-            self.ring is other.ring or self.ring == other.ring)
+        return isinstance(other, Polynomial) and self.ring is other.ring and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.ring, self._terms))
@@ -398,7 +396,7 @@ class Polynomial:
     # arithmetic
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.ring is not self.ring and other.ring != self.ring:
+            if other.ring is not self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
         if isinstance(other, int):
@@ -540,16 +538,14 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Ideal:
-    """Finite generator list over a ring descriptor."""
+    """Finite generator list over a ring."""
 
     ring: PolyRing
     gens: tuple
 
     def __post_init__(self) -> None:
         for g in self.gens:
-            # generators nearly always share the ideal's ring object, and
-            # identity is cheaper to test than PolyRing's structural ==
-            if g.ring is not self.ring and g.ring != self.ring:
+            if g.ring is not self.ring:
                 raise ValueError("generator ring mismatch")
 
     def is_zero_ideal(self) -> bool:
@@ -659,8 +655,7 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     ValueError when a basis element lies in another ring than f."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
     ring = f.ring
-    # identity first, as in Ideal.__post_init__; separate eliminations build equal rings
-    if any(g.ring is not ring and g.ring != ring for g in polys):
+    if any(g.ring is not ring for g in polys):
         raise ValueError("normal form needs a basis over the polynomial's ring")
     reducers = sorted((_reducer(ring, g.monic()._terms) for g in polys if g._terms), key=itemgetter(0))
     if not reducers:
@@ -857,11 +852,9 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
         raise ValueError(f"cannot eliminate unknown variables {sorted(unknown)}")
     if not drop_set:
         return buchberger_reduced(I)
-    order = MonomialOrder.block(drop_set)
-    if ring.order != order:
-        elim_ring = PolyRing(ring.field, ring.names, order)
-        ident = list(range(ring.nvars))
-        I = Ideal(elim_ring, tuple(g.map_to(elim_ring, ident) for g in I.gens))
+    elim_ring = PolyRing(ring.field, ring.names, MonomialOrder.block(drop_set))
+    if elim_ring is not ring:
+        I = Ideal(elim_ring, tuple(g.map_to(elim_ring, range(ring.nvars)) for g in I.gens))
     G = buchberger_reduced(I)
     drop_idx = {i for i, n in enumerate(ring.names) if n in drop_set}
     kept_names = tuple(n for n in ring.names if n not in drop_set)
@@ -884,7 +877,7 @@ def _extend_with_aux(ring: PolyRing) -> tuple[PolyRing, Polynomial, Callable[[Po
 
 def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
     """I n J via t*I + (1-t)*J and elimination of t."""
-    if I.ring != J.ring:
+    if I.ring is not J.ring:
         raise ValueError("ideal intersection needs a common ring")
     if I.is_zero_ideal() or J.is_zero_ideal():
         return Ideal(I.ring, ())
@@ -895,7 +888,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
 
 def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical of I."""
-    if f.ring != I.ring:
+    if f.ring is not I.ring:
         raise ValueError("radical membership needs a common ring")
     if f.is_zero():
         return True

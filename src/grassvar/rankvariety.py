@@ -41,10 +41,10 @@ from .poly import Ideal, PolyRing, buchberger_reduced, ideal
 MAX_MINORS = 250_000
 
 
-@lru_cache(maxsize=None)
 def coordinate_ring(field, c: int) -> PolyRing:
-    """F_p[a1..ac] with the graded reverse lexicographic order, one object
-    per (p, c), so that ideals of different modules share it."""
+    """F_p[a1..ac] with the graded reverse lexicographic order; a PolyRing
+    is one object per (field, names, order), so ideals of different modules
+    share it."""
     return PolyRing(field, [f"a{i + 1}" for i in range(c)])
 
 

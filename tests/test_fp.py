@@ -37,6 +37,22 @@ def test_prime_field_rejects_nonprimes():
             PrimeField(p)
 
 
+def test_prime_field_reads_p_as_an_int():
+    # a numpy integer is read as the int it holds, end to end; a float is
+    # refused at the boundary, before any module is built
+    from grassvar import ext_dims, quotient_by_linear_forms, rank_variety_ideal
+
+    F = PrimeField(np.int64(3))
+    assert type(F.p) is int and F == PrimeField(3)
+    for field in (F, PrimeField(3)):
+        M = quotient_by_linear_forms(field, 2, [(1, 0)])
+        assert str(rank_variety_ideal(M).gb) == "ideal(a2^2)"
+        assert ext_dims(M, M, 4).dims == (3, 3, 3, 3, 3)
+    for p in (3.0, 2.5, "3", None):
+        with pytest.raises(ValueError, match="integer"):
+            PrimeField(p)
+
+
 def test_inverse():
     for p in (2, 3, 5, 13):
         F = PrimeField(p)

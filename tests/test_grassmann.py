@@ -217,10 +217,28 @@ def test_incidence_ring_layout():
         ring, pluecker, wedge, charts = grassmann._incidence_relations(field, c, d)
         npl = len(pluecker_ring(field, c, d).names)
         assert ring == incidence_ring(field, c, d)
+        assert grassmann._incidence_relations(field, c, d)[0] is incidence_ring(field, c, d)
         assert len(pluecker) == relations and len(charts) == c
         for i, chart in enumerate(charts):
             assert chart == tuple(grassmann._set_to_one(g, npl + i) for g in wedge)
             assert all(grassmann._set_to_one(g, npl + i) == g for g in pluecker)
+
+
+def test_chart_relabelling_matches_the_incidence_copy_with_xi_one(catalog):
+    # each chart takes Z's generators straight from Z's ring, with a_(i+1)
+    # = 1, to the same polynomials as copying them into the incidence ring
+    # and then setting x_(i+1) = 1
+    cat = catalog[(2, 3)]
+    for M, N in itertools.product(cat.values(), repeat=2):
+        gens = pair_variety_ideal(M, N).gb.gens
+        for d in (1, 2, 3):
+            ring = incidence_ring(F2, 3, d)
+            npl = len(pluecker_ring(F2, 3, d).names)
+            copies = [g.map_to(ring, range(npl, npl + 3)) for g in gens]
+            for i in range(3):
+                index_map = [None if j == i else npl + j for j in range(3)]
+                assert [g._relabelled(ring, index_map) for g in gens] == [
+                    grassmann._set_to_one(g, npl + i) for g in copies]
 
 
 def test_incidence_ideal_vanishes_on_true_pairs():

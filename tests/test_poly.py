@@ -1,5 +1,11 @@
+import copy
+import gc
+import pickle
 import random
 import re
+import sys
+import threading
+import weakref
 from math import prod
 from operator import add
 
@@ -7,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grassvar import poly
 from grassvar.errors import GroebnerBudgetError
 from grassvar.fp import PrimeField
 from grassvar.poly import (
@@ -101,6 +108,24 @@ def _tuple_key(r, e):
     return (_grevlex_tuple(tuple(drop)), _grevlex_tuple(tuple(kept)))
 
 
+# The integer keys as the poly module docstring defines them, sum(w_i * e_i)
+# with the order's digits in base B = 2^20, kept as the oracle of the keys
+# that the engine reads off packed monomials.
+def _weight_key(r, e):
+    B = 1 << 20
+
+    def grevlex(e):
+        return sum(e) * B ** len(e) - sum(x * B**i for i, x in enumerate(e))
+
+    if r.order.kind == "lex":
+        return sum(x * B ** (len(e) - 1 - i) for i, x in enumerate(e))
+    if r.order.kind == "grevlex":
+        return grevlex(e)
+    drop = [x for n, x in zip(r.names, e) if n in r.order.drop]
+    kept = [x for n, x in zip(r.names, e) if n not in r.order.drop]
+    return grevlex(drop) * B ** (len(kept) + 1) + grevlex(kept)
+
+
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
 
@@ -127,8 +152,8 @@ def test_integer_keys_order_as_tuple_keys(drawn):
     r, monos = drawn
     for a in monos:
         for b in monos:
-            assert (r.key(a) < r.key(b)) == (_tuple_key(r, a) < _tuple_key(r, b))
-            assert (r.key(a) == r.key(b)) == (a == b)
+            assert (r._mkey(r._pack(a)) < r._mkey(r._pack(b))) == (_tuple_key(r, a) < _tuple_key(r, b))
+            assert (r._mkey(r._pack(a)) == r._mkey(r._pack(b))) == (a == b)
 
 
 @PROPERTY
@@ -139,7 +164,7 @@ def test_integer_keys_are_linear(drawn):
     half_a = tuple(x // 2 for x in a)
     half_b = tuple(x // 2 for x in b)
     total = tuple(x + y for x, y in zip(half_a, half_b))
-    assert r.key(total) == r.key(half_a) + r.key(half_b)
+    assert r._mkey(r._pack(total)) == r._mkey(r._pack(half_a)) + r._mkey(r._pack(half_b))
 
 
 @PROPERTY
@@ -152,7 +177,7 @@ def test_packed_monomials_agree_with_exponent_tuples(drawn):
     for a in monos:
         pa = r._pack(a)
         assert r._unpack(pa) == a
-        assert r._mkey(pa) == r.key(a)
+        assert r._mkey(pa) == _weight_key(r, a)
         assert r._degree(pa) == sum(a)
         assert r._kept_degree(pa) == sum(x for x, k in zip(a, kept) if k)
         half = tuple(x // 2 for x in a)
@@ -164,7 +189,7 @@ def test_packed_monomials_agree_with_exponent_tuples(drawn):
             pl = _lcm(pa, pb, guard)
             assert pl == r._pack(lcm)
             assert r._degree(pl) == sum(lcm)
-            assert r._mkey(pl) == r.key(lcm)
+            assert r._mkey(pl) == _weight_key(r, lcm)
             assert (pl == pa + pb) == all(min(x, y) == 0 for x, y in zip(a, b))
             # multiplying adds, and dividing by a divisor subtracts
             assert pl - pa == r._pack(tuple(x - y for x, y in zip(lcm, a)))
@@ -264,6 +289,71 @@ def test_ring_equality_is_structural():
     assert ring() != ring(names=("x", "y", "w"))
     assert ring() != ring(order=MonomialOrder.lex())
     assert ring(F5) != ring(F3)
+
+
+def test_rings_are_interned():
+    r = PolyRing(F2, ["x", "y"])
+    assert r is PolyRing(F2, ("x", "y"), MonomialOrder.grevlex())
+    assert r is PolyRing(PrimeField(2), iter("xy"))
+    for other in [
+        PolyRing(F3, ["x", "y"]),
+        PolyRing(F2, ["x", "z"]),
+        PolyRing(F2, ["y", "x"]),
+        PolyRing(F2, ["x", "y"], MonomialOrder.lex()),
+        PolyRing(F2, ["x", "y"], MonomialOrder.block(["x"])),
+    ]:
+        assert other is not r and other != r
+    with pytest.raises(ValueError, match="duplicate"):
+        PolyRing(F2, ["x", "x"])
+    with pytest.raises(ValueError, match="unknown"):
+        PolyRing(F2, ["x", "y"], MonomialOrder.block(["w"]))
+
+
+def test_pickle_and_deepcopy_keep_the_interned_ring():
+    r = ring(F3, order=MonomialOrder.block(["y"]))
+    x, y, z = r.gens()
+    f = 2 * x**2 * y + y * z + 1
+    for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert g == f and g.ring is r
+    I = ideal(r, [f, x - z])
+    assert pickle.loads(pickle.dumps(I)) == I
+    assert copy.copy(r) is r
+
+
+def test_ring_registry_lets_go_of_unused_rings():
+    names = ("registry_probe_u", "registry_probe_v")
+    key = (F5, names, MonomialOrder.grevlex())
+    r = PolyRing(F5, names)
+    assert poly._rings[key] is r
+    ref = weakref.ref(r)
+    del r
+    gc.collect()
+    assert ref() is None and key not in poly._rings
+
+
+def test_threads_building_one_ring_get_one_object():
+    # eight threads race to build each of 20 new rings, with the interpreter
+    # switching threads as often as it can
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for k in range(20):
+            names = tuple(f"race{k}_{i}" for i in range(12))
+            start, out = threading.Barrier(8), []
+
+            def build():
+                start.wait(timeout=10)
+                out.append(PolyRing(F5, names, MonomialOrder.block(names[:5])))
+
+            threads = [threading.Thread(target=build) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+            assert not any(t.is_alive() for t in threads)
+            assert len(out) == 8 and all(r is out[0] for r in out)
+    finally:
+        sys.setswitchinterval(switch)
 
 
 # --- polynomial arithmetic ---------------------------------------------------------
@@ -434,7 +524,9 @@ def test_autoreduce_of_a_groebner_basis_is_the_reduced_basis():
     rng = random.Random(13)
     for field, order in [(F2, None), (F3, MonomialOrder.lex()), (F5, MonomialOrder.block(["x"]))]:
         r = ring(field, order=order)
-        key = r.key
+
+        def key(e):
+            return r._mkey(r._pack(e))
 
         def rand_poly(terms, degree):
             return r.from_dict({
