@@ -38,6 +38,15 @@ _PRIMES_TO_97 = frozenset(
 )
 
 
+def _integer(v, what: str) -> int:
+    """v by operator.index: a float, even an integral one, raises ValueError
+    rather than being truncated."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {v!r}") from None
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """The field F_p for a prime 2 <= p <= 97, held as an int (a float is refused)."""
@@ -45,10 +54,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self) -> None:
-        try:
-            p = operator.index(self.p)
-        except TypeError:
-            raise ValueError(f"p must be an integer, got {self.p!r}") from None
+        p = _integer(self.p, "p")
         if p not in _PRIMES_TO_97:
             raise ValueError(f"p must be a prime in [2, 97], got {p}")
         object.__setattr__(self, "p", p)
@@ -61,17 +67,17 @@ class PrimeField:
 
 
 def _as_array(entries, p: int) -> np.ndarray:
-    try:
-        a = np.asarray(entries, dtype=np.int64)
-    except OverflowError:
-        # entries beyond int64 are read mod p, as the a % p below reads
-        # negative ones
-        a = np.asarray(entries, dtype=object)
-        if a.ndim == 2:
-            a = (a % p).astype(np.int64)
+    """entries as a 2-dimensional int64 array reduced mod p, each read as
+    _integer reads it (beyond int64, mod p); an array with no entries
+    passes whatever its dtype."""
+    a = np.asarray(entries)
     if a.ndim != 2:
         raise ValueError(f"matrix entries must be 2-dimensional, got shape {a.shape}")
-    return a % p
+    if a.dtype.kind in "Ou":
+        a = np.frompyfunc(lambda v: _integer(v, "matrix entry") % p, 1, 1)(a)
+    elif a.dtype.kind not in "ib" and a.size:
+        raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
+    return a.astype(np.int64, copy=False) % p
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:

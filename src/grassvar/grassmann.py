@@ -27,30 +27,27 @@ identifies k[p, x]/(xi - 1) with the subring without xi, so
 where phi_i substitutes xi = 1.  The incidence ring carries the block order
 that eliminates x1..xc, which on monomials free of xi is the block order of
 the ring without xi.  So each chart substitutes xi = 1 in the generators of
-I and eliminates the point coordinates in the incidence ring itself, with
-no chart ring, no copy and no auxiliary variable, doing the Groebner work of
-the ring without xi.  The charts' projections are reduced bases in one
-grevlex ring, and I n J = I whenever I lies in J, so two of them are
-intersected only when neither contains the other, which normal forms decide.
-Reduced bases are unique, so neither step changes the answer.
+I and eliminates the point coordinates in the incidence ring itself, doing
+the Groebner work of the ring without xi.  The charts' projections are
+reduced bases in one grevlex ring, and I n J = I whenever I lies in J, so
+two of them are intersected only when neither contains the other, which
+normal forms decide.  Reduced bases are unique, so neither step changes the
+answer.
 
-Checking a variety at its rational points, projecting one, and asking the
-oracle about each point repeat work that depends on less than the whole
-question, so three memos hold it.  enumerate_subspaces builds the subspaces
-of a Grassmannian once and shares them, for the last 16 (field, c, d): no
-workload or command scans more than six.  Each Subspace takes its Pluecker
-point when it is built, so a shared subspace carries its point to every
-later scan; the point is taken from all the maximal minors of W's basis at
-once, by fp._minors, the Laplace expansion that also gives the minors of a
-rank variety, here on constant entries.  The Pluecker and wedge relations
-of the incidence ideal, and each chart's wedge relations with xi = 1, are
-built once per (field, c, d) as well, so each chart relabels only Z's
-generators, in one step from Z's ring into the incidence ring with xi = 1,
-the one ring object that every chart over (field, c, d) shares.  The
-oracle's homological route multiplies two monomial covers, each of one
-module restricted to the subalgebra on W, which depends on nothing but
-(module, W); _restricted_cover builds each once, so a module asked about
-again on the same W, in another pair or on both sides of one, builds none.
+Checking a variety at its rational points and projecting one repeat work
+that depends on less than the whole question, so two memos hold it.
+enumerate_subspaces builds the subspaces of a Grassmannian once and shares
+them, for the last 16 (field, c, d): no workload or command scans more than
+six.  Each Subspace takes its Pluecker point when it is built, so a shared
+subspace carries its point to every later scan; the point is taken from all
+the maximal minors of W's basis at once, by fp._minors, the Laplace
+expansion that also gives the minors of a rank variety, here on constant
+entries.  The Pluecker and wedge relations of the incidence ideal, and each
+chart's wedge relations with xi = 1, are built once per (field, c, d) as
+well, so each chart relabels only Z's generators, in one step from Z's ring
+into the incidence ring with xi = 1, the one ring object that every chart
+over (field, c, d) shares.  The oracle's homological route reads its
+restricted covers from homology's memo, keyed on (module, W's basis).
 """
 
 from __future__ import annotations
@@ -64,9 +61,9 @@ from math import comb
 import numpy as np
 
 from .errors import SubspaceLimitError
-from .fp import MatrixFp, PrimeField, _as_array, _minors, _rref
-from .homology import _hom_projective, _product_cover
-from .modules import KEModule, _restricted_arrays
+from .fp import MatrixFp, PrimeField, _as_array, _integer, _minors, _rref
+from .homology import _hom_projective
+from .modules import KEModule
 from .poly import (
     Ideal,
     MonomialOrder,
@@ -147,7 +144,7 @@ class Subspace:
 
 def subspace_from_rows(field: PrimeField, rows) -> Subspace:
     """The subspace spanned by the given independent row vectors."""
-    arr = _as_array([[int(x) for x in row] for row in rows], field.p)
+    arr = _as_array([list(row) for row in rows], field.p)
     d, c = arr.shape
     red, piv = _rref(arr, field.p)
     if len(piv) != d:
@@ -209,7 +206,7 @@ class PlueckerPoint:
 
     def __post_init__(self) -> None:
         expected = comb(self.c, self.d)
-        coords = tuple(int(x) % self.field.p for x in self.coords)
+        coords = tuple(_integer(x, "Pluecker coordinate") % self.field.p for x in self.coords)
         if len(coords) != expected:
             raise ValueError(f"expected {expected} coordinates, got {len(coords)}")
         lead = next((x for x in coords if x), None)
@@ -436,21 +433,12 @@ def oracle_membership(
     rational points of W for one lying on the order-one variety of the pair;
     the homological answer restricts both modules to the subalgebra on the
     echelon basis of W and asks whether Ext fails to vanish eventually,
-    decided exactly, as in ext_eventually_zero, by Higman's criterion
-    (homology._hom_projective): the restricted Hom_k(M, N) is projective
-    exactly when p^d times the rank of its h x h PHom matrix is
-    h = dim M * dim N.  That matrix is one product of the two modules'
-    restricted monomial covers, which _restricted_cover memoises on
-    (module, W); their action arrays are read straight off W's basis, with
-    no KEModule built: W is already a validated Subspace, and combinations
-    of M's actions satisfy the module axioms.  When p^d does not divide h
-    or h = 0 the answer, and past the cell cap the SyzygyLimitError, comes
-    before any cover is built or fetched, as in ext_eventually_zero.  The
-    homological answer is exact; a geometric hit is
-    always definitive, but a miss can be a field-size artifact when the
-    order-one variety has no rational points on W, so equality of the two
-    flags is guaranteed only when that variety is a union of subspaces
-    defined over the base field.
+    decided exactly, as ext_eventually_zero decides it, by Higman's
+    criterion (homology._hom_projective) with W's basis as the forms.  The
+    homological answer is exact; a geometric hit is always definitive, but
+    a miss can be a field-size artifact when the order-one variety has no
+    rational points on W, so equality of the two flags is guaranteed only
+    when that variety is a union of subspaces defined over the base field.
     """
     if W.field != M.field:
         raise ValueError(f"subspace over F_{W.field.p}, modules over F_{M.p}")
@@ -472,20 +460,6 @@ def oracle_membership(
         if point_in_rank_variety(pair_ideal, u):
             geometric = True
             break
-    homological = not _hom_projective(
-        M.n, N.n, d, p, lambda: (_restricted_cover(M, W), _restricted_cover(N, W))
-    )
+    homological = not _hom_projective(M, N, W.basis)
     return geometric, homological
 
-
-# One avrunin-scott round asks 168 distinct (module, subspace) keys: 8
-# modules times the 3, 4 and 14 proper subspaces over (2,2), (3,2) and
-# (2,3).  An entry holds p^d * dim M^2 cells, at most the cell cap, which
-# _hom_projective checks before it asks for a cover.
-@lru_cache(maxsize=256)
-def _restricted_cover(M: KEModule, W: Subspace) -> np.ndarray:
-    """The monomial cover of M, restricted to the subalgebra on W's echelon
-    basis, by all of M's basis vectors; read-only, as the memo shares it."""
-    cover = _product_cover(_restricted_arrays(M, W.basis.array), range(M.n), M.p)
-    cover.setflags(write=False)
-    return cover

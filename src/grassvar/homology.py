@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import SyzygyLimitError
 from .fp import MatrixFp, _kernel_free, _kernel_sparse, _matmul, _pivot_columns, _rank
-from .modules import KEModule
+from .modules import KEModule, _restricted_arrays
 
 # The cover of a module by its generators and the kernel of that cover (as
 # dense matrices), Ext cochain matrices, the h x h PHom matrix of
@@ -427,43 +427,57 @@ def ext_dims(M: KEModule, N: KEModule, bound: int) -> ExtTable:
     return ExtTable(M, N, tuple(dims))
 
 
-def _hom_projective(
-    m: int, n: int, c: int, p: int, covers: Callable[[], tuple[np.ndarray, np.ndarray]]
-) -> bool:
-    """Whether Hom_k(M, N) is projective over kE = F_p[x1..xc]/(xi^p), for
-    modules M and N of dimensions m and n; covers() returns their monomial
-    covers by all their basis vectors (_product_cover), M's first.
+def _hom_projective(M: KEModule, N: KEModule, forms: MatrixFp) -> bool:
+    """Whether Hom_k(M, N) is projective over the subalgebra of kE spanned
+    by the d independent linear forms that are the rows of `forms` (all of
+    kE for the c x c identity), a polynomial algebra F_p[y1..yd]/(yi^p).
 
-    H = Hom_k(M, N) is free exactly when p^c * dim PHom(M, N) = dim H
+    H = Hom_k(M, N) is free exactly when p^d * dim PHom(M, N) = dim H
     (Higman's criterion): PHom is the image of the norm element
-    prod_i x_i^(p-1) on H, whose rank counts the free summands of H.  So the
-    answer is False at once when p^c does not divide h = dim H, and True
+    prod_i y_i^(p-1) on H, whose rank counts the free summands of H.  So the
+    answer is False at once when p^d does not divide h = dim H, and True
     when h = 0.  Otherwise PHom is spanned by the maps that factor through
-    the cover kE^n -> N sending e_t to basis vector n_t.  kE is a Frobenius
-    algebra, so every map M -> kE is m -> sum_e lambda(x^(e^ - e) m) x^e for
-    a functional lambda, with e^ the top monomial; one spanning map per
-    (n_t, basis functional lambda) has entry (i, j) equal to
-    sum_e (x^e n_t)_i (x^(e^ - e))_{lambda j}.  Digit-wise subtraction from
-    e^ never borrows, so x^(e^ - e) is monomial index q - 1 - e for
-    q = p^c, and the h x h spanning matrix is one product of the two
-    covers.  SyzygyLimitError is raised if it, or either cover, has more
-    than DEFAULT_CELL_CAP cells.  Both early answers and the refusal come
-    before covers() is called, so no cover is built, or fetched from a
-    memo, for a pair they decide.
+    the cover F -> N, F free of rank n = dim N, sending e_t to basis vector
+    n_t.  The subalgebra is a Frobenius algebra, so every map M -> F is
+    m -> sum_e lambda(y^(e^ - e) m) y^e for a functional lambda, with e^
+    the top monomial; one spanning map per (n_t, basis functional lambda)
+    has entry (i, j) equal to sum_e (y^e n_t)_i (y^(e^ - e))_{lambda j}.
+    Digit-wise subtraction from e^ never borrows, so y^(e^ - e) is monomial
+    index q - 1 - e for q = p^d, and the h x h spanning matrix is one
+    product of the two modules' restricted monomial covers
+    (_restricted_cover).  SyzygyLimitError is raised if it, or either
+    cover, has more than DEFAULT_CELL_CAP cells.  Both early answers and
+    the refusal come before any cover is built or fetched from the memo.
     """
-    q = p**c
+    m, n = M.n, N.n
+    q = M.p**forms.rows
     h = m * n
     if h % q:
         return False
     if h == 0:
         return True
     _check_cells(max(h * h, q * m * m, q * n * n), f"PHom matrix of a dimension-{h} Hom space and its covers need")
-    cover_m, cover_n = covers()
-    # left[(i, t), e] = (x^e n_t)_i and right[e, (j, lam)] = (x^(q-1-e))_{lam j}
+    cover_m, cover_n = _restricted_cover(M, forms), _restricted_cover(N, forms)
+    # left[(i, t), e] = (y^e n_t)_i and right[e, (j, lam)] = (y^(q-1-e))_{lam j}
     left = cover_n.reshape(n * n, q)
     right = cover_m.reshape(m, m, q)[:, :, ::-1].transpose(2, 1, 0).reshape(q, m * m)
-    phom = _matmul(left, right, p).reshape(n, n, m, m).transpose(0, 2, 1, 3)
-    return q * _rank(phom.reshape(h, h), p) == h
+    phom = _matmul(left, right, M.p).reshape(n, n, m, m).transpose(0, 2, 1, 3)
+    return q * _rank(phom.reshape(h, h), M.p) == h
+
+
+# One avrunin-scott round asks 168 distinct (module, forms) keys: 8 modules
+# times the 3, 4 and 14 proper subspaces over (2,2), (3,2) and (2,3);
+# ext_eventually_zero adds one identity key per module, which the oracle
+# shares at d = c.  An entry holds p^d * dim M^2 cells, at most the cell
+# cap, which _hom_projective checks before it asks for a cover.
+@lru_cache(maxsize=256)
+def _restricted_cover(M: KEModule, forms: MatrixFp) -> np.ndarray:
+    """The monomial cover of M, restricted to the subalgebra spanned by the
+    rows of `forms`, by all of M's basis vectors; read-only, as the memo
+    shares it."""
+    cover = _product_cover(_restricted_arrays(M, forms.array), range(M.n), M.p)
+    cover.setflags(write=False)
+    return cover
 
 
 def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
@@ -477,13 +491,10 @@ def ext_eventually_zero(M: KEModule, N: KEModule) -> bool:
     PHom(M, N), the maps that factor through a projective (_hom_projective;
     Benson, Representations and Cohomology I, 3.6): one h x h matrix of h^2
     cells for h = dim M * dim N, none at all when p^c does not divide h.
+    Its covers are the oracle's at d = c, from the same memo.
     SyzygyLimitError is raised before a matrix of more than DEFAULT_CELL_CAP
     cells is built.
     """
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
-    p = M.p
-    return _hom_projective(M.n, N.n, M.c, p, lambda: (
-        _product_cover([a.array for a in M.actions], range(M.n), p),
-        _product_cover([a.array for a in N.actions], range(N.n), p),
-    ))
+    return _hom_projective(M, N, MatrixFp.identity(M.field, M.c))

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ModuleAxiomError, ResourceLimitError
-from .fp import MatrixFp, PrimeField, _kernel_free, _matmul, _rank
+from .fp import MatrixFp, PrimeField, _integer, _kernel_free, _matmul, _rank
 
 DEFAULT_DIM_CAP = 256
 
@@ -31,7 +31,7 @@ class LinearForm:
     coeffs: tuple
 
     def __post_init__(self) -> None:
-        norm = tuple(int(a) % self.field.p for a in self.coeffs)
+        norm = tuple(_integer(a, "form coefficient") % self.field.p for a in self.coeffs)
         object.__setattr__(self, "coeffs", norm)
         if not norm or not any(norm):
             raise ValueError("linear form must be nonzero")
@@ -288,5 +288,6 @@ def module_from_dict(d: dict) -> KEModule:
             or any(not _is_int(v) for row in a for v in row)
         ):
             raise ValueError(f"action matrices must be {n}x{n} integer arrays")
-        mats.append(MatrixFp(field, a))
+        # shaped n x n, so that dim 0's actions [] are 0 x 0
+        mats.append(MatrixFp(field, np.reshape(a, (n, n))))
     return KEModule(field, c, n, tuple(mats))

@@ -856,21 +856,27 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     if elim_ring is not ring:
         I = Ideal(elim_ring, tuple(g.map_to(elim_ring, range(ring.nvars)) for g in I.gens))
     G = buchberger_reduced(I)
-    drop_idx = {i for i, n in enumerate(ring.names) if n in drop_set}
     kept_names = tuple(n for n in ring.names if n not in drop_set)
     small = PolyRing(ring.field, kept_names, ring.order.restrict(kept_names))
     pos = {n: k for k, n in enumerate(kept_names)}
     index_map = [pos.get(n) for n in ring.names]
-    out = Ideal(small, tuple(g.map_to(small, index_map) for g in G.gens if not (g.support() & drop_idx)))
+    # the dropped block leads the order, so an element whose leading
+    # monomial is free of it is free of it altogether
+    dropped = sum(_FIELD_MASK << s for s, j in zip(elim_ring._shifts, index_map) if j is None)
+    out = Ideal(small, tuple(g._relabelled(small, index_map) for g in G.gens if not g._terms[0][1] & dropped))
     return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 
 
-def _extend_with_aux(ring: PolyRing) -> tuple[PolyRing, Polynomial, Callable[[Polynomial], Polynomial]]:
+def _extend_with_aux(ring: PolyRing, eliminating: bool) -> tuple[PolyRing, Polynomial, Callable[[Polynomial], Polynomial]]:
     """ring with a fresh variable t appended, t, and the copy of ring's
-    polynomials into it."""
+    polynomials into it.  The new ring keeps ring's order, except that for
+    `eliminating` t a grevlex ring's takes the block order that drops t,
+    which eliminate then reduces in with no copy."""
     if ring.order.kind == "block":
         raise ValueError("auxiliary-variable constructions need lex or grevlex rings")
-    big = PolyRing(ring.field, ring.names + (ring.fresh_name(),), ring.order)
+    t = ring.fresh_name()
+    order = MonomialOrder.block({t}) if eliminating and ring.order.kind == "grevlex" else ring.order
+    big = PolyRing(ring.field, ring.names + (t,), order)
     ident = list(range(ring.nvars))
     return big, big.var(ring.nvars), lambda g: g.map_to(big, ident)
 
@@ -881,7 +887,7 @@ def ideal_intersect(I: Ideal, J: Ideal) -> Ideal:
         raise ValueError("ideal intersection needs a common ring")
     if I.is_zero_ideal() or J.is_zero_ideal():
         return Ideal(I.ring, ())
-    big, t, lift = _extend_with_aux(I.ring)
+    big, t, lift = _extend_with_aux(I.ring, True)
     gens = [t * lift(g) for g in I.gens] + [(1 - t) * lift(h) for h in J.gens]
     return eliminate(Ideal(big, tuple(gens)), {big.names[-1]})
 
@@ -892,7 +898,7 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
         raise ValueError("radical membership needs a common ring")
     if f.is_zero():
         return True
-    big, t, lift = _extend_with_aux(I.ring)
+    big, t, lift = _extend_with_aux(I.ring, False)
     gens = tuple(map(lift, I.gens)) + (1 - t * lift(f),)
     return buchberger_reduced(Ideal(big, gens)).is_unit_ideal()
 

@@ -34,7 +34,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .errors import MinorLimitError
-from .fp import _matmul, _minors, _rref
+from .fp import _integer, _matmul, _minors, _rref
 from .modules import KEModule
 from .poly import Ideal, PolyRing, buchberger_reduced, ideal
 
@@ -148,7 +148,7 @@ def pair_variety_ideal(M: KEModule, N: KEModule) -> VarietyIdeal1:
 
 def point_in_rank_variety(V: VarietyIdeal1, point) -> bool:
     """Whether a point of k^c satisfies every equation of the variety."""
-    values = [int(v) for v in point]
+    values = [_integer(v, "coordinate") for v in point]
     if len(values) != V.c:
         raise ValueError(f"expected {V.c} coordinates, got {len(values)}")
     return all(g.evaluate(values) == 0 for g in V.gb.gens)

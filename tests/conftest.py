@@ -71,7 +71,7 @@ def cold_memos():
         rankvariety.rank_variety_ideal,
         rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
-        grassmann._restricted_cover,
+        homology._restricted_cover,
         homology.resolve,
     ):
         memo.cache_clear()

@@ -24,6 +24,7 @@ from grassvar.fp import (
 from test_homology import _rank_mod_p
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+F3 = PrimeField(3)
 
 
 def test_prime_field_accepts_primes():
@@ -399,6 +400,20 @@ def test_matrix_constructor_and_entry_reduction():
         MatrixFp(F, [[big, 1], [1]])
     with pytest.raises(ValueError):
         MatrixFp(F, [1, 2, 3])
+
+
+def test_matrix_refuses_non_integer_entries():
+    # entries are read as operator.index reads them: a float is refused,
+    # not truncated, while ints, bools, numpy integers and big ints pass
+    with pytest.raises(ValueError, match="integer"):
+        MatrixFp(F3, [[1.5, 0], [0, 2]])
+    for entries in ([[1.0, 0], [0, 2]], np.eye(2), [[10**26, 0.5], [0, 1]], [["1", 0], [0, 1]]):
+        with pytest.raises(ValueError, match="integer"):
+            MatrixFp(F3, entries)
+    for entries in ([[True, False], [np.int8(-1), 4]], np.array([[1, 0], [2, 4]], dtype=np.uint64),
+                    np.array([[4, 3], [5, 1]], dtype=np.int32)):
+        assert MatrixFp(F3, entries).tolist() == [[1, 0], [2, 1]]
+    assert MatrixFp(F3, [[]]).array.shape == (1, 0)
 
 
 def test_matrix_is_immutable():

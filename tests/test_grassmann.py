@@ -89,6 +89,12 @@ def test_subspace_canonical_form():
         subspace_from_rows(F2, [(0, 0, 0)])
 
 
+def test_subspace_from_rows_refuses_non_integer_entries():
+    with pytest.raises(ValueError, match="integer"):
+        subspace_from_rows(F3, [(1.7, 0, 0)])
+    assert subspace_from_rows(F3, [(np.int64(4), True, 10**26)]).rows() == [(1, 1, 1)]
+
+
 def test_subspace_rejects_non_canonical_basis():
     from grassvar.fp import MatrixFp
 
@@ -183,6 +189,12 @@ def test_pluecker_point_normalization():
         PlueckerPoint(F3, 3, 1, (0, 0, 0))
     with pytest.raises(ValueError):
         PlueckerPoint(F3, 3, 1, (1, 0))
+
+
+def test_pluecker_point_refuses_non_integer_coordinates():
+    with pytest.raises(ValueError, match="integer"):
+        PlueckerPoint(F3, 3, 1, (1.5, 0, 0))
+    assert PlueckerPoint(F3, 3, 1, (np.int64(2), True, 10**26)).coords == (1, 2, 2)
 
 
 def test_pluecker_relations_shapes():
@@ -504,34 +516,60 @@ def test_oracle_membership_agreement(catalog):
 
 
 def test_oracle_homological_flag_matches_restriction_and_the_cover_memo(catalog):
-    # every catalog pair over each context, every proper subspace: the
-    # oracle's flag, from memoised covers, equals Ext's eventual vanishing on
-    # the restricted KEModules, which uses no memo; each (module, W) cover is
-    # built once, on its first lookup, and every later lookup hits
-    memo = grassmann._restricted_cover
+    # every catalog pair over each context, every proper subspace: each
+    # (module, W) cover is built once, on its first lookup, and every later
+    # lookup hits; then the oracle's flag, from memoised covers, equals
+    # Ext's eventual vanishing on the restricted KEModules
+    memo = homology._restricted_cover
     for (p, c), cat in catalog.items():
         memo.cache_clear()
         field = PrimeField(p)
-        lookups = []
+        flags, lookups = {}, []
         for d in range(1, c):
             for W in enumerate_subspaces(field, c, d):
                 for M, N in itertools.product(cat.values(), repeat=2):
-                    _, homological = oracle_membership(M, N, d, W)
-                    MW, NW = (restrict_to_subspace(X, W.rows()) for X in (M, N))
-                    assert homological == (not ext_eventually_zero(MW, NW)), (p, c, W.rows())
+                    flags[M, N, W] = oracle_membership(M, N, d, W)[1]
                     # no cover is asked for when p^d does not divide h
                     if M.n * N.n % p**d == 0:
                         lookups += [(M, W), (N, W)]
         info = memo.cache_info()
         assert info.misses == info.currsize == len(set(lookups)) > 0, (p, c)
         assert info.hits == len(lookups) - info.misses > 0, (p, c)
+        for (M, N, W), homological in flags.items():
+            MW, NW = (restrict_to_subspace(X, W.rows()) for X in (M, N))
+            assert homological == (not ext_eventually_zero(MW, NW)), (p, c, W.rows())
+
+
+def test_oracle_on_the_whole_space_is_ext_eventually_zero_and_shares_its_covers(catalog):
+    # at d = c the one subspace is k^c, whose echelon basis is the identity
+    # ext_eventually_zero restricts to, so both read the same memo entries:
+    # one miss per module, on its first lookup, and hits after that
+    memo = homology._restricted_cover
+    for (p, c), cat in catalog.items():
+        memo.cache_clear()
+        (W,) = enumerate_subspaces(PrimeField(p), c, c)
+        seen = set()
+        for M, N in itertools.product(cat.values(), repeat=2):
+            if M.n * N.n % p**c:
+                assert oracle_membership(M, N, c, W)[1] == (not ext_eventually_zero(M, N))
+                continue
+            before = memo.cache_info()
+            homological = oracle_membership(M, N, c, W)[1]
+            middle = memo.cache_info()
+            assert homological == (not ext_eventually_zero(M, N)), (p, c)
+            after = memo.cache_info()
+            new = {M, N} - seen
+            seen |= new
+            assert middle.misses - before.misses == len(new), (p, c)
+            assert after.misses == middle.misses and after.hits - middle.hits == 2, (p, c)
+        assert memo.cache_info().currsize == len(seen) > 0, (p, c)
 
 
 def test_restricted_cover_is_shared_read_only(catalog):
     M = catalog[(2, 3)]["R/x1+R/x2"]
     W = subspace_from_rows(F2, [(1, 1, 0), (0, 0, 1)])
-    cover = grassmann._restricted_cover(M, W)
-    assert grassmann._restricted_cover(M, W) is cover
+    cover = homology._restricted_cover(M, W.basis)
+    assert homology._restricted_cover(M, W.basis) is cover
     MW = restrict_to_subspace(M, W.rows())
     expected = _product_cover([a.array for a in MW.actions], range(M.n), 2)
     assert np.array_equal(cover, expected)
@@ -544,7 +582,7 @@ def test_oracle_refuses_or_decides_before_any_cover(monkeypatch, catalog):
     # matrix of the 4096-dimensional Hom space has 4096^2 cells, over the cap,
     # and the refusal reads as ext_eventually_zero's
     k = catalog[(2, 3)]["k"]
-    memo = grassmann._restricted_cover
+    memo = homology._restricted_cover
     memo.cache_clear()
     line = subspace_from_rows(F2, [(1, 0, 0)])
     big = KEModule(F2, 3, 64, (MatrixFp.zeros(F2, 64, 64),) * 3)

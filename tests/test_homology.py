@@ -292,6 +292,46 @@ def test_ext_hand_checked_values():
     assert list(ext_dims(kE, Ry, 5)) == [2, 0, 0, 0, 0, 0]
 
 
+def _ext_from_k_by_the_tensor_resolution(N, bound):
+    """dim Ext^n(k, N) for n <= bound by a route that shares no code with
+    resolve: the tensor product over i of the periodic resolutions
+    .. -> A --x^(p-1)--> A --x--> A -> k of k over each factor
+    A = k[x_i]/(x_i^p) of kE.  Its F_n has a basis e_b, b in N^c with
+    |b| = n, and d(e_b) = sum_i (-1)^(b_1 + .. + b_(i-1)) theta_i(b_i)
+    e_(b - eps_i), theta_i = x_i for odd b_i and x_i^(p-1) for even b_i > 0.
+    So Ext^n(k, N) = b_n dim N - rank delta_n - rank delta_(n-1) for the
+    cochain maps delta_n of Hom(F_*, N); only fp._matmul and fp._rank are
+    used."""
+    p, c, n = N.p, N.c, N.n
+    X = [a.array for a in N.actions]
+    top = []
+    for a in X:
+        power = np.eye(n, dtype=np.int64)
+        for _ in range(p - 1):
+            power = fp._matmul(power, a, p)
+        top.append(power)
+    bases = [[b for b in itertools.product(range(m + 1), repeat=c) if sum(b) == m] for m in range(bound + 2)]
+    ranks = []
+    for m in range(bound + 1):
+        col = {b: j for j, b in enumerate(bases[m])}
+        delta = np.zeros((len(bases[m + 1]) * n, len(col) * n), dtype=np.int64)
+        for r, g in enumerate(bases[m + 1]):
+            for i in range(c):
+                if g[i]:
+                    j = col[g[:i] + (g[i] - 1,) + g[i + 1:]]
+                    theta = X[i] if g[i] % 2 else top[i]
+                    delta[r * n : (r + 1) * n, j * n : (j + 1) * n] = (-1) ** sum(g[:i]) * theta % p
+        ranks.append(fp._rank(delta, p))
+    return tuple(len(bases[m]) * n - ranks[m] - (ranks[m - 1] if m else 0) for m in range(bound + 1))
+
+
+@pytest.mark.parametrize(("p", "c", "bound"), [(2, 2, 8), (3, 2, 8), (5, 2, 8), (2, 3, 6), (3, 3, 6)])
+def test_ext_from_k_matches_the_tensor_resolution_of_k(hom_catalog, p, c, bound):
+    cat = hom_catalog[(p, c)]
+    for name, N in cat.items():
+        assert ext_dims(cat["k"], N, bound).dims == _ext_from_k_by_the_tensor_resolution(N, bound), name
+
+
 def test_ext_contravariant_duality():
     # Ext^i(M, N) and Ext^i(dual N, dual M) have the same dimensions
     mods = [

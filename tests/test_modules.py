@@ -273,7 +273,17 @@ def test_zero_module():
     assert Z.n == 0
 
 
+def test_linear_form_refuses_non_integer_coefficients():
+    with pytest.raises(ValueError, match="integer"):
+        LinearForm(F3, (1.5, 0))
+    assert LinearForm(F3, (np.int64(4), True, 10**26)).coeffs == (1, 1, 1)
+
+
 def test_dict_round_trip():
+    # the zero module's actions are [] in JSON, each read back as 0 x 0
+    for c in (1, 2, 3):
+        Z = zero_module(F2, c)
+        assert module_from_dict(module_to_dict(Z)) == Z
     for M in (regular_module(F2, 2), quotient_by_linear_forms(F3, 2, [(1, 2)])):
         d = module_to_dict(M)
         M2 = module_from_dict(d)

@@ -133,6 +133,14 @@ def test_point_membership_respects_scaling(catalog):
         point_in_rank_variety(V, (1, 1, 1))
 
 
+def test_point_membership_refuses_non_integer_coordinates(catalog):
+    # (0.5, 1) once read as (0, 1), off the line of R/(x1+x2)
+    V = rank_variety_ideal(catalog[(3, 2)]["R/(x1+x2)"])
+    with pytest.raises(ValueError, match="integer"):
+        point_in_rank_variety(V, (0.5, 1))
+    assert point_in_rank_variety(V, (True, 10**26))
+
+
 def test_variety_of_free_module_is_origin():
     for field in (F2, F3):
         V = rank_variety_ideal(regular_module(field, 2))
