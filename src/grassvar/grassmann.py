@@ -34,6 +34,13 @@ two of them are intersected only when neither contains the other, which
 normal forms decide.  Reduced bases are unique, so neither step changes the
 answer.
 
+Before any chart, the dimension z of Z, read off its reduced basis, often
+decides the answer.  For z <= 0, Z holds at most the origin, and no d-plane
+meets it away from 0: the unit ideal.  For z + d > c every d-plane meets
+Z, and the charts' intersection is the ideal of the Pluecker relations,
+which is prime (Hodge); project_incidence's docstring gives the proof.
+Both answers take no elimination.
+
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
 enumerate_subspaces builds the subspaces of a Grassmannian once and shares
@@ -42,12 +49,13 @@ six.  Each Subspace takes its Pluecker point when it is built, so a shared
 subspace carries its point to every later scan; the point is taken from all
 the maximal minors of W's basis at once, by fp._minors, the Laplace
 expansion that also gives the minors of a rank variety, here on constant
-entries.  The Pluecker and wedge relations of the incidence ideal, and each
-chart's wedge relations with xi = 1, are built once per (field, c, d) as
-well, so each chart relabels only Z's generators, in one step from Z's ring
-into the incidence ring with xi = 1, the one ring object that every chart
-over (field, c, d) shares.  The oracle's homological route reads its
-restricted covers from homology's memo, keyed on (module, W's basis).
+entries.  The reduced basis of the Pluecker relations, the Pluecker and
+wedge relations of the incidence ideal, and each chart's wedge relations
+with xi = 1, are built once per (field, c, d) as well, so each chart
+relabels only Z's generators, in one step from Z's ring into the incidence
+ring with xi = 1, the one ring object that every chart over (field, c, d)
+shares.  The oracle's homological route reads its restricted covers from
+homology's memo, keyed on (module, W's basis).
 """
 
 from __future__ import annotations
@@ -70,6 +78,7 @@ from .poly import (
     Polynomial,
     PolyRing,
     _basis_dimension,
+    buchberger_reduced,
     eliminate,
     ideal,
     ideal_intersect,
@@ -337,6 +346,22 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     chart whose projection contains the running result (I n J = I when I
     lies in J), or takes it in place of the result when it lies inside.
 
+    Two ranges of z = dim Z, read off Z's reduced basis with no Groebner
+    work, decide the answer with no chart at all:
+    - z <= 0: the unit ideal.  Z contains (a)^N, so every chart contains 1.
+    - z + d >= c + 1: the reduced basis of the Pluecker relations, whose
+      ideal Pl is that of G_d itself (the zero ideal for d = 1, c - 1, c).
+      P(W) and P(Z) have dimensions d - 1 and z - 1 in P^(c-1), so every
+      W meets Z.  Let Z_0 be a component of Z of top dimension.  The
+      incidence variety over P(Z_0) is a G_(d-1)(k^(c-1))-bundle, so it is
+      irreducible, and in a chart xi = 1 with ai not identically 0 on Z_0
+      the image is dense in G_d: that chart's projection P_i has radical
+      Pl.  Pl lies in every chart's generators, so Pl lies in every P_j,
+      and Pl is prime (Hodge; standard monomial theory proves it over any
+      field).  Hence P_i = Pl, and the intersection over all charts is Pl.
+    Otherwise the charts are eliminated.  Reduced bases are unique, so the
+    early answers are the bases the charts would give.
+
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
     hit does no Groebner work, so it spends none of the enclosing
@@ -361,14 +386,27 @@ def _contains(I: Ideal, J: Ideal) -> bool:
     return all(normal_form(g, I).is_zero() for g in J.gens)
 
 
+@lru_cache(maxsize=16)
+def _grassmannian(field: PrimeField, c: int, d: int) -> Ideal:
+    """The reduced basis of the Pluecker relations of G_d(k^c), built once
+    per (field, c, d), the last 16 kept, as for _subspaces."""
+    small = pluecker_ring(field, c, d)
+    return buchberger_reduced(ideal(small, pluecker_relations(small, c, d)))
+
+
 @lru_cache(maxsize=256)
 def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     c = gb.ring.nvars
     field = gb.ring.field
+    small = pluecker_ring(field, c, d)
+    z = _basis_dimension(gb)
+    if z <= 0:
+        return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
+    if z + d > c:
+        return VarietyIdealD(small, c, d, _grassmannian(field, c, d))
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]
-    small = pluecker_ring(field, c, d)
 
     factors = []
     for i, wedge in enumerate(charts):
@@ -378,8 +416,8 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         part = eliminate(chart, points)
         if not part.is_unit_ideal():
             factors.append(part)
-    if not factors:
-        return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
+    # z >= 1, so Z has a point off the origin and some chart is not the
+    # unit ideal
     result = factors[0]
     for part in factors[1:]:
         if _contains(part, result):

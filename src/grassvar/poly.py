@@ -74,9 +74,11 @@ Interreduction is one pass: each polynomial, taken by ascending lead, is fully
 reduced by the monic ones kept before it.  A term is divisible only by leads
 no larger than itself, so a pass whose leads stay ascending leaves every
 element reduced by all the others.  Buchberger's input repeats the pass until
-that holds; its output, a Groebner basis, needs one pass, in which redundant
-elements reduce to 0.  The passes, the reducers and the returned basis all
-hold the Polynomials' own terms, so nothing is converted on the way.
+that holds; its output, a Groebner basis, needs one pass, once the elements
+whose lead another lead divides, which would reduce to 0, are dropped.
+Elimination runs that pass only on the elements it keeps.  The passes, the
+reducers and the returned basis all hold the Polynomials' own terms, so
+nothing is converted on the way.
 
 Groebner work is bounded by a pool of S-pair reductions.  Inside a
 `with groebner_budget(n):` block every Buchberger run draws on one pool of n,
@@ -101,7 +103,7 @@ from operator import itemgetter, lshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
-from .fp import PrimeField
+from .fp import PrimeField, _integer
 
 DEFAULT_PAIR_BUDGET = 200_000
 
@@ -273,14 +275,16 @@ class PolyRing:
     # construction
     def from_dict(self, d: dict[Mono, int]) -> "Polynomial":
         """The polynomial sum(c * x^e); ValueError on an exponent vector of
-        the wrong length or with a negative entry, or on a term with a
-        nonzero coefficient whose degree reaches the bound."""
+        the wrong length or with a negative entry, on a coefficient that is
+        not an integer, or on a term with a nonzero coefficient whose degree
+        reaches the bound."""
         n, p = len(self.names), self.p
         for e in d:
             if len(e) != n or (e and min(e) < 0):
                 raise ValueError(f"monomial {e} of {self} needs {n} nonnegative exponents")
         packed = {}
         for e, c in d.items():
+            c = _integer(c, "coefficient")
             if c % p:
                 if sum(e) >= _DEGREE_BOUND:
                     raise _degree_error(sum(e))
@@ -312,7 +316,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, a: int) -> "Polynomial":
-        a %= self.p
+        a = _integer(a, "coefficient") % self.p
         if a == 0:
             return self.zero
         # the monomial 1 packs to 0, whose key is 0 under every order
@@ -464,7 +468,8 @@ class Polynomial:
         return Polynomial(self.ring, tuple(_monic(self._terms, self.ring.field))) if self._terms else self
 
     def evaluate(self, values: Sequence[int]) -> int:
-        """Value at a point of F_p^nvars."""
+        """Value at a point of F_p^nvars; ValueError on a coordinate that
+        is not an integer."""
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of coordinates")
         p = self.ring.p
@@ -472,7 +477,7 @@ class Polynomial:
         # variable that is 1 leaves it unchanged: only the others are read
         zeros, fields = 0, []
         for s, v in zip(self.ring._shifts, values):
-            v %= p
+            v = _integer(v, "coordinate") % p
             if v == 0:
                 zeros |= _FIELD_MASK << s
             elif v != 1:
@@ -732,15 +737,19 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     Each S-pair reduction takes one unit from the enclosing groebner_budget
     pool, or outside any block from a pool of DEFAULT_PAIR_BUDGET for this
     call alone; GroebnerBudgetError is raised when the pool runs out, and
-    partial output is never returned.
+    partial output is never returned.  The final pass spends nothing.
     """
+    return _reduced_basis(I.ring, _groebner_basis(I))
+
+
+def _groebner_basis(I: Ideal) -> list:
+    """A Groebner basis of I as monic keyed polynomials with distinct leads,
+    by Buchberger's pair loop, not yet reduced; [1] for the unit ideal."""
     ring = I.ring
     pool = _pool.get() or [DEFAULT_PAIR_BUDGET, 0]
     G = _interreduce(ring, I.gens)
-    if not G:
-        return Ideal(ring, ())
     if any(g[0][1] == 0 for g in G):
-        return Ideal(ring, (ring.one,))
+        return [[(0, 0, 1)]]
 
     # Sugar is the degree a pair would have in the homogenised input.  On
     # input that is homogeneous neither in all variables nor in the kept ones
@@ -817,7 +826,7 @@ def buchberger_reduced(I: Ideal) -> Ideal:
             continue
         r = _monic(r, ring.field)
         if r[0][1] == 0:
-            return Ideal(ring, (ring.one,))
+            return [r]
         G.append(r)
         lms.append(r[0][1])
         if by_sugar:
@@ -826,9 +835,27 @@ def buchberger_reduced(I: Ideal) -> Ideal:
         # r is reduced by every lead in G, so its lead is new
         bisect.insort(reducers, entries[-1], key=itemgetter(0))
         push_pairs(len(G) - 1)
+    return G
 
-    # G is a Groebner basis, so one ascending-lead pass reduces it
-    out = _autoreduce(ring, sorted(G, key=_lead_key))
+
+def _reduced_basis(ring: PolyRing, G: list) -> Ideal:
+    """The reduced basis of the ideal of G, a Groebner basis as monic keyed
+    polynomials with distinct leads.
+
+    An element whose lead another lead divides reduces to 0, so it is
+    dropped before the pass; the rest keep a Groebner basis, since every
+    lead is divisible by a minimal one.  A divisor's key is smaller, so by
+    ascending lead each element is checked against the minimal leads kept
+    before it.  Then one ascending-lead pass reduces them.
+    """
+    guard = ring._guard
+    minimal, leads = [], []
+    for g in sorted(G, key=_lead_key):
+        mg = g[0][1] | guard
+        if not any((mg - h) & guard == guard for h in leads):
+            minimal.append(g)
+            leads.append(g[0][1])
+    out = _autoreduce(ring, minimal)
     return Ideal(ring, tuple(Polynomial(ring, tuple(g)) for g in reversed(out)))
 
 
@@ -838,12 +865,14 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     """Intersection of I with the subring that omits the `drop` variables.
 
     Returns the reduced Groebner basis of that intersection, as an ideal over
-    the smaller ring carrying the induced order.  It is read off the basis
-    under the block order that drops them: an I whose ring has that order
-    is used as it is, any other is first copied into a ring with it.  The
-    block basis's elements free of the dropped variables are that basis
-    under grevlex, so under any other induced order they are reduced once
-    more.
+    the smaller ring carrying the induced order.  It is read off a Groebner
+    basis under the block order that drops them: an I whose ring has that
+    order is used as it is, any other is first copied into a ring with it.
+    Its elements free of the dropped variables are a Groebner basis of the
+    intersection, and no lead holding a dropped variable divides any of
+    their terms, so the final pass reduces only them.  That gives the
+    reduced basis under grevlex; under any other induced order it is
+    reduced once more.
     """
     ring = I.ring
     drop_set = frozenset(drop)
@@ -855,7 +884,6 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     elim_ring = PolyRing(ring.field, ring.names, MonomialOrder.block(drop_set))
     if elim_ring is not ring:
         I = Ideal(elim_ring, tuple(g.map_to(elim_ring, range(ring.nvars)) for g in I.gens))
-    G = buchberger_reduced(I)
     kept_names = tuple(n for n in ring.names if n not in drop_set)
     small = PolyRing(ring.field, kept_names, ring.order.restrict(kept_names))
     pos = {n: k for k, n in enumerate(kept_names)}
@@ -863,7 +891,8 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     # the dropped block leads the order, so an element whose leading
     # monomial is free of it is free of it altogether
     dropped = sum(_FIELD_MASK << s for s, j in zip(elim_ring._shifts, index_map) if j is None)
-    out = Ideal(small, tuple(g._relabelled(small, index_map) for g in G.gens if not g._terms[0][1] & dropped))
+    G = _reduced_basis(elim_ring, [g for g in _groebner_basis(I) if not g[0][1] & dropped])
+    out = Ideal(small, tuple(g._relabelled(small, index_map) for g in G.gens))
     return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 
 

@@ -378,20 +378,33 @@ def test_budget_exhaustion_is_resource_error(capsys, cold_memos):
     # the memos are emptied first: a stored projection would spend no budget
     status, _, err = _run(
         capsys, "project-gamma", "-p", "2", "-c", "4", "-d", "2",
-        "-z", "a2", "--budget", "5",
+        "-z", "a1*a2; a3", "--budget", "5",
     )
     assert status == 2
     assert err.startswith("resource limit:")
 
 
 def test_budget_bounds_the_whole_command(capsys, cold_memos):
-    # the command spends 18 reductions over several Groebner calls, at most
-    # 8 in any one of them
-    argv = ("project-gamma", "-p", "2", "-c", "4", "-d", "2", "-z", "a2", "--budget")
-    status, out, err = _run(capsys, *argv, "17")
+    # the command spends 32 reductions over several Groebner calls, at most
+    # 20 in any one of them
+    argv = ("project-gamma", "-p", "2", "-c", "4", "-d", "2", "-z", "a1*a2; a3", "--budget")
+    status, out, err = _run(capsys, *argv, "31")
     assert (status, out) == (2, "")
-    assert err == "resource limit: Groebner pair budget exceeded (17 reductions)\n"
-    status, out, err = _run(capsys, *argv, "18")
+    assert err == "resource limit: Groebner pair budget exceeded (31 reductions)\n"
+    status, out, err = _run(capsys, *argv, "32")
+    assert (status, err) == (0, "")
+    assert out == (
+        "ideal(p_13^2*p_24 + p_12*p_13*p_34, p_13*p_23, p_14*p_23 + p_13*p_24 + p_12*p_34)\n"
+        "dim = 3\n"
+    )
+
+
+def test_planes_meeting_a_hyperplane_spend_no_budget(capsys, cold_memos):
+    # dim Z + d > c: every plane of k^4 meets the hyperplane a2 = 0, so the
+    # answer is the Pluecker quadric, with no elimination
+    status, out, err = _run(
+        capsys, "project-gamma", "-p", "2", "-c", "4", "-d", "2", "-z", "a2", "--budget", "0"
+    )
     assert (status, err) == (0, "")
     assert out == "ideal(p_14*p_23 + p_13*p_24 + p_12*p_34)\ndim = 4\n"
 

@@ -398,7 +398,8 @@ def test_projection_memo_keeps_bases_byte_identical(cold_memos):
 
 def test_projection_memo_keeps_no_failures(cold_memos):
     ring = coordinate_ring(F2, 4)
-    Z = _lines(ring, [ring.var(1)])
+    a1, a2, a3, a4 = ring.gens()
+    Z = _lines(ring, [a1 * a2, a3])
     with groebner_budget(1), pytest.raises(GroebnerBudgetError):
         project_incidence(Z, 2)
     assert grassmann._project_incidence.cache_info().currsize == 0
@@ -414,12 +415,15 @@ def test_rank_pair_and_projection_memos_hold_256_entries():
 
 
 def test_each_groebner_call_has_its_own_default_budget(monkeypatch, cold_memos):
-    # the projection spends 18 reductions in all and at most 8 in any one
-    # Groebner call, so one pool of 8 shared by every call would run out
-    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 8)
+    # the projection spends 32 reductions in all and at most 20 in any one
+    # Groebner call, so one pool of 20 shared by every call would run out
+    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 20)
     ring = coordinate_ring(F2, 4)
-    V = project_incidence(_lines(ring, [ring.var(1)]), 2)
-    assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24 + p_12*p_34)"
+    a1, a2, a3, a4 = ring.gens()
+    V = project_incidence(_lines(ring, [a1 * a2, a3]), 2)
+    assert str(V.gb) == (
+        "ideal(p_13^2*p_24 + p_12*p_13*p_34, p_13*p_23, p_14*p_23 + p_13*p_24 + p_12*p_34)"
+    )
 
 
 def test_grassmannian_dimension_from_full_ideal():
@@ -773,7 +777,8 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch):
 
 def test_projection_with_unit_charts_matches_the_adjoining_route():
     # the line through e1: every chart but x1 = 1 is the unit ideal; the
-    # origin alone and the unit ideal: every chart is
+    # origin alone and the unit ideal, where every chart would be, are
+    # answered from dim Z
     ring = coordinate_ring(F3, 4)
     a1, a2, a3, a4 = ring.gens()
     for gens in ([a2, a3, a4], [a1, a2, a3, a4], [ring.one], [a2 * a3, a4]):
@@ -782,3 +787,75 @@ def test_projection_with_unit_charts_matches_the_adjoining_route():
             V = grassmann._project_incidence.__wrapped__(Z.gb, d)
             ref = _project_by_adjoining(Z.gb, d)
             assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
+
+
+# --- answers decided by dim Z -------------------------------------------------
+
+# the component dimensions of the benchmark's projection cones
+CONE_SHAPES = ((1,), (2,), (3,), (1, 1), (1, 2), (1, 3), (2, 3)) * 2 + ((2, 2), (1, 1, 1))
+FIVE_SHAPES = {F2: [(1,), (2,), (3,), (4,), (1, 1), (1, 3), (2, 2), (2, 3)], F3: [(2,), (3,), (1, 2)]}
+
+
+@pytest.fixture(scope="module")
+def cones_at_every_d(catalog):
+    """(Z's reduced basis, d) at every d, for the variety of every catalog
+    pair, a cone of each CONE_SHAPES shape over F_2 and F_3 at c = 4, and
+    unions of subspaces at c = 5."""
+    bases = {pair_variety_ideal(M, N).gb for cat in catalog.values()
+             for M, N in itertools.product(cat.values(), repeat=2)}
+    rng = random.Random("early answers")
+    for field in (F2, F3):
+        bases |= {_union_of_subspaces(rng, field, 4, dims).gb for dims in CONE_SHAPES}
+        bases |= {_union_of_subspaces(rng, field, 5, dims).gb for dims in FIVE_SHAPES[field]}
+    return [(gb, d) for gb in sorted(bases, key=str) for d in range(1, gb.ring.nvars + 1)]
+
+
+def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
+    # z <= 0 and z + d > c are answered with no elimination, and each gives
+    # the basis the charts give; z + d = c still goes through the charts
+    eliminations = []
+    chart = grassmann.eliminate
+    monkeypatch.setattr(grassmann, "eliminate", lambda I, drop: eliminations.append(I) or chart(I, drop))
+    regimes = set()
+    for gb, d in cones_at_every_d:
+        c, z = gb.ring.nvars, poly._basis_dimension(gb)
+        del eliminations[:]
+        V = grassmann._project_incidence.__wrapped__(gb, d)
+        ref = _project_by_adjoining(gb, d)
+        assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(gb), d)
+        regime = "empty" if z <= 0 else "all" if z + d > c else "boundary" if z + d == c else "charts"
+        assert (regime in ("empty", "all")) == (not eliminations), (str(gb), d)
+        if regime == "all":
+            assert V.gb.gens == grassmann._grassmannian(gb.ring.field, c, d).gens
+        regimes.add(regime)
+    assert regimes == {"empty", "all", "boundary", "charts"}
+
+
+def test_planes_meeting_a_plane_of_k4_go_through_the_charts():
+    # z + d = c: not every plane meets span(e1, e2), and the Pluecker
+    # quadric alone would say they do
+    ring = coordinate_ring(F2, 4)
+    a1, a2, a3, a4 = ring.gens()
+    V = grassmann._project_incidence.__wrapped__(_lines(ring, [a3, a4]).gb, 2)
+    assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_34)"
+    assert variety_dim_projective(V) == 3
+
+
+def test_projection_dimension_is_the_incidence_count(cones_at_every_d):
+    # Kleiman's count: for z >= 1 the d-planes meeting Z have dimension
+    # min(d(c - d), z - 1 + (d - 1)(c - d)); for z <= 0 there are none
+    for gb, d in cones_at_every_d:
+        c, z = gb.ring.nvars, poly._basis_dimension(gb)
+        V = project_incidence(VarietyIdeal1(gb.ring, gb, gb), d)
+        want = -1 if z <= 0 else min(d * (c - d), z - 1 + (d - 1) * (c - d))
+        assert variety_dim_projective(V) == want, (str(gb), d)
+
+
+def test_grassmannian_basis_is_built_once_per_field_c_and_d():
+    assert grassmann._grassmannian.cache_info().maxsize == 16
+    G = grassmann._grassmannian(F3, 5, 2)
+    assert grassmann._grassmannian(F3, 5, 2) is G
+    small = pluecker_ring(F3, 5, 2)
+    assert G.gens == buchberger_reduced(ideal(small, pluecker_relations(small, 5, 2))).gens
+    # d = 1, c - 1 and c have no Pluecker relations
+    assert all(grassmann._grassmannian(F2, 4, d).is_zero_ideal() for d in (1, 3, 4))

@@ -1,5 +1,6 @@
 import copy
 import gc
+import itertools
 import pickle
 import random
 import re
@@ -9,6 +10,7 @@ import weakref
 from math import prod
 from operator import add
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from grassvar.poly import (
     _autoreduce,
     _interreduce,
     _lcm,
+    _reduce,
     _sorted_monic,
     buchberger_reduced,
     eliminate,
@@ -549,6 +552,22 @@ def test_autoreduce_of_a_groebner_basis_is_the_reduced_basis():
             assert [Polynomial(r, tuple(g)) for g in reversed(out)] == list(G.gens)
 
 
+def test_final_pass_drops_divisible_leads_before_reducing(monkeypatch):
+    # an element whose lead another lead divides would reduce to 0, so the
+    # pass reduces only the minimal ones and still gives the reduced basis
+    r = ring(F3)
+    x, y, z = r.gens()
+    I = ideal(r, [x * y - z**2, y * z - x**2, x * z - y**2])
+    G = poly._groebner_basis(I)
+    redundant = [_sorted_monic([g * x + g])[0] for g in (Polynomial(r, tuple(t)) for t in G)]
+    want = buchberger_reduced(I)
+    reduced = []
+    monkeypatch.setattr(poly, "_reduce", lambda *args: reduced.append(1) or _reduce(*args))
+    out = poly._reduced_basis(r, G + redundant)
+    assert out.gens == want.gens
+    assert len(reduced) == len(out.gens) < len(G + redundant)
+
+
 def test_interreduce_repeats_the_pass_until_leads_ascend():
     r = ring(F3)
     x, y, z = r.gens()
@@ -685,6 +704,41 @@ def test_eliminate_output_is_contained_in_source():
             assert 2 not in lifted.support()
 
 
+def _eliminate_by_the_whole_basis(I, drop):
+    """The reduced block basis of I, all of it, with the elements free of
+    the dropped variables moved to the grevlex ring of the others."""
+    r = I.ring
+    b = PolyRing(r.field, r.names, MonomialOrder.block(drop))
+    G = buchberger_reduced(Ideal(b, tuple(g.map_to(b, range(r.nvars)) for g in I.gens)))
+    kept = [n for n in r.names if n not in drop]
+    small = PolyRing(r.field, kept)
+    dropped = {r.names.index(n) for n in drop}
+    index_map = [kept.index(n) if n in kept else None for n in r.names]
+    return tuple(g.map_to(small, index_map) for g in G.gens if not g.support() & dropped)
+
+
+def test_eliminate_reduces_only_what_it_keeps():
+    # the same basis and the same S-pair reductions as reducing the whole
+    # block basis and keeping the elements free of the dropped block, on
+    # seeded quadrics and on a projection chart
+    rng = random.Random(32)
+    r = ring(F3, ("x", "y", "z", "w"))
+    quadrics = [e for e in itertools.product(range(3), repeat=4) if sum(e) == 2]
+    cases = [(ideal(r, [r.from_dict({rng.choice(quadrics): rng.randrange(1, 3) for _ in range(3)})
+                        for _ in range(3)]), drop)
+             for drop in ({"x"}, {"x", "z"}, {"w"}) for _ in range(8)]
+    chart = PolyRing(F3, CHART_NAMES)
+    cases.append((ideal(chart, _slow_chart(chart.gens())), set(CHART_NAMES[6:])))
+    for I, drop in cases:
+        with groebner_budget(10**6):
+            E = eliminate(I, drop)
+            ours = poly._pool.get()[1]
+        with groebner_budget(10**6):
+            want = _eliminate_by_the_whole_basis(I, drop)
+            theirs = poly._pool.get()[1]
+        assert E.gens == want and ours == theirs
+
+
 def test_intersection():
     r = ring(F5, ("x", "y"))
     x, y = r.gens()
@@ -742,6 +796,20 @@ def test_ideal_str():
     x, y = r.gens()
     assert str(ideal(r, [])) == "ideal(0)"
     assert str(ideal(r, [x + y])) == "ideal(x + y)"
+
+
+def test_coefficients_and_points_refuse_non_integers():
+    # read as operator.index reads them, as matrix entries are: a float is
+    # refused, not kept or truncated, while ints, bools and numpy integers pass
+    r = ring(F3, ("a", "b"))
+    a, b = r.gens()
+    for op in (lambda: r.const(1.5), lambda: r.const(2.0), lambda: r.from_dict({(1, 0): 1.5}),
+               lambda: (a + b).evaluate([0.5, 1]), lambda: a.evaluate([1, 2.0])):
+        with pytest.raises(ValueError, match="must be an integer"):
+            op()
+    assert r.const(np.int64(4)) == r.one and r.const(10**30) == r.one
+    assert r.from_dict({(1, 0): True, (0, 1): np.int8(-1)}) == a - b
+    assert (a * b + 2).evaluate([np.int64(5), True]) == 1
 
 
 def test_mixed_ring_operations_rejected():
