@@ -287,20 +287,8 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         raise CliInputError(f"{args.module}: {exc}") from None
     p, c, n = data["p"], data["c"], data["dim"]
-    if args.json:
-        print(
-            json.dumps(
-                {"ok": not problems, "p": p, "c": c, "dim": n, "problems": problems},
-                indent=2,
-                sort_keys=True,
-            )
-        )
-    else:
-        if problems:
-            for line in problems:
-                print(f"problem: {line}")
-        else:
-            print(f"ok: p={p} c={c} dim={n}")
+    text = "\n".join(f"problem: {line}" for line in problems) or f"ok: p={p} c={c} dim={n}"
+    _emit(args, {"ok": not problems, "p": p, "c": c, "dim": n, "problems": problems}, text)
     return 1 if problems else 0
 
 

@@ -111,8 +111,8 @@ def pluecker_ring(field: PrimeField, c: int, d: int) -> PolyRing:
 
 
 def gaussian_binomial(c: int, d: int, p: int) -> int:
-    """Number of d-subspaces of F_p^c."""
-    num = 1
+    """Number of d-subspaces of F_p^c: 0 for d < 0 or d > c."""
+    num = int(d >= 0)
     den = 1
     for i in range(d):
         num *= p ** (c - i) - 1
@@ -260,7 +260,7 @@ def pluecker_relations(ring: PolyRing, c: int, d: int) -> list[Polynomial]:
                 rel = rel + term * sign
             if not rel.is_zero():
                 canon = rel.monic()
-                seen.setdefault(canon.terms, canon)
+                seen.setdefault(canon._terms, canon)
     return sorted(seen.values(), key=lambda f: f.terms)
 
 
@@ -345,6 +345,8 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     the ring without xi on the chart's monomials.  The intersection skips a
     chart whose projection contains the running result (I n J = I when I
     lies in J), or takes it in place of the result when it lies inside.
+    A unit chart contains any result and is skipped; a unit first chart is
+    replaced by the first proper one, so unit charts need no case of their own.
 
     Two ranges of z = dim Z, read off Z's reduced basis with no Groebner
     work, decide the answer with no chart at all:
@@ -407,22 +409,16 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]
-
-    factors = []
+    result = None
     for i, wedge in enumerate(charts):
         # Z's generators with a_(i+1) = 1, each a_j moved to x_j
         index_map = [None if j == i else npl + j for j in range(c)]
         chart = ideal(ring, [*pluecker, *(g._relabelled(ring, index_map) for g in gb.gens), *wedge])
         part = eliminate(chart, points)
-        if not part.is_unit_ideal():
-            factors.append(part)
-    # z >= 1, so Z has a point off the origin and some chart is not the
-    # unit ideal
-    result = factors[0]
-    for part in factors[1:]:
-        if _contains(part, result):
-            continue
-        result = part if _contains(result, part) else ideal_intersect(result, part)
+        if result is None:
+            result = part
+        elif not _contains(part, result):
+            result = part if _contains(result, part) else ideal_intersect(result, part)
     return VarietyIdealD(small, c, d, result)
 
 

@@ -435,27 +435,25 @@ def _hom_projective(M: KEModule, N: KEModule, forms: MatrixFp) -> bool:
     H = Hom_k(M, N) is free exactly when p^d * dim PHom(M, N) = dim H
     (Higman's criterion): PHom is the image of the norm element
     prod_i y_i^(p-1) on H, whose rank counts the free summands of H.  So the
-    answer is False at once when p^d does not divide h = dim H, and True
-    when h = 0.  Otherwise PHom is spanned by the maps that factor through
-    the cover F -> N, F free of rank n = dim N, sending e_t to basis vector
-    n_t.  The subalgebra is a Frobenius algebra, so every map M -> F is
-    m -> sum_e lambda(y^(e^ - e) m) y^e for a functional lambda, with e^
-    the top monomial; one spanning map per (n_t, basis functional lambda)
-    has entry (i, j) equal to sum_e (y^e n_t)_i (y^(e^ - e))_{lambda j}.
+    answer is False at once when p^d does not divide h = dim H (h = 0 needs
+    no case: PHom is 0 x 0, of rank 0).  Otherwise PHom is spanned by the
+    maps that factor through the cover F -> N, F free of rank n = dim N,
+    sending e_t to n_t.  The subalgebra is a Frobenius algebra, so every map
+    M -> F is m -> sum_e lambda(y^(e^ - e) m) y^e for a functional lambda,
+    with e^ the top monomial; one spanning map per (n_t, basis functional
+    lambda) has entry (i, j) equal to sum_e (y^e n_t)_i (y^(e^ - e))_{lambda j}.
     Digit-wise subtraction from e^ never borrows, so y^(e^ - e) is monomial
     index q - 1 - e for q = p^d, and the h x h spanning matrix is one
     product of the two modules' restricted monomial covers
     (_restricted_cover).  SyzygyLimitError is raised if it, or either
-    cover, has more than DEFAULT_CELL_CAP cells.  Both early answers and
-    the refusal come before any cover is built or fetched from the memo.
+    cover, has more than DEFAULT_CELL_CAP cells.  The early answer and the
+    refusal come before any cover is built or fetched from the memo.
     """
     m, n = M.n, N.n
     q = M.p**forms.rows
     h = m * n
     if h % q:
         return False
-    if h == 0:
-        return True
     _check_cells(max(h * h, q * m * m, q * n * n), f"PHom matrix of a dimension-{h} Hom space and its covers need")
     cover_m, cover_n = _restricted_cover(M, forms), _restricted_cover(N, forms)
     # left[(i, t), e] = (y^e n_t)_i and right[e, (j, lam)] = (y^(q-1-e))_{lam j}

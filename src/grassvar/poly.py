@@ -26,10 +26,11 @@ formed or extended, and a monomial that reaches the bound raises ValueError.
 The same bound keeps every field of a packed monomial below its guard bit.
 
 `Polynomial.terms` is a read-only view of (exponent tuple, coefficient)
-pairs for printing and tests; nothing in the engine reads it.  A packed
-monomial is one int with a field of 20 bits per variable, at bit 20 * f(i)
-for variable i: 19 value bits and a guard bit above them (Monagan and
-Pearce 2011 pack exponents the same way).
+pairs; no arithmetic reads it, only printing, tests and the sort that lists
+the Pluecker relations in exponent order.  A packed monomial is one int
+with a field of 20 bits per variable, at bit 20 * f(i) for variable i: 19
+value bits and a guard bit above them (Monagan and Pearce 2011 pack
+exponents the same way).
 The fields sit on the key's own base-B digits, so the key is a cheap function
 of the packed int m:
 - lex: f(i) = n - 1 - i.  Digit n - 1 - i of the key is e_i, so key == m.
@@ -99,7 +100,7 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from operator import itemgetter, lshift
+from operator import index, itemgetter, lshift
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import GroebnerBudgetError
@@ -323,7 +324,10 @@ class PolyRing:
         return Polynomial(self, ((0, 0, a),))
 
     def var(self, name_or_index) -> "Polynomial":
-        i = name_or_index if isinstance(name_or_index, int) else self._pos[name_or_index]
+        """The variable of that name (KeyError if none) or index in 0..nvars-1."""
+        i = self._pos[name_or_index] if isinstance(name_or_index, str) else _integer(name_or_index, "variable index")
+        if not 0 <= i < self.nvars:
+            raise ValueError(f"variable index {i} outside 0..{self.nvars - 1}")
         m = 1 << self._shifts[i]
         return Polynomial(self, ((self._mkey(m), m, 1),))
 
@@ -403,9 +407,10 @@ class Polynomial:
             if other.ring is not self.ring:
                 raise ValueError("mixed polynomial rings")
             return other
-        if isinstance(other, int):
-            return self.ring.const(other)
-        raise TypeError(f"unsupported operand for a Polynomial: {type(other).__name__}")
+        try:
+            return self.ring.const(index(other))
+        except TypeError:
+            raise TypeError(f"unsupported operand for a Polynomial: {type(other).__name__}") from None
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
@@ -433,13 +438,11 @@ class Polynomial:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, int):
-            p = self.ring.p
-            c0 = other % p
-            if c0 == 0:
-                return self.ring.zero
-            return Polynomial(self.ring, tuple((k, m, (c * c0) % p) for k, m, c in self._terms))
         other = self._coerce(other)
+        if other._terms and other.is_constant():
+            # a nonzero scalar: scale the coefficients
+            p, c0 = self.ring.p, other._terms[0][2]
+            return Polynomial(self.ring, tuple((k, m, (c * c0) % p) for k, m, c in self._terms))
         # packed monomials multiply by adding; the keys are formed, and the
         # degrees checked, only for the terms that do not cancel
         d: dict[int, int] = {}
@@ -663,8 +666,6 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     if any(g.ring is not ring for g in polys):
         raise ValueError("normal form needs a basis over the polynomial's ring")
     reducers = sorted((_reducer(ring, g.monic()._terms) for g in polys if g._terms), key=itemgetter(0))
-    if not reducers:
-        return f
     return Polynomial(ring, tuple(_reduce(ring, *_pending(f._terms), reducers)))
 
 
@@ -925,8 +926,6 @@ def radical_member(f: Polynomial, I: Ideal) -> bool:
     """Rabinowitsch test: f lies in the radical of I."""
     if f.ring is not I.ring:
         raise ValueError("radical membership needs a common ring")
-    if f.is_zero():
-        return True
     big, t, lift = _extend_with_aux(I.ring, False)
     gens = tuple(map(lift, I.gens)) + (1 - t * lift(f),)
     return buchberger_reduced(Ideal(big, gens)).is_unit_ideal()

@@ -95,11 +95,9 @@ def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
     """
     ring = coordinate_ring(M.field, M.c)
     p = M.p
-    if M.n == 0:
-        raw = ideal(ring, [ring.one])
-        return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
-    if M.n % p != 0:
-        raw = ideal(ring, [])
+    if M.n % p or not M.n:
+        # all of k^c for a dimension prime to p, and none for the zero module
+        raw = ideal(ring, [] if M.n else [ring.one])
         return VarietyIdeal1(ring, raw, raw)
     size = M.n // p
     exps, A = _power_coefficients(M)

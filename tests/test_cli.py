@@ -138,6 +138,23 @@ def test_validate_reports_problems(capsys, tmp_path, module_files):
     assert "problem: X1 and X2 do not commute" in out
 
 
+def test_validate_json_uses_the_shared_printer(capsys, tmp_path, module_files):
+    assert _run(capsys, "validate", "--json", module_files["rx3"]) == (
+        0, json.dumps({"c": 3, "dim": 4, "ok": True, "p": 2, "problems": []}, indent=2) + "\n", "")
+    data = json.loads(open(module_files["rx3"]).read())
+    data["actions"][0][0][0] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    status, out, err = _run(capsys, "validate", "--json", str(bad))
+    assert (status, err) == (1, "")
+    payload = json.loads(out)
+    assert (payload["ok"], payload["p"], payload["c"], payload["dim"]) == (False, 2, 3, 4)
+    assert "X1^2 != 0" in payload["problems"] and "X1 and X2 do not commute" in payload["problems"]
+    # the text form prints one line per problem
+    status, text, _ = _run(capsys, "validate", str(bad))
+    assert text == "".join(f"problem: {line}\n" for line in payload["problems"])
+
+
 def test_rank_ideal_text_and_json(capsys, module_files):
     status, out, _ = _run(capsys, "rank-ideal", module_files["rx3"])
     assert status == 0

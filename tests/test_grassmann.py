@@ -67,6 +67,14 @@ def test_gaussian_binomial_counts():
     assert gaussian_binomial(2, 2, 5) == 1
 
 
+def test_gaussian_binomial_is_zero_outside_0_to_c():
+    # no subspace has negative dimension or one above c; dimension 0 has one
+    for c, p in [(0, 2), (3, 2), (4, 3)]:
+        assert gaussian_binomial(c, -1, p) == gaussian_binomial(c, -3, p) == 0
+        assert gaussian_binomial(c, c + 1, p) == 0
+        assert gaussian_binomial(c, 0, p) == gaussian_binomial(c, c, p) == 1
+
+
 def test_enumerate_subspaces_counts_and_cap(monkeypatch):
     for (c, d, p) in [(3, 1, 2), (3, 2, 2), (4, 2, 2), (3, 1, 3)]:
         field = PrimeField(p)
@@ -704,20 +712,31 @@ def _project_by_adjoining(gb, d):
     return result
 
 
-def _union_of_subspaces(rng, field, c, dims):
-    """Reduced basis of the cone of a union of random rational subspaces of
-    the given dimensions: the product of their ideals of linear equations."""
+def _random_equations(rng, field, c, r):
+    """c - r independent random linear forms over field, as coefficient
+    rows: the equations of a random r-dimensional subspace of k^c."""
+    while True:
+        forms = [[rng.randrange(field.p) for _ in range(c)] for _ in range(c - r)]
+        if MatrixFp(field, forms).rank() == c - r:
+            return forms
+
+
+def _cone_of_components(field, c, components):
+    """Reduced basis of the cone of a union of subspaces, each given by its
+    equations: the product of their ideals."""
     ring = coordinate_ring(field, c)
     gens = ring.gens()
     products = [ring.one]
-    for r in dims:
-        while True:
-            forms = [[rng.randrange(field.p) for _ in range(c)] for _ in range(c - r)]
-            if MatrixFp(field, forms).rank() == c - r:
-                break
+    for forms in components:
         eqs = [sum((gens[i] * a for i, a in enumerate(f) if a), ring.zero) for f in forms]
         products = [f * g for f in products for g in eqs]
     return _lines(ring, products)
+
+
+def _union_of_subspaces(rng, field, c, dims):
+    """Reduced basis of the cone of a union of random rational subspaces of
+    the given dimensions: the product of their ideals of linear equations."""
+    return _cone_of_components(field, c, [_random_equations(rng, field, c, r) for r in dims])
 
 
 THREE_LINES = (
@@ -859,3 +878,97 @@ def test_grassmannian_basis_is_built_once_per_field_c_and_d():
     assert G.gens == buchberger_reduced(ideal(small, pluecker_relations(small, 5, 2))).gens
     # d = 1, c - 1 and c have no Pluecker relations
     assert all(grassmann._grassmannian(F2, 4, d).is_zero_ideal() for d in (1, 3, 4))
+
+
+# --- Schubert ideals in closed form -------------------------------------------
+
+
+def _schubert_ideal(field, forms, c, d):
+    """Reduced basis of the d-planes of k^c meeting V(forms) away from 0, for
+    independent linear forms l_1..l_s given as coefficient rows (Hodge).
+
+    W meets V(forms) away from 0 iff the d x s matrix (l_j(w_i)) has rank
+    below d.  By Cauchy-Binet its minor on the forms T is the linear form
+    q_T = sum_S det(l_T[:, S]) p_S, so the q_T and the Pluecker relations cut
+    the locus out: s < d leaves no q_T and gives G_d.  s = c leaves only the
+    origin, which no plane meets away from 0: the unit ideal, where the q_T
+    would give the irrelevant ideal.  Shares only buchberger_reduced and
+    pluecker_relations with project_incidence.
+    """
+    small = pluecker_ring(field, c, d)
+    if len(forms) == c:
+        return Ideal(small, (small.one,))
+    subsets = list(itertools.combinations(range(c), d))
+    q = [
+        sum((p_S * MatrixFp(field, [[forms[t][j] for j in S] for t in T]).det()
+             for p_S, S in zip(small.gens(), subsets)), small.zero)
+        for T in itertools.combinations(range(len(forms)), d)
+    ]
+    return buchberger_reduced(ideal(small, [*q, *pluecker_relations(small, c, d)]))
+
+
+def _linear_equations(gb):
+    """The coefficient rows of a reduced basis of linear forms, or None when
+    some element is not a linear form."""
+    if any(g.total_degree() != 1 or not g.is_homogeneous() for g in gb.gens):
+        return None
+    rows = []
+    for g in gb.gens:
+        row = [0] * gb.ring.nvars
+        for e, a in g.terms:
+            row[e.index(1)] = a
+        rows.append(row)
+    return rows
+
+
+def test_linear_catalog_varieties_match_the_closed_form(catalog):
+    # every catalog pair whose variety is a subspace, at every d: the
+    # projection's reduced basis is the closed form's
+    cases = 0
+    for (p, c), cat in catalog.items():
+        for M, N in itertools.product(cat.values(), repeat=2):
+            Z = pair_variety_ideal(M, N)
+            forms = _linear_equations(Z.gb)
+            if forms is None:
+                continue
+            for d in range(1, c + 1):
+                V = project_incidence(Z, d)
+                assert V.gb.gens == _schubert_ideal(Z.ring.field, forms, c, d).gens, (str(Z.gb), d)
+                cases += 1
+    assert cases == 104
+
+
+@pytest.mark.parametrize("p, c, d", [(2, 5, 2), (3, 5, 2), (2, 5, 3), (2, 6, 3)])
+def test_seeded_subspaces_match_the_closed_form(p, c, d):
+    # every number of equations, from all of k^c (none) to the origin (c),
+    # across s < d (G_d), d <= s < c (the charts) and s = c (empty)
+    field = PrimeField(p)
+    rng = random.Random(f"schubert {p} {c} {d}")
+    for r in range(c, -1, -1):
+        forms = _random_equations(rng, field, c, r) if r < c else []
+        Z = _cone_of_components(field, c, [forms])
+        assert len(_linear_equations(Z.gb)) == c - r
+        V = project_incidence(Z, d)
+        assert V.gb.gens == _schubert_ideal(field, forms, c, d).gens, (str(Z.gb), d)
+
+
+def test_unions_of_subspaces_are_radical_equal_to_the_closed_forms():
+    # a union of subspaces meets W iff a component does, so the closed
+    # forms' intersection has the projection's radical; equality of the
+    # bases fails only where the product ideal is not radical
+    identical = 0
+    for field in (F2, F3):
+        rng = random.Random(f"schubert unions {field.p}")
+        for dims in CONE_SHAPES:
+            components = [_random_equations(rng, field, 4, r) for r in dims]
+            Z = _cone_of_components(field, 4, components)
+            for d in range(1, 5):
+                V = project_incidence(Z, d)
+                closed = [_schubert_ideal(field, forms, 4, d) for forms in components]
+                union = closed[0]
+                for J in closed[1:]:
+                    union = ideal_intersect(union, J)
+                assert radical_equal(V.gb, union), (str(Z.gb), d)
+                identical += V.gb.gens == union.gens
+    # and the bases are identical in 122 of the 128 cases
+    assert identical == 122

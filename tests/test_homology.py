@@ -370,6 +370,18 @@ def test_ext_zero_module_edges():
     assert betti_numbers(Z, 3) == [0, 0, 0, 0]
 
 
+def test_zero_hom_space_is_projective_through_the_covers(cold_memos):
+    # h = 0 has no case of its own: the zero module's restricted covers are
+    # empty, and the 0 x 0 PHom matrix has rank 0, which is h / p^d
+    Z = zero_module(F2, 3)
+    M = _mod(F2, 3, [(1, 0, 0)])
+    for rows in ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0]], [[0, 1, 1], [0, 0, 1]]):
+        forms = MatrixFp(F2, rows)
+        assert homology._hom_projective(Z, M, forms) and homology._hom_projective(M, Z, forms)
+        assert homology._hom_projective(Z, Z, forms)
+        assert homology._restricted_cover(Z, forms).size == 0
+
+
 def test_ext_resolution_reuse(cold_memos):
     # Ext tables of one source against three targets resolve it once
     M = _mod(F3, 2, [(1, 0)])

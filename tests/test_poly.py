@@ -812,6 +812,45 @@ def test_coefficients_and_points_refuse_non_integers():
     assert (a * b + 2).evaluate([np.int64(5), True]) == 1
 
 
+def test_numpy_integers_are_scalars_on_either_side():
+    # read by operator.index, as PolyRing.const reads them
+    r = ring(F3, ("x", "y"))
+    x, y = r.gens()
+    for a in (np.int64(2), np.int8(-1), np.uint16(5), True):
+        assert x * a == a * x == x * int(a)
+        assert x + a == a + x == x + int(a)
+        assert x - a == x - int(a) and a - x == int(a) - x
+    assert x * np.int64(3) == x * 0 == 0 * x == r.zero
+    assert (x + y) * r.const(2) == 2 * x + 2 * y
+    with pytest.raises(TypeError):
+        x + 1.5
+
+
+def test_variables_by_name_or_index_in_range():
+    r = ring(F3, ("x", "y"))
+    assert r.var(np.int64(1)) == r.var(1) == r.var("y")
+    for i in (-1, 2, 5):
+        with pytest.raises(ValueError, match="outside 0..1"):
+            r.var(i)
+    with pytest.raises(ValueError, match="must be an integer"):
+        r.var(1.0)
+    with pytest.raises(KeyError):
+        r.var("z")
+
+
+def test_empty_reducers_and_the_zero_polynomial_need_no_case():
+    # a normal form by no reducers is f itself, and 0 lies in every radical:
+    # (I, 1 - t*0) holds 1, which interreduction finds before any S-pair
+    r = ring(F3, ("x", "y"))
+    x, y = r.gens()
+    f = x**2 * y + 2 * y + 1
+    assert normal_form(f, []) == f and normal_form(f, ideal(r, [])) == f
+    assert normal_form(r.zero, [x]) == r.zero
+    with groebner_budget(0):
+        assert radical_member(r.zero, ideal(r, [x**2, x * y - 1]))
+        assert radical_member(r.zero, ideal(r, []))
+
+
 def test_mixed_ring_operations_rejected():
     r1 = ring(F2, ("x", "y"))
     r2 = ring(F3, ("x", "y"))

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from grassvar import rankvariety
 from grassvar.errors import GroebnerBudgetError, MinorLimitError
 from grassvar.fp import PrimeField
 from grassvar.modules import (
@@ -154,6 +155,13 @@ def test_variety_of_zero_module_is_empty():
     V = rank_variety_ideal(zero_module(F2, 2))
     assert V.is_empty()
     assert rational_points(V) == []
+
+
+def test_zero_module_ideal_is_its_own_reduced_basis(monkeypatch, cold_memos):
+    # (1) is already reduced, so no Buchberger run is made for it
+    monkeypatch.setattr(rankvariety, "buchberger_reduced", None)
+    V = rank_variety_ideal(zero_module(F3, 3))
+    assert V.gb is V.raw and V.gb.is_unit_ideal() and str(V.gb) == "ideal(1)"
 
 
 def test_dimension_not_divisible_by_p_gives_whole_space():
