@@ -39,7 +39,14 @@ decides the answer.  For z <= 0, Z holds at most the origin, and no d-plane
 meets it away from 0: the unit ideal.  For z + d > c every d-plane meets
 Z, and the charts' intersection is the ideal of the Pluecker relations,
 which is prime (Hodge); project_incidence's docstring gives the proof.
-Both answers take no elimination.
+A third answer reads Z's shape: when its reduced basis is linear, Z is a
+subspace L, and the charts' intersection is the Schubert ideal of the
+d-planes meeting L (Hodge), the Pluecker relations and one linear form per
+d-subset of L's equations, reduced by one Buchberger run in the Pluecker
+ring.  project_incidence's docstring proves that the charts give this
+prime, by standard monomial theory on the flag variety F(1, d)
+(Lakshmibai, Musili and Seshadri, "Geometry of G/P IV").  The three
+answers take no elimination.
 
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
@@ -78,11 +85,11 @@ from .poly import (
     Polynomial,
     PolyRing,
     _basis_dimension,
+    _normal_forms,
     buchberger_reduced,
     eliminate,
     ideal,
     ideal_intersect,
-    normal_form,
 )
 from .rankvariety import (
     VarietyIdeal1,
@@ -348,8 +355,8 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     A unit chart contains any result and is skipped; a unit first chart is
     replaced by the first proper one, so unit charts need no case of their own.
 
-    Two ranges of z = dim Z, read off Z's reduced basis with no Groebner
-    work, decide the answer with no chart at all:
+    Three early answers take no chart at all.  Two ranges of z = dim Z, read
+    off Z's reduced basis with no Groebner work, decide the answer:
     - z <= 0: the unit ideal.  Z contains (a)^N, so every chart contains 1.
     - z + d >= c + 1: the reduced basis of the Pluecker relations, whose
       ideal Pl is that of G_d itself (the zero ideal for d = 1, c - 1, c).
@@ -361,8 +368,45 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
       Pl.  Pl lies in every chart's generators, so Pl lies in every P_j,
       and Pl is prime (Hodge; standard monomial theory proves it over any
       field).  Hence P_i = Pl, and the intersection over all charts is Pl.
-    Otherwise the charts are eliminated.  Reduced bases are unique, so the
-    early answers are the bases the charts would give.
+    And so does one shape of Z:
+    - every element of Z's reduced basis has degree 1: Z is a subspace
+      L = V(l_1, .., l_s), with d <= s < c once the two ranges are passed.
+      The answer is Hodge's Schubert ideal H = Pl + (q_T), one linear form
+      q_T = sum over S of det(l_T[:, S]) p_S per d-subset T of the forms
+      (_schubert).  W meets L away from 0 iff the d x s matrix (l_j(w_i))
+      has rank below d, and q_T is its minor on T by Cauchy-Binet, so H
+      cuts out the right locus; H is prime (Hodge 1943, "Some enumerative
+      results in the theory of forms"; over any field by standard monomial
+      theory, Lakshmibai, Musili and Seshadri 1979, "Geometry of G/P IV").
+      The charts give this prime, not only its radical:
+      1. Let I be the incidence ideal and m = (x1, .., xc).  I : m^oo is
+         the intersection of the I : xi^oo, so the intersection of the
+         charts' projections is J = (I : m^oo) n k[p].
+      2. g in GL_c(k) acts on k[p, x], on x by g and on p by its d-th
+         exterior power.  It maps the ideals of Pl, of the wedge relations
+         and m to themselves, that of L to that of gL, and by Cauchy-Binet
+         the span of the q_T of L to that of gL.  So I, J and H move
+         together, and it is enough to take L = V(a1, .., as), whose q_T
+         is p_T for T a d-subset of [s].
+      3. Q = Pl + wedge + (x1, .., xs) + (p_T : T in [s]) is the ideal of
+         an (opposite) Schubert variety of the flag variety F(1, d; c), the
+         pairs (u, W) with u in W and u in L.  The flag relations of
+         F(1, d) are exactly Pl + wedge (Fulton, Young Tableaux, §9), and
+         the rest of Q are the Pluecker coordinates that vanish on it, so
+         Q is prime by standard monomial theory.
+      4. For j not in T the wedge relation on T + {j} is +-xj p_T modulo
+         (x1, .., xs), and for j in T, xj lies in I.  So m p_T lies in I,
+         and Q lies in I : m.  I lies in Q and m does not (xc is not in Q,
+         as s < c), so I : m^oo lies in Q : m^oo = Q.  Hence I : m^oo = Q.
+      5. So J = Q n k[p] is prime.  Its zero set is the closure of the
+         image of that of Q, which is dense off x = 0 as m does not lie in
+         Q: the cone over the closed set {W : W n L != 0}, which is the
+         zero set of H.  Two primes with one zero set over the algebraic
+         closure are equal, so J = H.
+    Otherwise the charts are eliminated, so a Z that is not a subspace
+    takes the same bases and S-pairs as without this answer.  Reduced
+    bases are unique, so the early answers are the bases the charts would
+    give.
 
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
@@ -384,8 +428,10 @@ def _set_to_one(f: Polynomial, i: int) -> Polynomial:
 
 
 def _contains(I: Ideal, J: Ideal) -> bool:
-    """Whether J lies in I, for I a Groebner basis."""
-    return all(normal_form(g, I).is_zero() for g in J.gens)
+    """Whether J lies in I, for I a Groebner basis: J's generators are
+    reduced against one set of I's reducers, up to the first that leaves a
+    remainder."""
+    return all(r.is_zero() for r in _normal_forms(I.ring, I.gens, J.gens))
 
 
 @lru_cache(maxsize=16)
@@ -394,6 +440,27 @@ def _grassmannian(field: PrimeField, c: int, d: int) -> Ideal:
     per (field, c, d), the last 16 kept, as for _subspaces."""
     small = pluecker_ring(field, c, d)
     return buchberger_reduced(ideal(small, pluecker_relations(small, c, d)))
+
+
+def _schubert(gb: Ideal, small: PolyRing, d: int) -> Ideal:
+    """The reduced basis, in the Pluecker ring `small`, of the d-planes
+    meeting L = V(l_1, .., l_s), for gb a reduced basis of s linear forms.
+
+    For each d-subset T of the forms, q_T = sum over S of det(l_T[:, S]) p_S,
+    the minor on T of (l_j(w_i)) by Cauchy-Binet; its coefficients are the
+    maximal minors of the forms' coefficient rows, taken by fp._minors on
+    constant entries as Subspace takes a Pluecker point.  The q_T and the
+    Pluecker relations are reduced by one Buchberger run."""
+    c = gb.ring.nvars
+    rows = [[{} for _ in range(c)] for _ in gb.gens]
+    for row, g in zip(rows, gb.gens):
+        for e, a in g.terms:
+            row[e.index(1)] = {0: a}
+    minor = _minors(rows, small.p)
+    columns = list(zip(small._shifts, _subsets(c, d)))
+    q = [small._from_packed({1 << s: minor(T, S).get(0, 0) for s, S in columns})
+         for T in combinations(range(len(rows)), d)]
+    return buchberger_reduced(ideal(small, [*q, *_grassmannian(small.field, c, d).gens]))
 
 
 @lru_cache(maxsize=256)
@@ -406,6 +473,8 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
     if z + d > c:
         return VarietyIdealD(small, c, d, _grassmannian(field, c, d))
+    if all(g.total_degree() == 1 for g in gb.gens):
+        return VarietyIdealD(small, c, d, _schubert(gb, small, d))
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]
@@ -435,8 +504,9 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
         raise ValueError(
             f"point of G_{pt.d}(k^{pt.c}), variety in G_{V.d}(k^{V.c})"
         )
-    values = list(pt.coords)
-    return all(g.evaluate(values) == 0 for g in V.gb.gens)
+    # the coordinates were checked and reduced when the point was built
+    point = V.ring._point(pt.coords)
+    return all(g._value(point) == 0 for g in V.gb.gens)
 
 
 def variety_dim_projective(V: VarietyIdealD) -> int:

@@ -273,6 +273,20 @@ class PolyRing:
         kept = s >> self._kept & _FIELD_MASK
         return ((deg - kept) << self._top) + (kept << self._kept) - m
 
+    def _point(self, values: Sequence[int]) -> tuple[int, list]:
+        """A point of F_p^nvars, given by its coordinates in 0..p-1, as
+        Polynomial._value reads it.  A term with a variable that is 0 at the
+        point vanishes, and a variable that is 1 leaves it unchanged, so the
+        point is the mask of the fields of its zero coordinates and the
+        (shift, value) of the others that are not 1."""
+        zeros, fields = 0, []
+        for s, v in zip(self._shifts, values):
+            if v == 0:
+                zeros |= _FIELD_MASK << s
+            elif v != 1:
+                fields.append((s, v))
+        return zeros, fields
+
     # construction
     def from_dict(self, d: dict[Mono, int]) -> "Polynomial":
         """The polynomial sum(c * x^e); ValueError on an exponent vector of
@@ -476,15 +490,12 @@ class Polynomial:
         if len(values) != self.ring.nvars:
             raise ValueError("wrong number of coordinates")
         p = self.ring.p
-        # a term with a variable that is 0 at the point vanishes, and a
-        # variable that is 1 leaves it unchanged: only the others are read
-        zeros, fields = 0, []
-        for s, v in zip(self.ring._shifts, values):
-            v = _integer(v, "coordinate") % p
-            if v == 0:
-                zeros |= _FIELD_MASK << s
-            elif v != 1:
-                fields.append((s, v))
+        return self._value(self.ring._point([_integer(v, "coordinate") % p for v in values]))
+
+    def _value(self, point: tuple[int, list]) -> int:
+        """Value at a point made by PolyRing._point."""
+        zeros, fields = point
+        p = self.ring.p
         total = 0
         for _, m, c in self._terms:
             if m & zeros:
@@ -662,11 +673,22 @@ def normal_form(f: Polynomial, basis: Ideal | Sequence[Polynomial]) -> Polynomia
     """Remainder of f under full reduction by the given (Groebner) basis;
     ValueError when a basis element lies in another ring than f."""
     polys = basis.gens if isinstance(basis, Ideal) else tuple(basis)
-    ring = f.ring
-    if any(g.ring is not ring for g in polys):
+    return next(_normal_forms(f.ring, polys, (f,)))
+
+
+def _normal_forms(
+    ring: PolyRing, basis: Sequence[Polynomial], fs: Iterable[Polynomial]
+) -> Iterator[Polynomial]:
+    """normal_form of each of fs by the basis, one at a time, against one
+    set of reducers, built when the first is asked for; ValueError when a
+    basis element or one of fs lies in another ring than `ring`."""
+    if any(g.ring is not ring for g in basis):
         raise ValueError("normal form needs a basis over the polynomial's ring")
-    reducers = sorted((_reducer(ring, g.monic()._terms) for g in polys if g._terms), key=itemgetter(0))
-    return Polynomial(ring, tuple(_reduce(ring, *_pending(f._terms), reducers)))
+    reducers = sorted((_reducer(ring, g.monic()._terms) for g in basis if g._terms), key=itemgetter(0))
+    for f in fs:
+        if f.ring is not ring:
+            raise ValueError("normal form needs a basis over the polynomial's ring")
+        yield Polynomial(ring, tuple(_reduce(ring, *_pending(f._terms), reducers)))
 
 
 # --- Buchberger ----------------------------------------------------------------

@@ -829,12 +829,18 @@ def cones_at_every_d(catalog):
     return [(gb, d) for gb in sorted(bases, key=str) for d in range(1, gb.ring.nvars + 1)]
 
 
-def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
-    # z <= 0 and z + d > c are answered with no elimination, and each gives
-    # the basis the charts give; z + d = c still goes through the charts
+def _counting_eliminations(monkeypatch):
     eliminations = []
     chart = grassmann.eliminate
     monkeypatch.setattr(grassmann, "eliminate", lambda I, drop: eliminations.append(I) or chart(I, drop))
+    return eliminations
+
+
+def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
+    # z <= 0, z + d > c and a linear Z are answered with no elimination,
+    # and each gives the basis the charts give; every other Z goes through
+    # the charts, z + d = c among them
+    eliminations = _counting_eliminations(monkeypatch)
     regimes = set()
     for gb, d in cones_at_every_d:
         c, z = gb.ring.nvars, poly._basis_dimension(gb)
@@ -842,21 +848,33 @@ def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, co
         V = grassmann._project_incidence.__wrapped__(gb, d)
         ref = _project_by_adjoining(gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(gb), d)
-        regime = "empty" if z <= 0 else "all" if z + d > c else "boundary" if z + d == c else "charts"
-        assert (regime in ("empty", "all")) == (not eliminations), (str(gb), d)
+        regime = ("empty" if z <= 0 else "all" if z + d > c else "linear" if _linear_equations(gb) is not None
+                  else "boundary" if z + d == c else "charts")
+        assert (regime in ("empty", "all", "linear")) == (not eliminations), (str(gb), d)
         if regime == "all":
             assert V.gb.gens == grassmann._grassmannian(gb.ring.field, c, d).gens
         regimes.add(regime)
-    assert regimes == {"empty", "all", "boundary", "charts"}
+    assert regimes == {"empty", "all", "linear", "boundary", "charts"}
 
 
-def test_planes_meeting_a_plane_of_k4_go_through_the_charts():
+def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
     # z + d = c: not every plane meets span(e1, e2), and the Pluecker
-    # quadric alone would say they do
+    # quadric alone would say they do; a plane is linear, so its Schubert
+    # ideal answers with no chart
     ring = coordinate_ring(F2, 4)
     a1, a2, a3, a4 = ring.gens()
+    eliminations = _counting_eliminations(monkeypatch)
     V = grassmann._project_incidence.__wrapped__(_lines(ring, [a3, a4]).gb, 2)
     assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_34)"
+    assert variety_dim_projective(V) == 3
+    assert eliminations == []
+    # the union of span(e1, e2) and span(e3, e4) is not linear, and goes
+    # through the charts: the planes meeting either
+    Z = _lines(ring, [a1 * a3, a1 * a4, a2 * a3, a2 * a4])
+    V = grassmann._project_incidence.__wrapped__(Z.gb, 2)
+    assert len(eliminations) == 4
+    assert V.gb.gens == _project_by_adjoining(Z.gb, 2).gens
+    assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_12*p_34)"
     assert variety_dim_projective(V) == 3
 
 
@@ -952,6 +970,22 @@ def test_seeded_subspaces_match_the_closed_form(p, c, d):
         assert V.gb.gens == _schubert_ideal(field, forms, c, d).gens, (str(Z.gb), d)
 
 
+@pytest.mark.parametrize("p, c, d", [(2, 5, 2), (3, 5, 2), (2, 5, 3), (2, 6, 3)])
+def test_seeded_subspaces_take_the_schubert_ideal_with_no_chart(monkeypatch, p, c, d):
+    # every number of equations that dim Z leaves to the charts, d <= s < c:
+    # the Schubert ideal runs no elimination and gives the charts' basis
+    field = PrimeField(p)
+    rng = random.Random(f"schubert fast path {p} {c} {d}")
+    eliminations = _counting_eliminations(monkeypatch)
+    for s in range(d, c):
+        Z = _cone_of_components(field, c, [_random_equations(rng, field, c, c - s)])
+        assert len(_linear_equations(Z.gb)) == s
+        V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+        assert eliminations == []
+        ref = _project_by_adjoining(Z.gb, d)
+        assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(Z.gb), d)
+
+
 def test_unions_of_subspaces_are_radical_equal_to_the_closed_forms():
     # a union of subspaces meets W iff a component does, so the closed
     # forms' intersection has the projection's radical; equality of the
@@ -972,3 +1006,35 @@ def test_unions_of_subspaces_are_radical_equal_to_the_closed_forms():
                 identical += V.gb.gens == union.gens
     # and the bases are identical in 122 of the 128 cases
     assert identical == 122
+
+
+@st.composite
+def unions_in_k3(draw):
+    """(field, components) over F_2 or F_3: one to three rational subspaces
+    of k^3, each given by 0 to 3 independent linear equations."""
+    p = draw(st.sampled_from([2, 3]))
+    field = PrimeField(p)
+    components = []
+    for _ in range(draw(st.integers(1, 3))):
+        # a nonzero form is a nonzero integer below p^3, read in base p
+        codes = draw(st.lists(st.integers(1, p**3 - 1), max_size=3))
+        forms = [[code // p**i % p for i in range(3)] for code in codes]
+        assume(not forms or MatrixFp(field, forms).rank() == len(forms))
+        components.append(forms)
+    return field, components
+
+
+@PROPERTY
+@given(unions_in_k3())
+def test_drawn_unions_in_k3_are_radical_equal_to_the_closed_forms(drawn):
+    # at every d, with the origin (3 equations) and all of k^3 (none) among
+    # the components
+    field, components = drawn
+    Z = _cone_of_components(field, 3, components)
+    for d in (1, 2, 3):
+        V = project_incidence(Z, d)
+        closed = [_schubert_ideal(field, forms, 3, d) for forms in components]
+        union = closed[0]
+        for J in closed[1:]:
+            union = ideal_intersect(union, J)
+        assert radical_equal(V.gb, union), (str(Z.gb), d)
