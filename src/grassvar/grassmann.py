@@ -45,8 +45,15 @@ d-planes meeting L (Hodge), the Pluecker relations and one linear form per
 d-subset of L's equations, reduced by one Buchberger run in the Pluecker
 ring.  project_incidence's docstring proves that the charts give this
 prime, by standard monomial theory on the flag variety F(1, d)
-(Lakshmibai, Musili and Seshadri, "Geometry of G/P IV").  The three
-answers take no elimination.
+(Lakshmibai, Musili and Seshadri, "Geometry of G/P IV").  A fourth
+answer is the case d = 1, where a line meets Z away from 0 exactly when
+it lies in Z: the charts' intersection is the saturation of Z's ideal by
+the irrelevant ideal m, renamed into the Pluecker ring, which takes
+Groebner work in the c point variables alone (Bayer and Stillman, "A
+criterion for detecting m-regularity"; Cox, Little and O'Shea, Ideals,
+Varieties, and Algorithms, ch. 8, section 4).  The four answers take no
+elimination.  The saturation is an intersection of one part per
+coordinate, folded by the charts' own contain-or-intersect step.
 
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
@@ -349,13 +356,11 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     has an inhomogeneous element raises ValueError.  Each chart substitutes
     xi = 1 in the incidence generators, the same ideal as adjoining xi - 1,
     and is eliminated in the incidence ring, whose block order is that of
-    the ring without xi on the chart's monomials.  The intersection skips a
-    chart whose projection contains the running result (I n J = I when I
-    lies in J), or takes it in place of the result when it lies inside.
-    A unit chart contains any result and is skipped; a unit first chart is
-    replaced by the first proper one, so unit charts need no case of their own.
+    the ring without xi on the chart's monomials.  The projections are
+    folded by _fold, which intersects two only when neither contains the
+    other, so unit charts need no case of their own.
 
-    Three early answers take no chart at all.  Two ranges of z = dim Z, read
+    Four early answers take no chart at all.  Two ranges of z = dim Z, read
     off Z's reduced basis with no Groebner work, decide the answer:
     - z <= 0: the unit ideal.  Z contains (a)^N, so every chart contains 1.
     - z + d >= c + 1: the reduced basis of the Pluecker relations, whose
@@ -403,10 +408,47 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
          Q: the cone over the closed set {W : W n L != 0}, which is the
          zero set of H.  Two primes with one zero set over the algebraic
          closure are equal, so J = H.
-    Otherwise the charts are eliminated, so a Z that is not a subspace
-    takes the same bases and S-pairs as without this answer.  Reduced
-    bases are unique, so the early answers are the bases the charts would
-    give.
+    And so does d = 1, for every other Z:
+    - the answer is the reduced basis of I : m^oo, where I is Z's ideal
+      with each aj renamed p_j and m = (p_1, .., p_c) (_saturation).
+      1. At d = 1 the wedge relations are xj p_k - xk p_j.  In the chart
+         xi = 1 they hold p_k - xk p_i, from which the rest follow, so the
+         chart's ring is B[p_i], B = k[x]/(I(x) + (xi - 1)), with p_k
+         sent to xk p_i.  Graded by the degree in p_i, the map from k[p]
+         is graded, so its kernel, the chart's projection, is spanned by
+         forms, and a form f of degree e goes to p_i^e f(x) with xi = 1.
+         p_i is a nonzerodivisor on B[p_i], so f lies in the kernel iff
+         f with p_i = 1 lies in I with ai = 1, that is iff p_i^N f lies
+         in I(p) for some N, as f and I are homogeneous.  So chart i's
+         projection is I(p) : p_i^oo.
+      2. m^(c(N-1)+1) lies in (p_1^N, .., p_c^N), so f m^M lies in I for
+         some M iff every p_i^N f does for some N: the charts' intersection
+         is I : m^oo.
+      3. Let G be I's reduced basis under grevlex, the Pluecker ring's
+         order, and let p_j divide no lead of G.  Then I : p_j = I: were
+         p_j f in I for an f in normal form with respect to G, f != 0,
+         then p_j in(f) would lie in in(I), and so would in(f), as no
+         generator of in(I) holds p_j.  So I : p_j^oo = I, and I lies in
+         I : m^oo, which lies in I : p_j^oo = I: G is the answer with no
+         Groebner work.  For p_c, grevlex's last variable, the test is
+         exact: in(I : p_c^oo) = in(I) : p_c^oo for homogeneous I (Bayer
+         and Stillman 1987, "A criterion for detecting m-regularity"), so
+         I : p_c^oo = I only when p_c divides no lead.
+      4. Otherwise each I : p_i^oo is computed.  Let J be I with p_i = 1,
+         an ideal of the ring without p_i, and H its reduced basis under
+         grevlex there, which is graded.  The homogenisations of H by p_i
+         generate the homogenisation J^h of J (Cox, Little and O'Shea,
+         Ideals, Varieties, and Algorithms, ch. 8, section 4), and
+         J^h = I : p_i^oo: g in J is a combination of I's generators with
+         p_i = 1, so some p_i^k g^h lies in I; and a form f with p_i^N f in
+         I has f with p_i = 1 in J, and f = p_i^k (f with p_i = 1)^h.  The
+         homogenisations are reduced once more under grevlex.
+      The parts are folded as the charts are, and a Z whose ring has
+      another order is first taken to grevlex by one Buchberger run.
+    Otherwise, at d >= 2, the charts are eliminated, so a Z that is not a
+    subspace takes the same bases and S-pairs as without these answers.
+    Reduced bases are unique, so the early answers are the bases the
+    charts would give.
 
     The answer depends only on the reduced basis of Z and on d, so results
     are memoised on (Z.gb, d) in a 256-entry least-recently-used cache.  A
@@ -432,6 +474,49 @@ def _contains(I: Ideal, J: Ideal) -> bool:
     reduced against one set of I's reducers, up to the first that leaves a
     remainder."""
     return all(r.is_zero() for r in _normal_forms(I.ring, I.gens, J.gens))
+
+
+def _fold(result: Ideal | None, part: Ideal) -> Ideal:
+    """result n part, for reduced bases in one grevlex ring, with None for
+    no part yet.  Two are intersected only when neither contains the other
+    (I n J = I when I lies in J), so a unit part is skipped and a unit
+    first part gives way to the first proper one; reduced bases are
+    unique, so the basis is ideal_intersect's."""
+    if result is None:
+        return part
+    if _contains(part, result):
+        return result
+    return part if _contains(result, part) else ideal_intersect(result, part)
+
+
+def _homogenised(f: Polynomial, i: int) -> Polynomial:
+    """f, free of its ring's variable i, made homogeneous by that variable:
+    each term is multiplied by x_i to the power its degree falls short of
+    f's."""
+    ring = f.ring
+    deg, shift, top = ring._degree, ring._shifts[i], f.total_degree()
+    return ring._from_packed({m + ((top - deg(m)) << shift): a for _, m, a in f._terms})
+
+
+def _saturation(gb: Ideal, small: PolyRing) -> Ideal:
+    """The reduced basis of I : m^oo in the d = 1 Pluecker ring `small`, for
+    gb a reduced basis of a homogeneous ideal of k[a1..ac], I that ideal
+    with each aj renamed p_j, and m = (p_1, .., p_c); project_incidence
+    proves each step.  I : m^oo is I when some variable divides no grevlex
+    lead, and otherwise the intersection over i of I : p_i^oo, the
+    homogenisation by p_i of the reduced basis of I with p_i = 1."""
+    c = small.nvars
+    I = ideal(small, [g._relabelled(small, range(c)) for g in gb.gens])
+    if gb.ring.order.kind != "grevlex":
+        I = buchberger_reduced(I)
+    if not all(map(any, zip(*(g.lm() for g in I.gens)))):
+        return I
+    result = None
+    for i in range(c):
+        affine = buchberger_reduced(ideal(small, [_set_to_one(g, i) for g in I.gens]))
+        part = buchberger_reduced(ideal(small, [_homogenised(g, i) for g in affine.gens]))
+        result = _fold(result, part)
+    return result
 
 
 @lru_cache(maxsize=16)
@@ -475,6 +560,8 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         return VarietyIdealD(small, c, d, _grassmannian(field, c, d))
     if all(g.total_degree() == 1 for g in gb.gens):
         return VarietyIdealD(small, c, d, _schubert(gb, small, d))
+    if d == 1:
+        return VarietyIdealD(small, c, d, _saturation(gb, small))
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]
@@ -483,11 +570,7 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         # Z's generators with a_(i+1) = 1, each a_j moved to x_j
         index_map = [None if j == i else npl + j for j in range(c)]
         chart = ideal(ring, [*pluecker, *(g._relabelled(ring, index_map) for g in gb.gens), *wedge])
-        part = eliminate(chart, points)
-        if result is None:
-            result = part
-        elif not _contains(part, result):
-            result = part if _contains(result, part) else ideal_intersect(result, part)
+        result = _fold(result, eliminate(chart, points))
     return VarietyIdealD(small, c, d, result)
 
 

@@ -837,9 +837,10 @@ def _counting_eliminations(monkeypatch):
 
 
 def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
-    # z <= 0, z + d > c and a linear Z are answered with no elimination,
-    # and each gives the basis the charts give; every other Z goes through
-    # the charts, z + d = c among them
+    # z <= 0, z + d > c, a linear Z and, at d = 1, any other Z (by the
+    # saturation Z : m^oo) are answered with no elimination, and each gives
+    # the basis the charts give; every other Z goes through the charts,
+    # z + d = c among them
     eliminations = _counting_eliminations(monkeypatch)
     regimes = set()
     for gb, d in cones_at_every_d:
@@ -849,12 +850,12 @@ def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, co
         ref = _project_by_adjoining(gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(gb), d)
         regime = ("empty" if z <= 0 else "all" if z + d > c else "linear" if _linear_equations(gb) is not None
-                  else "boundary" if z + d == c else "charts")
-        assert (regime in ("empty", "all", "linear")) == (not eliminations), (str(gb), d)
+                  else "saturation" if d == 1 else "boundary" if z + d == c else "charts")
+        assert (regime in ("empty", "all", "linear", "saturation")) == (not eliminations), (str(gb), d)
         if regime == "all":
             assert V.gb.gens == grassmann._grassmannian(gb.ring.field, c, d).gens
         regimes.add(regime)
-    assert regimes == {"empty", "all", "linear", "boundary", "charts"}
+    assert regimes == {"empty", "all", "linear", "saturation", "boundary", "charts"}
 
 
 def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
@@ -876,6 +877,90 @@ def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
     assert V.gb.gens == _project_by_adjoining(Z.gb, 2).gens
     assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_12*p_34)"
     assert variety_dim_projective(V) == 3
+
+
+# --- lines: the saturation Z : m^oo -------------------------------------------
+
+
+def test_a_cone_that_is_not_saturated_gives_its_saturation(monkeypatch):
+    # Z = (a2, a3)(a1, a3), the lines through e1 and e2, holds a3^2: so
+    # Z : a3^oo is the unit ideal, and Z itself is not the answer either
+    eliminations = _counting_eliminations(monkeypatch)
+    for field in (F2, F3):
+        ring = coordinate_ring(field, 3)
+        a1, a2, a3 = ring.gens()
+        Z = _lines(ring, [a2 * a1, a2 * a3, a3 * a1, a3 * a3])
+        assert str(Z.gb) == "ideal(a1*a2, a1*a3, a2*a3, a3^2)"
+        V = grassmann._project_incidence.__wrapped__(Z.gb, 1)
+        assert str(V.gb) == "ideal(p_1*p_2, p_3)"
+        assert eliminations == []
+        assert V.gb.gens == _project_by_adjoining(Z.gb, 1).gens
+
+
+def test_unions_of_lines_in_k4_take_the_saturation_with_no_chart(monkeypatch):
+    # the product of the ideals of two or three lines is in general not
+    # saturated
+    eliminations = _counting_eliminations(monkeypatch)
+    for field in (F2, F3):
+        rng = random.Random(f"saturation {field.p}")
+        for dims in [(1, 1), (1, 1, 1)] * 3:
+            Z = _union_of_subspaces(rng, field, 4, dims)
+            del eliminations[:]
+            V = grassmann._project_incidence.__wrapped__(Z.gb, 1)
+            assert eliminations == []
+            ref = _project_by_adjoining(Z.gb, 1)
+            assert V.gb.gens == ref.gens and str(V.gb) == str(ref), str(Z.gb)
+
+
+@st.composite
+def products_of_forms(draw):
+    """A reduced basis in k[a1..ac] for c = 3 or 4 over F_2 or F_3 of one to
+    three generators, each a product of one to three nonzero drawn linear
+    forms."""
+    p = draw(st.sampled_from([2, 3]))
+    c = draw(st.sampled_from([3, 4]))
+    ring = coordinate_ring(PrimeField(p), c)
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        g = ring.one
+        # a nonzero form is a nonzero integer below p^c, read in base p
+        for code in draw(st.lists(st.integers(1, p**c - 1), min_size=1, max_size=3)):
+            g = g * sum((v * (code // p**i % p) for i, v in enumerate(ring.gens())), ring.zero)
+        gens.append(g)
+    return _lines(ring, gens).gb
+
+
+@PROPERTY
+@given(products_of_forms())
+def test_drawn_products_of_forms_match_the_adjoining_route_at_d1(gb):
+    V = grassmann._project_incidence.__wrapped__(gb, 1)
+    ref = _project_by_adjoining(gb, 1)
+    assert V.gb.gens == ref.gens and str(V.gb) == str(ref), str(gb)
+
+
+def test_a_lex_cone_gives_the_grevlex_cones_basis():
+    # the d = 1 answer is I : m^oo in the grevlex Pluecker ring, so a lex
+    # basis of Z is taken to grevlex first; at d >= 2 the charts read only
+    # Z's generators
+    cases = []
+    for field in (F2, F3):
+        ring = coordinate_ring(field, 3)
+        a1, a2, a3 = ring.gens()
+        cases.append(_lines(ring, [a1 * a2, a1 * a3, a2 * a3, a3 * a3]))
+        rng = random.Random(f"lex cones {field.p}")
+        cases += [_union_of_subspaces(rng, field, 4, dims) for dims in [(1,), (1, 1), (1, 2), (2, 2), (1, 1, 1)]]
+    other_bases = 0
+    for Z in cases:
+        lex = PolyRing(Z.ring.field, Z.ring.names, MonomialOrder.lex())
+        raw = ideal(lex, [g.map_to(lex, range(Z.c)) for g in Z.gb.gens])
+        Z_lex = VarietyIdeal1(lex, raw, buchberger_reduced(raw))
+        other_bases += str(Z_lex.gb) != str(Z.gb)
+        for d in range(1, Z.c + 1):
+            want = grassmann._project_incidence.__wrapped__(Z.gb, d).gb
+            got = grassmann._project_incidence.__wrapped__(Z_lex.gb, d).gb
+            assert got.gens == want.gens and str(got) == str(want), (str(Z_lex.gb), d)
+    # most of these cones have another reduced basis under lex
+    assert other_bases == 8
 
 
 def test_projection_dimension_is_the_incidence_count(cones_at_every_d):
