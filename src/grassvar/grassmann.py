@@ -51,9 +51,17 @@ it lies in Z: the charts' intersection is the saturation of Z's ideal by
 the irrelevant ideal m, renamed into the Pluecker ring, which takes
 Groebner work in the c point variables alone (Bayer and Stillman, "A
 criterion for detecting m-regularity"; Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, ch. 8, section 4).  The four answers take no
-elimination.  The saturation is an intersection of one part per
-coordinate, folded by the charts' own contain-or-intersect step.
+Varieties, and Algorithms, ch. 8, section 4).  A fifth answer, at d >= 2,
+is a reduced union of rational subspaces L_j: when Z : m^oo, the d = 1
+answer, is the intersection of the ideals of at least two maximal spans of
+its rational points, the charts' intersection is that of the L_j's
+Schubert ideals (Hodge; Hartshorne II, Ex. 3.11), as project_incidence's
+docstring proves.  A cone with a component of multiplicity two, or given by
+the product of the ideals of components that meet, has a saturation that
+is not radical, and takes the charts, as does a cone that is not a union
+of rational subspaces.  The five answers take no elimination.  The
+saturation and the union are intersections of one part per coordinate or
+per component, folded by the charts' own contain-or-intersect step.
 
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
@@ -76,17 +84,18 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
 from .errors import SubspaceLimitError
-from .fp import MatrixFp, PrimeField, _as_array, _integer, _minors, _rref
+from .fp import MatrixFp, PrimeField, _as_array, _integer, _kernel_free, _minors, _rref
 from .homology import _hom_projective
 from .modules import KEModule
 from .poly import (
+    _FIELD_MASK,
     Ideal,
     MonomialOrder,
     Polynomial,
@@ -360,7 +369,7 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     folded by _fold, which intersects two only when neither contains the
     other, so unit charts need no case of their own.
 
-    Four early answers take no chart at all.  Two ranges of z = dim Z, read
+    Five early answers take no chart at all.  Two ranges of z = dim Z, read
     off Z's reduced basis with no Groebner work, decide the answer:
     - z <= 0: the unit ideal.  Z contains (a)^N, so every chart contains 1.
     - z + d >= c + 1: the reduced basis of the Pluecker relations, whose
@@ -445,8 +454,50 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
          homogenisations are reduced once more under grevlex.
       The parts are folded as the charts are, and a Z whose ring has
       another order is first taken to grevlex by one Buchberger run.
-    Otherwise, at d >= 2, the charts are eliminated, so a Z that is not a
-    subspace takes the same bases and S-pairs as without these answers.
+    And so, at d >= 2, does a reduced union of rational subspaces:
+    - let S = I(Z) : m^oo in k[p_1..p_c], the d = 1 answer, memoised, and
+      L_1, .., L_r the maximal spans of rational points on V(S)
+      (_rational_spans, a proposal).  If r >= 2, the largest L_j has
+      dimension dim S, and S's reduced basis is the _fold of those of the
+      I(L_j), the answer is the _fold of the Schubert ideals H(L_j)
+      (_reduced_union); else the charts answer.  So a Z that is not a union of
+      rational subspaces, or whose S is not radical, as when a component
+      repeats or Z is the product of the ideals of components that meet,
+      takes the charts.  Once S = I(L_1) n .. n I(L_r) for any rational
+      subspaces, the charts give the H(L_j)'s intersection:
+      1. Let I be the incidence ideal.  Over B = k[x] with xi inverted,
+         let h be the identity with its row i replaced by x, so e_i h = x
+         and det h = xi, a unit.  p -> (wedge^d h) p is a B-automorphism of
+         B[p]; it keeps the Pluecker ideal and takes the wedge relations
+         of e_i to those of x (wedge^(d+1) h is invertible).  So
+         B[p] / (Pl + wedge) is B (x) R, R = k[p] / (Pl + (p_T : i not in
+         T)), the cone over the Schubert variety of the W through e_i,
+         which is reduced by standard monomial theory.
+      2. xi is a unit of B and S / I(Z) is killed by a power of m, so
+         B / I(Z) = B / S, which is reduced as S is radical.  Hence
+         k[p, x]_xi / I = (B / S) (x) R is reduced, a tensor product over
+         the perfect field F_p of two reduced algebras: I : xi^oo, the
+         contraction of I_xi, is radical, and so is its contraction
+         P_i = (I : xi^oo) n k[p], the chart's projection, and so is the
+         charts' intersection J.
+      3. Over the algebraic closure, V(P_i) is the closure of the image
+         of V(I) off xi = 0: the cone points of the W meeting V(S) = L_1
+         u .. u L_r at a u with ui != 0, and p = 0.  So V(J) is the cone
+         over the W meeting some L_j, which holds p = 0: it is the union
+         of the V(H(L_j)), and J has no component at p = 0 of its own.
+      4. J is radical, so it is the ideal of V(J), the intersection of the
+         ideals H(L_j) of its parts, each prime (Hodge, as in the linear
+         case).  F_p is perfect, so radicality and reduced bases are the
+         same over the algebraic closure, and J is the H(L_j)'s
+         intersection, whose reduced basis the folds give.
+      How the L_j are proposed does not matter: the equality S = n I(L_j)
+      is checked on reduced bases, and the rest only rejects early, since
+      n I(L_j) has dimension max dim L_j.  The scan lists the
+      (p^c - 1) / (p - 1) rational points, so above DEFAULT_SUBSPACE_CAP
+      of them the charts answer.
+    Otherwise, at d >= 2, the charts are eliminated, so a Z that is neither
+    a subspace nor a reduced union takes the same bases and S-pairs as
+    without these answers.
     Reduced bases are unique, so the early answers are the bases the
     charts would give.
 
@@ -465,8 +516,15 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
 
 
 def _set_to_one(f: Polynomial, i: int) -> Polynomial:
-    """f with its variable i set to 1, in f's ring."""
-    return f._relabelled(f.ring, [None if j == i else j for j in range(f.ring.nvars)])
+    """f with its variable i set to 1, in f's ring: the variable's packed
+    field is masked to 0 in every term."""
+    ring = f.ring
+    keep = ~(_FIELD_MASK << ring._shifts[i])
+    d: dict[int, int] = {}
+    for _, m, a in f._terms:
+        m &= keep
+        d[m] = d.get(m, 0) + a
+    return ring._from_packed(d)
 
 
 def _contains(I: Ideal, J: Ideal) -> bool:
@@ -548,6 +606,75 @@ def _schubert(gb: Ideal, small: PolyRing, d: int) -> Ideal:
     return buchberger_reduced(ideal(small, [*q, *_grassmannian(small.field, c, d).gens]))
 
 
+def _rational_spans(V: VarietyIdealD) -> list[list[tuple[int, ...]]]:
+    """A basis of each maximal span of rational points that V, a variety
+    in P^(c-1), seems to hold: a proposal, which the caller checks exactly.
+
+    V's rational points are listed by subspaces_on_variety, each scaled so
+    its first nonzero coordinate is 1.  From each listed point that no span
+    found so far holds, a span grows by each listed point v in turn whose
+    span with it has all its p^k new points on V as well: v and u + a v,
+    for u in the span and a in F_p^*.
+    """
+    p = V.ring.p
+    inv = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+
+    def scaled(v):
+        s = inv[next(x for x in v if x)]
+        return tuple(x * s % p for x in v)
+
+    on = [pluecker_embed(W).coords for W in subspaces_on_variety(V)]
+    onset, covered, spans = set(on), set(), []
+    for start in on:
+        if start in covered:
+            continue
+        basis, span = [start], {start}
+        for v in on:
+            if v in span:
+                continue
+            new = {v, *(scaled([(x + a * y) % p for x, y in zip(u, v)]) for u in span for a in range(1, p))}
+            if new <= onset:
+                basis.append(v)
+                span |= new
+        spans.append(basis)
+        covered |= span
+    return spans
+
+
+def _reduced_union(gb: Ideal, small: PolyRing, d: int) -> Ideal | None:
+    """The reduced basis, in the Pluecker ring `small`, of the d-planes
+    meeting Z, for gb Z's reduced basis, when S = I(Z) : m^oo is shown to be
+    the intersection of the ideals I(L_j) of at least two rational
+    subspaces; None otherwise, for the charts to answer.
+
+    S is the d = 1 answer, memoised, and the L_j are its _rational_spans.
+    With fewer than two, with a largest L_j whose dimension is not dim S,
+    or with S's reduced basis other than the _fold of the I(L_j), it is
+    None; otherwise it is the _fold of the L_j's _schubert ideals, which
+    project_incidence proves.  Above DEFAULT_SUBSPACE_CAP rational points
+    it is None before any work."""
+    c, p = gb.ring.nvars, gb.ring.p
+    if gaussian_binomial(c, 1, p) > DEFAULT_SUBSPACE_CAP:
+        return None
+    V = _project_incidence(gb, 1)
+    S = V.gb
+    spans = _rational_spans(V)
+    if len(spans) < 2 or max(map(len, spans)) != _basis_dimension(S):
+        return None
+    line = S.ring
+    parts = []
+    for basis in spans:
+        # L's equations in reduced echelon form: monic, each led by its
+        # pivot p_j (p_1 > .. > p_c in grevlex) and free of the others'
+        # pivots, by descending lead, which is L's reduced basis
+        forms, piv = _rref(_kernel_free(np.array(basis, dtype=np.int64), p)[0].T, p)
+        parts.append(Ideal(line, tuple(
+            line._from_packed({1 << s: int(a) for s, a in zip(line._shifts, f) if a}) for f in forms[: len(piv)])))
+    if reduce(_fold, parts, None).gens != S.gens:
+        return None
+    return reduce(_fold, (_schubert(L, small, d) for L in parts), None)
+
+
 @lru_cache(maxsize=256)
 def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
     c = gb.ring.nvars
@@ -562,6 +689,9 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         return VarietyIdealD(small, c, d, _schubert(gb, small, d))
     if d == 1:
         return VarietyIdealD(small, c, d, _saturation(gb, small))
+    union = _reduced_union(gb, small, d)
+    if union is not None:
+        return VarietyIdealD(small, c, d, union)
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]

@@ -402,13 +402,13 @@ def test_budget_exhaustion_is_resource_error(capsys, cold_memos):
 
 
 def test_budget_bounds_the_whole_command(capsys, cold_memos):
-    # the command spends 32 reductions over several Groebner calls, at most
-    # 20 in any one of them
+    # the command spends 10 reductions over several Groebner calls, at most
+    # 8 in any one of them
     argv = ("project-gamma", "-p", "2", "-c", "4", "-d", "2", "-z", "a1*a2; a3", "--budget")
-    status, out, err = _run(capsys, *argv, "31")
+    status, out, err = _run(capsys, *argv, "9")
     assert (status, out) == (2, "")
-    assert err == "resource limit: Groebner pair budget exceeded (31 reductions)\n"
-    status, out, err = _run(capsys, *argv, "32")
+    assert err == "resource limit: Groebner pair budget exceeded (9 reductions)\n"
+    status, out, err = _run(capsys, *argv, "10")
     assert (status, err) == (0, "")
     assert out == (
         "ideal(p_13^2*p_24 + p_12*p_13*p_34, p_13*p_23, p_14*p_23 + p_13*p_24 + p_12*p_34)\n"

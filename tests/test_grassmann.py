@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -410,7 +411,12 @@ def test_projection_memo_keeps_no_failures(cold_memos):
     Z = _lines(ring, [a1 * a2, a3])
     with groebner_budget(1), pytest.raises(GroebnerBudgetError):
         project_incidence(Z, 2)
-    assert grassmann._project_incidence.cache_info().currsize == 0
+    # the failed call keeps only the d = 1 answer it completed on the way,
+    # which a later call reads with no Groebner work
+    assert grassmann._project_incidence.cache_info().currsize == 1
+    with groebner_budget(0):
+        project_incidence(Z, 1)
+    assert grassmann._project_incidence.cache_info().currsize == 1
     V = project_incidence(Z, 2)
     # a hit does no Groebner work, so it fits in any budget
     with groebner_budget(1):
@@ -423,9 +429,9 @@ def test_rank_pair_and_projection_memos_hold_256_entries():
 
 
 def test_each_groebner_call_has_its_own_default_budget(monkeypatch, cold_memos):
-    # the projection spends 32 reductions in all and at most 20 in any one
-    # Groebner call, so one pool of 20 shared by every call would run out
-    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 20)
+    # the projection spends 10 reductions in all and at most 8 in any one
+    # Groebner call, so one pool of 8 shared by every call would run out
+    monkeypatch.setattr(poly, "DEFAULT_PAIR_BUDGET", 8)
     ring = coordinate_ring(F2, 4)
     a1, a2, a3, a4 = ring.gens()
     V = project_incidence(_lines(ring, [a1 * a2, a3]), 2)
@@ -758,7 +764,6 @@ def _counting_intersections(monkeypatch):
 
 
 def test_projection_matches_the_adjoining_route(monkeypatch):
-    calls = _counting_intersections(monkeypatch)
     rng = random.Random("projection reference")
     cones = []
     for field in (F2, F3):
@@ -771,20 +776,28 @@ def test_projection_matches_the_adjoining_route(monkeypatch):
             assert V.gb.ring == ref.ring
             assert V.gb.gens == ref.gens, (str(Z.gb), d)
             assert str(V.gb) == str(ref)
-    # the containment test settles every one of these chains
+    # with the reduced unions sent to the charts as well, the containment
+    # test settles every chain of chart projections
+    calls = _counting_intersections(monkeypatch)
+    monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
+    for Z in cones:
+        for d in (2, 3):
+            V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+            assert V.gb.gens == _project_by_adjoining(Z.gb, d).gens, (str(Z.gb), d)
     assert calls == []
 
 
-def test_three_lines_keep_one_proper_intersection(monkeypatch):
+def test_three_lines_keep_one_proper_intersection(monkeypatch, cold_memos):
     ring = coordinate_ring(F3, 4)
     Z = _lines(ring, [parse_polynomial(ring, g) for g in THREE_LINES.split(";")])
     # the lines through e2, e2 + e3 and e4, given by their reduced basis
     assert str(Z.gb) == f"ideal({THREE_LINES.replace(';', ',')})"
     calls = _counting_intersections(monkeypatch)
+    counts = []
     for d in (1, 2, 3):
         del calls[:]
-        V = grassmann._project_incidence.__wrapped__(Z.gb, d)
-        assert len(calls) == 1
+        V = project_incidence(Z, d)
+        counts.append(len(calls))
         ref = _project_by_adjoining(Z.gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
         if d == 1:
@@ -792,6 +805,10 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch):
             # the dimension is read off the reduced basis V holds
             with groebner_budget(0):
                 assert variety_dim_projective(V) == 0
+    # one proper intersection of the saturation's parts at d = 1; at d = 2
+    # and 3 the saturation is memoised and is the lines' intersection, so
+    # two fold the lines' ideals and two their Schubert ideals
+    assert counts == [1, 4, 4]
 
 
 def test_projection_with_unit_charts_matches_the_adjoining_route():
@@ -836,13 +853,45 @@ def _counting_eliminations(monkeypatch):
     return eliminations
 
 
+def _maximal_subspaces_on(S):
+    """The rational subspaces of k^c of dimension 1 to c - 1 whose rational
+    points all lie on V(S), for S an ideal of k[p_1..p_c], that no other
+    such subspace contains: a scan of every subspace, sharing nothing with
+    grassmann._rational_spans."""
+    field, c = S.ring.field, S.ring.nvars
+    on = {}
+    for k in range(1, c):
+        for W in enumerate_subspaces(field, c, k):
+            rows = W.rows()
+            points = {PlueckerPoint(field, c, 1, [sum(t * r[i] for t, r in zip(ts, rows)) for i in range(c)]).coords
+                      for ts in itertools.product(range(field.p), repeat=k) if any(ts)}
+            if all(g.evaluate(v) == 0 for v in points for g in S.gens):
+                on[W] = points
+    return [W for W, points in on.items() if not any(points < other for other in on.values())]
+
+
+def _is_reduced_union(gb):
+    """Whether I(Z) : m^oo, the d = 1 answer, is the intersection of the
+    ideals of the maximal rational subspaces on its zero set, at least two
+    of them: the theorem behind project_incidence's fifth answer."""
+    S = grassmann._project_incidence(gb, 1).gb
+    components = _maximal_subspaces_on(S)
+    if len(components) < 2:
+        return False
+    union = buchberger_reduced(ideal(S.ring, _subspace_equations(S.ring, components[0])))
+    for W in components[1:]:
+        union = ideal_intersect(union, buchberger_reduced(ideal(S.ring, _subspace_equations(S.ring, W))))
+    return union.gens == S.gens
+
+
 def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
-    # z <= 0, z + d > c, a linear Z and, at d = 1, any other Z (by the
-    # saturation Z : m^oo) are answered with no elimination, and each gives
+    # z <= 0, z + d > c, a linear Z, at d = 1 any other Z (by the
+    # saturation Z : m^oo) and at d >= 2 a reduced union of at least two
+    # rational subspaces are answered with no elimination, and each gives
     # the basis the charts give; every other Z goes through the charts,
     # z + d = c among them
     eliminations = _counting_eliminations(monkeypatch)
-    regimes = set()
+    regimes = collections.Counter()
     for gb, d in cones_at_every_d:
         c, z = gb.ring.nvars, poly._basis_dimension(gb)
         del eliminations[:]
@@ -850,12 +899,13 @@ def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, co
         ref = _project_by_adjoining(gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(gb), d)
         regime = ("empty" if z <= 0 else "all" if z + d > c else "linear" if _linear_equations(gb) is not None
-                  else "saturation" if d == 1 else "boundary" if z + d == c else "charts")
-        assert (regime in ("empty", "all", "linear", "saturation")) == (not eliminations), (str(gb), d)
+                  else "saturation" if d == 1 else "union" if _is_reduced_union(gb)
+                  else "boundary" if z + d == c else "charts")
+        assert (regime in ("empty", "all", "linear", "saturation", "union")) == (not eliminations), (str(gb), d)
         if regime == "all":
             assert V.gb.gens == grassmann._grassmannian(gb.ring.field, c, d).gens
-        regimes.add(regime)
-    assert regimes == {"empty", "all", "linear", "saturation", "boundary", "charts"}
+        regimes[regime] += 1
+    assert set(regimes) == {"empty", "all", "linear", "saturation", "union", "boundary", "charts"}
 
 
 def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
@@ -869,14 +919,57 @@ def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
     assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_34)"
     assert variety_dim_projective(V) == 3
     assert eliminations == []
-    # the union of span(e1, e2) and span(e3, e4) is not linear, and goes
-    # through the charts: the planes meeting either
+    # the union of span(e1, e2) and span(e3, e4) is not linear, but its
+    # ideal is the intersection of the planes' ideals, so the folded
+    # Schubert ideals answer with no chart: the planes meeting either
     Z = _lines(ring, [a1 * a3, a1 * a4, a2 * a3, a2 * a4])
     V = grassmann._project_incidence.__wrapped__(Z.gb, 2)
-    assert len(eliminations) == 4
+    assert eliminations == []
     assert V.gb.gens == _project_by_adjoining(Z.gb, 2).gens
     assert str(V.gb) == "ideal(p_14*p_23 + p_13*p_24, p_12*p_34)"
     assert variety_dim_projective(V) == 3
+    # a cone that is not a reduced union of rational subspaces goes through
+    # the charts: the F_3 conic a1^2 + a2 a3 = 0 in the plane a4 = 0, whose
+    # four rational points span no line on it, and the doubled line through
+    # e4, one subspace
+    conic = coordinate_ring(F3, 4)
+    b1, b2, b3, b4 = conic.gens()
+    for Z, want, dim in [
+        (_lines(conic, [b1 * b1 + b2 * b3, b4]),
+         "ideal(p_13^2*p_24^2 + p_12*p_13*p_24*p_34 + p_23^2*p_24*p_34 + p_12^2*p_34^2, "
+         "p_13*p_14*p_24 + 2*p_12*p_14*p_34 + p_23*p_24*p_34, p_14^2 + p_24*p_34, p_14*p_23 + 2*p_13*p_24 + p_12*p_34)", 3),
+        (_lines(ring, [a1 * a1, a2, a3]), "ideal(p_12^2, p_12*p_13, p_13^2, p_13*p_24 + p_12*p_34, p_23)", 2),
+    ]:
+        del eliminations[:]
+        V = grassmann._project_incidence.__wrapped__(Z.gb, 2)
+        assert len(eliminations) == 4
+        assert V.gb.gens == _project_by_adjoining(Z.gb, 2).gens
+        assert str(V.gb) == want
+        assert variety_dim_projective(V) == dim
+
+
+def test_a_doubled_line_keeps_the_charts_answer(monkeypatch):
+    # Z = I(L1)^2 I(L2) for the lines L1, L2 through e1 and e2: the union
+    # answer proposes the two lines, of dimension dim Z, but Z : m^oo is not
+    # radical, so it is not the intersection of the lines' ideals and the
+    # answer is the charts'; that differs from the folded closed form, which
+    # a union answer without the equality check would return
+    L1 = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    L2 = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    eliminations = _counting_eliminations(monkeypatch)
+    for field in (F2, F3):
+        Z = _cone_of_components(field, 4, [L1, L1, L2])
+        V1 = grassmann._project_incidence(Z.gb, 1)
+        assert grassmann._rational_spans(V1) == [[(1, 0, 0, 0)], [(0, 1, 0, 0)]]
+        assert poly._basis_dimension(V1.gb) == 1
+        for d in (2, 3):
+            del eliminations[:]
+            V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+            assert len(eliminations) == 4
+            assert V.gb.gens == _project_by_adjoining(Z.gb, d).gens, (field.p, d)
+            closed = ideal_intersect(_schubert_ideal(field, L1, 4, d), _schubert_ideal(field, L2, 4, d))
+            assert radical_equal(V.gb, closed) and V.gb.gens != closed.gens
+        assert str(V.gb) == "ideal(p_134*p_234^2)"
 
 
 # --- lines: the saturation Z : m^oo -------------------------------------------
