@@ -56,10 +56,10 @@ is a reduced union of rational subspaces L_j: when Z : m^oo, the d = 1
 answer, is the intersection of the ideals of at least two maximal spans of
 its rational points, the charts' intersection is that of the L_j's
 Schubert ideals (Hodge; Hartshorne II, Ex. 3.11), as project_incidence's
-docstring proves.  A cone with a component of multiplicity two, or given by
-the product of the ideals of components that meet, has a saturation that
-is not radical, and takes the charts, as does a cone that is not a union
-of rational subspaces.  The five answers take no elimination.  The
+docstring proves.  A cone with a repeated component, and in general one
+given by the product of the ideals of components that meet, has a
+saturation that is not radical, and takes the charts, as does a cone that
+is not a union of rational subspaces.  The five answers take no elimination.  The
 saturation and the union are intersections of one part per coordinate or
 per component, folded by the charts' own contain-or-intersect step.
 
@@ -460,11 +460,11 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
       (_rational_spans, a proposal).  If r >= 2, the largest L_j has
       dimension dim S, and S's reduced basis is the _fold of those of the
       I(L_j), the answer is the _fold of the Schubert ideals H(L_j)
-      (_reduced_union); else the charts answer.  So a Z that is not a union of
-      rational subspaces, or whose S is not radical, as when a component
-      repeats or Z is the product of the ideals of components that meet,
-      takes the charts.  Once S = I(L_1) n .. n I(L_r) for any rational
-      subspaces, the charts give the H(L_j)'s intersection:
+      (_reduced_union); else the charts answer.  So a Z that is not a
+      union of rational subspaces, or whose S is not radical, as when a
+      component repeats and in general when Z is the product of the ideals
+      of components that meet, takes the charts.  Once S = I(L_1) n .. n I(L_r) for any
+      rational subspaces, the charts give the H(L_j)'s intersection:
       1. Let I be the incidence ideal.  Over B = k[x] with xi inverted,
          let h be the identity with its row i replaced by x, so e_i h = x
          and det h = xi, a unit.  p -> (wedge^d h) p is a B-automorphism of
@@ -668,8 +668,8 @@ def _reduced_union(gb: Ideal, small: PolyRing, d: int) -> Ideal | None:
         # pivot p_j (p_1 > .. > p_c in grevlex) and free of the others'
         # pivots, by descending lead, which is L's reduced basis
         forms, piv = _rref(_kernel_free(np.array(basis, dtype=np.int64), p)[0].T, p)
-        parts.append(Ideal(line, tuple(
-            line._from_packed({1 << s: int(a) for s, a in zip(line._shifts, f) if a}) for f in forms[: len(piv)])))
+        terms = [{1 << s: int(a) for s, a in zip(line._shifts, f) if a} for f in forms[: len(piv)]]
+        parts.append(Ideal(line, tuple(map(line._from_packed, terms))))
     if reduce(_fold, parts, None).gens != S.gens:
         return None
     return reduce(_fold, (_schubert(L, small, d) for L in parts), None)

@@ -57,8 +57,8 @@ def _substituted(f, images):
 def _twisted_cone(gb, g):
     """The reduced basis of {f(a g) : f in gb}."""
     ring = gb.ring
-    a = ring.gens()
-    images = [sum((a[i] * g[i][j] for i in range(ring.nvars) if g[i][j]), ring.zero) for j in range(ring.nvars)]
+    a, n = ring.gens(), ring.nvars
+    images = [sum((a[i] * g[i][j] for i in range(n) if g[i][j]), ring.zero) for j in range(n)]
     return buchberger_reduced(ideal(ring, [_substituted(f, images) for f in gb.gens]))
 
 

@@ -863,8 +863,9 @@ def _maximal_subspaces_on(S):
     for k in range(1, c):
         for W in enumerate_subspaces(field, c, k):
             rows = W.rows()
-            points = {PlueckerPoint(field, c, 1, [sum(t * r[i] for t, r in zip(ts, rows)) for i in range(c)]).coords
-                      for ts in itertools.product(range(field.p), repeat=k) if any(ts)}
+            coefficients = (ts for ts in itertools.product(range(field.p), repeat=k) if any(ts))
+            vectors = [[sum(t * r[i] for t, r in zip(ts, rows)) for i in range(c)] for ts in coefficients]
+            points = {PlueckerPoint(field, c, 1, v).coords for v in vectors}
             if all(g.evaluate(v) == 0 for v in points for g in S.gens):
                 on[W] = points
     return [W for W, points in on.items() if not any(points < other for other in on.values())]
@@ -901,7 +902,8 @@ def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, co
         regime = ("empty" if z <= 0 else "all" if z + d > c else "linear" if _linear_equations(gb) is not None
                   else "saturation" if d == 1 else "union" if _is_reduced_union(gb)
                   else "boundary" if z + d == c else "charts")
-        assert (regime in ("empty", "all", "linear", "saturation", "union")) == (not eliminations), (str(gb), d)
+        early = regime in ("empty", "all", "linear", "saturation", "union")
+        assert early == (not eliminations), (str(gb), d)
         if regime == "all":
             assert V.gb.gens == grassmann._grassmannian(gb.ring.field, c, d).gens
         regimes[regime] += 1
@@ -937,7 +939,8 @@ def test_planes_meeting_a_plane_of_k4_go_through_the_charts(monkeypatch):
     for Z, want, dim in [
         (_lines(conic, [b1 * b1 + b2 * b3, b4]),
          "ideal(p_13^2*p_24^2 + p_12*p_13*p_24*p_34 + p_23^2*p_24*p_34 + p_12^2*p_34^2, "
-         "p_13*p_14*p_24 + 2*p_12*p_14*p_34 + p_23*p_24*p_34, p_14^2 + p_24*p_34, p_14*p_23 + 2*p_13*p_24 + p_12*p_34)", 3),
+         "p_13*p_14*p_24 + 2*p_12*p_14*p_34 + p_23*p_24*p_34, p_14^2 + p_24*p_34, "
+         "p_14*p_23 + 2*p_13*p_24 + p_12*p_34)", 3),
         (_lines(ring, [a1 * a1, a2, a3]), "ideal(p_12^2, p_12*p_13, p_13^2, p_13*p_24 + p_12*p_34, p_23)", 2),
     ]:
         del eliminations[:]
