@@ -59,9 +59,10 @@ Schubert ideals (Hodge; Hartshorne II, Ex. 3.11), as project_incidence's
 docstring proves.  A cone with a repeated component, and in general one
 given by the product of the ideals of components that meet, has a
 saturation that is not radical, and takes the charts, as does a cone that
-is not a union of rational subspaces.  The five answers take no elimination.  The
-saturation and the union are intersections of one part per coordinate or
-per component, folded by the charts' own contain-or-intersect step.
+is not a union of rational subspaces.  The five answers take no
+elimination.  The saturation and the union are intersections of one part
+per coordinate or per component, folded by the charts' own
+contain-or-intersect step.
 
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
@@ -463,8 +464,9 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
       (_reduced_union); else the charts answer.  So a Z that is not a
       union of rational subspaces, or whose S is not radical, as when a
       component repeats and in general when Z is the product of the ideals
-      of components that meet, takes the charts.  Once S = I(L_1) n .. n I(L_r) for any
-      rational subspaces, the charts give the H(L_j)'s intersection:
+      of components that meet, takes the charts.  Once S = I(L_1) n .. n
+      I(L_r) for any rational subspaces, the charts give the H(L_j)'s
+      intersection:
       1. Let I be the incidence ideal.  Over B = k[x] with xi inverted,
          let h be the identity with its row i replaced by x, so e_i h = x
          and det h = xi, a unit.  p -> (wedge^d h) p is a B-automorphism of
