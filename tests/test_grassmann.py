@@ -776,11 +776,12 @@ def test_projection_matches_the_adjoining_route(monkeypatch):
             assert V.gb.gens == ref.gens, (str(Z.gb), d)
             assert str(V.gb) == str(ref)
     # with the reduced unions sent to the charts as well, the containment
-    # test settles every chain of chart projections
+    # test settles every chain of chart projections, and the saturation at
+    # d = 1 (which never proposes a union) every chain of its parts
     calls = _counting_intersections(monkeypatch)
     monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
     for Z in cones:
-        for d in (2, 3):
+        for d in (1, 2, 3):
             V = grassmann._project_incidence.__wrapped__(Z.gb, d)
             assert V.gb.gens == _project_by_adjoining(Z.gb, d).gens, (str(Z.gb), d)
     assert calls == []
@@ -808,6 +809,14 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch, cold_memos):
     # and 3 the saturation is memoised and is the lines' intersection, so
     # two fold the lines' ideals and two their Schubert ideals
     assert counts == [1, 4, 4]
+    # the charts, with the union answer out of the way, keep one proper
+    # intersection at d = 2 and 3 as well
+    monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
+    for d in (2, 3):
+        del calls[:]
+        V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+        assert len(calls) == 1
+        assert V.gb.gens == _project_by_adjoining(Z.gb, d).gens
 
 
 def test_projection_with_unit_charts_matches_the_adjoining_route():
