@@ -19,8 +19,9 @@ Gauss-Jordan elimination over rows held as dicts.  When only the pivot
 columns are needed, _pivot_columns finds them from a matrix's nonzeros,
 reducing densely only what singleton pruning leaves.  _minors expands
 determinants of matrices whose entries are polynomials held as dicts of
-packed monomials, the Pluecker coordinates of a subspace (constants) and
-the minors of a rank variety alike.
+packed monomials, the minors of a rank variety; _maximal_minors takes every
+maximal minor of a whole stack of constant matrices at once, the Pluecker
+coordinates of subspaces and the coefficients of Schubert forms.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -371,6 +373,43 @@ def _kernel_sparse(
         np.array(out_cols, dtype=np.intp),
         np.array(out_vals, dtype=np.int64),
     ), free
+
+
+@lru_cache(maxsize=None)
+def _expansion(c: int, k: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """For the k-subsets S of range(c) in lexicographic order, one pair per
+    position j < k: the columns S[j], and the index of S - S[j] among the
+    (k - 1)-subsets in lexicographic order."""
+    smaller = {S: i for i, S in enumerate(combinations(range(c), k - 1))}
+    subsets = list(combinations(range(c), k))
+    return tuple(
+        (np.array([S[j] for S in subsets], dtype=np.intp),
+         np.array([smaller[S[:j] + S[j + 1 :]] for S in subsets], dtype=np.intp))
+        for j in range(k)
+    )
+
+
+def _maximal_minors(stack: np.ndarray, p: int) -> np.ndarray:
+    """The d x d minors over F_p of every d x c matrix of an (n, d, c) int64
+    stack of reduced entries, as an (n, C(c, d)) array whose columns follow
+    the column subsets in lexicographic order.
+
+    Laplace expansion from the bottom row up: the minors of rows r..d-1 on
+    a (d - r)-subset S of the columns are the alternating sum over the j-th
+    s in S of entry (r, s) times the minor of rows r+1..d-1 on S - s, and
+    the minor of no rows is 1.  Each level takes one array operation per
+    position j for every subset and matrix of the stack at once, and is
+    reduced mod p, so no sum exceeds c (p - 1)^2.
+    """
+    n, d, c = stack.shape
+    minors = np.ones((n, 1), dtype=np.int64)
+    for r in range(d - 1, -1, -1):
+        row, level = stack[:, r, :], 0
+        for j, (cols, rest) in enumerate(_expansion(c, d - r)):
+            term = row[:, cols] * minors[:, rest]
+            level = level - term if j & 1 else level + term
+        minors = level % p
+    return minors
 
 
 def _minors(rows: list[list[dict[int, int]]], p: int) -> Callable[[tuple, tuple], dict[int, int]]:

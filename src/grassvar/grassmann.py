@@ -69,10 +69,14 @@ that depends on less than the whole question, so two memos hold it.
 enumerate_subspaces builds the subspaces of a Grassmannian once and shares
 them, for the last 16 (field, c, d): no workload or command scans more than
 six.  Each Subspace takes its Pluecker point when it is built, so a shared
-subspace carries its point to every later scan; the point is taken from all
-the maximal minors of W's basis at once, by fp._minors, the Laplace
-expansion that also gives the minors of a rank variety, here on constant
-entries.  The reduced basis of the Pluecker relations, the Pluecker and
+subspace carries its point to every later scan.  The subspaces of one
+pivot pattern are built in one pass over an int64 stack of all its echelon
+matrices: one vectorised check that each is a full-rank reduced echelon
+basis, and every point from fp._maximal_minors of the whole stack; a
+Subspace built on its own passes the same check and takes its point from
+the same helper on a stack of one.  The union answer's components are
+memoised on Z's reduced basis, so a cone asked at several d is decomposed
+once.  The reduced basis of the Pluecker relations, the Pluecker and
 wedge relations of the incidence ideal, and each chart's wedge relations
 with xi = 1, are built once per (field, c, d) as well, so each chart
 relabels only Z's generators, in one step from Z's ring into the incidence
@@ -92,7 +96,7 @@ from math import comb
 import numpy as np
 
 from .errors import SubspaceLimitError
-from .fp import MatrixFp, PrimeField, _as_array, _integer, _kernel_free, _minors, _rref
+from .fp import MatrixFp, PrimeField, _as_array, _integer, _kernel_free, _maximal_minors, _rref
 from .homology import _hom_projective
 from .modules import KEModule
 from .poly import (
@@ -147,29 +151,32 @@ def gaussian_binomial(c: int, d: int, p: int) -> int:
 @dataclass(frozen=True)
 class Subspace:
     """A d-dimensional subspace of k^c with its canonical echelon basis and
-    its Pluecker point, computed once on construction."""
+    its Pluecker point, computed once on construction.
+
+    Construction checks that the basis is a full-rank reduced echelon
+    matrix and takes the point by _points on a stack of one basis, the
+    check and minors that enumerate_subspaces runs once per pivot pattern
+    on the stack of all its bases.  The basis rows are kept as tuples, read
+    once, since every scan reads them."""
 
     field: PrimeField
     c: int
     d: int
     basis: MatrixFp
     _point: PlueckerPoint = dataclasses.field(init=False, compare=False, repr=False)
+    _rows: tuple[tuple[int, ...], ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.basis.rows != self.d or self.basis.cols != self.c:
             raise ValueError("basis must be a d x c matrix")
         if self.basis.field != self.field:
             raise ValueError("basis field mismatch")
-        red, piv = _rref(self.basis.array, self.field.p)
-        if len(piv) != self.d or not np.array_equal(red, self.basis.array):
-            raise ValueError("basis must be a full-rank reduced echelon matrix")
-        minor = _minors([[{0: x} if x else {} for x in row] for row in self.basis.tolist()], self.field.p)
-        rows = tuple(range(self.d))
-        coords = tuple(minor(rows, S).get(0, 0) for S in _subsets(self.c, self.d))
-        object.__setattr__(self, "_point", PlueckerPoint(self.field, self.c, self.d, coords))
+        (point,) = _points(self.field, self.basis.array[None])
+        object.__setattr__(self, "_point", point)
+        object.__setattr__(self, "_rows", tuple(map(tuple, self.basis.tolist())))
 
     def rows(self) -> list[tuple[int, ...]]:
-        return [tuple(row) for row in self.basis.tolist()]
+        return list(self._rows)
 
     def __str__(self) -> str:
         return "span" + str(tuple(self.rows()))
@@ -206,7 +213,8 @@ def enumerate_subspaces(field: PrimeField, c: int, d: int) -> list[Subspace]:
 
 # 16 Grassmannians: each workload and CLI command scans at most six distinct
 # (field, c, d).  An entry holds every subspace of its Grassmannian, at most
-# the cap at its first call: 10,000, the default, take about 4 MB.
+# the cap at its first call: 10,000, the default, take about 8 MB (780
+# bytes each on G_2(F_7^4), by tracemalloc).
 @lru_cache(maxsize=16)
 def _subspaces(field: PrimeField, c: int, d: int) -> tuple[Subspace, ...]:
     p = field.p
@@ -216,15 +224,53 @@ def _subspaces(field: PrimeField, c: int, d: int) -> tuple[Subspace, ...]:
         free_pos = [
             (r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in pivset
         ]
-        for assignment in product(range(p), repeat=len(free_pos)):
-            mat = np.zeros((d, c), dtype=np.int64)
-            for r, j in zip(range(d), piv):
-                mat[r, j] = 1
-            for (r, j), val in zip(free_pos, assignment):
-                mat[r, j] = val
-            out.append(Subspace(field, c, d, MatrixFp(field, mat)))
+        # every echelon matrix of the pattern at once, the t-th free entry
+        # the t-th base-p digit of its index, most significant first, in
+        # the order of product(range(p), repeat=len(free_pos))
+        n = p ** len(free_pos)
+        stack = np.zeros((n, d, c), dtype=np.int64)
+        stack[:, range(d), piv] = 1
+        if free_pos:
+            rows, cols = zip(*free_pos)
+            digits = p ** np.arange(len(free_pos) - 1, -1, -1)
+            stack[:, rows, cols] = np.arange(n)[:, None] // digits % p
+        out += (_frozen(Subspace, field=field, c=c, d=d, basis=MatrixFp(field, a), _point=point,
+                        _rows=tuple(map(tuple, entries)))
+                for a, entries, point in zip(stack, stack.tolist(), _points(field, stack)))
     assert len(out) == gaussian_binomial(c, d, p)
     return tuple(out)
+
+
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass cls holding `fields`, built with no
+    __post_init__: for values that _points has checked for a whole stack."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def _points(field: PrimeField, stack: np.ndarray) -> list[PlueckerPoint]:
+    """The Pluecker points of the d x c matrices of an (n, d, c) stack of
+    reduced entries, after one check that each is a full-rank reduced
+    echelon matrix, the basis a Subspace holds.
+
+    A matrix passes when the lead of each row, its first nonzero column,
+    lies right of the lead of the row above, and the columns of the leads
+    hold the d x d identity: then each lead is 1, the rest of its column is
+    0, and no row is zero.  The points are the fp._maximal_minors of the
+    whole stack, read by one tolist().  Each is scaled already: the minor on
+    the leads L is 1, and a minor on columns S with some s_i < l_i is 0,
+    since rows i..d vanish on s_1..s_i, so every nonzero minor comes at or
+    after L in lexicographic order."""
+    n, d, c = stack.shape
+    if d <= c:
+        leads = (stack != 0).argmax(axis=2)
+        pivots = np.take_along_axis(stack, np.broadcast_to(leads[:, None, :], (n, d, d)), axis=2)
+        if (np.diff(leads, axis=1) > 0).all() and (pivots == np.eye(d, dtype=np.int64)).all():
+            return [_frozen(PlueckerPoint, field=field, c=c, d=d, coords=tuple(x))
+                    for x in _maximal_minors(stack, field.p).tolist()]
+    raise ValueError("basis must be a full-rank reduced echelon matrix")
 
 
 @dataclass(frozen=True)
@@ -461,12 +507,13 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
       (_rational_spans, a proposal).  If r >= 2, the largest L_j has
       dimension dim S, and S's reduced basis is the _fold of those of the
       I(L_j), the answer is the _fold of the Schubert ideals H(L_j)
-      (_reduced_union); else the charts answer.  So a Z that is not a
-      union of rational subspaces, or whose S is not radical, as when a
-      component repeats and in general when Z is the product of the ideals
-      of components that meet, takes the charts.  Once S = I(L_1) n .. n
-      I(L_r) for any rational subspaces, the charts give the H(L_j)'s
-      intersection:
+      (_reduced_union; the I(L_j), or their absence, are memoised on Z's
+      reduced basis by _union_components, for every d); else the charts
+      answer.  So a Z that is not a union of rational subspaces, or whose
+      S is not radical, as when a component repeats and in general when Z
+      is the product of the ideals of components that meet, takes the
+      charts.  Once S = I(L_1) n .. n I(L_r) for any rational subspaces,
+      the charts give the H(L_j)'s intersection:
       1. Let I be the incidence ideal.  Over B = k[x] with xi inverted,
          let h be the identity with its row i replaced by x, so e_i h = x
          and det h = xi, a unit.  p -> (wedge^d h) p is a B-automorphism of
@@ -593,18 +640,18 @@ def _schubert(gb: Ideal, small: PolyRing, d: int) -> Ideal:
 
     For each d-subset T of the forms, q_T = sum over S of det(l_T[:, S]) p_S,
     the minor on T of (l_j(w_i)) by Cauchy-Binet; its coefficients are the
-    maximal minors of the forms' coefficient rows, taken by fp._minors on
-    constant entries as Subspace takes a Pluecker point.  The q_T and the
-    Pluecker relations are reduced by one Buchberger run."""
+    fp._maximal_minors of the stack of the forms' coefficient rows on each
+    T, as Subspace takes its Pluecker point.  The q_T and the Pluecker
+    relations are reduced by one Buchberger run."""
     c = gb.ring.nvars
-    rows = [[{} for _ in range(c)] for _ in gb.gens]
+    rows = np.zeros((len(gb.gens), c), dtype=np.int64)
     for row, g in zip(rows, gb.gens):
         for e, a in g.terms:
-            row[e.index(1)] = {0: a}
-    minor = _minors(rows, small.p)
-    columns = list(zip(small._shifts, _subsets(c, d)))
-    q = [small._from_packed({1 << s: minor(T, S).get(0, 0) for s, S in columns})
-         for T in combinations(range(len(rows)), d)]
+            row[e.index(1)] = a
+    subsets = np.array(list(combinations(range(len(rows)), d)), dtype=np.intp).reshape(-1, d)
+    minors = _maximal_minors(rows[subsets], small.p)
+    q = [small._from_packed(dict(zip((1 << s for s in small._shifts), coefficients)))
+         for coefficients in minors.tolist()]
     return buchberger_reduced(ideal(small, [*q, *_grassmannian(small.field, c, d).gens]))
 
 
@@ -649,15 +696,32 @@ def _reduced_union(gb: Ideal, small: PolyRing, d: int) -> Ideal | None:
     the intersection of the ideals I(L_j) of at least two rational
     subspaces; None otherwise, for the charts to answer.
 
+    The I(L_j), or None, are _union_components(gb), memoised on gb, so a
+    cone asked at several d is decomposed and checked once; the answer is
+    the _fold of the L_j's _schubert ideals, which project_incidence
+    proves.  Above DEFAULT_SUBSPACE_CAP rational points it is None before
+    any work, the cap read on every call."""
+    if gaussian_binomial(gb.ring.nvars, 1, gb.ring.p) > DEFAULT_SUBSPACE_CAP:
+        return None
+    parts = _union_components(gb)
+    if parts is None:
+        return None
+    return reduce(_fold, (_schubert(L, small, d) for L in parts), None)
+
+
+# As for _project_incidence: the decomposition depends only on gb, and a
+# call that raises stores nothing.
+@lru_cache(maxsize=256)
+def _union_components(gb: Ideal) -> tuple[Ideal, ...] | None:
+    """The reduced bases of the ideals I(L_j) of the rational subspaces whose
+    intersection S = I(Z) : m^oo is, for gb Z's reduced basis, in the d = 1
+    Pluecker ring; None when S is not shown to be one, for at least two.
+
     S is the d = 1 answer, memoised, and the L_j are its _rational_spans.
     With fewer than two, with a largest L_j whose dimension is not dim S,
     or with S's reduced basis other than the _fold of the I(L_j), it is
-    None; otherwise it is the _fold of the L_j's _schubert ideals, which
-    project_incidence proves.  Above DEFAULT_SUBSPACE_CAP rational points
-    it is None before any work."""
-    c, p = gb.ring.nvars, gb.ring.p
-    if gaussian_binomial(c, 1, p) > DEFAULT_SUBSPACE_CAP:
-        return None
+    None."""
+    p = gb.ring.p
     V = _project_incidence(gb, 1)
     S = V.gb
     spans = _rational_spans(V)
@@ -674,7 +738,7 @@ def _reduced_union(gb: Ideal, small: PolyRing, d: int) -> Ideal | None:
         parts.append(Ideal(line, tuple(map(line._from_packed, terms))))
     if reduce(_fold, parts, None).gens != S.gens:
         return None
-    return reduce(_fold, (_schubert(L, small, d) for L in parts), None)
+    return tuple(parts)
 
 
 @lru_cache(maxsize=256)

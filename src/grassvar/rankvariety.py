@@ -18,10 +18,10 @@ the columns J of A[I, :] whose stacked coefficient columns are independent.
 So I_r(A) = I_r(A[I, J]), and its reduced Groebner basis, being unique, is
 unchanged.  The rows of A lie in rad^(p-1) M and its kernel holds the socle,
 so |I|, |J| <= n - 1; the one cap, MAX_MINORS, counts the C(|I|, r) C(|J|, r)
-minors before any is expanded.  fp._minors, the Laplace expansion that also
-gives Pluecker points, expands them on entries held as dicts of packed
-monomials.  A minor has degree r(p - 1) < n, far below the packed fields'
-bound 2^19, so adding packed monomials multiplies them exactly.
+minors before any is expanded.  fp._minors, a memoised Laplace expansion,
+expands them on entries held as dicts of packed monomials.  A minor has
+degree r(p - 1) < n, far below the packed fields' bound 2^19, so adding
+packed monomials multiplies them exactly.
 """
 
 from __future__ import annotations

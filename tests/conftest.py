@@ -65,12 +65,14 @@ def f3():
 
 @pytest.fixture
 def cold_memos():
-    """Empty the rank, pair, projection, restricted-cover and resolution
-    memos, so the test sees cold computations whatever ran before it."""
+    """Empty the rank, pair, projection, union, restricted-cover and
+    resolution memos, so the test sees cold computations whatever ran
+    before it."""
     for memo in (
         rankvariety.rank_variety_ideal,
         rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
+        grassmann._union_components,
         homology._restricted_cover,
         homology.resolve,
     ):

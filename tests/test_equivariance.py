@@ -15,6 +15,15 @@ per coordinate; the saturation's parts and its "some variable divides no
 lead" shortcut; the Schubert answer's minors, one per column subset; the
 reduced-union answer's scan of rational points.  These checks need no
 second implementation of any of them.
+
+g also acts on kE-modules: M^g has actions X'_i = sum over j of g_ij X_j,
+which commute and have p-th power 0 in characteristic p, so M^g is M seen
+through the automorphism x_i -> sum over j of g_ij x_j of kE.  A form
+u_a = sum a_i X'_i of M^g is u_(a g) of M, so the rank variety of M^g is
+the twist of that of M, generator by generator of the minors; the higher
+varieties of (M^g, N^g) are twisted by the d-th exterior power of g, and
+Ext and the Betti numbers, invariant under an automorphism of the algebra,
+are unchanged.
 """
 
 import itertools
@@ -23,9 +32,11 @@ import random
 import pytest
 
 from grassvar.fp import MatrixFp, PrimeField, _minors
-from grassvar.grassmann import pluecker_ring, project_incidence, _subsets
+from grassvar.grassmann import higher_variety_ideal, pluecker_ring, project_incidence, _subsets
+from grassvar.homology import betti_numbers, ext_dims
+from grassvar.modules import KEModule
 from grassvar.poly import buchberger_reduced, ideal
-from grassvar.rankvariety import VarietyIdeal1, coordinate_ring, pair_variety_ideal
+from grassvar.rankvariety import VarietyIdeal1, coordinate_ring, pair_variety_ideal, rank_variety_ideal
 
 from test_grassmann import CONE_SHAPES, _union_of_subspaces
 
@@ -92,9 +103,10 @@ def _check(gb, rng, twists):
     return checked
 
 
-def test_twisted_invertible_maps_compose():
-    # (f(a g))(a h) = f(a h g) and the exterior powers compose the same way,
-    # so the helpers act as a group: a check on the helpers themselves
+def test_twisted_invertible_maps_compose(catalog):
+    # (f(a g))(a h) = f(a h g), the exterior powers compose the same way
+    # and (M^g)^h = M^(h g), so the helpers act as a group: a check on the
+    # helpers themselves
     rng = random.Random("compose")
     ring = coordinate_ring(F3, 4)
     a1, a2, a3, a4 = ring.gens()
@@ -105,10 +117,18 @@ def test_twisted_invertible_maps_compose():
     p12, p13, p14, p23, p24, p34 = pluecker_ring(F3, 4, 2).gens()
     V = buchberger_reduced(ideal(p12.ring, [p12 * p34 + p13 * p13, p14 * p23 - p24]))
     assert _twisted_variety(_twisted_variety(V, g, 2), h, 2).gens == _twisted_variety(V, hg, 2).gens
-    # the identity fixes both
+    # the identity fixes each
     one = [[int(i == j) for j in range(4)] for i in range(4)]
     assert _twisted_cone(gb, one).gens == gb.gens
     assert _twisted_variety(V, one, 2).gens == V.gens
+    for (p, c), modules in catalog.items():
+        field = PrimeField(p)
+        g, h = _invertible(rng, field, c), _invertible(rng, field, c)
+        hg = (MatrixFp(field, h) @ MatrixFp(field, g)).tolist()
+        one = [[int(i == j) for j in range(c)] for i in range(c)]
+        for M in modules.values():
+            assert _twisted_module(_twisted_module(M, g), h) == _twisted_module(M, hg)
+            assert _twisted_module(M, one) == M
 
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
@@ -128,3 +148,62 @@ def test_projection_of_catalog_pairs_is_equivariant(catalog):
              for M, N in itertools.product(cat.values(), repeat=2)}
     checked = sum(_check(gb, rng, 2) for gb in sorted(bases, key=str))
     assert checked == 2 * sum(gb.ring.nvars for gb in bases)
+
+
+# --- twisted modules ----------------------------------------------------------
+
+
+def _twisted_module(M, g):
+    """M^g, whose i-th action is X'_i = sum over j of g_ij X_j."""
+    arrays = [a.array for a in M.actions]
+    actions = [sum(g[i][j] * arrays[j] for j in range(M.c)) % M.p for i in range(M.c)]
+    return KEModule(M.field, M.c, M.n, tuple(MatrixFp(M.field, a) for a in actions))
+
+
+@pytest.fixture(scope="module")
+def twisted_catalog(catalog):
+    """For each catalog context, two seeded g, each with the catalog
+    twisted by it, module by module under the same names."""
+    rng = random.Random("equivariance modules")
+    out = {}
+    for (p, c), modules in catalog.items():
+        gs = [_invertible(rng, PrimeField(p), c) for _ in range(2)]
+        out[p, c] = [(g, {name: _twisted_module(M, g) for name, M in modules.items()}) for g in gs]
+    return out
+
+
+def test_rank_varieties_of_twisted_modules_are_twisted(catalog, twisted_catalog):
+    # I(V(M^g)) = {f(a g) : f in I(V(M))}, with identical reduced bases
+    checked = 0
+    for key, modules in catalog.items():
+        for g, twisted in twisted_catalog[key]:
+            for name, M in modules.items():
+                want = _twisted_cone(rank_variety_ideal(M).gb, g)
+                assert rank_variety_ideal(twisted[name]).gb.gens == want.gens, (key, name, g)
+                checked += 1
+    assert checked == 3 * 2 * 8
+
+
+def test_higher_varieties_of_twisted_pairs_are_twisted(catalog, twisted_catalog):
+    # V^d(M^g, N^g) is the twist of V^d(M, N) by the d-th exterior power of
+    # g, at every d, for every ordered catalog pair
+    checked = 0
+    for (p, c), modules in catalog.items():
+        for g, twisted in twisted_catalog[p, c]:
+            for (m, M), (n, N) in itertools.product(modules.items(), repeat=2):
+                for d in range(1, c + 1):
+                    want = _twisted_variety(higher_variety_ideal(M, N, d).gb, g, d)
+                    got = higher_variety_ideal(twisted[m], twisted[n], d).gb
+                    assert got.gens == want.gens, ((p, c), m, n, g, d)
+                    checked += 1
+    assert checked == 2 * 64 * (2 + 2 + 3)
+
+
+def test_ext_and_betti_numbers_of_twisted_modules_are_unchanged(catalog, twisted_catalog):
+    # to degree 4, for every catalog module and ordered pair
+    for key, modules in catalog.items():
+        for g, twisted in twisted_catalog[key]:
+            for name, M in modules.items():
+                assert betti_numbers(twisted[name], 4) == betti_numbers(M, 4), (key, name, g)
+            for (m, M), (n, N) in itertools.product(modules.items(), repeat=2):
+                assert ext_dims(twisted[m], twisted[n], 4).dims == ext_dims(M, N, 4).dims, (key, m, n, g)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from grassvar import grassmann, homology, poly
 from grassvar.cli import parse_polynomial
 from grassvar.errors import GroebnerBudgetError, SubspaceLimitError, SyzygyLimitError
-from grassvar.fp import MatrixFp, PrimeField, _minors, _rref
+from grassvar.fp import MatrixFp, PrimeField, _maximal_minors, _minors, _rref
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
@@ -145,11 +145,97 @@ def test_maximal_minors_match_determinants(drawn):
     minor = _minors([[{0: x % p} if x % p else {} for x in row] for row in rows], p)
     got = [minor(tuple(range(d)), S).get(0, 0) for S in itertools.combinations(range(c), d)]
     assert got == expected
+    # and bottom up over the column subsets, on a stack of one matrix
+    assert _maximal_minors(a[None] % p, p).tolist() == [expected]
     # independent rows span a d-plane, whose point is those minors up to
     # the scale that its echelon basis divides out
     if any(expected):
         W = subspace_from_rows(field, rows)
         assert pluecker_embed(W) == PlueckerPoint(field, c, d, tuple(expected))
+
+
+# every Grassmannian with p <= 7, c <= 6 and at most 2,000 subspaces: 64 of
+# them, 10,601 subspaces, c = 1 and d = c among them
+SMALL_GRASSMANNIANS = [
+    (p, c, d) for p in (2, 3, 5, 7) for c in range(1, 7) for d in range(1, c + 1)
+    if gaussian_binomial(c, d, p) <= 2000
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_enumeration_matches_a_plain_reenumeration(p):
+    # pivot pattern, then the free entries in product order, one matrix at
+    # a time; each basis is fixed by _rref, and each point is the
+    # determinants of its column submatrices, by elimination
+    field = PrimeField(p)
+    grids = [(c, d) for q, c, d in SMALL_GRASSMANNIANS if q == p]
+    assert (1, 1) in grids and (4, 4) in grids
+    for c, d in grids:
+        want = []
+        for piv in itertools.combinations(range(c), d):
+            free = [(r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in piv]
+            for values in itertools.product(range(p), repeat=len(free)):
+                a = [[int(j == piv[r]) for j in range(c)] for r in range(d)]
+                for (r, j), v in zip(free, values):
+                    a[r][j] = v
+                want.append(a)
+        subspaces = enumerate_subspaces(field, c, d)
+        assert [W.basis.tolist() for W in subspaces] == want
+        for W in subspaces:
+            a = W.basis.array
+            assert np.array_equal(_rref(a, p)[0], a)
+            dets = [MatrixFp(field, a[:, list(S)]).det() for S in itertools.combinations(range(c), d)]
+            assert pluecker_embed(W) == PlueckerPoint(field, c, d, tuple(dets))
+
+
+@st.composite
+def near_echelon_matrices(draw):
+    """(p, d x c matrix of reduced entries) for d <= c <= 6: any matrix, or
+    a full-rank reduced echelon matrix, or one with a single defect: a lead
+    that is not 1, a nonzero entry above a lead, a zero row or two rows
+    whose leads decrease."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    c = draw(st.integers(1, 6))
+    d = draw(st.integers(1, c))
+    kind = draw(st.sampled_from(["any", "echelon", "lead", "above", "zero row", "decreasing"]))
+    if kind == "any":
+        rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=c, max_size=c), min_size=d, max_size=d))
+        return p, np.array(rows, dtype=np.int64)
+    leads = sorted(draw(st.sets(st.integers(0, c - 1), min_size=d, max_size=d)))
+    a = np.zeros((d, c), dtype=np.int64)
+    for r, j in enumerate(leads):
+        a[r, j] = 1
+        for k in range(j + 1, c):
+            if k not in leads:
+                a[r, k] = draw(st.integers(0, p - 1))
+    r = draw(st.integers(0, d - 1))
+    if kind == "lead":
+        assume(p > 2)
+        a[r, leads[r]] = draw(st.integers(2, p - 1))
+    elif kind == "above":
+        assume(r > 0)
+        a[draw(st.integers(0, r - 1)), leads[r]] = draw(st.integers(1, p - 1))
+    elif kind == "zero row":
+        a[r] = 0
+    elif kind == "decreasing":
+        assume(r > 0)
+        a[[r - 1, r]] = a[[r, r - 1]]
+    return p, a
+
+
+@PROPERTY
+@given(near_echelon_matrices())
+def test_subspace_refuses_exactly_what_rref_refuses(drawn):
+    # the stacked check behind every Subspace against _rref
+    p, a = drawn
+    field = PrimeField(p)
+    d, c = a.shape
+    red, piv = _rref(a, p)
+    if np.array_equal(red, a) and len(piv) == d:
+        assert Subspace(field, c, d, MatrixFp(field, a)).basis.tolist() == a.tolist()
+    else:
+        with pytest.raises(ValueError, match="full-rank reduced echelon matrix"):
+            Subspace(field, c, d, MatrixFp(field, a))
 
 
 def test_pluecker_embed_of_an_equal_subspace_is_an_equal_point():
@@ -423,7 +509,8 @@ def test_projection_memo_keeps_no_failures(cold_memos):
 
 
 def test_rank_pair_and_projection_memos_hold_256_entries():
-    for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence):
+    for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence,
+                 grassmann._union_components):
         assert memo.cache_info().maxsize == 256
 
 
@@ -793,11 +880,15 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch, cold_memos):
     # the lines through e2, e2 + e3 and e4, given by their reduced basis
     assert str(Z.gb) == f"ideal({THREE_LINES.replace(';', ',')})"
     calls = _counting_intersections(monkeypatch)
-    counts = []
+    spans = []
+    proposed = grassmann._rational_spans
+    monkeypatch.setattr(grassmann, "_rational_spans", lambda V: spans.append(V) or proposed(V))
+    counts, proposals = [], []
     for d in (1, 2, 3):
-        del calls[:]
+        del calls[:], spans[:]
         V = project_incidence(Z, d)
         counts.append(len(calls))
+        proposals.append(len(spans))
         ref = _project_by_adjoining(Z.gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref)
         if d == 1:
@@ -806,9 +897,11 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch, cold_memos):
             with groebner_budget(0):
                 assert variety_dim_projective(V) == 0
     # one proper intersection of the saturation's parts at d = 1; at d = 2
-    # and 3 the saturation is memoised and is the lines' intersection, so
-    # two fold the lines' ideals and two their Schubert ideals
-    assert counts == [1, 4, 4]
+    # the saturation is memoised and is the lines' intersection, so two
+    # fold the lines' ideals and two their Schubert ideals; at d = 3 the
+    # lines are memoised as well, and only the Schubert ideals are folded
+    assert counts == [1, 4, 2]
+    assert proposals == [0, 1, 0]
     # the charts, with the union answer out of the way, keep one proper
     # intersection at d = 2 and 3 as well
     monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
