@@ -74,15 +74,19 @@ pivot pattern are built in one pass over an int64 stack of all its echelon
 matrices: one vectorised check that each is a full-rank reduced echelon
 basis, and every point from fp._maximal_minors of the whole stack; a
 Subspace built on its own passes the same check and takes its point from
-the same helper on a stack of one.  The union answer's components are
-memoised on Z's reduced basis, so a cone asked at several d is decomposed
-once.  The reduced basis of the Pluecker relations, the Pluecker and
-wedge relations of the incidence ideal, and each chart's wedge relations
-with xi = 1, are built once per (field, c, d) as well, so each chart
-relabels only Z's generators, in one step from Z's ring into the incidence
-ring with xi = 1, the one ring object that every chart over (field, c, d)
-shares.  The oracle's homological route reads its restricted covers from
-homology's memo, keyed on (module, W's basis).
+the same helper on a stack of one.  The memo also keeps the points as one
+(n, C(c,d)) array, with the row of each, so a variety is evaluated once on
+all of them, by poly._vanishing, at its first membership query, and keeps
+the mask; the rational points of an order-one variety, which the oracle
+and rational_points read, are one such scan of G_1.  The union answer's
+components are memoised on Z's reduced basis, so a cone asked at several
+d is decomposed once.  The reduced basis of the Pluecker relations, the
+Pluecker and wedge relations of the incidence ideal, and each chart's
+wedge relations with xi = 1, are built once per (field, c, d) as well, so
+each chart relabels only Z's generators, in one step from Z's ring into
+the incidence ring with xi = 1, the one ring object that every chart over
+(field, c, d) shares.  The oracle's homological route reads its
+restricted covers from homology's memo, keyed on (module, W's basis).
 """
 
 from __future__ import annotations
@@ -90,8 +94,9 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, product
+from itertools import combinations, compress
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,16 +112,13 @@ from .poly import (
     PolyRing,
     _basis_dimension,
     _normal_forms,
+    _vanishing,
     buchberger_reduced,
     eliminate,
     ideal,
     ideal_intersect,
 )
-from .rankvariety import (
-    VarietyIdeal1,
-    pair_variety_ideal,
-    point_in_rank_variety,
-)
+from .rankvariety import VarietyIdeal1, pair_variety_ideal
 
 DEFAULT_SUBSPACE_CAP = 10_000
 
@@ -171,7 +173,7 @@ class Subspace:
             raise ValueError("basis must be a d x c matrix")
         if self.basis.field != self.field:
             raise ValueError("basis field mismatch")
-        (point,) = _points(self.field, self.basis.array[None])
+        _, (point,) = _points(self.field, self.basis.array[None])
         object.__setattr__(self, "_point", point)
         object.__setattr__(self, "_rows", tuple(map(tuple, self.basis.tolist())))
 
@@ -202,43 +204,66 @@ def enumerate_subspaces(field: PrimeField, c: int, d: int) -> list[Subspace]:
     """
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
-    p = field.p
-    count, cap = gaussian_binomial(c, d, p), DEFAULT_SUBSPACE_CAP
+    _check_cap(field, c, d)
+    return list(_subspaces(field, c, d).subspaces)
+
+
+def _check_cap(field: PrimeField, c: int, d: int) -> None:
+    """SubspaceLimitError when G_d(F_p^c) has more rational points than
+    DEFAULT_SUBSPACE_CAP, read on every call."""
+    count, cap = gaussian_binomial(c, d, field.p), DEFAULT_SUBSPACE_CAP
     if count > cap:
         raise SubspaceLimitError(
-            f"{count} subspaces of dimension {d} in F_{p}^{c}, over the cap {cap}"
+            f"{count} subspaces of dimension {d} in F_{field.p}^{c}, over the cap {cap}"
         )
-    return list(_subspaces(field, c, d))
+
+
+class _Rational(NamedTuple):
+    """The rational points of one Grassmannian G_d(F_p^c), in enumeration
+    order: the subspaces, their Pluecker points stacked as one read-only
+    (n, C(c,d)) int64 array, and the row of each point's coordinates."""
+
+    subspaces: tuple[Subspace, ...]
+    stack: np.ndarray
+    row: dict[tuple[int, ...], int]
 
 
 # 16 Grassmannians: each workload and CLI command scans at most six distinct
 # (field, c, d).  An entry holds every subspace of its Grassmannian, at most
-# the cap at its first call: 10,000, the default, take about 8 MB (780
-# bytes each on G_2(F_7^4), by tracemalloc).
+# the cap at its first call: 10,000, the default, take about 9 MB (900
+# bytes each on G_2(F_7^4), by tracemalloc, with the stacked points and the
+# index).
 @lru_cache(maxsize=16)
-def _subspaces(field: PrimeField, c: int, d: int) -> tuple[Subspace, ...]:
-    p = field.p
+def _subspaces(field: PrimeField, c: int, d: int) -> _Rational:
     out = []
+    coords = np.empty((gaussian_binomial(c, d, field.p), comb(c, d)), dtype=np.int64)
     for piv in combinations(range(c), d):
-        pivset = set(piv)
-        free_pos = [
-            (r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in pivset
-        ]
-        # every echelon matrix of the pattern at once, the t-th free entry
-        # the t-th base-p digit of its index, most significant first, in
-        # the order of product(range(p), repeat=len(free_pos))
-        n = p ** len(free_pos)
-        stack = np.zeros((n, d, c), dtype=np.int64)
-        stack[:, range(d), piv] = 1
-        if free_pos:
-            rows, cols = zip(*free_pos)
-            digits = p ** np.arange(len(free_pos) - 1, -1, -1)
-            stack[:, rows, cols] = np.arange(n)[:, None] // digits % p
+        stack = _echelon_stack(field.p, c, piv)
+        coords[len(out): len(out) + len(stack)], points = _points(field, stack)
         out += (_frozen(Subspace, field=field, c=c, d=d, basis=MatrixFp(field, a), _point=point,
                         _rows=tuple(map(tuple, entries)))
-                for a, entries, point in zip(stack, stack.tolist(), _points(field, stack)))
-    assert len(out) == gaussian_binomial(c, d, p)
-    return tuple(out)
+                for a, entries, point in zip(stack, stack.tolist(), points))
+    assert len(out) == len(coords)
+    coords.setflags(write=False)
+    return _Rational(tuple(out), coords, {W._point.coords: i for i, W in enumerate(out)})
+
+
+def _echelon_stack(p: int, c: int, piv: tuple[int, ...]) -> np.ndarray:
+    """Every d x c reduced echelon matrix over F_p with pivot columns piv, as
+    one (n, d, c) int64 stack: the t-th free entry is the t-th base-p digit
+    of its index, most significant first, in the order of
+    product(range(p), repeat=number of free entries)."""
+    d = len(piv)
+    pivset = set(piv)
+    free_pos = [(r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in pivset]
+    n = p ** len(free_pos)
+    stack = np.zeros((n, d, c), dtype=np.int64)
+    stack[:, range(d), piv] = 1
+    if free_pos:
+        rows, cols = zip(*free_pos)
+        digits = p ** np.arange(len(free_pos) - 1, -1, -1)
+        stack[:, rows, cols] = np.arange(n)[:, None] // digits % p
+    return stack
 
 
 def _frozen(cls, **fields):
@@ -250,10 +275,11 @@ def _frozen(cls, **fields):
     return obj
 
 
-def _points(field: PrimeField, stack: np.ndarray) -> list[PlueckerPoint]:
+def _points(field: PrimeField, stack: np.ndarray) -> tuple[np.ndarray, list[PlueckerPoint]]:
     """The Pluecker points of the d x c matrices of an (n, d, c) stack of
-    reduced entries, after one check that each is a full-rank reduced
-    echelon matrix, the basis a Subspace holds.
+    reduced entries, as one (n, C(c,d)) array and as PlueckerPoints, after
+    one check that each is a full-rank reduced echelon matrix, the basis a
+    Subspace holds.
 
     A matrix passes when the lead of each row, its first nonzero column,
     lies right of the lead of the row above, and the columns of the leads
@@ -268,8 +294,9 @@ def _points(field: PrimeField, stack: np.ndarray) -> list[PlueckerPoint]:
         leads = (stack != 0).argmax(axis=2)
         pivots = np.take_along_axis(stack, np.broadcast_to(leads[:, None, :], (n, d, d)), axis=2)
         if (np.diff(leads, axis=1) > 0).all() and (pivots == np.eye(d, dtype=np.int64)).all():
-            return [_frozen(PlueckerPoint, field=field, c=c, d=d, coords=tuple(x))
-                    for x in _maximal_minors(stack, field.p).tolist()]
+            minors = _maximal_minors(stack, field.p)
+            return minors, [_frozen(PlueckerPoint, field=field, c=c, d=d, coords=tuple(x))
+                            for x in minors.tolist()]
     raise ValueError("basis must be a full-rank reduced echelon matrix")
 
 
@@ -385,12 +412,15 @@ def incidence_ideal(Z: VarietyIdeal1, d: int) -> Ideal:
 @dataclass(frozen=True)
 class VarietyIdealD:
     """The ideal of a higher support variety inside the Pluecker space of
-    G_d(k^c), held as a reduced Groebner basis."""
+    G_d(k^c), held as a reduced Groebner basis, and, once point_on_variety
+    has scanned it, the index of the Grassmannian's rational points with the
+    mask, as bytes, of those on the variety."""
 
     ring: PolyRing
     c: int
     d: int
     gb: Ideal
+    _scan: tuple[dict, bytes] | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     def is_empty(self) -> bool:
         return self.gb.is_unit_ideal()
@@ -776,16 +806,30 @@ def higher_variety_ideal(M: KEModule, N: KEModule, d: int) -> VarietyIdealD:
 
 
 def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
-    """Whether a Pluecker point satisfies every equation of the variety."""
+    """Whether a Pluecker point satisfies every equation of the variety.
+
+    The first query of V evaluates V's basis once, by poly._vanishing, on
+    the stacked points of its Grassmannian, and keeps the mask on V; every
+    query then reads the point's row.  Above DEFAULT_SUBSPACE_CAP, read
+    when the mask would be built, and at a point off the Grassmannian, the
+    same kernel evaluates the point alone, as a stack of one."""
     if pt.field != V.ring.field:
         raise ValueError(f"point over F_{pt.field.p}, variety over F_{V.ring.field.p}")
     if (pt.c, pt.d) != (V.c, V.d):
         raise ValueError(
             f"point of G_{pt.d}(k^{pt.c}), variety in G_{V.d}(k^{V.c})"
         )
+    scan = V._scan
+    if scan is None and gaussian_binomial(V.c, V.d, V.ring.p) <= DEFAULT_SUBSPACE_CAP:
+        grid = _subspaces(V.ring.field, V.c, V.d)
+        scan = grid.row, _vanishing(V.gb.gens, grid.stack).tobytes()
+        object.__setattr__(V, "_scan", scan)
+    if scan is not None:
+        row = scan[0].get(pt.coords)
+        if row is not None:
+            return bool(scan[1][row])
     # the coordinates were checked and reduced when the point was built
-    point = V.ring._point(pt.coords)
-    return all(g._value(point) == 0 for g in V.gb.gens)
+    return bool(_vanishing(V.gb.gens, np.array([pt.coords], dtype=np.int64))[0])
 
 
 def variety_dim_projective(V: VarietyIdealD) -> int:
@@ -795,12 +839,45 @@ def variety_dim_projective(V: VarietyIdealD) -> int:
 
 
 def subspaces_on_variety(V: VarietyIdealD) -> list[Subspace]:
-    """All rational d-subspaces whose Pluecker point lies on the variety."""
+    """All rational d-subspaces whose Pluecker point lies on the variety,
+    each read from the mask that point_on_variety keeps on V."""
     return [
         W
         for W in enumerate_subspaces(V.ring.field, V.c, V.d)
         if point_on_variety(V, pluecker_embed(W))
     ]
+
+
+def _zero_lines(Z: VarietyIdeal1) -> frozenset[tuple[int, ...]] | None:
+    """The rational points of Z, a cone in k^c, as the vectors that
+    represent the lines of G_1(F_p^c), scaled so the first nonzero
+    coordinate is 1; None above DEFAULT_SUBSPACE_CAP lines, the cap read
+    when the set would be built.  Z's basis is evaluated once, by
+    poly._vanishing, on G_1's stacked points, which are those vectors, and
+    the set is kept on Z.  A scaled vector stands for its line only on a
+    cone, so a basis element that is not homogeneous raises ValueError,
+    checked before the set is built."""
+    zeros = Z._zeros
+    if zeros is None:
+        bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
+        if bad is not None:
+            raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
+        if gaussian_binomial(Z.c, 1, Z.ring.p) <= DEFAULT_SUBSPACE_CAP:
+            grid = _subspaces(Z.ring.field, Z.c, 1)
+            zeros = frozenset(compress(grid.row, _vanishing(Z.gb.gens, grid.stack).tolist()))
+            object.__setattr__(Z, "_zeros", zeros)
+    return zeros
+
+
+@lru_cache(maxsize=16)
+def _scaled_vectors(p: int, d: int) -> np.ndarray:
+    """The nonzero vectors of F_p^d whose first nonzero entry is 1, one per
+    line, as one read-only (n, d) array: the rows of the echelon stacks of
+    G_1(F_p^d).  Built once per (p, d), the last 16 kept, as every oracle
+    query reads them."""
+    vectors = np.concatenate([_echelon_stack(p, d, (i,))[:, 0] for i in range(d)])
+    vectors.setflags(write=False)
+    return vectors
 
 
 def oracle_membership(
@@ -812,12 +889,21 @@ def oracle_membership(
 ) -> tuple[bool, bool]:
     """Test membership of W in the d-th support variety of (M, N) two ways.
 
-    Returns (geometric, homological).  The geometric answer scans the nonzero
-    rational points of W for one lying on the order-one variety of the pair;
-    the homological answer restricts both modules to the subalgebra on the
-    echelon basis of W and asks whether Ext fails to vanish eventually,
-    decided exactly, as ext_eventually_zero decides it, by Higman's
-    criterion (homology._hom_projective) with W's basis as the forms.  The
+    Returns (geometric, homological).  The geometric answer asks whether
+    one of W's (p^d - 1)/(p - 1) rational lines lies on the order-one
+    variety of the pair: W's points u = t B, for B its echelon basis and t
+    each nonzero vector of F_p^d whose first nonzero entry is 1, are
+    themselves scaled so, and are looked up in the pair ideal's rational
+    points, one scan of G_1's stacked points kept on the ideal
+    (_zero_lines); above DEFAULT_SUBSPACE_CAP lines the pair ideal is
+    evaluated on W's points alone, by the same kernel.  A pair_ideal over
+    another field or in another number of variables raises ValueError, and
+    so, as a scaled point stands for its line only on a cone, does one
+    with a basis element that is not homogeneous.  The homological
+    answer restricts both modules to the subalgebra on the echelon basis of
+    W and asks whether Ext fails to vanish eventually, decided exactly, as
+    ext_eventually_zero decides it, by Higman's criterion
+    (homology._hom_projective) with W's basis as the forms.  The
     homological answer is exact; a geometric hit is always definitive, but
     a miss can be a field-size artifact when the order-one variety has no
     rational points on W, so equality of the two flags is guaranteed only
@@ -831,18 +917,16 @@ def oracle_membership(
         raise ValueError("modules must share the same p and c")
     if pair_ideal is None:
         pair_ideal = pair_variety_ideal(M, N)
-    p = M.p
-    rows = W.rows()
-    geometric = False
-    for coeffs in product(range(p), repeat=d):
-        if not any(coeffs):
-            continue
-        u = tuple(
-            sum(t * r[i] for t, r in zip(coeffs, rows)) % p for i in range(M.c)
-        )
-        if point_in_rank_variety(pair_ideal, u):
-            geometric = True
-            break
+    elif pair_ideal.ring.field != M.field:
+        raise ValueError(f"pair ideal over F_{pair_ideal.ring.p}, modules over F_{M.p}")
+    elif pair_ideal.c != M.c:
+        raise ValueError(f"pair ideal in {pair_ideal.c} variables, modules over c = {M.c}")
+    # _zero_lines refuses an ideal that is not a cone
+    zeros = _zero_lines(pair_ideal)
+    points = _scaled_vectors(M.p, d) @ W.basis.array % M.p
+    if zeros is None:
+        geometric = bool(_vanishing(pair_ideal.gb.gens, points).any())
+    else:
+        geometric = any(u in zeros for u in map(tuple, points.tolist()))
     homological = not _hom_projective(M, N, W.basis)
     return geometric, homological
-

@@ -100,8 +100,11 @@ import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import index, itemgetter, lshift
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import GroebnerBudgetError
 from .fp import PrimeField, _integer
@@ -553,6 +556,50 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
+
+
+@lru_cache(maxsize=32)
+def _logs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Discrete logarithms in F_p to the least primitive root g: log[x] for x
+    in 1..p-1 (log[0] is 0 and unused) and exp[k] = g^k for k in 0..p-2.
+    Built once per prime; there are 25 primes up to 97."""
+    g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
+    exp = np.array([pow(g, k, p) for k in range(p - 1)], dtype=np.int64)
+    log = np.zeros(p, dtype=np.int64)
+    log[exp] = np.arange(p - 1)
+    return log, exp
+
+
+def _vanishing(gens: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
+    """The mask of the rows of `points`, an (n, nvars) int64 stack of points
+    of F_p^nvars with entries in 0..p-1, at which every polynomial of gens,
+    all in one ring, vanishes.
+
+    The zero polynomial, and so no polynomial, vanishes everywhere, and a
+    nonzero constant nowhere, with no evaluation.  Otherwise every term's
+    column, its monomial's value at each point, comes from two products of
+    the (terms x nvars) exponent matrix E: E @ log(x) mod (p - 1), the
+    discrete logarithm of x^e where no coordinate of its support is 0
+    (_logs), and (E > 0) @ (x == 0), nonzero where one is.  The columns,
+    times the coefficients, are summed per polynomial mod p.  So the work is
+    a fixed number of array operations, whatever the number of variables.
+    Exponents stay below 2^19 and logarithms and coefficients below 97, so
+    every product and sum stays far inside int64."""
+    n = len(points)
+    gens = [g for g in gens if g._terms]
+    if not gens:
+        return np.ones(n, dtype=bool)
+    if any(g.is_constant() for g in gens):
+        return np.zeros(n, dtype=bool)
+    ring = gens[0].ring
+    p = ring.p
+    log, exp = _logs(p)
+    terms = [t for g in gens for t in g._terms]
+    exps = np.array([ring._unpack(m) for _, m, _ in terms], dtype=np.int64).reshape(len(terms), ring.nvars)
+    columns = exp[exps @ log[points].T % (p - 1)] * ((exps > 0).astype(np.int64) @ (points == 0).T == 0)
+    coefficients = np.zeros((len(gens), len(terms)), dtype=np.int64)
+    coefficients[[i for i, g in enumerate(gens) for _ in g._terms], range(len(terms))] = [c for _, _, c in terms]
+    return ~(coefficients @ columns % p).any(axis=0)
 
 
 @dataclass(frozen=True)

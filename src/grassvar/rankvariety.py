@@ -26,9 +26,10 @@ packed monomials multiplies them exactly.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, combinations, combinations_with_replacement, product
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import MinorLimitError
 from .fp import _integer, _matmul, _minors, _rref
 from .modules import KEModule
-from .poly import Ideal, PolyRing, buchberger_reduced, ideal
+from .poly import Ideal, PolyRing, _vanishing, buchberger_reduced, ideal
 
 MAX_MINORS = 250_000
 
@@ -51,11 +52,13 @@ def coordinate_ring(field, c: int) -> PolyRing:
 @dataclass(frozen=True)
 class VarietyIdeal1:
     """A rank variety inside k^c: raw generators and their reduced
-    Groebner basis in F_p[a1..ac]."""
+    Groebner basis in F_p[a1..ac], and, once rational_points or the oracle
+    has scanned it, the set of its rational points (grassmann._zero_lines)."""
 
     ring: PolyRing
     raw: Ideal
     gb: Ideal
+    _zeros: frozenset | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     @property
     def c(self) -> int:
@@ -145,25 +148,26 @@ def pair_variety_ideal(M: KEModule, N: KEModule) -> VarietyIdeal1:
 
 
 def point_in_rank_variety(V: VarietyIdeal1, point) -> bool:
-    """Whether a point of k^c satisfies every equation of the variety."""
-    values = [_integer(v, "coordinate") for v in point]
+    """Whether a point of k^c satisfies every equation of the variety: the
+    point alone, as a stack of one, through poly._vanishing."""
+    values = [_integer(v, "coordinate") % V.ring.p for v in point]
     if len(values) != V.c:
         raise ValueError(f"expected {V.c} coordinates, got {len(values)}")
-    return all(g.evaluate(values) == 0 for g in V.gb.gens)
+    return bool(_vanishing(V.gb.gens, np.array([values], dtype=np.int64))[0])
 
 
 def rational_points(V: VarietyIdeal1) -> list[tuple[int, ...]]:
     """Normalized representatives of the projective F_p-points of the variety.
 
     Each line through the origin is reported once, scaled so its first
-    nonzero coordinate is 1; points are sorted lexicographically.
+    nonzero coordinate is 1; points are sorted lexicographically.  They are
+    read from one scan of the rational points of G_1(k^c), kept on V, the
+    scan the oracle reads.  Above grassmann.DEFAULT_SUBSPACE_CAP lines it
+    raises SubspaceLimitError, as enumerate_subspaces does, and on a V that
+    is not a cone, whose scaled points do not stand for lines, ValueError.
     """
-    p = V.ring.p
-    c = V.c
-    points = []
-    for lead in range(c):
-        for tail in product(range(p), repeat=c - lead - 1):
-            u = (0,) * lead + (1,) + tail
-            if point_in_rank_variety(V, u):
-                points.append(u)
-    return sorted(points)
+    # grassmann imports this module, so its scan is imported on first use
+    from .grassmann import _check_cap, _zero_lines
+
+    _check_cap(V.ring.field, V.c, 1)
+    return sorted(_zero_lines(V))

@@ -8,7 +8,7 @@ from grassvar import (
     regular_module,
     syzygy_step,
 )
-from grassvar import grassmann, homology, rankvariety
+from grassvar import grassmann, homology, poly, rankvariety
 
 # Contexts keep every computation inside the library's resource caps: over
 # (3,3) kE alone would need C(23, 9)^2 9-minors of its independent rows and
@@ -66,13 +66,16 @@ def f3():
 @pytest.fixture
 def cold_memos():
     """Empty the rank, pair, projection, union, restricted-cover and
-    resolution memos, so the test sees cold computations whatever ran
-    before it."""
+    resolution memos, and the small memos of the membership scans (the
+    oracle's coefficient vectors and the discrete logarithms), so the test
+    sees cold computations whatever ran before it."""
     for memo in (
         rankvariety.rank_variety_ideal,
         rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
         grassmann._union_components,
+        grassmann._scaled_vectors,
+        poly._logs,
         homology._restricted_cover,
         homology.resolve,
     ):

@@ -23,7 +23,10 @@ u_a = sum a_i X'_i of M^g is u_(a g) of M, so the rank variety of M^g is
 the twist of that of M, generator by generator of the minors; the higher
 varieties of (M^g, N^g) are twisted by the d-th exterior power of g, and
 Ext and the Betti numbers, invariant under an automorphism of the algebra,
-are unchanged.
+are unchanged.  The oracle's flags at W for (M^g, N^g) are its flags at W g
+for (M, N): W's basis rows w give the forms sum over i of w_i X'_i of M^g,
+which are the forms of w g on M, and a point u of W lies on V(M^g, N^g)
+iff u g lies on V(M, N).
 """
 
 import itertools
@@ -32,7 +35,15 @@ import random
 import pytest
 
 from grassvar.fp import MatrixFp, PrimeField, _minors
-from grassvar.grassmann import higher_variety_ideal, pluecker_ring, project_incidence, _subsets
+from grassvar.grassmann import (
+    _subsets,
+    enumerate_subspaces,
+    higher_variety_ideal,
+    oracle_membership,
+    pluecker_ring,
+    project_incidence,
+    subspace_from_rows,
+)
 from grassvar.homology import betti_numbers, ext_dims
 from grassvar.modules import KEModule
 from grassvar.poly import buchberger_reduced, ideal
@@ -207,3 +218,27 @@ def test_ext_and_betti_numbers_of_twisted_modules_are_unchanged(catalog, twisted
                 assert betti_numbers(twisted[name], 4) == betti_numbers(M, 4), (key, name, g)
             for (m, M), (n, N) in itertools.product(modules.items(), repeat=2):
                 assert ext_dims(twisted[m], twisted[n], 4).dims == ext_dims(M, N, 4).dims, (key, m, n, g)
+
+
+def test_oracle_flags_of_twisted_pairs_are_the_flags_at_the_moved_subspace(catalog, twisted_catalog):
+    # both flags of (M^g, N^g, d, W) equal those of (M, N, d, W g), for
+    # every ordered catalog pair, every W at every d and two seeded g per
+    # context: the geometric flag's scan of scaled points and the
+    # homological flag's restriction each read W's echelon basis
+    checked, seen = 0, set()
+    for (p, c), modules in catalog.items():
+        field = PrimeField(p)
+        for g, twisted in twisted_catalog[p, c]:
+            G = MatrixFp(field, g)
+            moved = {W: subspace_from_rows(field, (W.basis @ G).tolist())
+                     for d in range(1, c + 1) for W in enumerate_subspaces(field, c, d)}
+            for (m, M), (n, N) in itertools.product(modules.items(), repeat=2):
+                pair, twisted_pair = pair_variety_ideal(M, N), pair_variety_ideal(twisted[m], twisted[n])
+                for W, Wg in moved.items():
+                    want = oracle_membership(M, N, W.d, Wg, pair_ideal=pair)
+                    got = oracle_membership(twisted[m], twisted[n], W.d, W, pair_ideal=twisted_pair)
+                    assert got == want, ((p, c), m, n, g, W.rows())
+                    checked += 1
+                    seen.add(got)
+    assert checked == 2 * 64 * (4 + 5 + 15)
+    assert {(True, True), (False, False)} <= seen

@@ -13,6 +13,7 @@ from grassvar.fp import MatrixFp, PrimeField, _maximal_minors, _minors, _rref
 from grassvar.grassmann import (
     PlueckerPoint,
     Subspace,
+    VarietyIdealD,
     enumerate_subspaces,
     gaussian_binomial,
     higher_variety_ideal,
@@ -512,6 +513,16 @@ def test_rank_pair_and_projection_memos_hold_256_entries():
     for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence,
                  grassmann._union_components):
         assert memo.cache_info().maxsize == 256
+    # the small memos of the membership scans: one entry per Grassmannian,
+    # per (p, d) of the oracle's coefficient vectors and per prime
+    assert grassmann._subspaces.cache_info().maxsize == 16
+    assert grassmann._scaled_vectors.cache_info().maxsize == 16
+    assert poly._logs.cache_info().maxsize == 32
+
+
+def test_cold_memos_empties_the_scan_memos(cold_memos):
+    for memo in (grassmann._scaled_vectors, poly._logs):
+        assert memo.cache_info().currsize == 0
 
 
 def test_each_groebner_call_has_its_own_default_budget(monkeypatch, cold_memos):
@@ -1320,3 +1331,120 @@ def test_drawn_unions_in_k3_are_radical_equal_to_the_closed_forms(drawn):
         for J in closed[1:]:
             union = ideal_intersect(union, J)
         assert radical_equal(V.gb, union), (str(Z.gb), d)
+
+
+# --- membership read from one scan of the Grassmannian ------------------------
+
+
+def _pointwise(V, pt):
+    """Whether every basis element of V vanishes at pt, one evaluation each."""
+    return all(g.evaluate(pt.coords) == 0 for g in V.gb.gens)
+
+
+def _scanned(V):
+    """A copy of V with no scan kept on it, so the next query scans."""
+    return VarietyIdealD(V.ring, V.c, V.d, V.gb)
+
+
+def test_scanned_membership_is_pointwise_evaluation(cones_at_every_d):
+    # every rational point at every d, for the variety of every catalog
+    # pair and of every CONE_SHAPES cone over F_2 and F_3 at c = 4 (and the
+    # fixture's unions at c = 5); subspaces_on_variety reads the same mask
+    scanned = 0
+    for gb, d in cones_at_every_d:
+        V = _scanned(project_incidence(VarietyIdeal1(gb.ring, gb, gb), d))
+        subs = enumerate_subspaces(gb.ring.field, V.c, d)
+        want = [_pointwise(V, pluecker_embed(W)) for W in subs]
+        assert [point_on_variety(V, pluecker_embed(W)) for W in subs] == want, (str(gb), d)
+        assert V._scan is not None
+        assert subspaces_on_variety(V) == list(itertools.compress(subs, want))
+        scanned += len(subs)
+    assert scanned > 10_000
+
+
+def test_scanned_membership_off_the_grassmannian_and_of_the_full_and_empty_varieties():
+    ring = pluecker_ring(F2, 4, 2)
+    p12, p13, p14, p23, p24, p34 = ring.gens()
+    # p12 p34 + p13 p24 + p14 p23 = 1 here, so no plane has this point
+    off = PlueckerPoint(F2, 4, 2, (1, 0, 0, 0, 0, 1))
+    assert off.coords not in grassmann._subspaces(F2, 4, 2).row
+    a1, a2, a3, a4 = coordinate_ring(F2, 4).gens()
+    varieties = {
+        "full": VarietyIdealD(ring, 4, 2, Ideal(ring, ())),
+        "empty": VarietyIdealD(ring, 4, 2, Ideal(ring, (ring.one,))),
+        "G_2(k^4)": project_incidence(_lines(a1.ring, []), 2),
+        "Schubert": project_incidence(_lines(a1.ring, [a1, a2]), 2),
+        # not cut by the Pluecker quadric, so it holds the point off G_2
+        "no quadric": VarietyIdealD(ring, 4, 2, buchberger_reduced(ideal(ring, [p13, p24 + p14]))),
+    }
+    points = [pluecker_embed(W) for W in enumerate_subspaces(F2, 4, 2)] + [off]
+    for name, V in varieties.items():
+        V = _scanned(V)
+        assert [point_on_variety(V, pt) for pt in points] == [_pointwise(V, pt) for pt in points], name
+    answers = {name: point_on_variety(V, off) for name, V in varieties.items()}
+    assert answers == {"full": True, "empty": False, "G_2(k^4)": False, "Schubert": False,
+                       "no quadric": True}
+    assert varieties["full"].is_full() and varieties["empty"].is_empty()
+    assert subspaces_on_variety(_scanned(varieties["full"])) == enumerate_subspaces(F2, 4, 2)
+    assert subspaces_on_variety(_scanned(varieties["empty"])) == []
+
+
+def test_scanned_membership_evaluates_each_point_alone_above_the_cap(monkeypatch):
+    # with the cap below the Grassmannian's size no mask is built: each
+    # query is one kernel call on a stack of one row, with the same answers
+    rng = random.Random("one-row membership")
+    rows = []
+    vanishing = grassmann._vanishing
+    for field in (F2, F3):
+        Z = _union_of_subspaces(rng, field, 4, (1, 2))
+        for d in (1, 2, 3):
+            V = project_incidence(Z, d)
+            subs = enumerate_subspaces(field, 4, d)
+            want = [_pointwise(V, pluecker_embed(W)) for W in subs]
+            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", len(subs) - 1)
+            monkeypatch.setattr(grassmann, "_vanishing", lambda gens, pts: rows.append(len(pts)) or vanishing(gens, pts))
+            V = _scanned(V)
+            assert [point_on_variety(V, pluecker_embed(W)) for W in subs] == want, (field.p, d)
+            assert V._scan is None and rows == [1] * len(subs)
+            with pytest.raises(SubspaceLimitError):
+                subspaces_on_variety(V)
+            monkeypatch.undo()
+            rows.clear()
+
+
+def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
+    # a given pair ideal over another field, in another number of variables
+    # or that is not a cone is refused before any answer
+    M, k = catalog[(2, 2)]["R/x2"], catalog[(2, 2)]["k"]
+    W = subspace_from_rows(F2, [(1, 0)])
+    assert oracle_membership(M, k, 1, W) == (False, False)
+    over_f3 = pair_variety_ideal(catalog[(3, 2)]["R/x2"], catalog[(3, 2)]["k"])
+    with pytest.raises(ValueError, match="pair ideal over F_3, modules over F_2"):
+        oracle_membership(M, k, 1, W, pair_ideal=over_f3)
+    in_three = pair_variety_ideal(catalog[(2, 3)]["R/x2"], catalog[(2, 3)]["k"])
+    with pytest.raises(ValueError, match="pair ideal in 3 variables, modules over c = 2"):
+        oracle_membership(M, k, 1, W, pair_ideal=in_three)
+    ring = coordinate_ring(F2, 2)
+    a1, a2 = ring.gens()
+    # a1 = a2^2 holds (1, 1) but not (1, 1) scaled: no cone
+    for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
+        with pytest.raises(ValueError, match="must be a cone"):
+            oracle_membership(M, k, 1, W, pair_ideal=Z)
+
+
+def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monkeypatch, catalog):
+    # with G_1 above the cap no scan is kept on the pair ideal, and the
+    # kernel evaluates W's (p^d - 1)/(p - 1) scaled points at once, with
+    # the same flags
+    for (p, c), cat in catalog.items():
+        field = PrimeField(p)
+        M, N = cat["R/x1"], cat["R/(x1+x2)"]
+        for d in range(1, c + 1):
+            subs = enumerate_subspaces(field, c, d)
+            want = [oracle_membership(M, N, d, W) for W in subs]
+            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 0)
+            pair = pair_variety_ideal(M, N)
+            fresh = VarietyIdeal1(pair.ring, pair.raw, pair.gb)
+            assert [oracle_membership(M, N, d, W, pair_ideal=fresh) for W in subs] == want, (p, c, d)
+            assert fresh._zeros is None
+            monkeypatch.undo()

@@ -428,6 +428,25 @@ def test_evaluate():
         f.evaluate([1])
 
 
+@PROPERTY
+@given(st.sampled_from([2, 3, 5, 7, 97]), st.integers(1, 4), st.data())
+def test_vanishing_mask_is_pointwise_evaluation(p, n, data):
+    # the stacked kernel against one evaluate per (polynomial, point), with
+    # exponents far past p - 1 and points with zero coordinates
+    r = ring(PrimeField(p), tuple(f"x{i}" for i in range(n)))
+    exponent = st.integers(0, 3) | st.integers(p - 1, 3 * p)
+    gens = [r.from_dict({tuple(data.draw(st.lists(exponent, min_size=n, max_size=n))): data.draw(st.integers(0, p - 1))
+                         for _ in range(data.draw(st.integers(0, 4)))})
+            for _ in range(data.draw(st.integers(0, 3)))]
+    points = data.draw(st.lists(st.lists(st.integers(0, p - 1) | st.just(0), min_size=n, max_size=n), max_size=12))
+    stack = np.array(points, dtype=np.int64).reshape(len(points), n)
+    want = [all(g.evaluate(pt) == 0 for g in gens) for pt in points]
+    assert poly._vanishing(gens, stack).tolist() == want
+    # a nonzero constant vanishes nowhere, the zero polynomial everywhere
+    assert poly._vanishing([*gens, r.const(1)], stack).tolist() == [False] * len(points)
+    assert poly._vanishing([*gens, r.zero], stack).tolist() == want
+
+
 def test_homogeneous_flag():
     r = ring()
     x, y, _ = r.gens()

@@ -4,8 +4,8 @@ from math import comb
 
 import pytest
 
-from grassvar import rankvariety
-from grassvar.errors import GroebnerBudgetError, MinorLimitError
+from grassvar import grassmann, rankvariety
+from grassvar.errors import GroebnerBudgetError, MinorLimitError, SubspaceLimitError
 from grassvar.fp import PrimeField
 from grassvar.modules import (
     direct_sum,
@@ -19,6 +19,7 @@ from grassvar.homology import syzygy_step
 from grassvar.poly import groebner_budget, ideal, ideal_intersect, radical_contains, radical_equal
 from grassvar.rankvariety import (
     MAX_MINORS,
+    VarietyIdeal1,
     coordinate_ring,
     pair_variety_ideal,
     point_in_rank_variety,
@@ -140,6 +141,28 @@ def test_point_membership_refuses_non_integer_coordinates(catalog):
     with pytest.raises(ValueError, match="integer"):
         point_in_rank_variety(V, (0.5, 1))
     assert point_in_rank_variety(V, (True, 10**26))
+
+
+def test_rational_points_read_the_line_scan_under_the_subspace_cap(monkeypatch, catalog):
+    # the four lines of F_3^2 are one scan, refused when the cap is below
+    # four, as enumerate_subspaces refuses them, and the sorted points
+    # otherwise
+    V = rank_variety_ideal(catalog[(3, 2)]["R/x1+R/x2"])
+    assert rational_points(V) == [(0, 1), (1, 0)]
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 3)
+    with pytest.raises(SubspaceLimitError, match=r"^4 subspaces of dimension 1 in F_3\^2, over the cap 3$"):
+        rational_points(V)
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 4)
+    assert rational_points(VarietyIdeal1(V.ring, V.raw, V.gb)) == [(0, 1), (1, 0)]
+
+
+def test_rational_points_refuse_a_variety_that_is_not_a_cone(f3):
+    # (1, 1) lies on a1 = a2^2 but (1, 1) scaled by 2 does not: no line
+    ring = coordinate_ring(f3, 2)
+    a1, a2 = ring.gens()
+    raw = ideal(ring, [a1 - a2 * a2])
+    with pytest.raises(ValueError, match="must be a cone"):
+        rational_points(VarietyIdeal1(ring, raw, raw))
 
 
 def test_variety_of_free_module_is_origin():
