@@ -813,9 +813,10 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
     query then reads the point's row.  Above DEFAULT_SUBSPACE_CAP, read
     when the mask would be built, and at a point off the Grassmannian, the
     same kernel evaluates the point alone, as a stack of one."""
-    if pt.field != V.ring.field:
+    # a field is its prime, so comparing primes compares fields
+    if pt.field.p != V.ring.field.p:
         raise ValueError(f"point over F_{pt.field.p}, variety over F_{V.ring.field.p}")
-    if (pt.c, pt.d) != (V.c, V.d):
+    if pt.c != V.c or pt.d != V.d:
         raise ValueError(
             f"point of G_{pt.d}(k^{pt.c}), variety in G_{V.d}(k^{V.c})"
         )

@@ -101,6 +101,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import index, itemgetter, lshift
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -558,14 +559,20 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
+# the logarithm _logs gives 0: above deg * (p - 2) < 2^19 * 96 for every
+# monomial of degree deg below the bound, so a sum of logarithms reaches it
+# exactly when one factor is 0, and deg * 2^32 stays inside int64
+_LOG_ZERO = 1 << 32
+
+
 @lru_cache(maxsize=32)
 def _logs(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Discrete logarithms in F_p to the least primitive root g: log[x] for x
-    in 1..p-1 (log[0] is 0 and unused) and exp[k] = g^k for k in 0..p-2.
+    in 0..p-1, with log[0] = _LOG_ZERO, and exp[k] = g^k for k in 0..p-2.
     Built once per prime; there are 25 primes up to 97."""
     g = next(g for g in range(1, p) if len({pow(g, k, p) for k in range(p - 1)}) == p - 1)
     exp = np.array([pow(g, k, p) for k in range(p - 1)], dtype=np.int64)
-    log = np.zeros(p, dtype=np.int64)
+    log = np.full(p, _LOG_ZERO, dtype=np.int64)
     log[exp] = np.arange(p - 1)
     return log, exp
 
@@ -577,14 +584,13 @@ def _vanishing(gens: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
 
     The zero polynomial, and so no polynomial, vanishes everywhere, and a
     nonzero constant nowhere, with no evaluation.  Otherwise every term's
-    column, its monomial's value at each point, comes from two products of
-    the (terms x nvars) exponent matrix E: E @ log(x) mod (p - 1), the
-    discrete logarithm of x^e where no coordinate of its support is 0
-    (_logs), and (E > 0) @ (x == 0), nonzero where one is.  The columns,
-    times the coefficients, are summed per polynomial mod p.  So the work is
-    a fixed number of array operations, whatever the number of variables.
-    Exponents stay below 2^19 and logarithms and coefficients below 97, so
-    every product and sum stays far inside int64."""
+    column, its monomial's value at each point, comes from one product of
+    the (terms x nvars) exponent matrix E with the points' logarithms
+    (_logs): E @ log(x) is the discrete logarithm of x^e, taken mod p - 1,
+    where no coordinate of its support is 0, and reaches _LOG_ZERO where
+    one is.  The columns, times the coefficients, are summed per polynomial
+    mod p.  So the work is a fixed number of array operations, whatever the
+    number of variables."""
     n = len(points)
     gens = [g for g in gens if g._terms]
     if not gens:
@@ -596,10 +602,11 @@ def _vanishing(gens: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
     log, exp = _logs(p)
     terms = [t for g in gens for t in g._terms]
     exps = np.array([ring._unpack(m) for _, m, _ in terms], dtype=np.int64).reshape(len(terms), ring.nvars)
-    columns = exp[exps @ log[points].T % (p - 1)] * ((exps > 0).astype(np.int64) @ (points == 0).T == 0)
-    coefficients = np.zeros((len(gens), len(terms)), dtype=np.int64)
-    coefficients[[i for i, g in enumerate(gens) for _ in g._terms], range(len(terms))] = [c for _, _, c in terms]
-    return ~(coefficients @ columns % p).any(axis=0)
+    power = exps @ log[points].T
+    columns = np.where(power < _LOG_ZERO, exp[power % (p - 1)], 0)
+    columns *= np.array([c for _, _, c in terms], dtype=np.int64)[:, None]
+    starts = [0, *accumulate(len(g._terms) for g in gens[:-1])]
+    return ~(np.add.reduceat(columns, starts, axis=0) % p).any(axis=0)
 
 
 @dataclass(frozen=True)
