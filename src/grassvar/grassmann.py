@@ -224,7 +224,7 @@ class _Rational(NamedTuple):
     (n, C(c,d)) int64 array, and the row of each point's coordinates."""
 
     subspaces: tuple[Subspace, ...]
-    stack: np.ndarray
+    coords: np.ndarray
     row: dict[tuple[int, ...], int]
 
 
@@ -823,7 +823,7 @@ def point_on_variety(V: VarietyIdealD, pt: PlueckerPoint) -> bool:
     scan = V._scan
     if scan is None and gaussian_binomial(V.c, V.d, V.ring.p) <= DEFAULT_SUBSPACE_CAP:
         grid = _subspaces(V.ring.field, V.c, V.d)
-        scan = grid.row, _vanishing(V.gb.gens, grid.stack).tobytes()
+        scan = grid.row, _vanishing(V.gb.gens, grid.coords).tobytes()
         object.__setattr__(V, "_scan", scan)
     if scan is not None:
         row = scan[0].get(pt.coords)
@@ -865,7 +865,7 @@ def _zero_lines(Z: VarietyIdeal1) -> frozenset[tuple[int, ...]] | None:
             raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
         if gaussian_binomial(Z.c, 1, Z.ring.p) <= DEFAULT_SUBSPACE_CAP:
             grid = _subspaces(Z.ring.field, Z.c, 1)
-            zeros = frozenset(compress(grid.row, _vanishing(Z.gb.gens, grid.stack).tolist()))
+            zeros = frozenset(compress(grid.row, _vanishing(Z.gb.gens, grid.coords).tolist()))
             object.__setattr__(Z, "_zeros", zeros)
     return zeros
 

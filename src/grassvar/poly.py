@@ -559,9 +559,10 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-# the logarithm _logs gives 0: above deg * (p - 2) < 2^19 * 96 for every
-# monomial of degree deg below the bound, so a sum of logarithms reaches it
-# exactly when one factor is 0, and deg * 2^32 stays inside int64
+# the logarithm _logs gives 0: a monomial of degree deg below the bound has
+# logarithm at most deg * (p - 2) < 2^19 * 96 at a point with no zero factor,
+# so a sum of logarithms reaches this exactly when a factor is 0, and stays
+# at most deg * 2^32 < 2^51, inside int64
 _LOG_ZERO = 1 << 32
 
 
@@ -601,7 +602,7 @@ def _vanishing(gens: Sequence[Polynomial], points: np.ndarray) -> np.ndarray:
     p = ring.p
     log, exp = _logs(p)
     terms = [t for g in gens for t in g._terms]
-    exps = np.array([ring._unpack(m) for _, m, _ in terms], dtype=np.int64).reshape(len(terms), ring.nvars)
+    exps = np.array([ring._unpack(m) for _, m, _ in terms], dtype=np.int64)
     power = exps @ log[points].T
     columns = np.where(power < _LOG_ZERO, exp[power % (p - 1)], 0)
     columns *= np.array([c for _, _, c in terms], dtype=np.int64)[:, None]

@@ -1426,7 +1426,7 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
         oracle_membership(M, k, 1, W, pair_ideal=in_three)
     ring = coordinate_ring(F2, 2)
     a1, a2 = ring.gens()
-    # a1 = a2^2 holds (1, 1) but not (1, 1) scaled: no cone
+    # neither basis is homogeneous, so neither zero set is a cone
     for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
         with pytest.raises(ValueError, match="must be a cone"):
             oracle_membership(M, k, 1, W, pair_ideal=Z)
@@ -1435,10 +1435,11 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
 def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monkeypatch, catalog):
     # with G_1 above the cap no scan is kept on the pair ideal, and the
     # kernel evaluates W's (p^d - 1)/(p - 1) scaled points at once, with
-    # the same flags
+    # the same flags: W meets the two lines of R/x1 + R/x2 or does not
+    seen = set()
     for (p, c), cat in catalog.items():
         field = PrimeField(p)
-        M, N = cat["R/x1"], cat["R/(x1+x2)"]
+        M, N = cat["R/x1+R/x2"], cat["k"]
         for d in range(1, c + 1):
             subs = enumerate_subspaces(field, c, d)
             want = [oracle_membership(M, N, d, W) for W in subs]
@@ -1448,3 +1449,5 @@ def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monk
             assert [oracle_membership(M, N, d, W, pair_ideal=fresh) for W in subs] == want, (p, c, d)
             assert fresh._zeros is None
             monkeypatch.undo()
+            seen |= {geometric for geometric, _ in want}
+    assert seen == {True, False}
