@@ -875,7 +875,8 @@ def _scaled_vectors(p: int, d: int) -> np.ndarray:
     """The nonzero vectors of F_p^d whose first nonzero entry is 1, one per
     line, as one read-only (n, d) array: the rows of the echelon stacks of
     G_1(F_p^d).  Built once per (p, d), the last 16 kept, as every oracle
-    query reads them."""
+    query reads them; the oracle asks only within DEFAULT_SUBSPACE_CAP
+    lines, so an entry holds at most the cap's rows."""
     vectors = np.concatenate([_echelon_stack(p, d, (i,))[:, 0] for i in range(d)])
     vectors.setflags(write=False)
     return vectors
@@ -897,7 +898,8 @@ def oracle_membership(
     themselves scaled so, and are looked up in the pair ideal's rational
     points, one scan of G_1's stacked points kept on the ideal
     (_zero_lines); above DEFAULT_SUBSPACE_CAP lines the pair ideal is
-    evaluated on W's points alone, by the same kernel.  A pair_ideal over
+    evaluated on W's points alone, by the same kernel, and a W with more
+    lines than the cap raises SubspaceLimitError.  A pair_ideal over
     another field or in another number of variables raises ValueError, and
     so, as a scaled point stands for its line only on a cone, does one
     with a basis element that is not homogeneous.  The homological
@@ -924,6 +926,8 @@ def oracle_membership(
         raise ValueError(f"pair ideal in {pair_ideal.c} variables, modules over c = {M.c}")
     # _zero_lines refuses an ideal that is not a cone
     zeros = _zero_lines(pair_ideal)
+    # W's lines are those of F_p^d, carried by its basis
+    _check_cap(M.field, d, 1)
     points = _scaled_vectors(M.p, d) @ W.basis.array % M.p
     if zeros is None:
         geometric = bool(_vanishing(pair_ideal.gb.gens, points).any())

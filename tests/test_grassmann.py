@@ -1433,21 +1433,26 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
 
 
 def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monkeypatch, catalog):
-    # with G_1 above the cap no scan is kept on the pair ideal, and the
-    # kernel evaluates W's (p^d - 1)/(p - 1) scaled points at once, with
-    # the same flags: W meets the two lines of R/x1 + R/x2 or does not
+    # with G_1 just above the cap no scan is kept on the pair ideal, and
+    # the kernel evaluates W's (p^d - 1)/(p - 1) scaled points at once,
+    # with the same flags: W meets the two lines of R/x1 + R/x2 or does
+    # not; W = k^c has more lines than the cap, and is refused
     seen = set()
     for (p, c), cat in catalog.items():
         field = PrimeField(p)
         M, N = cat["R/x1+R/x2"], cat["k"]
+        pair = pair_variety_ideal(M, N)
         for d in range(1, c + 1):
             subs = enumerate_subspaces(field, c, d)
             want = [oracle_membership(M, N, d, W) for W in subs]
-            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 0)
-            pair = pair_variety_ideal(M, N)
+            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", gaussian_binomial(c, 1, p) - 1)
             fresh = VarietyIdeal1(pair.ring, pair.raw, pair.gb)
-            assert [oracle_membership(M, N, d, W, pair_ideal=fresh) for W in subs] == want, (p, c, d)
+            if d < c:
+                assert [oracle_membership(M, N, d, W, pair_ideal=fresh) for W in subs] == want, (p, c, d)
+                seen |= {geometric for geometric, _ in want}
+            else:
+                with pytest.raises(SubspaceLimitError, match=f"subspaces of dimension 1 in F_{p}\\^{c}, over the cap"):
+                    oracle_membership(M, N, d, subs[0], pair_ideal=fresh)
             assert fresh._zeros is None
             monkeypatch.undo()
-            seen |= {geometric for geometric, _ in want}
     assert seen == {True, False}
