@@ -853,21 +853,31 @@ def _zero_lines(Z: VarietyIdeal1) -> frozenset[tuple[int, ...]] | None:
     """The rational points of Z, a cone in k^c, as the vectors that
     represent the lines of G_1(F_p^c), scaled so the first nonzero
     coordinate is 1; None above DEFAULT_SUBSPACE_CAP lines, the cap read
-    when the set would be built.  Z's basis is evaluated once, by
-    poly._vanishing, on G_1's stacked points, which are those vectors, and
-    the set is kept on Z.  A scaled vector stands for its line only on a
-    cone, so a basis element that is not homogeneous raises ValueError,
-    checked before the set is built."""
+    when the set would be built.  The set is _rational_lines of Z's reduced
+    basis, kept on Z.  A scaled vector stands for its line only on a cone,
+    so a basis element that is not homogeneous raises ValueError, checked
+    before the set is built."""
     zeros = Z._zeros
     if zeros is None:
         bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
         if bad is not None:
             raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
         if gaussian_binomial(Z.c, 1, Z.ring.p) <= DEFAULT_SUBSPACE_CAP:
-            grid = _subspaces(Z.ring.field, Z.c, 1)
-            zeros = frozenset(compress(grid.row, _vanishing(Z.gb.gens, grid.coords).tolist()))
+            zeros = _rational_lines(Z.gb)
             object.__setattr__(Z, "_zeros", zeros)
     return zeros
+
+
+# The set depends only on the reduced basis, so the pairs of different
+# modules with one variety share one scan: an avrunin-scott round asks for
+# 35 distinct bases over 192 pairs.  64 entries, each at most the cap's
+# lines.
+@lru_cache(maxsize=64)
+def _rational_lines(gb: Ideal) -> frozenset[tuple[int, ...]]:
+    """The scaled vectors of G_1's stacked points at which every element of
+    gb vanishes, by one poly._vanishing of the whole stack."""
+    grid = _subspaces(gb.ring.field, gb.ring.nvars, 1)
+    return frozenset(compress(grid.row, _vanishing(gb.gens, grid.coords).tolist()))
 
 
 @lru_cache(maxsize=16)

@@ -513,15 +513,17 @@ def test_rank_pair_and_projection_memos_hold_256_entries():
     for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence,
                  grassmann._union_components):
         assert memo.cache_info().maxsize == 256
-    # the small memos of the membership scans: one entry per Grassmannian,
-    # per (p, d) of the oracle's coefficient vectors and per prime
+    # the memos of the membership scans: the rational points of each
+    # reduced basis, one entry per Grassmannian, per (p, d) of the oracle's
+    # coefficient vectors and per prime
+    assert grassmann._rational_lines.cache_info().maxsize == 64
     assert grassmann._subspaces.cache_info().maxsize == 16
     assert grassmann._scaled_vectors.cache_info().maxsize == 16
     assert poly._logs.cache_info().maxsize == 32
 
 
 def test_cold_memos_empties_the_scan_memos(cold_memos):
-    for memo in (grassmann._scaled_vectors, poly._logs):
+    for memo in (grassmann._rational_lines, grassmann._scaled_vectors, poly._logs):
         assert memo.cache_info().currsize == 0
 
 
@@ -1430,6 +1432,19 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
     for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
         with pytest.raises(ValueError, match="must be a cone"):
             oracle_membership(M, k, 1, W, pair_ideal=Z)
+
+
+def test_pairs_with_one_variety_share_one_line_scan(catalog, cold_memos):
+    # (R/x1, k) and (k, R/x1) are two pair ideals with one reduced basis,
+    # the line through e1: the second oracle query reads the first's scan
+    M, k = catalog[(2, 3)]["R/x1"], catalog[(2, 3)]["k"]
+    A, B = pair_variety_ideal(M, k), pair_variety_ideal(k, M)
+    assert A is not B and A.gb == B.gb
+    W = subspace_from_rows(F2, [(1, 0, 0)])
+    assert oracle_membership(M, k, 1, W) == oracle_membership(k, M, 1, W) == (True, True)
+    info = grassmann._rational_lines.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert A._zeros is B._zeros == {(1, 0, 0)}
 
 
 def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monkeypatch, catalog):
