@@ -78,15 +78,16 @@ the same helper on a stack of one.  The memo also keeps the points as one
 (n, C(c,d)) array, with the row of each, so a variety is evaluated once on
 all of them, by poly._vanishing, at its first membership query, and keeps
 the mask; the rational points of an order-one variety, which the oracle
-and rational_points read, are one such scan of G_1.  The union answer's
-components are memoised on Z's reduced basis, so a cone asked at several
-d is decomposed once.  The reduced basis of the Pluecker relations, the
-Pluecker and wedge relations of the incidence ideal, and each chart's
-wedge relations with xi = 1, are built once per (field, c, d) as well, so
-each chart relabels only Z's generators, in one step from Z's ring into
-the incidence ring with xi = 1, the one ring object that every chart over
-(field, c, d) shares.  The oracle's homological route reads its
-restricted covers from homology's memo, keyed on (module, W's basis).
+and rational_points read, are one such scan of G_1 per reduced basis.
+The union answer's components are memoised on Z's reduced basis, so a
+cone asked at several d is decomposed once.  The reduced basis of the
+Pluecker relations, the Pluecker and wedge relations of the incidence
+ideal, and each chart's wedge relations with xi = 1, are built once per
+(field, c, d) as well, so each chart relabels only Z's generators, in one
+step from Z's ring into the incidence ring with xi = 1, the one ring
+object that every chart over (field, c, d) shares.  The oracle's
+homological route reads its restricted covers from homology's memo, keyed
+on (module, W's basis).
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import combinations, compress
+from itertools import combinations
 from math import comb
 from typing import NamedTuple
 
@@ -118,7 +119,7 @@ from .poly import (
     ideal,
     ideal_intersect,
 )
-from .rankvariety import VarietyIdeal1, pair_variety_ideal
+from .rankvariety import VarietyIdeal1, _check_cone, pair_variety_ideal
 
 DEFAULT_SUBSPACE_CAP = 10_000
 
@@ -235,35 +236,31 @@ class _Rational(NamedTuple):
 # index).
 @lru_cache(maxsize=16)
 def _subspaces(field: PrimeField, c: int, d: int) -> _Rational:
+    p = field.p
     out = []
-    coords = np.empty((gaussian_binomial(c, d, field.p), comb(c, d)), dtype=np.int64)
+    coords = np.empty((gaussian_binomial(c, d, p), comb(c, d)), dtype=np.int64)
     for piv in combinations(range(c), d):
-        stack = _echelon_stack(field.p, c, piv)
-        coords[len(out): len(out) + len(stack)], points = _points(field, stack)
+        pivset = set(piv)
+        free_pos = [
+            (r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in pivset
+        ]
+        # every echelon matrix of the pattern at once, the t-th free entry
+        # the t-th base-p digit of its index, most significant first, in
+        # the order of product(range(p), repeat=len(free_pos))
+        n = p ** len(free_pos)
+        stack = np.zeros((n, d, c), dtype=np.int64)
+        stack[:, range(d), piv] = 1
+        if free_pos:
+            rows, cols = zip(*free_pos)
+            digits = p ** np.arange(len(free_pos) - 1, -1, -1)
+            stack[:, rows, cols] = np.arange(n)[:, None] // digits % p
+        coords[len(out): len(out) + n], points = _points(field, stack)
         out += (_frozen(Subspace, field=field, c=c, d=d, basis=MatrixFp(field, a), _point=point,
                         _rows=tuple(map(tuple, entries)))
                 for a, entries, point in zip(stack, stack.tolist(), points))
     assert len(out) == len(coords)
     coords.setflags(write=False)
     return _Rational(tuple(out), coords, {W._point.coords: i for i, W in enumerate(out)})
-
-
-def _echelon_stack(p: int, c: int, piv: tuple[int, ...]) -> np.ndarray:
-    """Every d x c reduced echelon matrix over F_p with pivot columns piv, as
-    one (n, d, c) int64 stack: the t-th free entry is the t-th base-p digit
-    of its index, most significant first, in the order of
-    product(range(p), repeat=number of free entries)."""
-    d = len(piv)
-    pivset = set(piv)
-    free_pos = [(r, j) for r in range(d) for j in range(piv[r] + 1, c) if j not in pivset]
-    n = p ** len(free_pos)
-    stack = np.zeros((n, d, c), dtype=np.int64)
-    stack[:, range(d), piv] = 1
-    if free_pos:
-        rows, cols = zip(*free_pos)
-        digits = p ** np.arange(len(free_pos) - 1, -1, -1)
-        stack[:, rows, cols] = np.arange(n)[:, None] // digits % p
-    return stack
 
 
 def _frozen(cls, **fields):
@@ -849,47 +846,20 @@ def subspaces_on_variety(V: VarietyIdealD) -> list[Subspace]:
     ]
 
 
-def _zero_lines(Z: VarietyIdeal1) -> frozenset[tuple[int, ...]] | None:
-    """The rational points of Z, a cone in k^c, as the vectors that
-    represent the lines of G_1(F_p^c), scaled so the first nonzero
-    coordinate is 1; None above DEFAULT_SUBSPACE_CAP lines, the cap read
-    when the set would be built.  The set is _rational_lines of Z's reduced
-    basis, kept on Z.  A scaled vector stands for its line only on a cone,
-    so a basis element that is not homogeneous raises ValueError, checked
-    before the set is built."""
-    zeros = Z._zeros
-    if zeros is None:
-        bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
-        if bad is not None:
-            raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
-        if gaussian_binomial(Z.c, 1, Z.ring.p) <= DEFAULT_SUBSPACE_CAP:
-            zeros = _rational_lines(Z.gb)
-            object.__setattr__(Z, "_zeros", zeros)
-    return zeros
-
-
 # The set depends only on the reduced basis, so the pairs of different
 # modules with one variety share one scan: an avrunin-scott round asks for
 # 35 distinct bases over 192 pairs.  64 entries, each at most the cap's
 # lines.
 @lru_cache(maxsize=64)
 def _rational_lines(gb: Ideal) -> frozenset[tuple[int, ...]]:
-    """The scaled vectors of G_1's stacked points at which every element of
-    gb vanishes, by one poly._vanishing of the whole stack."""
-    grid = _subspaces(gb.ring.field, gb.ring.nvars, 1)
-    return frozenset(compress(grid.row, _vanishing(gb.gens, grid.coords).tolist()))
-
-
-@lru_cache(maxsize=16)
-def _scaled_vectors(p: int, d: int) -> np.ndarray:
-    """The nonzero vectors of F_p^d whose first nonzero entry is 1, one per
-    line, as one read-only (n, d) array: the rows of the echelon stacks of
-    G_1(F_p^d).  Built once per (p, d), the last 16 kept, as every oracle
-    query reads them; the oracle asks only within DEFAULT_SUBSPACE_CAP
-    lines, so an entry holds at most the cap's rows."""
-    vectors = np.concatenate([_echelon_stack(p, d, (i,))[:, 0] for i in range(d)])
-    vectors.setflags(write=False)
-    return vectors
+    """The rational points of the cone gb cuts out in k^c, as the vectors
+    of G_1(F_p^c)'s stacked points, scaled so the first nonzero coordinate
+    is 1, at which every element of gb vanishes: one poly._vanishing of the
+    whole stack.  A basis that is not homogeneous raises ValueError, and
+    is not kept; the caller checks the cap."""
+    _check_cone(gb)
+    lines = _subspaces(gb.ring.field, gb.ring.nvars, 1).coords
+    return frozenset(map(tuple, lines[_vanishing(gb.gens, lines)].tolist()))
 
 
 def oracle_membership(
@@ -906,17 +876,17 @@ def oracle_membership(
     variety of the pair: W's points u = t B, for B its echelon basis and t
     each nonzero vector of F_p^d whose first nonzero entry is 1, are
     themselves scaled so, and are looked up in the pair ideal's rational
-    points, one scan of G_1's stacked points kept on the ideal
-    (_zero_lines); above DEFAULT_SUBSPACE_CAP lines the pair ideal is
-    evaluated on W's points alone, by the same kernel, and a W with more
-    lines than the cap raises SubspaceLimitError.  A pair_ideal over
-    another field or in another number of variables raises ValueError, and
-    so, as a scaled point stands for its line only on a cone, does one
-    with a basis element that is not homogeneous.  The homological
-    answer restricts both modules to the subalgebra on the echelon basis of
-    W and asks whether Ext fails to vanish eventually, decided exactly, as
-    ext_eventually_zero decides it, by Higman's criterion
-    (homology._hom_projective) with W's basis as the forms.  The
+    points, one scan of G_1's stacked points per reduced basis
+    (_rational_lines).  Above DEFAULT_SUBSPACE_CAP lines in k^c the pair
+    ideal is evaluated on W's points alone, by the same kernel, and a W
+    with more lines than the cap raises SubspaceLimitError.  A pair_ideal
+    over another field or in another number of variables raises
+    ValueError, and so, as a point u stands for its line only on a cone,
+    does one with a basis element that is not homogeneous.  The
+    homological answer restricts both modules to the subalgebra on the
+    echelon basis of W and asks whether Ext fails to vanish eventually,
+    decided exactly, as ext_eventually_zero decides it, by Higman's
+    criterion (homology._hom_projective) with W's basis as the forms.  The
     homological answer is exact; a geometric hit is always definitive, but
     a miss can be a field-size artifact when the order-one variety has no
     rational points on W, so equality of the two flags is guaranteed only
@@ -934,14 +904,16 @@ def oracle_membership(
         raise ValueError(f"pair ideal over F_{pair_ideal.ring.p}, modules over F_{M.p}")
     elif pair_ideal.c != M.c:
         raise ValueError(f"pair ideal in {pair_ideal.c} variables, modules over c = {M.c}")
-    # _zero_lines refuses an ideal that is not a cone
-    zeros = _zero_lines(pair_ideal)
-    # W's lines are those of F_p^d, carried by its basis
+    # W's lines are those of F_p^d, each the echelon row of its Pluecker
+    # point, carried by W's basis
     _check_cap(M.field, d, 1)
-    points = _scaled_vectors(M.p, d) @ W.basis.array % M.p
-    if zeros is None:
-        geometric = bool(_vanishing(pair_ideal.gb.gens, points).any())
-    else:
+    points = _subspaces(M.field, d, 1).coords @ W.basis.array % M.p
+    if gaussian_binomial(M.c, 1, M.p) <= DEFAULT_SUBSPACE_CAP:
+        # the scan refuses a pair ideal that is not a cone
+        zeros = _rational_lines(pair_ideal.gb)
         geometric = any(u in zeros for u in map(tuple, points.tolist()))
+    else:
+        _check_cone(pair_ideal.gb)
+        geometric = bool(_vanishing(pair_ideal.gb.gens, points).any())
     homological = not _hom_projective(M, N, W.basis)
     return geometric, homological

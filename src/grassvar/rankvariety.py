@@ -26,7 +26,6 @@ packed monomials multiplies them exactly.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, combinations_with_replacement
@@ -52,13 +51,11 @@ def coordinate_ring(field, c: int) -> PolyRing:
 @dataclass(frozen=True)
 class VarietyIdeal1:
     """A rank variety inside k^c: raw generators and their reduced
-    Groebner basis in F_p[a1..ac], and, once rational_points or the oracle
-    has scanned it, the set of its rational points (grassmann._zero_lines)."""
+    Groebner basis in F_p[a1..ac]."""
 
     ring: PolyRing
     raw: Ideal
     gb: Ideal
-    _zeros: frozenset | None = dataclasses.field(default=None, init=False, compare=False, repr=False)
 
     @property
     def c(self) -> int:
@@ -156,18 +153,28 @@ def point_in_rank_variety(V: VarietyIdeal1, point) -> bool:
     return bool(_vanishing(V.gb.gens, np.array([values], dtype=np.int64))[0])
 
 
+def _check_cone(gb: Ideal) -> None:
+    """ValueError unless every element of the basis gb is homogeneous: a
+    point scaled so its first nonzero coordinate is 1 stands for its line
+    only on a cone."""
+    bad = next((g for g in gb.gens if not g.is_homogeneous()), None)
+    if bad is not None:
+        raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
+
+
 def rational_points(V: VarietyIdeal1) -> list[tuple[int, ...]]:
     """Normalized representatives of the projective F_p-points of the variety.
 
     Each line through the origin is reported once, scaled so its first
     nonzero coordinate is 1; points are sorted lexicographically.  They are
-    read from one scan of the rational points of G_1(k^c), kept on V, the
-    scan the oracle reads.  Above grassmann.DEFAULT_SUBSPACE_CAP lines it
-    raises SubspaceLimitError, as enumerate_subspaces does, and on a V that
-    is not a cone, whose scaled points do not stand for lines, ValueError.
+    read from one scan of the rational points of G_1(k^c) per reduced
+    basis, the scan the oracle reads (grassmann._rational_lines).  Above
+    grassmann.DEFAULT_SUBSPACE_CAP lines it raises SubspaceLimitError, as
+    enumerate_subspaces does, and on a V that is not a cone, whose scaled
+    points do not stand for lines, ValueError.
     """
     # grassmann imports this module, so its scan is imported on first use
-    from .grassmann import _check_cap, _zero_lines
+    from .grassmann import _check_cap, _rational_lines
 
     _check_cap(V.ring.field, V.c, 1)
-    return sorted(_zero_lines(V))
+    return sorted(_rational_lines(V.gb))

@@ -67,16 +67,14 @@ def f3():
 def cold_memos():
     """Empty the rank, pair, projection, union, restricted-cover and
     resolution memos, and the memos of the membership scans (the rational
-    points of each reduced basis, the oracle's coefficient vectors and the
-    discrete logarithms), so the test sees cold computations whatever ran
-    before it."""
+    points of each reduced basis and the discrete logarithms), so the test
+    sees cold computations whatever ran before it."""
     for memo in (
         rankvariety.rank_variety_ideal,
         rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
         grassmann._union_components,
         grassmann._rational_lines,
-        grassmann._scaled_vectors,
         poly._logs,
         homology._restricted_cover,
         homology.resolve,

@@ -514,16 +514,14 @@ def test_rank_pair_and_projection_memos_hold_256_entries():
                  grassmann._union_components):
         assert memo.cache_info().maxsize == 256
     # the memos of the membership scans: the rational points of each
-    # reduced basis, one entry per Grassmannian, per (p, d) of the oracle's
-    # coefficient vectors and per prime
+    # reduced basis, one entry per Grassmannian and per prime
     assert grassmann._rational_lines.cache_info().maxsize == 64
     assert grassmann._subspaces.cache_info().maxsize == 16
-    assert grassmann._scaled_vectors.cache_info().maxsize == 16
     assert poly._logs.cache_info().maxsize == 32
 
 
 def test_cold_memos_empties_the_scan_memos(cold_memos):
-    for memo in (grassmann._rational_lines, grassmann._scaled_vectors, poly._logs):
+    for memo in (grassmann._rational_lines, poly._logs):
         assert memo.cache_info().currsize == 0
 
 
@@ -1414,9 +1412,10 @@ def test_scanned_membership_evaluates_each_point_alone_above_the_cap(monkeypatch
             rows.clear()
 
 
-def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
+def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(monkeypatch, catalog):
     # a given pair ideal over another field, in another number of variables
-    # or that is not a cone is refused before any answer
+    # or that is not a cone is refused before any answer, by the line scan
+    # or, with the cap below the three lines of F_2^2, on W's points
     M, k = catalog[(2, 2)]["R/x2"], catalog[(2, 2)]["k"]
     W = subspace_from_rows(F2, [(1, 0)])
     assert oracle_membership(M, k, 1, W) == (False, False)
@@ -1429,9 +1428,11 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(catalog):
     ring = coordinate_ring(F2, 2)
     a1, a2 = ring.gens()
     # neither basis is homogeneous, so neither zero set is a cone
-    for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
-        with pytest.raises(ValueError, match="must be a cone"):
-            oracle_membership(M, k, 1, W, pair_ideal=Z)
+    for cap in (grassmann.DEFAULT_SUBSPACE_CAP, 2):
+        monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", cap)
+        for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
+            with pytest.raises(ValueError, match="must be a cone"):
+                oracle_membership(M, k, 1, W, pair_ideal=Z)
 
 
 def test_pairs_with_one_variety_share_one_line_scan(catalog, cold_memos):
@@ -1444,30 +1445,39 @@ def test_pairs_with_one_variety_share_one_line_scan(catalog, cold_memos):
     assert oracle_membership(M, k, 1, W) == oracle_membership(k, M, 1, W) == (True, True)
     info = grassmann._rational_lines.cache_info()
     assert (info.misses, info.hits) == (1, 1)
-    assert A._zeros is B._zeros == {(1, 0, 0)}
+    assert grassmann._rational_lines(A.gb) == {(1, 0, 0)}
 
 
-def test_oracle_geometric_flag_above_the_line_cap_evaluates_the_points_of_w(monkeypatch, catalog):
-    # with G_1 just above the cap no scan is kept on the pair ideal, and
-    # the kernel evaluates W's (p^d - 1)/(p - 1) scaled points at once,
-    # with the same flags: W meets the two lines of R/x1 + R/x2 or does
-    # not; W = k^c has more lines than the cap, and is refused
+def test_oracle_geometric_flag_is_pointwise_evaluation_on_w(monkeypatch, catalog, cold_memos):
+    # the flag against one evaluate per basis element at every nonzero
+    # point of W, scaled or not: W meets the two lines of R/x1 + R/x2 or
+    # does not.  With the cap, the flag reads the pair ideal's line scan;
+    # with the cap just below the lines of k^c, no scan is made and the
+    # kernel evaluates W's scaled points, for every W of smaller
+    # dimension, and W = k^c is refused
     seen = set()
     for (p, c), cat in catalog.items():
         field = PrimeField(p)
         M, N = cat["R/x1+R/x2"], cat["k"]
         pair = pair_variety_ideal(M, N)
-        for d in range(1, c + 1):
-            subs = enumerate_subspaces(field, c, d)
-            want = [oracle_membership(M, N, d, W) for W in subs]
-            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", gaussian_binomial(c, 1, p) - 1)
-            fresh = VarietyIdeal1(pair.ring, pair.raw, pair.gb)
-            if d < c:
-                assert [oracle_membership(M, N, d, W, pair_ideal=fresh) for W in subs] == want, (p, c, d)
-                seen |= {geometric for geometric, _ in want}
-            else:
+        subs = [W for d in range(1, c) for W in enumerate_subspaces(field, c, d)]
+        want = []
+        for W in subs:
+            points = [[sum(t * r[i] for t, r in zip(coeffs, W.rows())) % p for i in range(c)]
+                      for coeffs in itertools.product(range(p), repeat=W.d) if any(coeffs)]
+            want.append(any(all(g.evaluate(u) == 0 for g in pair.gb.gens) for u in points))
+        seen |= set(want)
+        kc = enumerate_subspaces(field, c, c)[0]
+        for cap in (grassmann.DEFAULT_SUBSPACE_CAP, gaussian_binomial(c, 1, p) - 1):
+            grassmann._rational_lines.cache_clear()
+            monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", cap)
+            assert [oracle_membership(M, N, W.d, W, pair_ideal=pair)[0] for W in subs] == want, (p, c, cap)
+            scans = grassmann._rational_lines.cache_info().currsize
+            if cap < gaussian_binomial(c, 1, p):
+                assert scans == 0
                 with pytest.raises(SubspaceLimitError, match=f"subspaces of dimension 1 in F_{p}\\^{c}, over the cap"):
-                    oracle_membership(M, N, d, subs[0], pair_ideal=fresh)
-            assert fresh._zeros is None
+                    oracle_membership(M, N, c, kc, pair_ideal=pair)
+            else:
+                assert scans == 1
             monkeypatch.undo()
     assert seen == {True, False}
