@@ -39,30 +39,26 @@ decides the answer.  For z <= 0, Z holds at most the origin, and no d-plane
 meets it away from 0: the unit ideal.  For z + d > c every d-plane meets
 Z, and the charts' intersection is the ideal of the Pluecker relations,
 which is prime (Hodge); project_incidence's docstring gives the proof.
-A third answer reads Z's shape: when its reduced basis is linear, Z is a
-subspace L, and the charts' intersection is the Schubert ideal of the
-d-planes meeting L (Hodge), the Pluecker relations and one linear form per
-d-subset of L's equations, reduced by one Buchberger run in the Pluecker
-ring.  project_incidence's docstring proves that the charts give this
-prime, by standard monomial theory on the flag variety F(1, d)
-(Lakshmibai, Musili and Seshadri, "Geometry of G/P IV").  A fourth
-answer is the case d = 1, where a line meets Z away from 0 exactly when
-it lies in Z: the charts' intersection is the saturation of Z's ideal by
-the irrelevant ideal m, renamed into the Pluecker ring, which takes
-Groebner work in the c point variables alone (Bayer and Stillman, "A
-criterion for detecting m-regularity"; Cox, Little and O'Shea, Ideals,
-Varieties, and Algorithms, ch. 8, section 4).  A fifth answer, at d >= 2,
-is a reduced union of rational subspaces L_j: when Z : m^oo, the d = 1
-answer, is the intersection of the ideals of at least two maximal spans of
-its rational points, the charts' intersection is that of the L_j's
-Schubert ideals (Hodge; Hartshorne II, Ex. 3.11), as project_incidence's
-docstring proves.  A cone with a repeated component, and in general one
-given by the product of the ideals of components that meet, has a
-saturation that is not radical, and takes the charts, as does a cone that
-is not a union of rational subspaces.  The five answers take no
-elimination.  The saturation and the union are intersections of one part
-per coordinate or per component, folded by the charts' own
-contain-or-intersect step.
+A third answer is the case d = 1, where a line meets Z away from 0
+exactly when it lies in Z: the charts' intersection is the saturation
+S = Z : m^oo of Z's ideal by the irrelevant ideal m, renamed into the
+Pluecker ring, which takes Groebner work in the c point variables alone
+(Bayer and Stillman, "A criterion for detecting m-regularity"; Cox,
+Little and O'Shea, Ideals, Varieties, and Algorithms, ch. 8, section 4).
+A fourth answer, at d >= 2, reads S, memoised: when S is the
+intersection of the ideals of rational subspaces L_j, the charts'
+intersection is that of the L_j's Schubert ideals (Hodge; Hartshorne
+II, Ex. 3.11), each the Pluecker relations and one linear form per
+d-subset of L_j's equations, reduced by one Buchberger run in the
+Pluecker ring, as project_incidence's docstring proves.  A linear S is
+one component, found with no scan; otherwise the L_j are proposed as the
+maximal spans of S's rational points and checked.  A cone with a
+repeated component, and in general one given by the product of the
+ideals of components that meet, has a saturation that is not radical,
+and takes the charts, as does a cone that is not a union of rational
+subspaces.  The four answers take no elimination.  The saturation and
+the union are intersections of one part per coordinate or per component,
+folded by the charts' own contain-or-intersect step.
 
 Checking a variety at its rational points and projecting one repeat work
 that depends on less than the whole question, so two memos hold it.
@@ -443,7 +439,7 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     folded by _fold, which intersects two only when neither contains the
     other, so unit charts need no case of their own.
 
-    Five early answers take no chart at all.  Two ranges of z = dim Z, read
+    Four early answers take no chart at all.  Two ranges of z = dim Z, read
     off Z's reduced basis with no Groebner work, decide the answer:
     - z <= 0: the unit ideal.  Z contains (a)^N, so every chart contains 1.
     - z + d >= c + 1: the reduced basis of the Pluecker relations, whose
@@ -456,42 +452,7 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
       Pl.  Pl lies in every chart's generators, so Pl lies in every P_j,
       and Pl is prime (Hodge; standard monomial theory proves it over any
       field).  Hence P_i = Pl, and the intersection over all charts is Pl.
-    And so does one shape of Z:
-    - every element of Z's reduced basis has degree 1: Z is a subspace
-      L = V(l_1, .., l_s), with d <= s < c once the two ranges are passed.
-      The answer is Hodge's Schubert ideal H = Pl + (q_T), one linear form
-      q_T = sum over S of det(l_T[:, S]) p_S per d-subset T of the forms
-      (_schubert).  W meets L away from 0 iff the d x s matrix (l_j(w_i))
-      has rank below d, and q_T is its minor on T by Cauchy-Binet, so H
-      cuts out the right locus; H is prime (Hodge 1943, "Some enumerative
-      results in the theory of forms"; over any field by standard monomial
-      theory, Lakshmibai, Musili and Seshadri 1979, "Geometry of G/P IV").
-      The charts give this prime, not only its radical:
-      1. Let I be the incidence ideal and m = (x1, .., xc).  I : m^oo is
-         the intersection of the I : xi^oo, so the intersection of the
-         charts' projections is J = (I : m^oo) n k[p].
-      2. g in GL_c(k) acts on k[p, x], on x by g and on p by its d-th
-         exterior power.  It maps the ideals of Pl, of the wedge relations
-         and m to themselves, that of L to that of gL, and by Cauchy-Binet
-         the span of the q_T of L to that of gL.  So I, J and H move
-         together, and it is enough to take L = V(a1, .., as), whose q_T
-         is p_T for T a d-subset of [s].
-      3. Q = Pl + wedge + (x1, .., xs) + (p_T : T in [s]) is the ideal of
-         an (opposite) Schubert variety of the flag variety F(1, d; c), the
-         pairs (u, W) with u in W and u in L.  The flag relations of
-         F(1, d) are exactly Pl + wedge (Fulton, Young Tableaux, §9), and
-         the rest of Q are the Pluecker coordinates that vanish on it, so
-         Q is prime by standard monomial theory.
-      4. For j not in T the wedge relation on T + {j} is +-xj p_T modulo
-         (x1, .., xs), and for j in T, xj lies in I.  So m p_T lies in I,
-         and Q lies in I : m.  I lies in Q and m does not (xc is not in Q,
-         as s < c), so I : m^oo lies in Q : m^oo = Q.  Hence I : m^oo = Q.
-      5. So J = Q n k[p] is prime.  Its zero set is the closure of the
-         image of that of Q, which is dense off x = 0 as m does not lie in
-         Q: the cone over the closed set {W : W n L != 0}, which is the
-         zero set of H.  Two primes with one zero set over the algebraic
-         closure are equal, so J = H.
-    And so does d = 1, for every other Z:
+    And so does d = 1, for every Z:
     - the answer is the reduced basis of I : m^oo, where I is Z's ideal
       with each aj renamed p_j and m = (p_1, .., p_c) (_saturation).
       1. At d = 1 the wedge relations are xj p_k - xk p_j.  In the chart
@@ -528,19 +489,28 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
          homogenisations are reduced once more under grevlex.
       The parts are folded as the charts are, and a Z whose ring has
       another order is first taken to grevlex by one Buchberger run.
-    And so, at d >= 2, does a reduced union of rational subspaces:
-    - let S = I(Z) : m^oo in k[p_1..p_c], the d = 1 answer, memoised, and
-      L_1, .., L_r the maximal spans of rational points on V(S)
-      (_rational_spans, a proposal).  If r >= 2, the largest L_j has
-      dimension dim S, and S's reduced basis is the _fold of those of the
-      I(L_j), the answer is the _fold of the Schubert ideals H(L_j)
-      (_reduced_union; the I(L_j), or their absence, are memoised on Z's
-      reduced basis by _union_components, for every d); else the charts
+    And so, at d >= 2, does a union of rational subspaces:
+    - let S = I(Z) : m^oo in k[p_1..p_c], the d = 1 answer, memoised.  A
+      linear S is I(L_1) for the one subspace L_1 = V(S).  Otherwise the
+      maximal spans L_1, .., L_r of rational points on V(S) are proposed
+      (_rational_spans); if r >= 1, the largest L_j has dimension dim S,
+      and S's reduced basis is the _fold of those of the I(L_j), S is
+      their intersection.  Then the answer is the _fold of the Schubert
+      ideals H(L_j) (_union_components memoises the I(L_j), or their
+      absence, on Z's reduced basis, for every d); else the charts
       answer.  So a Z that is not a union of rational subspaces, or whose
       S is not radical, as when a component repeats and in general when Z
       is the product of the ideals of components that meet, takes the
-      charts.  Once S = I(L_1) n .. n I(L_r) for any rational subspaces,
-      the charts give the H(L_j)'s intersection:
+      charts.  For L = V(l_1, .., l_s), H(L) = Pl + (q_T), one linear
+      form q_T = sum over U of det(l_T[:, U]) p_U per d-subset T of the
+      forms (_schubert).  W meets L away from 0 iff the d x s matrix
+      (l_j(w_i)) has rank below d, and q_T is its minor on T by
+      Cauchy-Binet, so H(L) cuts out the d-planes meeting L; H(L) is
+      prime (Hodge 1943, "Some enumerative results in the theory of
+      forms"; over any field by standard monomial theory, Lakshmibai,
+      Musili and Seshadri 1979, "Geometry of G/P IV").  Once
+      S = I(L_1) n .. n I(L_r) for any r >= 1 rational subspaces, the
+      charts give the H(L_j)'s intersection:
       1. Let I be the incidence ideal.  Over B = k[x] with xi inverted,
          let h be the identity with its row i replaced by x, so e_i h = x
          and det h = xi, a unit.  p -> (wedge^d h) p is a B-automorphism of
@@ -562,18 +532,18 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
          over the W meeting some L_j, which holds p = 0: it is the union
          of the V(H(L_j)), and J has no component at p = 0 of its own.
       4. J is radical, so it is the ideal of V(J), the intersection of the
-         ideals H(L_j) of its parts, each prime (Hodge, as in the linear
-         case).  F_p is perfect, so radicality and reduced bases are the
-         same over the algebraic closure, and J is the H(L_j)'s
-         intersection, whose reduced basis the folds give.
+         ideals H(L_j) of its parts, each prime (Hodge, as above).  F_p
+         is perfect, so radicality and reduced bases are the same over the
+         algebraic closure, and J is the H(L_j)'s intersection, whose
+         reduced basis the folds give.
       How the L_j are proposed does not matter: the equality S = n I(L_j)
       is checked on reduced bases, and the rest only rejects early, since
       n I(L_j) has dimension max dim L_j.  The scan lists the
       (p^c - 1) / (p - 1) rational points, so above DEFAULT_SUBSPACE_CAP
-      of them the charts answer.
-    Otherwise, at d >= 2, the charts are eliminated, so a Z that is neither
-    a subspace nor a reduced union takes the same bases and S-pairs as
-    without these answers.
+      of them a non-linear S takes the charts.
+    Otherwise, at d >= 2, the charts are eliminated, so a Z whose S is no
+    intersection of rational subspace ideals takes the same chart bases
+    and S-pairs as without these answers.
     Reduced bases are unique, so the early answers are the bases the
     charts would give.
 
@@ -585,9 +555,7 @@ def project_incidence(Z: VarietyIdeal1, d: int) -> VarietyIdealD:
     c = Z.c
     if not 1 <= d <= c:
         raise ValueError(f"need 1 <= d <= c, got d={d}, c={c}")
-    bad = next((g for g in Z.gb.gens if not g.is_homogeneous()), None)
-    if bad is not None:
-        raise ValueError(f"Z must define a cone, but its basis element {bad} is not homogeneous")
+    _check_cone(Z.gb)
     return _project_incidence(Z.gb, d)
 
 
@@ -717,42 +685,29 @@ def _rational_spans(V: VarietyIdealD) -> list[list[tuple[int, ...]]]:
     return spans
 
 
-def _reduced_union(gb: Ideal, small: PolyRing, d: int) -> Ideal | None:
-    """The reduced basis, in the Pluecker ring `small`, of the d-planes
-    meeting Z, for gb Z's reduced basis, when S = I(Z) : m^oo is shown to be
-    the intersection of the ideals I(L_j) of at least two rational
-    subspaces; None otherwise, for the charts to answer.
-
-    The I(L_j), or None, are _union_components(gb), memoised on gb, so a
-    cone asked at several d is decomposed and checked once; the answer is
-    the _fold of the L_j's _schubert ideals, which project_incidence
-    proves.  Above DEFAULT_SUBSPACE_CAP rational points it is None before
-    any work, the cap read on every call."""
-    if gaussian_binomial(gb.ring.nvars, 1, gb.ring.p) > DEFAULT_SUBSPACE_CAP:
-        return None
-    parts = _union_components(gb)
-    if parts is None:
-        return None
-    return reduce(_fold, (_schubert(L, small, d) for L in parts), None)
-
-
 # As for _project_incidence: the decomposition depends only on gb, and a
-# call that raises stores nothing.
+# call that raises stores nothing.  The cap is read when an entry is made,
+# so an entry made above it stays until the memo is cleared.
 @lru_cache(maxsize=256)
 def _union_components(gb: Ideal) -> tuple[Ideal, ...] | None:
     """The reduced bases of the ideals I(L_j) of the rational subspaces whose
     intersection S = I(Z) : m^oo is, for gb Z's reduced basis, in the d = 1
-    Pluecker ring; None when S is not shown to be one, for at least two.
+    Pluecker ring; None when S is not shown to be one.
 
-    S is the d = 1 answer, memoised, and the L_j are its _rational_spans.
-    With fewer than two, with a largest L_j whose dimension is not dim S,
-    or with S's reduced basis other than the _fold of the I(L_j), it is
-    None."""
+    S is the d = 1 answer, memoised.  A linear S is its own one component,
+    found before any scan.  Otherwise it is None above DEFAULT_SUBSPACE_CAP
+    lines in k^c, and else the L_j are S's _rational_spans: with none, with
+    a largest L_j whose dimension is not dim S, or with S's reduced basis
+    other than the _fold of the I(L_j), it is None."""
     p = gb.ring.p
     V = _project_incidence(gb, 1)
     S = V.gb
+    if all(g.total_degree() == 1 for g in S.gens):
+        return (S,)
+    if gaussian_binomial(gb.ring.nvars, 1, p) > DEFAULT_SUBSPACE_CAP:
+        return None
     spans = _rational_spans(V)
-    if len(spans) < 2 or max(map(len, spans)) != _basis_dimension(S):
+    if not spans or max(map(len, spans)) != _basis_dimension(S):
         return None
     line = S.ring
     parts = []
@@ -778,13 +733,11 @@ def _project_incidence(gb: Ideal, d: int) -> VarietyIdealD:
         return VarietyIdealD(small, c, d, Ideal(small, (small.one,)))
     if z + d > c:
         return VarietyIdealD(small, c, d, _grassmannian(field, c, d))
-    if all(g.total_degree() == 1 for g in gb.gens):
-        return VarietyIdealD(small, c, d, _schubert(gb, small, d))
     if d == 1:
         return VarietyIdealD(small, c, d, _saturation(gb, small))
-    union = _reduced_union(gb, small, d)
-    if union is not None:
-        return VarietyIdealD(small, c, d, union)
+    parts = _union_components(gb)
+    if parts is not None:
+        return VarietyIdealD(small, c, d, reduce(_fold, (_schubert(L, small, d) for L in parts), None))
     ring, pluecker, _, charts = _incidence_relations(field, c, d)
     npl = comb(c, d)
     points = ring.names[npl:]

@@ -155,11 +155,11 @@ def point_in_rank_variety(V: VarietyIdeal1, point) -> bool:
 
 def _check_cone(gb: Ideal) -> None:
     """ValueError unless every element of the basis gb is homogeneous: a
-    point scaled so its first nonzero coordinate is 1 stands for its line
-    only on a cone."""
+    point scaled so its first nonzero coordinate is 1 stands for its line,
+    and a projection chart's identity holds, only on a cone."""
     bad = next((g for g in gb.gens if not g.is_homogeneous()), None)
     if bad is not None:
-        raise ValueError(f"the variety must be a cone, but its basis element {bad} is not homogeneous")
+        raise ValueError(f"Z must define a cone, but its basis element {bad} is not homogeneous")
 
 
 def rational_points(V: VarietyIdeal1) -> list[tuple[int, ...]]:

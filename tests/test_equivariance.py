@@ -12,9 +12,9 @@ reduced bases are compared after re-reduction, and must be identical.
 
 Each route of project_incidence reads the coordinates: the charts, one
 per coordinate; the saturation's parts and its "some variable divides no
-lead" shortcut; the Schubert answer's minors, one per column subset; the
-reduced-union answer's scan of rational points.  These checks need no
-second implementation of any of them.
+lead" shortcut; the Schubert answer's minors, one per column subset, and
+its scan of rational points, both read from the saturation.  These checks
+need no second implementation of any of them.
 
 g also acts on kE-modules: M^g has actions X'_i = sum over j of g_ij X_j,
 which commute and have p-th power 0 in characteristic p, so M^g is M seen
@@ -49,7 +49,7 @@ from grassvar.modules import KEModule
 from grassvar.poly import buchberger_reduced, ideal
 from grassvar.rankvariety import VarietyIdeal1, coordinate_ring, pair_variety_ideal, rank_variety_ideal
 
-from test_grassmann import CONE_SHAPES, _union_of_subspaces
+from test_grassmann import CONE_SHAPES, _subspace_times_m, _union_of_subspaces
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -144,11 +144,14 @@ def test_twisted_invertible_maps_compose(catalog):
 
 @pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
 def test_projection_of_cones_is_equivariant(field):
-    # every CONE_SHAPES union of subspaces of k^4, two seeded g each, at
-    # every d: each route of project_incidence is reached
+    # every CONE_SHAPES union of subspaces of k^4, and I(L) m for seeded
+    # lines, planes and hyperplanes L, whose Schubert answer reads L from
+    # the saturation, two seeded g each, at every d: each route of
+    # project_incidence is reached
     rng = random.Random(f"equivariance cones {field.p}")
     checked = sum(_check(_union_of_subspaces(rng, field, 4, dims).gb, rng, 2) for dims in CONE_SHAPES)
-    assert checked == len(CONE_SHAPES) * 2 * 4
+    checked += sum(_check(_subspace_times_m(rng, field, 4, r).gb, rng, 2) for r in (1, 2, 2, 3))
+    assert checked == (len(CONE_SHAPES) + 4) * 2 * 4
 
 
 def test_projection_of_catalog_pairs_is_equivariant(catalog):

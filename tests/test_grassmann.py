@@ -842,6 +842,14 @@ def _union_of_subspaces(rng, field, c, dims):
     return _cone_of_components(field, c, [_random_equations(rng, field, c, r) for r in dims])
 
 
+def _subspace_times_m(rng, field, c, r):
+    """Reduced basis of I(L) m for a random r-dimensional rational subspace L
+    of k^c and m = (a1, .., ac): the cone L, given by quadrics, whose
+    saturation Z : m^oo is I(L)."""
+    origin = [[int(i == j) for j in range(c)] for i in range(c)]
+    return _cone_of_components(field, c, [_random_equations(rng, field, c, r), origin])
+
+
 THREE_LINES = (
     "a1^3; a1^2*a2; a1*a2^2; a1^2*a3; a1*a2*a3; a2^2*a3 + 2*a3^3; a1*a3^2; "
     "a2*a3^2 + 2*a3^3; a1^2*a4; a1*a2*a4; a2^2*a4; a1*a3*a4; a2*a3*a4; a3^2*a4; "
@@ -873,11 +881,12 @@ def test_projection_matches_the_adjoining_route(monkeypatch):
             assert V.gb.ring == ref.ring
             assert V.gb.gens == ref.gens, (str(Z.gb), d)
             assert str(V.gb) == str(ref)
-    # with the reduced unions sent to the charts as well, the containment
-    # test settles every chain of chart projections, and the saturation at
-    # d = 1 (which never proposes a union) every chain of its parts
+    # with the unions, linear ones among them, sent to the charts as well,
+    # the containment test settles every chain of chart projections, and
+    # the saturation at d = 1 (which never proposes a union) every chain of
+    # its parts
     calls = _counting_intersections(monkeypatch)
-    monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
+    monkeypatch.setattr(grassmann, "_union_components", lambda gb: None)
     for Z in cones:
         for d in (1, 2, 3):
             V = grassmann._project_incidence.__wrapped__(Z.gb, d)
@@ -915,7 +924,7 @@ def test_three_lines_keep_one_proper_intersection(monkeypatch, cold_memos):
     assert proposals == [0, 1, 0]
     # the charts, with the union answer out of the way, keep one proper
     # intersection at d = 2 and 3 as well
-    monkeypatch.setattr(grassmann, "_reduced_union", lambda gb, small, d: None)
+    monkeypatch.setattr(grassmann, "_union_components", lambda gb: None)
     for d in (2, 3):
         del calls[:]
         V = grassmann._project_incidence.__wrapped__(Z.gb, d)
@@ -985,11 +994,11 @@ def _maximal_subspaces_on(S):
 
 def _is_reduced_union(gb):
     """Whether I(Z) : m^oo, the d = 1 answer, is the intersection of the
-    ideals of the maximal rational subspaces on its zero set, at least two
-    of them: the theorem behind project_incidence's fifth answer."""
+    ideals of the maximal rational subspaces on its zero set, at least one
+    of them: the theorem behind project_incidence's fourth answer."""
     S = grassmann._project_incidence(gb, 1).gb
     components = _maximal_subspaces_on(S)
-    if len(components) < 2:
+    if not components:
         return False
     union = buchberger_reduced(ideal(S.ring, _subspace_equations(S.ring, components[0])))
     for W in components[1:]:
@@ -998,11 +1007,11 @@ def _is_reduced_union(gb):
 
 
 def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, cones_at_every_d):
-    # z <= 0, z + d > c, a linear Z, at d = 1 any other Z (by the
-    # saturation Z : m^oo) and at d >= 2 a reduced union of at least two
-    # rational subspaces are answered with no elimination, and each gives
-    # the basis the charts give; every other Z goes through the charts,
-    # z + d = c among them
+    # z <= 0, z + d > c, at d = 1 any Z (by the saturation Z : m^oo) and
+    # at d >= 2 a Z whose saturation is linear or the intersection of the
+    # ideals of several rational subspaces are answered with no
+    # elimination, and each gives the basis the charts give; every other Z
+    # goes through the charts, z + d = c among them
     eliminations = _counting_eliminations(monkeypatch)
     regimes = set()
     for gb, d in cones_at_every_d:
@@ -1011,8 +1020,9 @@ def test_projection_decided_by_dim_z_matches_the_adjoining_route(monkeypatch, co
         V = grassmann._project_incidence.__wrapped__(gb, d)
         ref = _project_by_adjoining(gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(gb), d)
-        regime = ("empty" if z <= 0 else "all" if z + d > c else "linear" if _linear_equations(gb) is not None
-                  else "saturation" if d == 1 else "union" if _is_reduced_union(gb)
+        S = grassmann._project_incidence(gb, 1).gb
+        regime = ("empty" if z <= 0 else "all" if z + d > c else "saturation" if d == 1
+                  else "linear" if _linear_equations(S) is not None else "union" if _is_reduced_union(gb)
                   else "boundary" if z + d == c else "charts")
         early = regime in ("empty", "all", "linear", "saturation", "union")
         assert early == (not eliminations), (str(gb), d)
@@ -1148,8 +1158,9 @@ def test_drawn_products_of_forms_match_the_adjoining_route_at_d1(gb):
 
 def test_a_lex_cone_gives_the_grevlex_cones_basis():
     # the d = 1 answer is I : m^oo in the grevlex Pluecker ring, so a lex
-    # basis of Z is taken to grevlex first; at d >= 2 the charts read only
-    # Z's generators
+    # basis of Z is taken to grevlex first; at d >= 2 the Schubert answer
+    # reads that saturation, linear or not, and the charts read only Z's
+    # generators
     cases = []
     for field in (F2, F3):
         ring = coordinate_ring(field, 3)
@@ -1157,6 +1168,7 @@ def test_a_lex_cone_gives_the_grevlex_cones_basis():
         cases.append(_lines(ring, [a1 * a2, a1 * a3, a2 * a3, a3 * a3]))
         rng = random.Random(f"lex cones {field.p}")
         cases += [_union_of_subspaces(rng, field, 4, dims) for dims in [(1,), (1, 1), (1, 2), (2, 2), (1, 1, 1)]]
+        cases += [_union_of_subspaces(rng, field, 4, (2,)), _subspace_times_m(rng, field, 4, 2)]
     other_bases = 0
     for Z in cases:
         lex = PolyRing(Z.ring.field, Z.ring.names, MonomialOrder.lex())
@@ -1168,7 +1180,7 @@ def test_a_lex_cone_gives_the_grevlex_cones_basis():
             got = grassmann._project_incidence.__wrapped__(Z_lex.gb, d).gb
             assert got.gens == want.gens and str(got) == str(want), (str(Z_lex.gb), d)
     # most of these cones have another reduced basis under lex
-    assert other_bases == 8
+    assert other_bases == 10
 
 
 def test_projection_dimension_is_the_incidence_count(cones_at_every_d):
@@ -1277,6 +1289,52 @@ def test_seeded_subspaces_take_the_schubert_ideal_with_no_chart(monkeypatch, p, 
         assert eliminations == []
         ref = _project_by_adjoining(Z.gb, d)
         assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(Z.gb), d)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=["F2", "F3"])
+def test_a_linear_saturation_takes_the_schubert_ideal_with_no_chart(monkeypatch, field):
+    # Z = I(L) m for seeded planes L of k^4 is not linear, but its
+    # saturation is I(L), one component: at d = 2 and 3 the Schubert ideal
+    # of L runs no elimination and gives the charts' basis
+    rng = random.Random(f"linear saturations {field.p}")
+    eliminations = _counting_eliminations(monkeypatch)
+    for _ in range(3):
+        Z = _subspace_times_m(rng, field, 4, 2)
+        assert _linear_equations(Z.gb) is None
+        for d in (2, 3):
+            del eliminations[:]
+            V = grassmann._project_incidence.__wrapped__(Z.gb, d)
+            assert eliminations == []
+            ref = _project_by_adjoining(Z.gb, d)
+            assert V.gb.gens == ref.gens and str(V.gb) == str(ref), (str(Z.gb), d)
+
+
+def test_the_cap_sends_a_union_but_no_linear_saturation_to_the_charts(monkeypatch, cold_memos):
+    # below the 15 lines of F_2^4 the union answer cannot scan them: two
+    # lines take the charts and give the same basis, while I(L) m needs no
+    # scan, as its saturation is linear, and answers with no chart
+    rng = random.Random("union cap")
+    lines, plane = _union_of_subspaces(rng, F2, 4, (1, 1)), _subspace_times_m(rng, F2, 4, 2)
+    want = {(Z, d): _project_by_adjoining(Z.gb, d).gens for Z in (lines, plane) for d in (2, 3)}
+    eliminations = _counting_eliminations(monkeypatch)
+    spans = []
+    proposed = grassmann._rational_spans
+    monkeypatch.setattr(grassmann, "_rational_spans", lambda V: spans.append(V) or proposed(V))
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", gaussian_binomial(4, 1, 2) - 1)
+    for (Z, d), gens in want.items():
+        del eliminations[:]
+        assert grassmann._project_incidence.__wrapped__(Z.gb, d).gb.gens == gens, (str(Z.gb), d)
+        assert len(eliminations) == (4 if Z is lines else 0), (str(Z.gb), d)
+    assert spans == []
+    # the cap is read when the decomposition is memoised: at the default,
+    # the lines are a union, scanned once, with no chart either
+    grassmann._union_components.cache_clear()
+    monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", 10_000)
+    for d in (2, 3):
+        del eliminations[:]
+        assert grassmann._project_incidence.__wrapped__(lines.gb, d).gb.gens == want[lines, d]
+        assert eliminations == []
+    assert len(spans) == 1
 
 
 def test_unions_of_subspaces_are_radical_equal_to_the_closed_forms():
@@ -1431,7 +1489,7 @@ def test_oracle_membership_refuses_a_pair_ideal_that_does_not_fit(monkeypatch, c
     for cap in (grassmann.DEFAULT_SUBSPACE_CAP, 2):
         monkeypatch.setattr(grassmann, "DEFAULT_SUBSPACE_CAP", cap)
         for Z in (_lines(ring, [a1 + a2 * a2]), _lines(ring, [a1 * a2 + a1 + 1])):
-            with pytest.raises(ValueError, match="must be a cone"):
+            with pytest.raises(ValueError, match="must define a cone"):
                 oracle_membership(M, k, 1, W, pair_ideal=Z)
 
 

@@ -161,7 +161,7 @@ def test_rational_points_refuse_a_variety_that_is_not_a_cone(f3):
     ring = coordinate_ring(f3, 2)
     a1, a2 = ring.gens()
     raw = ideal(ring, [a1 - a2 * a2])
-    with pytest.raises(ValueError, match="must be a cone"):
+    with pytest.raises(ValueError, match="must define a cone"):
         rational_points(VarietyIdeal1(ring, raw, raw))
 
 
