@@ -453,7 +453,8 @@ def _minors(rows: list[list[dict[int, int]]], p: int) -> Callable[[tuple, tuple]
 class MatrixFp:
     """Immutable dense matrix over F_p."""
 
-    __slots__ = ("field", "_a")
+    # _hash is set on first use of __hash__
+    __slots__ = ("field", "_a", "_hash")
 
     def __init__(self, field: PrimeField, entries) -> None:
         object.__setattr__(self, "field", field)
@@ -465,7 +466,9 @@ class MatrixFp:
         raise AttributeError("MatrixFp is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__, which __setattr__ allows
+        # pickle and copy rebuild through __init__, which __setattr__ allows,
+        # so a copy never carries a hash made under another process's
+        # string-hash seed
         return (MatrixFp, (self.field, self._a))
 
     # construction helpers
@@ -521,7 +524,13 @@ class MatrixFp:
         )
 
     def __hash__(self) -> int:
-        return hash((self.p, self._a.shape, self._a.tobytes()))
+        # kept after the first call: memo lookups hash the same matrix often
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.p, self._a.shape, self._a.tobytes()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     # arithmetic
     def _check(self, other: "MatrixFp") -> None:

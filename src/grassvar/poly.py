@@ -86,6 +86,13 @@ Groebner work is bounded by a pool of S-pair reductions.  Inside a
 so the bound covers a whole computation however many bases it takes; outside
 any block each run has its own DEFAULT_PAIR_BUDGET.
 
+Reduced bases are memoised: `buchberger_reduced` keeps the last 256 in a
+least-recently-used cache keyed on the ring and the sorted, de-duplicated
+monic generator terms, so an ideal asked again, in any order or scaling of
+its generators, is reduced once and returns the same Ideal.  A hit runs no
+Buchberger loop and spends nothing from the pool; a run that raises stores
+nothing.
+
 Every routine is deterministic: reduced Groebner bases are unique for a given
 ideal and order, term orders break ties by fixed index order, and nothing
 depends on hash iteration order.
@@ -759,11 +766,13 @@ def _lead_key(keyed) -> int:
     return keyed[0][0]
 
 
-def _sorted_monic(polys: Sequence[Polynomial]) -> list:
+def _sorted_monic(polys: Sequence[Polynomial]) -> tuple:
     """The terms of the distinct nonzero polys, made monic, by ascending
     lead; equal leads are taken in the order of their term tuples, so the
-    first pass does not depend on the order of the input."""
-    return sorted({g.monic()._terms for g in polys if g._terms})
+    first pass does not depend on the order of the input.  It is the key of
+    the reduced-basis memo: an ideal given in any order, scaling or
+    repetition of its generators has one key."""
+    return tuple(sorted({g.monic()._terms for g in polys if g._terms}))
 
 
 def _autoreduce(ring: PolyRing, items: list) -> list:
@@ -789,16 +798,16 @@ def _autoreduce(ring: PolyRing, items: list) -> list:
     return kept
 
 
-def _interreduce(ring: PolyRing, polys: Sequence[Polynomial]) -> list:
+def _interreduce(ring: PolyRing, monic: Sequence) -> list:
     """Monic keyed basis with every element fully reduced against the
-    others, by ascending lead.
+    others, by ascending lead, from the _sorted_monic terms of the input.
 
     _autoreduce is repeated until its leads come out in ascending order.
     Then each element has been reduced by every smaller lead, and no larger
     lead can divide any of its terms.  Each repeat lowers or drops a lead,
     so the loop ends.
     """
-    basis = _autoreduce(ring, _sorted_monic(polys))
+    basis = _autoreduce(ring, monic)
     while any(a[0][0] > b[0][0] for a, b in zip(basis, basis[1:])):
         basis = _autoreduce(ring, sorted(basis, key=_lead_key))
     return basis
@@ -816,16 +825,29 @@ def buchberger_reduced(I: Ideal) -> Ideal:
     pool, or outside any block from a pool of DEFAULT_PAIR_BUDGET for this
     call alone; GroebnerBudgetError is raised when the pool runs out, and
     partial output is never returned.  The final pass spends nothing.
+
+    Results are memoised in a 256-entry least-recently-used cache keyed on
+    the ring and the _sorted_monic terms of I's generators, so the same
+    ideal, given in any order or scaling of its generators, is reduced once
+    and every later call returns the same Ideal.  A hit does no Groebner
+    work, so it spends none of the enclosing groebner_budget; a call that
+    raises stores nothing.
     """
-    return _reduced_basis(I.ring, _groebner_basis(I))
+    return _reduced_groebner(I.ring, _sorted_monic(I.gens))
 
 
-def _groebner_basis(I: Ideal) -> list:
-    """A Groebner basis of I as monic keyed polynomials with distinct leads,
-    by Buchberger's pair loop, not yet reduced; [1] for the unit ideal."""
-    ring = I.ring
+@lru_cache(maxsize=256)
+def _reduced_groebner(ring: PolyRing, monic: tuple) -> Ideal:
+    """buchberger_reduced of the ideal of the _sorted_monic terms `monic`."""
+    return _reduced_basis(ring, _groebner_basis(ring, monic))
+
+
+def _groebner_basis(ring: PolyRing, monic: Sequence) -> list:
+    """A Groebner basis of the ideal of the _sorted_monic terms `monic` as
+    monic keyed polynomials with distinct leads, by Buchberger's pair loop,
+    not yet reduced; [1] for the unit ideal."""
     pool = _pool.get() or [DEFAULT_PAIR_BUDGET, 0]
-    G = _interreduce(ring, I.gens)
+    G = _interreduce(ring, monic)
     if any(g[0][1] == 0 for g in G):
         return [[(0, 0, 1)]]
 
@@ -969,7 +991,8 @@ def eliminate(I: Ideal, drop: Iterable[str]) -> Ideal:
     # the dropped block leads the order, so an element whose leading
     # monomial is free of it is free of it altogether
     dropped = sum(_FIELD_MASK << s for s, j in zip(elim_ring._shifts, index_map) if j is None)
-    G = _reduced_basis(elim_ring, [g for g in _groebner_basis(I) if not g[0][1] & dropped])
+    kept = [g for g in _groebner_basis(elim_ring, _sorted_monic(I.gens)) if not g[0][1] & dropped]
+    G = _reduced_basis(elim_ring, kept)
     out = Ideal(small, tuple(g._relabelled(small, index_map) for g in G.gens))
     return out if small.order.kind == "grevlex" else buchberger_reduced(out)
 

@@ -125,15 +125,8 @@ def rank_variety_ideal(M: KEModule) -> VarietyIdeal1:
     return VarietyIdeal1(ring, raw, buchberger_reduced(raw))
 
 
-@lru_cache(maxsize=256)
 def pair_variety_ideal(M: KEModule, N: KEModule) -> VarietyIdeal1:
-    """Ideal of the intersection of the rank varieties of M and N.
-
-    Results are memoised on the ordered pair (M, N) in a 256-entry
-    least-recently-used cache, like rank_variety_ideal: a hit does no
-    Groebner work, so it spends none of the enclosing groebner_budget; a call
-    that raises stores nothing.
-    """
+    """Ideal of the intersection of the rank varieties of M and N."""
     if M.field.p != N.field.p or M.c != N.c:
         raise ValueError("modules must share the same p and c")
     vm = rank_variety_ideal(M)

@@ -65,13 +65,13 @@ def f3():
 
 @pytest.fixture
 def cold_memos():
-    """Empty the rank, pair, projection, union, restricted-cover and
-    resolution memos, and the memos of the membership scans (the rational
-    points of each reduced basis and the discrete logarithms), so the test
-    sees cold computations whatever ran before it."""
+    """Empty the reduced-basis, rank, projection, union, restricted-cover
+    and resolution memos, and the memos of the membership scans (the
+    rational points of each reduced basis and the discrete logarithms), so
+    the test sees cold computations whatever ran before it."""
     for memo in (
+        poly._reduced_groebner,
         rankvariety.rank_variety_ideal,
-        rankvariety.pair_variety_ideal,
         grassmann._project_incidence,
         grassmann._union_components,
         grassmann._rational_lines,

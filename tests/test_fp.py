@@ -434,6 +434,19 @@ def test_matrix_round_trips_through_pickle_and_copy():
             twin.array[0, 0] = 0
 
 
+def test_hashed_matrix_round_trips_through_pickle_and_copy():
+    # the hash is kept on first use, but a copy is rebuilt through __init__
+    # and hashes its own array again, so it never carries a hash made under
+    # another process's string-hash seed
+    F = PrimeField(3)
+    m = MatrixFp(F, [[1, 2, 0], [0, 1, 2]])
+    h = hash(m)
+    assert hash(m) == h
+    for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert not hasattr(twin, "_hash")
+        assert twin == m and hash(twin) == h
+
+
 def test_matrix_arithmetic():
     F = PrimeField(5)
     a = MatrixFp(F, [[1, 2], [3, 4]])

@@ -510,7 +510,7 @@ def test_projection_memo_keeps_no_failures(cold_memos):
 
 
 def test_rank_pair_and_projection_memos_hold_256_entries():
-    for memo in (rank_variety_ideal, pair_variety_ideal, grassmann._project_incidence,
+    for memo in (poly._reduced_groebner, rank_variety_ideal, grassmann._project_incidence,
                  grassmann._union_components):
         assert memo.cache_info().maxsize == 256
     # the memos of the membership scans: the rational points of each

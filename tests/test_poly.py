@@ -577,7 +577,7 @@ def test_final_pass_drops_divisible_leads_before_reducing(monkeypatch):
     r = ring(F3)
     x, y, z = r.gens()
     I = ideal(r, [x * y - z**2, y * z - x**2, x * z - y**2])
-    G = poly._groebner_basis(I)
+    G = poly._groebner_basis(r, _sorted_monic(I.gens))
     redundant = [_sorted_monic([g * x + g])[0] for g in (Polynomial(r, tuple(t)) for t in G)]
     want = buchberger_reduced(I)
     reduced = []
@@ -594,7 +594,7 @@ def test_interreduce_repeats_the_pass_until_leads_ascend():
     # one pass lowers the last lead below the others
     once = _autoreduce(r, _sorted_monic(gens))
     assert [str(Polynomial(r, tuple(g))) for g in once] == ["y^2", "x*y + z", "z + 2"]
-    out = [Polynomial(r, tuple(g)) for g in _interreduce(r, gens)]
+    out = [Polynomial(r, tuple(g)) for g in _interreduce(r, _sorted_monic(gens))]
     assert [str(g) for g in out] == ["z + 2", "y^2", "x*y + 1"]
     for g in out:
         for h in out:
@@ -736,7 +736,7 @@ def _eliminate_by_the_whole_basis(I, drop):
     return tuple(g.map_to(small, index_map) for g in G.gens if not g.support() & dropped)
 
 
-def test_eliminate_reduces_only_what_it_keeps():
+def test_eliminate_reduces_only_what_it_keeps(cold_memos):
     # the same basis and the same S-pair reductions as reducing the whole
     # block basis and keeping the elements free of the dropped block, on
     # seeded quadrics and on a projection chart

@@ -6,10 +6,19 @@ import random
 
 import pytest
 
-from grassvar import coordinate_ring
+from grassvar.errors import GroebnerBudgetError
 from grassvar.fp import PrimeField
 from grassvar.grassmann import _set_to_one, incidence_ideal
-from grassvar.poly import MonomialOrder, PolyRing, buchberger_reduced, eliminate, ideal, normal_form
+from grassvar import coordinate_ring, poly
+from grassvar.poly import (
+    MonomialOrder,
+    PolyRing,
+    buchberger_reduced,
+    eliminate,
+    groebner_budget,
+    ideal,
+    normal_form,
+)
 from grassvar.rankvariety import VarietyIdeal1
 
 sympy = pytest.importorskip("sympy")
@@ -113,6 +122,49 @@ def test_block_elimination_matches_sympy(p):
             want = _basis_terms(_sympy_terms(g, order, p) for g in theirs.polys)
             assert len(ours.gens) == len(theirs.polys), ideal_terms
             assert _basis_terms(g.terms for g in ours.gens) == want, ideal_terms
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_reduced_basis_memo_sees_one_ideal_in_any_order_scaling_or_repeat(p):
+    # one basis object per ideal, however its generators are listed, and it
+    # is sympy's reduced basis; a run that runs out of budget stores nothing
+    rng = random.Random(500 + p)
+    field = PrimeField(p)
+    symbols = sympy.symbols("x y z")
+    # the block order that drops x: x's grevlex block above that of y and z
+    block = ProductOrder((grevlex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))
+    spent_any = False
+    for order, theirs_order in [(MonomialOrder("grevlex"), "grevlex"), (MonomialOrder.lex(), "lex"),
+                                (MonomialOrder.block(["x"]), block)]:
+        ring = PolyRing(field, ["x", "y", "z"], order)
+        for _ in range(6):
+            ideal_terms = [_random_terms(rng, p) for _ in range(rng.randint(2, 3))]
+            gens = [_ours(ring, t) for t in ideal_terms]
+            poly._reduced_groebner.cache_clear()
+            with groebner_budget(10**6):
+                cold = buchberger_reduced(ideal(ring, gens))
+                spent = poly._pool.get()[1]
+            poly._reduced_groebner.cache_clear()
+            if spent:
+                spent_any = True
+                with groebner_budget(spent - 1), pytest.raises(GroebnerBudgetError):
+                    buchberger_reduced(ideal(ring, gens))
+                assert poly._reduced_groebner.cache_info().currsize == 0
+            with groebner_budget(spent):
+                G = buchberger_reduced(ideal(ring, gens))
+                assert poly._pool.get()[1] == spent
+            assert G.gens == cold.gens
+            for _ in range(4):
+                variant = [g * rng.randrange(1, p) for g in gens + rng.sample(gens, rng.randint(0, len(gens)))]
+                rng.shuffle(variant)
+                with groebner_budget(0):
+                    assert buchberger_reduced(ideal(ring, variant)) is G
+            theirs = sympy.groebner([_theirs(symbols, t) for t in ideal_terms], *symbols,
+                                    modulus=p, order=theirs_order)
+            want = _basis_terms(_sympy_terms(g, theirs_order, p) for g in theirs.polys)
+            assert len(G.gens) == len(theirs.polys), ideal_terms
+            assert _basis_terms(g.terms for g in G.gens) == want, ideal_terms
+    assert spent_any
 
 
 def _chart_of_three_lines(p, seed, chart):
